@@ -8,13 +8,15 @@ from pathlib import Path
 from nullgeo.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-SCENARIOS = {
-    "evolve": "evolve_skew_hyperbolic.json",
-    "classify": "classify_flat_line.json",
-    "search": "search_worked_family.json",
-    "catalog": "catalog_hyperbolic_cylinder.json",
-    "check": "check_default.json",
-}
+# every golden file comes from one (command, scenario) pair listed here
+SCENARIOS = [
+    ("evolve", "evolve_skew_hyperbolic.json"),
+    ("evolve", "evolve_branch_q8.json"),
+    ("classify", "classify_flat_line.json"),
+    ("search", "search_worked_family.json"),
+    ("catalog", "catalog_hyperbolic_cylinder.json"),
+    ("check", "check_default.json"),
+]
 
 
 def run() -> int:
@@ -22,7 +24,7 @@ def run() -> int:
     if golden.exists():
         shutil.rmtree(golden)
     golden.mkdir(parents=True)
-    for command, name in SCENARIOS.items():
+    for command, name in SCENARIOS:
         code = main(
             [
                 command,

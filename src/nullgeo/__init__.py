@@ -2,7 +2,6 @@
 with relative nullity in space forms, at desk scale."""
 
 from .core import (
-    EvolutionState,
     GeodesicDomain,
     JacobiTensor,
     NullityError,
@@ -11,7 +10,6 @@ from .core import (
     SingularJacobi,
     SpaceFormCurvature,
     SplittingTensor,
-    evolution_state,
     is_codazzi_compatible,
     jacobi_derivative,
     jacobi_tensor,

@@ -8,7 +8,7 @@ exactly those case distinctions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -17,12 +17,10 @@ from .core import (
     DomainKind,
     GeodesicDomain,
     NullityError,
-    ShapeOperatorSet,
+    _Evolution,
     _curv,
-    _jacobi_mat,
     _smat,
     _sset,
-    max_invertible_time,
     real_eigenvalues,
 )
 
@@ -231,22 +229,12 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
             P = np.eye(C0.shape[0]) - E @ E.T
             off = max(np.abs(m @ P).max(initial=0.0) for m in A0.ops)
         limit = AlphaLimit.MIXED if off > 1e-10 * scale else AlphaLimit.NONZERO
-    elif BlockBehavior.DECAYS_TO_ZERO in behaviors:
-        limit = AlphaLimit.ZERO
     else:
         limit = AlphaLimit.ZERO
 
-    q = C0.shape[0]
     samples = []
-    for t in DECAY_SAMPLE_TIMES:
-        if c < 0.0 and a * t >= 1.0:
-            # cosh(at) I - sinh(at)/a C0 cancels catastrophically on the
-            # critical eigenspace for large t; factor out e^{at}/2 first
-            eps = math.exp(-2.0 * a * t)
-            M = (np.eye(q) - C0 / a) + eps * (np.eye(q) + C0 / a)
-            Jinv = 2.0 * math.exp(-a * t) * np.linalg.inv(M)
-        else:
-            Jinv = np.linalg.inv(_jacobi_mat(c, C0, t))
+    # the scaled form of J keeps the critical eigenspace accurate at large t
+    for t, Jinv in zip(DECAY_SAMPLE_TIMES, _Evolution(c, C0).inverse(DECAY_SAMPLE_TIMES)):
         total = 0.0
         crit = 0.0
         for m in A0.ops:

@@ -26,12 +26,7 @@ from .core import (
     NullityError,
     ShapeOperatorSet,
     SingularJacobi,
-    SplittingTensor,
-    _jacobi_mat,
-    jacobi_tensor,
-    max_invertible_time,
-    shape_operator_at,
-    splitting_tensor_at,
+    _Evolution,
 )
 from .theorems import SplittingFamily, find_special_nullity_direction
 
@@ -44,6 +39,8 @@ EXIT_DIMENSION = 3
 EXIT_SINGULAR = 4
 
 MODES = ("evolve", "classify", "search", "catalog", "check")
+
+_EVOLVE_CHUNK = 1024     # evolve samples per batched evaluation
 
 
 class ScenarioParseError(NullityError):
@@ -102,6 +99,8 @@ def _as_matrix(raw, what: str) -> np.ndarray:
         raise ScenarioParseError(f"{what}: expected a matrix, got ndim={m.ndim}")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what}: must be square, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ScenarioParseError(f"{what}: entries must be finite")
     return m
 
 
@@ -111,13 +110,19 @@ def parse_scenario(raw: dict) -> Scenario:
     mode = raw.get("mode")
     if mode not in MODES:
         raise ScenarioParseError(f"mode must be one of {MODES}, got {mode!r}")
-    scn = Scenario(mode=mode, seed=int(raw.get("seed", 0)))
+    try:
+        seed = int(raw.get("seed", 0))
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioParseError(f"seed must be an integer, got {raw['seed']!r}")
+    scn = Scenario(mode=mode, seed=seed)
 
     if "c" in raw:
         try:
             scn.c = float(raw["c"])
         except (TypeError, ValueError):
             raise ScenarioParseError("c must be a real number")
+        if not math.isfinite(scn.c):
+            raise ScenarioParseError(f"c must be finite, got {scn.c}")
     if "C0" in raw:
         scn.C0 = _as_matrix(raw["C0"], "C0")
     if "A0" in raw:
@@ -153,8 +158,8 @@ def parse_scenario(raw: dict) -> Scenario:
             scn.samples = int(g.get("samples", 11))
         except (KeyError, TypeError, ValueError):
             raise ScenarioParseError("t_grid needs numeric t_end (and samples)")
-        if scn.t_end <= 0.0 or scn.samples < 2:
-            raise ScenarioParseError("t_grid needs t_end > 0 and samples >= 2")
+        if not (0.0 < scn.t_end < math.inf) or scn.samples < 2:
+            raise ScenarioParseError("t_grid needs finite t_end > 0 and samples >= 2")
     if "catalog" in raw:
         cat = raw["catalog"]
         if not isinstance(cat, dict) or "entry" not in cat:
@@ -222,10 +227,6 @@ def _fmt_eig(z: complex) -> str:
     return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}j"
 
 
-def _sorted_eigs(m: np.ndarray):
-    return sorted(np.linalg.eigvals(m), key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-
-
 def _json_dump(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
@@ -240,9 +241,10 @@ def _require(scn: Scenario, *fields: str) -> None:
         raise ScenarioParseError(f"mode {scn.mode!r} requires fields {missing}")
 
 
-def run_evolve(scn: Scenario, out_dir: Path, stem: str, step: float) -> int:
+def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
     _require(scn, "c", "C0", "A0", "t_end")
-    b_max = max_invertible_time(scn.c, scn.C0)
+    ev = _Evolution(scn.c, scn.C0)
+    b_max = ev.horizon()
     if not scn.t_end < b_max:
         raise SingularJacobi(
             f"t_end={scn.t_end} reaches the singular time b_max={b_max:.6g}"
@@ -253,17 +255,29 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str, step: float) -> int:
     for i in range(A0.p):
         header.append(f"A{i}_norm")
         header.extend(f"A{i}_eig{j}" for j in range(q))
+    ts = [scn.t_end * k / (scn.samples - 1) for k in range(scn.samples)]
     rows = []
-    for k in range(scn.samples):
-        t = scn.t_end * k / (scn.samples - 1)
-        J = _jacobi_mat(scn.c, scn.C0, t)
-        C = splitting_tensor_at(scn.c, scn.C0, t).mat
-        A = shape_operator_at(A0, scn.c, scn.C0, t)
-        row = [_fmt(t), _fmt(np.linalg.det(J)), _fmt(np.linalg.norm(C))]
-        for a in A.ops:
-            row.append(_fmt(np.linalg.norm(a)))
-            row.extend(_fmt_eig(z) for z in _sorted_eigs(a))
-        rows.append(row)
+    for lo in range(0, len(ts), _EVOLVE_CHUNK):
+        grid = ts[lo:lo + _EVOLVE_CHUNK]
+        det_J = ev.det(grid)
+        C = ev.splitting(grid)
+        A = ev.shape(A0.ops, grid)
+        eigs = []
+        for a, a0 in zip(A, A0.ops):
+            if grid[0] == 0.0:
+                a[0] = a0
+            w = np.linalg.eigvals(a)
+            order = np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)), axis=-1)
+            eigs.append(np.take_along_axis(w, order, axis=-1).tolist())
+        for k, t in enumerate(grid):
+            # t = 0 shows the initial data as given; the norms sum in memory
+            # order, so they are taken of C0 and A0 themselves
+            C_k = scn.C0 if t == 0.0 else C[k]
+            row = [_fmt(t), _fmt(det_J[k]), _fmt(np.linalg.norm(C_k))]
+            for a, a0, w in zip(A, A0.ops, eigs):
+                row.append(_fmt(np.linalg.norm(a0 if t == 0.0 else a[k])))
+                row.extend(_fmt_eig(z) for z in w[k])
+            rows.append(row)
     with open(out_dir / f"{stem}.trajectory.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -308,7 +322,7 @@ def _verdict_record(scn: Scenario):
     return verdict, rec, decay
 
 
-def run_classify(scn: Scenario, out_dir: Path, stem: str, step: float) -> int:
+def run_classify(scn: Scenario, out_dir: Path, stem: str) -> int:
     _require(scn, "c", "C0", "domain")
     verdict, rec, decay = _verdict_record(scn)
     payload = {"verdict": rec}
@@ -343,7 +357,7 @@ def _human_clause(clause: str) -> str:
     return {"I": "i", "II": "ii", "II1": "ii.1", "II2": "ii.2"}[clause]
 
 
-def run_search(scn: Scenario, out_dir: Path, stem: str, step: float) -> int:
+def run_search(scn: Scenario, out_dir: Path, stem: str) -> int:
     _require(scn, "family")
     if not scn.family:
         raise DimensionMismatch("family must contain at least one matrix")
@@ -373,7 +387,7 @@ _CATALOG_ENTRIES = {
 }
 
 
-def run_catalog(scn: Scenario, out_dir: Path, stem: str, step: float) -> int:
+def run_catalog(scn: Scenario, out_dir: Path, stem: str) -> int:
     if scn.catalog_entry is None:
         raise ScenarioParseError("mode 'catalog' requires a catalog entry")
     ctor = _CATALOG_ENTRIES.get(scn.catalog_entry)
@@ -384,7 +398,7 @@ def run_catalog(scn: Scenario, out_dir: Path, stem: str, step: float) -> int:
         )
     try:
         model = ctor(**(scn.catalog_params or {}))
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ScenarioParseError(f"bad catalog params: {e}")
     checks = catalog_mod.verify_model(model)
     _json_dump(
@@ -460,13 +474,13 @@ def main(argv=None) -> int:
         else:
             stem = "check"
         if args.command == "evolve":
-            return run_evolve(scn, out_dir, stem, args.step)
+            return run_evolve(scn, out_dir, stem)
         if args.command == "classify":
-            return run_classify(scn, out_dir, stem, args.step)
+            return run_classify(scn, out_dir, stem)
         if args.command == "search":
-            return run_search(scn, out_dir, stem, args.step)
+            return run_search(scn, out_dir, stem)
         if args.command == "catalog":
-            return run_catalog(scn, out_dir, stem, args.step)
+            return run_catalog(scn, out_dir, stem)
         return run_check(scn, out_dir, stem, args.step, args.seed)
     except ScenarioParseError as e:
         print(f"error: {e}", file=sys.stderr)

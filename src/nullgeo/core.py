@@ -10,7 +10,7 @@ constant ``c``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "JacobiTensor",
     "GeodesicDomain",
     "DomainKind",
-    "EvolutionState",
     "jacobi_tensor",
     "jacobi_derivative",
     "max_invertible_time",
@@ -36,7 +35,6 @@ __all__ = [
     "shape_ode_flow",
     "shape_ode_path",
     "is_codazzi_compatible",
-    "evolution_state",
     "real_eigenvalues",
     "SYM_TOL",
     "REAL_EIG_TOL",
@@ -47,6 +45,7 @@ __all__ = [
 SYM_TOL = 1e-8           # relative asymmetry threshold
 REAL_EIG_TOL = 1e-10     # |Im| <= REAL_EIG_TOL * (1 + |lam|) counts as real
 RICCATI_BLOWUP = 1e8     # abort integration once a tensor norm exceeds this
+_STAGE_CHUNK = 512       # RK4 steps per batched evaluation of C in the shape oracle
 
 
 class NullityError(Exception):
@@ -70,10 +69,6 @@ class SpaceFormCurvature:
     def __post_init__(self):
         if not math.isfinite(self.c):
             raise ValueError(f"curvature must be finite, got {self.c}")
-
-    @property
-    def sqrt_abs(self) -> float:
-        return math.sqrt(abs(self.c))
 
 
 @dataclass(frozen=True)
@@ -197,16 +192,6 @@ class GeodesicDomain:
         return cls(DomainKind.LINE)
 
 
-@dataclass(frozen=True)
-class EvolutionState:
-    """Joint state (J, C, A) at a parameter value along the geodesic."""
-
-    t: float
-    J: JacobiTensor
-    C: SplittingTensor
-    A: ShapeOperatorSet
-
-
 # ---------------------------------------------------------------------------
 # coercion helpers
 # ---------------------------------------------------------------------------
@@ -317,25 +302,138 @@ def max_invertible_time(c, C0) -> float:
     return min(roots, default=math.inf)
 
 
-def _hyperbolic_factors(c: float, C0: np.ndarray, t: float):
-    """For c < 0 write J(t) = (e^{a|t|}/2) M and J'(t) = (e^{a|t|}/2) N with
+class _Evolution:
+    """J, C = -J' J^{-1}, A = A0 J^{-1} and det J of one (c, C0) on a whole
+    time grid.
+
+    Built once per (c, C0): the first singular time in each direction is
+    computed on first use and kept.  A grid costs one stacked LAPACK call per
+    quantity.  The scalar coefficients come from ``math`` one time at a time,
+    so every grid gives the same bits for a time as the grid of that time
+    alone.
+
+    For c < 0 and a|t| >= 1 the factors come from the scaled form
+    J(t) = (e^{a|t|}/2) M and J'(t) = (e^{a|t|}/2) N with
 
         M = (1 + eps) I -+ (1 - eps) C0 / a,
         N = +-a (1 - eps) I - (1 + eps) C0,    eps = e^{-2 a |t|},
 
     the sign following sign(t).  cosh - sinh cancels catastrophically for
-    eigenvalues near +-a at large |t|; this grouping does not.  Only valid
-    numerically when a|t| is not small (otherwise 1 - eps itself cancels
-    against the C0/a terms); callers gate on a|t| >= 1."""
-    a = math.sqrt(-c)
-    sgn = 1.0 if t > 0 else -1.0
-    eps = math.exp(-2.0 * a * abs(t))
-    eye = np.eye(C0.shape[0])
-    lo = eye - (sgn / a) * C0
-    hi = eye + (sgn / a) * C0
-    M = lo + eps * hi
-    N = sgn * a * (eye - eps * eye) - (1.0 + eps) * C0
-    return M, N, math.exp(-a * abs(t))
+    eigenvalues near +-a at large |t|; this grouping does not.  For small
+    a|t| the grouping cancels instead (1 - eps against the C0/a terms), so
+    there J = u I - v C0 is used as it stands.
+
+    Grids are not checked against the singular times; callers that must not
+    reach them call :meth:`check` first.
+    """
+
+    def __init__(self, c: float, C0: np.ndarray):
+        self.c = c
+        self.C0 = C0
+        self.eye = np.eye(C0.shape[0])
+        self.a = math.sqrt(-c) if c < 0.0 else 0.0
+        self._horizon: dict[bool, float] = {}
+
+    def horizon(self, forward: bool = True) -> float:
+        """First singular time |t| for t > 0 (``forward``) or for t < 0."""
+        if forward not in self._horizon:
+            self._horizon[forward] = max_invertible_time(
+                self.c, self.C0 if forward else -self.C0
+            )
+        return self._horizon[forward]
+
+    def check(self, ts) -> None:
+        """Raise :class:`SingularJacobi` for the first t at or beyond the
+        singular time of its direction."""
+        for t in ts:
+            if t != 0.0 and abs(t) >= self.horizon(t > 0):
+                raise SingularJacobi(f"Jacobi tensor singular before t={t}")
+
+    def _factors(self, ts):
+        """Stacks P, Q and scales r with J = P / r and J' = Q / r: (J, J')
+        itself with r = 1, or (M, N) with r = 2 e^{-a|t|} on the scaled
+        branch."""
+        ts = [float(t) for t in ts]
+        branches: dict[float, list[int]] = {}
+        for i, t in enumerate(ts):
+            scaled = self.c < 0.0 and self.a * abs(t) >= 1.0
+            branches.setdefault(math.copysign(1.0, t) if scaled else 0.0, []).append(i)
+        parts = [(rows, self._branch(sgn, [ts[i] for i in rows])) for sgn, rows in branches.items()]
+        if len(parts) == 1:
+            return parts[0][1]
+        k, q = len(ts), self.eye.shape[0]
+        P, Q, r = np.empty((k, q, q)), np.empty((k, q, q)), np.empty(k)
+        for rows, (P_b, Q_b, r_b) in parts:
+            P[rows], Q[rows], r[rows] = P_b, Q_b, r_b
+        return P, Q, r
+
+    def _branch(self, sgn: float, ts: list[float]):
+        """:meth:`_factors` for times on one branch: unscaled (``sgn`` 0) or
+        scaled with t of sign ``sgn``."""
+        if not sgn:
+            u, v, du, dv = np.array([_jacobi_scalars(self.c, t) for t in ts]).T[:, :, None, None]
+            return u * self.eye - v * self.C0, du * self.eye - dv * self.C0, np.ones(len(ts))
+        eps = np.array([math.exp(-2.0 * self.a * abs(t)) for t in ts])[:, None, None]
+        lo = self.eye - (sgn / self.a) * self.C0
+        hi = self.eye + (sgn / self.a) * self.C0
+        M = lo + eps * hi
+        N = sgn * self.a * (self.eye - eps * self.eye) - (1.0 + eps) * self.C0
+        return M, N, np.array([2.0 * math.exp(-self.a * abs(t)) for t in ts])
+
+    def splitting(self, ts) -> np.ndarray:
+        """C(t) for each t, stacked."""
+        P, Q, _ = self._factors(ts)
+        # -J' J^{-1} via a solve on the transposed systems
+        return -np.linalg.solve(P.transpose(0, 2, 1), Q.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+    def inverse(self, ts) -> np.ndarray:
+        """J(t)^{-1} for each t, stacked."""
+        P, _, r = self._factors(ts)
+        return r[:, None, None] * np.linalg.inv(P)
+
+    def shape(self, ops, ts) -> list[np.ndarray]:
+        """A_xi(t) = A_xi(0) J(t)^{-1} for each shape operator, each stacked
+        over the grid."""
+        # (J^{-T} A0^T)^T on transposed views: BLAS rounds a C-ordered
+        # operand differently at large q, and the golden outputs were made
+        # with this layout
+        Jinv_T = self.inverse(ts).transpose(0, 2, 1)
+        return [np.matmul(Jinv_T, a.T).transpose(0, 2, 1) for a in ops]
+
+    def det(self, ts) -> np.ndarray:
+        """det J(t) for each t.
+
+        det(u I - v C0) wherever cosh(a|t|) is representable.  Beyond that,
+        sign(det M) exp(q (a|t| - ln 2) + log|det M|) from the scaled form,
+        which is inf where it exceeds the float range.
+        """
+        ts = [float(t) for t in ts]
+        out = np.empty(len(ts))
+        fits, coef, over = [], [], []
+        for i, t in enumerate(ts):
+            try:
+                u, v, _, _ = _jacobi_scalars(self.c, t)
+            except OverflowError:
+                over.append(i)
+            else:
+                fits.append(i)
+                coef.append((u, v))
+        if fits:
+            uv = np.array(coef)
+            J = uv[:, 0, None, None] * self.eye - uv[:, 1, None, None] * self.C0
+            with np.errstate(over="ignore"):  # inf is the honest value
+                out[fits] = np.linalg.det(J)
+        if over:
+            M, _, _ = self._factors([ts[i] for i in over])
+            sign, logdet = np.linalg.slogdet(M)
+            q = self.eye.shape[0]
+            for i, s, ld in zip(over, sign, logdet):
+                x = q * (self.a * abs(ts[i]) - math.log(2.0)) + ld
+                try:
+                    out[i] = s * math.exp(x)
+                except OverflowError:
+                    out[i] = s * math.inf
+        return out
 
 
 def splitting_tensor_at(c, C0, t: float) -> SplittingTensor:
@@ -348,15 +446,9 @@ def splitting_tensor_at(c, C0, t: float) -> SplittingTensor:
     C0 = _smat(C0)
     if t == 0.0:
         return SplittingTensor(C0.copy())
-    if abs(t) >= max_invertible_time(c, C0 if t > 0 else -C0):
-        raise SingularJacobi(f"Jacobi tensor singular before t={t}")
-    if c < 0.0 and math.sqrt(-c) * abs(t) >= 1.0:
-        M, N, _ = _hyperbolic_factors(c, C0, t)
-        return SplittingTensor(-np.linalg.solve(M.T, N.T).T)
-    J = _jacobi_mat(c, C0, t)
-    dJ = _jacobi_dmat(c, C0, t)
-    # -J' J^{-1} via a solve on the transposed system
-    return SplittingTensor(-np.linalg.solve(J.T, dJ.T).T)
+    ev = _Evolution(c, C0)
+    ev.check([t])
+    return SplittingTensor(ev.splitting([t])[0])
 
 
 def shape_operator_at(A0, c, C0, t: float) -> ShapeOperatorSet:
@@ -371,19 +463,39 @@ def shape_operator_at(A0, c, C0, t: float) -> ShapeOperatorSet:
     A0 = _sset(A0)
     if t == 0.0:
         return ShapeOperatorSet(tuple(a.copy() for a in A0.ops))
-    if abs(t) >= max_invertible_time(c, C0 if t > 0 else -C0):
-        raise SingularJacobi(f"Jacobi tensor singular before t={t}")
-    if c < 0.0 and math.sqrt(-c) * abs(t) >= 1.0:
-        M, _, decay = _hyperbolic_factors(c, C0, t)
-        Jinv_T = 2.0 * decay * np.linalg.inv(M).T
-    else:
-        Jinv_T = np.linalg.inv(_jacobi_mat(c, C0, t)).T
-    return ShapeOperatorSet(tuple((Jinv_T @ a.T).T for a in A0.ops))
+    ev = _Evolution(c, C0)
+    ev.check([t])
+    return ShapeOperatorSet(tuple(A[0] for A in ev.shape(A0.ops, [t])))
 
 
 # ---------------------------------------------------------------------------
 # RK4 oracles
 # ---------------------------------------------------------------------------
+
+def _rk4_substeps(span: float, step: float) -> tuple[int, float]:
+    """Number and size of the equal steps that cover ``span``, none longer
+    than ``step``."""
+    n = max(1, math.ceil(span / step - 1e-12))
+    return n, span / n
+
+
+def _rk4_stage_times(times, step: float):
+    """The times at which :func:`_rk4_path` evaluates the right-hand side,
+    in batches of at most ``_STAGE_CHUNK`` steps.  They are generated with
+    the integrator's own arithmetic, so they equal its times bit for bit."""
+    t = 0.0
+    for tk in times:
+        span = tk - t
+        if span > 0.0:
+            n, h = _rk4_substeps(span, step)
+            for done in range(0, n, _STAGE_CHUNK):
+                grid = [t]
+                for _ in range(min(_STAGE_CHUNK, n - done)):
+                    grid += (t + 0.5 * h, t + h)
+                    t += h
+                yield grid
+        t = tk
+
 
 def _rk4_path(f, y0: np.ndarray, times, step: float, guard_norm: float):
     """Integrate y' = f(t, y) from t=0, recording y at each requested time.
@@ -399,8 +511,7 @@ def _rk4_path(f, y0: np.ndarray, times, step: float, guard_norm: float):
             raise ValueError("record times must be sorted and nonnegative")
         span = tk - t
         if span > 0.0:
-            n = max(1, math.ceil(span / step - 1e-12))
-            h = span / n
+            n, h = _rk4_substeps(span, step)
             for _ in range(n):
                 k1 = f(t, y)
                 k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
@@ -448,24 +559,22 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
     if A0.p == 0:
         return [A0 for _ in times]
     stack = np.stack(A0.ops)
-
-    cache: dict[float, np.ndarray] = {}
-
-    def C_at(t):
-        got = cache.get(t)
-        if got is None:
-            J = _jacobi_mat(c, C0, t)
-            dJ = _jacobi_dmat(c, C0, t)
-            got = -np.linalg.solve(J.T, dJ.T).T
-            if len(cache) > 8:
-                cache.clear()
-            cache[t] = got
-        return got
+    times = list(times)
+    ev = _Evolution(c, C0)
+    grids = _rk4_stage_times(times, step)
+    table: dict[float, np.ndarray] = {}
 
     def f(t, A):
-        return A @ C_at(t)
+        # C on the stage times of the next batch of steps, in one solve
+        C = table.get(t)
+        if C is None:
+            ts = next(grids)
+            table.clear()
+            table.update(zip(ts, ev.splitting(ts)))
+            C = table[t]
+        return A @ C
 
-    path = _rk4_path(f, stack, list(times), step, RICCATI_BLOWUP)
+    path = _rk4_path(f, stack, times, step, RICCATI_BLOWUP)
     return [ShapeOperatorSet(tuple(A)) for A in path]
 
 
@@ -496,12 +605,3 @@ def is_codazzi_compatible(A0, C0, tol: float = SYM_TOL) -> bool:
             m = m @ C0
     return True
 
-
-def evolution_state(c, C0, A0, t: float) -> EvolutionState:
-    """Bundle J, C and A at parameter ``t`` into one record."""
-    return EvolutionState(
-        t=float(t),
-        J=jacobi_tensor(c, C0, t),
-        C=splitting_tensor_at(c, C0, t),
-        A=shape_operator_at(A0, c, C0, t),
-    )

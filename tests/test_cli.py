@@ -17,6 +17,21 @@ from nullgeo.cli import (
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
+GOLDEN = ROOT / "tests" / "golden"
+
+_SKEW_RAY = {
+    "c": -1.0,
+    "C0": [[0.0, 1.0], [-1.0, 0.0]],
+    "A0": [[[1.0, 0.0], [0.0, -1.0]]],
+    "domain": {"kind": "ray"},
+}
+_EVOLVE = {"mode": "evolve", **_SKEW_RAY, "t_grid": {"t_end": 2.0, "samples": 5}}
+_CLASSIFY = {"mode": "classify", **_SKEW_RAY}
+_SEARCH = {"mode": "search", "family": [[[1.0, 0.0], [0.0, -1.0]]]}
+
+
+def _catalog(entry, **params):
+    return {"mode": "catalog", "catalog": {"entry": entry, "params": params}}
 
 
 def write(tmp_path, name, payload):
@@ -59,6 +74,36 @@ class TestParsing:
         path = write(tmp_path, "s.json", {"mode": "evolve"})
         assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("classify", {**_CLASSIFY, "c": math.nan}),
+            ("evolve", {**_EVOLVE, "c": -math.inf}),
+            ("classify", {**_CLASSIFY, "C0": [[math.nan, 1.0], [-1.0, 0.0]]}),
+            ("evolve", {**_EVOLVE, "C0": [[0.0, math.inf], [-1.0, 0.0]]}),
+            ("evolve", {**_EVOLVE, "A0": [[[math.nan, 0.0], [0.0, 1.0]]]}),
+            ("search", {**_SEARCH, "family": [[[math.inf, 0.0], [0.0, 1.0]]]}),
+            ("evolve", {**_EVOLVE, "t_grid": {"t_end": math.inf, "samples": 5}}),
+            ("evolve", {**_EVOLVE, "t_grid": {"t_end": math.nan, "samples": 5}}),
+            ("classify", {**_CLASSIFY, "domain": {"kind": "segment", "b": math.nan}}),
+            ("evolve", {**_EVOLVE, "seed": "1.5"}),
+            ("evolve", {**_EVOLVE, "seed": math.inf}),
+            ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=-0.5)),
+            ("catalog", _catalog("euclidean_cylinder", n=3, kappa=0.0)),
+            ("catalog", _catalog("totally_geodesic", n=0, p=1, c=1.0)),
+        ],
+        ids=[
+            "nan-c", "inf-c", "nan-C0", "inf-C0", "nan-A0", "inf-family",
+            "inf-t_end", "nan-t_end", "nan-b", "seed-str", "inf-seed",
+            "rho-nonpos", "kappa-zero", "n-zero",
+        ],
+    )
+    def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, payload):
+        path = write(tmp_path, "s.json", payload)  # json writes NaN, Infinity
+        assert main([command, "--scenario", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_round_trip_is_idempotent(self):
         scn = load_scenario(SCENARIOS / "evolve_skew_hyperbolic.json")
         text = serialize_scenario(scn)
@@ -89,6 +134,33 @@ class TestEvolve:
         assert float(first[0]) == 0.0
         assert float(first[1]) == 1.0
         assert first[2] == format(math.sqrt(2.0), ".14g")
+
+    def test_branch_q8_golden(self, tmp_path):
+        # q = 8, complex spectrum, c < 0, on a grid across a|t| = 1
+        code = main(
+            [
+                "evolve",
+                "--scenario",
+                str(SCENARIOS / "evolve_branch_q8.json"),
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0
+        name = "evolve_branch_q8.trajectory.csv"
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    def test_long_hyperbolic_horizon(self, tmp_path, capsys):
+        # cosh(a t) is not representable at t = 800: det J is reported as
+        # inf, while C and A come from the scaled form and stay finite
+        payload = {**_EVOLVE, "t_grid": {"t_end": 800.0, "samples": 41}}
+        path = write(tmp_path, "s.json", payload)
+        assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = (tmp_path / "s.trajectory.csv").read_text().strip().splitlines()
+        last = lines[-1].split(",")
+        assert last[:3] == ["800", "inf", format(math.sqrt(2.0), ".14g")]
+        assert all(math.isfinite(float(x)) for x in last[3:])
 
     def test_singular_horizon_exit_code(self, tmp_path, capsys):
         payload = {

@@ -9,6 +9,10 @@ from nullgeo.core import (
     ShapeOperatorSet,
     SingularJacobi,
     SplittingTensor,
+    _STAGE_CHUNK,
+    _Evolution,
+    _rk4_path,
+    _rk4_stage_times,
     is_codazzi_compatible,
     jacobi_derivative,
     jacobi_tensor,
@@ -200,6 +204,57 @@ class TestShapeOperatorAt:
             assert ranks == ranks0
 
 
+class TestGridEvaluator:
+    """One evaluation on a time grid gives the same bits as the public
+    one-time functions at each of its times."""
+
+    @pytest.mark.parametrize("q", [2, 8, 32])
+    @pytest.mark.parametrize("sign", [-1.0, 0.0, 1.0])
+    def test_grid_matches_single_times_bitwise(self, rng, q, sign):
+        c = sign * 0.64
+        C0 = rng.uniform(-1, 1, size=(q, q)) / math.sqrt(q)
+        A0 = [rng.uniform(-1, 1, size=(q, q)) for _ in range(2)]
+        # both sides of a|t| = 1 (a = 0.8 for c < 0), in both directions
+        reach = 3.0 / 0.8
+        fwd = min(0.9 * max_invertible_time(c, C0), reach)
+        bwd = min(0.9 * max_invertible_time(c, -C0), reach)
+        grid = [*np.linspace(fwd, 0.05, 12), *np.linspace(-0.05, -bwd, 12)]
+        ev = _Evolution(c, C0)
+        C = ev.splitting(grid)
+        A = ev.shape(A0, grid)
+        Jinv = ev.inverse(grid)
+        dets = ev.det(grid)
+        for k, t in enumerate(grid):
+            assert np.array_equal(C[k], splitting_tensor_at(c, C0, t).mat)
+            J = jacobi_tensor(c, C0, t).mat
+            if c >= 0.0 or 0.8 * abs(t) < 1.0:
+                # off the scaled branch: the textbook -J' J^{-1}, bit for bit
+                dJ = jacobi_derivative(c, C0, t)
+                assert np.array_equal(C[k], -np.linalg.solve(J.T, dJ.T).T)
+            single = shape_operator_at(A0, c, C0, t).ops
+            for stack, a in zip(A, single):
+                assert np.array_equal(stack[k], a)
+            assert dets[k] == np.linalg.det(J)
+            np.testing.assert_allclose(Jinv[k] @ J, np.eye(q), atol=1e-9)
+
+    def test_det_beyond_cosh_overflow_uses_scaled_form(self):
+        # J = cosh t - sinh t / 2 ~ e^t / 4 is representable past the point
+        # where cosh t is not; det J = inf only where the value itself is
+        ev = _Evolution(-1.0, np.array([[0.5]]))
+        near, beyond, far = ev.det([700.0, 711.0, 712.0])
+        assert near == pytest.approx(math.cosh(700.0) - 0.5 * math.sinh(700.0), rel=1e-12)
+        assert beyond == pytest.approx(math.exp(711.0 - math.log(4.0)), rel=1e-12)
+        assert far == math.inf
+
+    def test_check_raises_at_first_singular_time(self):
+        ev = _Evolution(0.0, np.diag([2.0, -3.0]))
+        ev.check([0.0, 0.25, -0.3])
+        with pytest.raises(SingularJacobi, match="t=0.5"):
+            ev.check([0.25, 0.5, 0.8])
+        with pytest.raises(SingularJacobi, match="t=-0.4"):
+            ev.check([-0.4])
+
+
 class TestRiccatiFlow:
     def test_zero_fixed_point(self):
         C = riccati_flow(0.0, np.zeros((2, 2)), 3.0).mat
@@ -239,6 +294,15 @@ class TestShapeOdeFlow:
         ode = shape_ode_flow(A0, -1.0, C0, 1.0)
         closed = shape_operator_at(A0, -1.0, C0, 1.0)
         assert np.abs(ode.ops[0] - closed.ops[0]).max() <= 1e-6
+
+    def test_stage_times_are_the_integrator_times(self):
+        # the shape oracle looks C up by the exact float time of each stage
+        times = [0.3, 0.3, 1.25, 2.0]
+        seen = []
+        _rk4_path(lambda t, y: seen.append(t) or 0.0 * y, np.zeros(1), times, 1e-3, 1.0)
+        grids = list(_rk4_stage_times(times, 1e-3))
+        assert set(seen) == {t for g in grids for t in g}
+        assert max(len(g) for g in grids) == 2 * _STAGE_CHUNK + 1
 
 
 class TestCodazziCompatibility:
