@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    INTERVAL_SLACK,
     DomainKind,
     GeodesicDomain,
     NullityError,
@@ -39,7 +40,6 @@ __all__ = [
     "signature_counts",
 ]
 
-INTERVAL_SLACK = 1e-10   # closed-interval membership slack
 EIG_CLUSTER_TOL = 1e-8   # eigenvalues closer than this are one block
 DECAY_SAMPLE_TIMES = (5.0, 10.0, 20.0)
 

@@ -260,8 +260,7 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
     for lo in range(0, len(ts), _EVOLVE_CHUNK):
         grid = ts[lo:lo + _EVOLVE_CHUNK]
         det_J = ev.det(grid)
-        C = ev.splitting(grid)
-        A = ev.shape(A0.ops, grid)
+        C, A = ev.splitting_and_shape(A0.ops, grid)
         eigs = []
         for a, a0 in zip(A, A0.ops):
             if grid[0] == 0.0:

@@ -38,12 +38,14 @@ __all__ = [
     "real_eigenvalues",
     "SYM_TOL",
     "REAL_EIG_TOL",
+    "INTERVAL_SLACK",
     "RICCATI_BLOWUP",
 ]
 
 # Tolerances shared across modules (see also classify / theorems).
 SYM_TOL = 1e-8           # relative asymmetry threshold
 REAL_EIG_TOL = 1e-10     # |Im| <= REAL_EIG_TOL * (1 + |lam|) counts as real
+INTERVAL_SLACK = 1e-10   # closed-interval membership slack
 RICCATI_BLOWUP = 1e8     # abort integration once a tensor norm exceeds this
 _STAGE_CHUNK = 512       # RK4 steps per batched evaluation of C in the shape oracle
 
@@ -292,7 +294,9 @@ def max_invertible_time(c, C0) -> float:
     elif c < 0.0:
         a = math.sqrt(-c)
         for lam in reals:
-            if lam > a:
+            # an eigenvalue within the slack of a is a, which never makes J
+            # singular; the same cut as the ray clause in classify
+            if lam > a + INTERVAL_SLACK:
                 x = lam / a
                 roots.append(0.5 * math.log((x + 1.0) / (x - 1.0)) / a)
     else:
@@ -380,25 +384,43 @@ class _Evolution:
         N = sgn * self.a * (self.eye - eps * self.eye) - (1.0 + eps) * self.C0
         return M, N, np.array([2.0 * math.exp(-self.a * abs(t)) for t in ts])
 
+    @staticmethod
+    def _splitting(P, Q) -> np.ndarray:
+        # -J' J^{-1} via a solve on the transposed systems
+        return -np.linalg.solve(P.transpose(0, 2, 1), Q.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+    @staticmethod
+    def _inverse(P, r) -> np.ndarray:
+        return r[:, None, None] * np.linalg.inv(P)
+
+    @staticmethod
+    def _shape(ops, Jinv) -> list[np.ndarray]:
+        # (J^{-T} A0^T)^T on transposed views: BLAS rounds a C-ordered
+        # operand differently at large q, and the golden outputs were made
+        # with this layout
+        Jinv_T = Jinv.transpose(0, 2, 1)
+        return [np.matmul(Jinv_T, a.T).transpose(0, 2, 1) for a in ops]
+
     def splitting(self, ts) -> np.ndarray:
         """C(t) for each t, stacked."""
         P, Q, _ = self._factors(ts)
-        # -J' J^{-1} via a solve on the transposed systems
-        return -np.linalg.solve(P.transpose(0, 2, 1), Q.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return self._splitting(P, Q)
 
     def inverse(self, ts) -> np.ndarray:
         """J(t)^{-1} for each t, stacked."""
         P, _, r = self._factors(ts)
-        return r[:, None, None] * np.linalg.inv(P)
+        return self._inverse(P, r)
 
     def shape(self, ops, ts) -> list[np.ndarray]:
         """A_xi(t) = A_xi(0) J(t)^{-1} for each shape operator, each stacked
         over the grid."""
-        # (J^{-T} A0^T)^T on transposed views: BLAS rounds a C-ordered
-        # operand differently at large q, and the golden outputs were made
-        # with this layout
-        Jinv_T = self.inverse(ts).transpose(0, 2, 1)
-        return [np.matmul(Jinv_T, a.T).transpose(0, 2, 1) for a in ops]
+        return self._shape(ops, self.inverse(ts))
+
+    def splitting_and_shape(self, ops, ts) -> tuple[np.ndarray, list[np.ndarray]]:
+        """:meth:`splitting` and :meth:`shape` on one grid, from one stack of
+        factors."""
+        P, Q, r = self._factors(ts)
+        return self._splitting(P, Q), self._shape(ops, self._inverse(P, r))
 
     def det(self, ts) -> np.ndarray:
         """det J(t) for each t.
@@ -472,29 +494,47 @@ def shape_operator_at(A0, c, C0, t: float) -> ShapeOperatorSet:
 # RK4 oracles
 # ---------------------------------------------------------------------------
 
-def _rk4_substeps(span: float, step: float) -> tuple[int, float]:
-    """Number and size of the equal steps that cover ``span``, none longer
-    than ``step``."""
-    n = max(1, math.ceil(span / step - 1e-12))
-    return n, span / n
-
-
-def _rk4_stage_times(times, step: float):
-    """The times at which :func:`_rk4_path` evaluates the right-hand side,
-    in batches of at most ``_STAGE_CHUNK`` steps.  They are generated with
-    the integrator's own arithmetic, so they equal its times bit for bit."""
+def _rk4_segments(times, step: float):
+    """For each record time: the start ``t``, number ``n`` and size ``h`` of
+    the equal steps, none longer than ``step``, that reach it from the
+    previous record time (from 0 for the first).  ``n`` is 0 for a repeated
+    record time."""
     t = 0.0
     for tk in times:
+        if tk < t:
+            raise ValueError("record times must be sorted and nonnegative")
         span = tk - t
-        if span > 0.0:
-            n, h = _rk4_substeps(span, step)
-            for done in range(0, n, _STAGE_CHUNK):
-                grid = [t]
-                for _ in range(min(_STAGE_CHUNK, n - done)):
-                    grid += (t + 0.5 * h, t + h)
-                    t += h
-                yield grid
+        n = max(1, math.ceil(span / step - 1e-12)) if span > 0.0 else 0
+        yield t, n, (span / n if n else 0.0)
         t = tk
+
+
+def _rk4_stage_times(t: float, n: int, h: float):
+    """The times at which :func:`_rk4_path` evaluates the right-hand side in
+    ``n`` steps of size ``h`` from ``t``, in batches of at most
+    ``_STAGE_CHUNK`` steps: ``[t, t + h/2, t + h, t + 3h/2, ...]``, so step
+    ``i`` of a batch runs from index ``2i`` to index ``2i + 2``.  They are
+    generated with the integrator's own arithmetic, so they equal its times
+    bit for bit."""
+    for done in range(0, n, _STAGE_CHUNK):
+        grid = [t]
+        for _ in range(min(_STAGE_CHUNK, n - done)):
+            grid += (t + 0.5 * h, t + h)
+            t += h
+        yield grid
+
+
+_amax = np.maximum.reduce  # ndarray.max without its Python-level wrapper
+
+
+def _guard(y: np.ndarray, t: float, guard_norm: float) -> None:
+    """Raise :class:`SingularJacobi` once max |y| reaches ``guard_norm`` (or
+    is NaN) after the step that ends at ``t``."""
+    m = _amax(np.abs(y), None)
+    if not m < guard_norm:
+        raise SingularJacobi(
+            f"trajectory norm {m:.3g} exceeded blow-up guard near t={t:.6g}"
+        )
 
 
 def _rk4_path(f, y0: np.ndarray, times, step: float, guard_norm: float):
@@ -503,28 +543,18 @@ def _rk4_path(f, y0: np.ndarray, times, step: float, guard_norm: float):
     ``times`` must be nonnegative and sorted.  Steps are sized to land exactly
     on every record point while never exceeding ``step``.
     """
-    t = 0.0
     y = y0.astype(float).copy()
     out = []
-    for tk in times:
-        if tk < t:
-            raise ValueError("record times must be sorted and nonnegative")
-        span = tk - t
-        if span > 0.0:
-            n, h = _rk4_substeps(span, step)
-            for _ in range(n):
-                k1 = f(t, y)
-                k2 = f(t + 0.5 * h, y + (0.5 * h) * k1)
-                k3 = f(t + 0.5 * h, y + (0.5 * h) * k2)
-                k4 = f(t + h, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += h
-                m = np.abs(y).max()
-                if not m < guard_norm:
-                    raise SingularJacobi(
-                        f"trajectory norm {m:.3g} exceeded blow-up guard near t={t:.6g}"
-                    )
-        t = tk
+    for t, n, h in _rk4_segments(times, step):
+        h2, h6 = 0.5 * h, h / 6.0
+        for _ in range(n):
+            k1 = f(t, y)
+            k2 = f(t + h2, y + h2 * k1)
+            k3 = f(t + h2, y + h2 * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            _guard(y, t, guard_norm)
         out.append(y.copy())
     return out
 
@@ -534,10 +564,10 @@ def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
     the given times.  Independent oracle for :func:`splitting_tensor_at`."""
     c = _curv(c)
     C0 = _smat(C0)
-    eye = np.eye(C0.shape[0])
+    c_eye = c * np.eye(C0.shape[0])
 
     def f(_t, C):
-        return C @ C + c * eye
+        return C @ C + c_eye
 
     return _rk4_path(f, C0, list(times), step, RICCATI_BLOWUP)
 
@@ -551,31 +581,40 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
     """RK4 integration of A' = A C(t), with C(t) taken from the closed form.
 
     Oracle for :func:`shape_operator_at`; the two sides share only the
-    splitting tensor, not the shape evolution itself.
+    splitting tensor, not the shape evolution itself.  The equation is
+    linear in A, so one classic RK4 step of size h from t is exactly
+    A <- A R with
+
+        K1 = C(t),  K2 = C(t + h/2) + (h/2) K1 C(t + h/2),
+        K3 = C(t + h/2) + (h/2) K2 C(t + h/2),  K4 = C(t + h) + h K3 C(t + h),
+        R = I + (h/6) (K1 + 2 K2 + 2 K3 + K4).
+
+    The step matrices R of a batch of steps are formed together from C on
+    the batch's stage times; A is then advanced one step at a time, with
+    the blow-up guard after every step as in :func:`_rk4_path`.
     """
     c = _curv(c)
     C0 = _smat(C0)
     A0 = _sset(A0)
     if A0.p == 0:
         return [A0 for _ in times]
-    stack = np.stack(A0.ops)
-    times = list(times)
     ev = _Evolution(c, C0)
-    grids = _rk4_stage_times(times, step)
-    table: dict[float, np.ndarray] = {}
-
-    def f(t, A):
-        # C on the stage times of the next batch of steps, in one solve
-        C = table.get(t)
-        if C is None:
-            ts = next(grids)
-            table.clear()
-            table.update(zip(ts, ev.splitting(ts)))
-            C = table[t]
-        return A @ C
-
-    path = _rk4_path(f, stack, times, step, RICCATI_BLOWUP)
-    return [ShapeOperatorSet(tuple(A)) for A in path]
+    A = np.stack(A0.ops)
+    out = []
+    for t, n, h in _rk4_segments(times, step):
+        h2, h6 = 0.5 * h, h / 6.0
+        for grid in _rk4_stage_times(t, n, h):
+            C = ev.splitting(grid)
+            C1, C2, C4 = C[:-1:2], C[1::2], C[2::2]
+            K2 = C2 + h2 * (C1 @ C2)
+            K3 = C2 + h2 * (K2 @ C2)
+            K4 = C4 + h * (K3 @ C4)
+            R = ev.eye + h6 * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
+            for R_n, t_n in zip(R, grid[2::2]):
+                A = A @ R_n
+                _guard(A, t_n, RICCATI_BLOWUP)
+        out.append(ShapeOperatorSet(tuple(A)))
+    return out
 
 
 def shape_ode_flow(A0, c, C0, t_end: float, step: float = 1e-3) -> ShapeOperatorSet:

@@ -121,11 +121,7 @@ def theorem2_applicable(n: int, p: int) -> bool:
     conullity bound 2p this hands the problem to the kernel-search threshold."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    ok = n >= 2 * p * p + 3 * p
-    if ok:
-        # the chain that makes the predicate useful; cheap, so always assert
-        assert theorem1_applicable(florit_bound(n, p), 2 * p)
-    return ok
+    return n >= 2 * p * p + 3 * p
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +187,7 @@ def find_special_nullity_direction(family: SplittingFamily) -> SpecialDirection 
     if nu0 == 0:
         return None
     B = np.column_stack([_sym_traceless(m).ravel() for m in family.basis])
-    u, s, vt = np.linalg.svd(B, full_matrices=True)
+    _, s, vt = np.linalg.svd(B, full_matrices=False)
     if s.size and s[0] > 0.0:
         rank = int(np.sum(s > KERNEL_SV_TOL * s[0]))
     else:

@@ -162,6 +162,22 @@ class TestEvolve:
         assert last[:3] == ["800", "inf", format(math.sqrt(2.0), ".14g")]
         assert all(math.isfinite(float(x)) for x in last[3:])
 
+    def test_critical_eigenvalue_is_not_a_singular_time(self, tmp_path, capsys):
+        # eigenvalue sqrt(-c) = 1, returned by eigvals as 1 + 2e-16; a cut
+        # without slack put a singular time at ~18.4 and exited 4
+        S = np.random.default_rng(0).normal(size=(3, 3))
+        C0 = S @ np.diag([1.0, 0.3, -0.5]) @ np.linalg.inv(S)
+        payload = {
+            "mode": "evolve",
+            "c": -1.0,
+            "C0": C0.tolist(),
+            "A0": [np.eye(3).tolist()],
+            "t_grid": {"t_end": 20.0, "samples": 5},
+        }
+        path = write(tmp_path, "s.json", payload)
+        assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_singular_horizon_exit_code(self, tmp_path, capsys):
         payload = {
             "mode": "evolve",

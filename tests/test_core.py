@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from nullgeo.core import (
+    INTERVAL_SLACK,
+    RICCATI_BLOWUP,
     GeodesicDomain,
     NullityProfile,
     ShapeOperatorSet,
@@ -12,13 +14,16 @@ from nullgeo.core import (
     _STAGE_CHUNK,
     _Evolution,
     _rk4_path,
+    _rk4_segments,
     _rk4_stage_times,
     is_codazzi_compatible,
     jacobi_derivative,
     jacobi_tensor,
     max_invertible_time,
     riccati_flow,
+    riccati_path,
     shape_ode_flow,
+    shape_ode_path,
     shape_operator_at,
     splitting_tensor_at,
 )
@@ -120,6 +125,24 @@ class TestMaxInvertibleTime:
     def test_hyperbolic_double_eigenvalue(self):
         b = max_invertible_time(-1.0, 2.0 * np.eye(2))
         assert b == pytest.approx(0.5 * math.log(3.0), abs=1e-15)
+
+    def test_hyperbolic_critical_eigenvalue_never_singular(self):
+        # eigvals returns the eigenvalue a = 1 as a(1 + O(1e-16)); within
+        # INTERVAL_SLACK it is a, and J(t) = e^{-t} on it never vanishes
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            S = rng.normal(size=(3, 3))
+            C0 = S @ np.diag([1.0, 0.3, -0.5]) @ np.linalg.inv(S)
+            assert max_invertible_time(-1.0, C0) == math.inf
+
+    def test_hyperbolic_eigenvalue_beyond_slack_is_singular(self):
+        rng = np.random.default_rng(0)
+        S = rng.normal(size=(3, 3))
+        lam = 1.0 + 1e-6
+        assert lam - 1.0 > 1000 * INTERVAL_SLACK
+        C0 = S @ np.diag([lam, 0.3, -0.5]) @ np.linalg.inv(S)
+        b = max_invertible_time(-1.0, C0)
+        assert b == pytest.approx(0.5 * math.log((lam + 1.0) / (lam - 1.0)), rel=1e-8)
 
     def test_agrees_with_det_sampling(self, rng):
         for c in (-1.0, 0.0, 1.0):
@@ -273,6 +296,20 @@ class TestRiccatiFlow:
         with pytest.raises(SingularJacobi):
             riccati_flow(0.0, np.diag([2.0, -3.0]), 0.6)
 
+    def test_bitwise_textbook_rk4_on_criterion_01_draws(self):
+        # the draws and time grids of acceptance criterion 01, at a coarser
+        # step: the arithmetic of a step does not depend on its size
+        rng = np.random.default_rng(101)
+        for i in range(200):
+            c = (-1.0, 0.0, 1.0)[i % 3]
+            q = int(rng.integers(1, 6))
+            C0 = rng.uniform(-1.0, 1.0, size=(q, q))
+            span = min(0.8 * max_invertible_time(c, C0), 5.0)
+            times = [span * k / 5 for k in range(1, 6)]
+            ref = _rk4_path(lambda _t, C: C @ C + c * np.eye(q), C0, times, 2e-2, RICCATI_BLOWUP)
+            got = riccati_path(c, C0, times, step=2e-2)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
 
 class TestShapeOdeFlow:
     def test_zero_splitting(self):
@@ -296,13 +333,53 @@ class TestShapeOdeFlow:
         assert np.abs(ode.ops[0] - closed.ops[0]).max() <= 1e-6
 
     def test_stage_times_are_the_integrator_times(self):
-        # the shape oracle looks C up by the exact float time of each stage
+        # the shape oracle takes C at the exact float time of each stage
         times = [0.3, 0.3, 1.25, 2.0]
         seen = []
         _rk4_path(lambda t, y: seen.append(t) or 0.0 * y, np.zeros(1), times, 1e-3, 1.0)
-        grids = list(_rk4_stage_times(times, 1e-3))
+        grids = [g for seg in _rk4_segments(times, 1e-3) for g in _rk4_stage_times(*seg)]
         assert set(seen) == {t for g in grids for t in g}
         assert max(len(g) for g in grids) == 2 * _STAGE_CHUNK + 1
+
+    @staticmethod
+    def _assert_matches_textbook_rk4(c, C0, A0, times, step=1e-2):
+        # the generic integrator with one closed-form C per stage
+        ref = _rk4_path(
+            lambda t, A: A @ splitting_tensor_at(c, C0, t).mat,
+            np.stack(A0), times, step, RICCATI_BLOWUP,
+        )
+        got = shape_ode_path(A0, c, C0, times, step)
+        for At, y in zip(got, ref):
+            assert np.abs(np.stack(At.ops) - y).max() <= 1e-12 * np.abs(y).max()
+
+    @pytest.mark.parametrize(
+        "c,q,p",
+        [
+            (-1.0, 1, 1), (0.0, 2, 2), (1.0, 3, 1), (-1.0, 4, 2),
+            (0.0, 5, 1), (1.0, 1, 2), (-1.0, 2, 1), (0.0, 3, 2),
+            (1.0, 4, 2), (1.0, 5, 1), (0.0, 1, 1),
+        ],
+    )
+    def test_step_propagator_matches_textbook_rk4(self, rng, c, q, p):
+        C0 = rng.uniform(-1.0, 1.0, size=(q, q))
+        A0 = [rng.uniform(-1.0, 1.0, size=(q, q)) for _ in range(p)]
+        span = min(0.8 * max_invertible_time(c, C0), 1.5)
+        self._assert_matches_textbook_rk4(c, C0, A0, [0.0, 0.4 * span, 0.4 * span, span])
+
+    def test_step_propagator_matches_textbook_rk4_across_scaled_branch(self, rng):
+        # c = -0.25: a|t| = 1 at t = 2, so the grid crosses onto the scaled
+        # branch of C; a skew C0 keeps J invertible for all t
+        m = rng.uniform(-1.0, 1.0, size=(3, 3))
+        A0 = [rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(2)]
+        self._assert_matches_textbook_rk4(-0.25, m - m.T, A0, [1.5, 3.5])
+
+    def test_blowup_guard_names_the_first_step_past_the_bound(self):
+        # A(t) = 5.0001e7 / (1 - t) reaches the guard 1e8 at t = 0.49999,
+        # inside the step (0.499, 0.5]; with 5e7 the crossing would sit
+        # exactly on the step end, where rounding decides the step
+        A0 = ShapeOperatorSet((5.0001e7 * np.eye(2),))
+        with pytest.raises(SingularJacobi, match=r"near t=0\.5$"):
+            shape_ode_flow(A0, 0.0, np.eye(2), 0.6)
 
 
 class TestCodazziCompatibility:
