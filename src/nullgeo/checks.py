@@ -1,10 +1,14 @@
-"""Deterministic invariant suite behind the ``check`` CLI subcommand.
+"""Invariant checks shared by the ``check`` CLI subcommand and the
+acceptance gate in ``tests/test_acceptance.py``.
 
-A reduced version of the full test suite: every check draws its data from a
-seed-derived generator, so identical (seed, step) inputs produce identical
-reports.  A check with a pinned bound reports the bound when it passes and
-the measured worst case only when it fails: the worst case sits at roundoff
-level and its digits vary between numpy/LAPACK builds, the bound does not.
+Each measured invariant is one function of a generator and a case count
+that returns the worst value it saw.  ``check`` calls it with a few cases
+from a seed-derived generator, the acceptance gate with its pinned seed and
+full count; each caller holds its own bound.  Identical (seed, step) inputs
+produce identical reports.  A check with a pinned bound reports the bound
+when it passes and the measured worst case only when it fails: the worst
+case sits at roundoff level and its digits vary between numpy/LAPACK
+builds, the bound does not.
 """
 from __future__ import annotations
 
@@ -13,22 +17,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import catalog, classify, theorems
+from . import catalog
 from .core import (
     jacobi_derivative,
     jacobi_tensor,
     max_invertible_time,
     riccati_path,
-    shape_ode_flow,
+    shape_ode_path,
     shape_operator_at,
     splitting_tensor_at,
 )
 from .sampling import random_compatible_pair, random_splitting_tensor
 from .theorems import SplittingFamily, find_special_nullity_direction, nu_n, radon_hurwitz
 
-__all__ = ["CheckResult", "run_checks", "report"]
+__all__ = [
+    "CheckResult", "run_checks", "report", "CURVATURES", "EXACT_HORIZONS", "RH_TABLE_16",
+    "sample_grid", "radon_hurwitz_oracle", "riccati_deviation", "shape_deviation", "jacobi_residual",
+]
 
+CURVATURES = (-1.0, 0.0, 1.0)
 RH_TABLE_16 = (1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1, 9)
+# (c, C0, first singular time) known in closed form
+EXACT_HORIZONS = (
+    (0.0, np.diag([2.0, -3.0]), 0.5),
+    (1.0, np.array([[1.0]]), math.pi / 4.0),
+    (-1.0, 2.0 * np.eye(2), 0.5 * math.log(3.0)),
+)
 
 
 @dataclass(frozen=True)
@@ -40,79 +54,86 @@ class CheckResult:
     bound: float | None = None
 
 
+def sample_grid(c, C0, n: int = 5, frac: float = 0.8) -> list[float]:
+    """``n`` equally spaced times in (0, min(frac * b_max, 5)]."""
+    span = min(frac * max_invertible_time(c, C0), 5.0)
+    return [span * k / n for k in range(1, n + 1)]
+
+
+def radon_hurwitz_oracle(m: int) -> int:
+    """rho(m) from the 8-fold periodicity, recursively; independent of the
+    closed form in :func:`nullgeo.theorems.radon_hurwitz`."""
+    e = 0
+    while m % 2 == 0:
+        m //= 2
+        e += 1
+    if e < 4:
+        return (1, 2, 4, 8)[e]
+    return radon_hurwitz_oracle(2 ** (e - 4)) + 8
+
+
+def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
+    """Largest entry gap between the closed-form C(t) and an RK4 solution of
+    C' = C^2 + c I with the given step, on the sample grid of ``count``
+    random (c, C0), q in 1..5."""
+    worst = 0.0
+    for i in range(count):
+        c = CURVATURES[i % 3]
+        C0 = random_splitting_tensor(rng, int(rng.integers(1, 6)))
+        times = sample_grid(c, C0)
+        for t, Ct in zip(times, riccati_path(c, C0, times, step)):
+            worst = max(worst, float(np.abs(splitting_tensor_at(c, C0, t).mat - Ct).max()))
+    return worst
+
+
+def shape_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
+    """Largest entry gap between the closed-form A(t) = A0 J(t)^{-1} and an
+    RK4 solution of A' = A C(t) with the given step, on the sample grid of
+    ``count`` random Codazzi-compatible (A0, C0), q in 2..5."""
+    worst = 0.0
+    for i in range(count):
+        c = CURVATURES[i % 3]
+        A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 6)))
+        times = sample_grid(c, C0.mat)
+        for t, At in zip(times, shape_ode_path(A0, c, C0, times, step)):
+            for a, b in zip(shape_operator_at(A0, c, C0, t).ops, At.ops):
+                worst = max(worst, float(np.abs(a - b).max()))
+    return worst
+
+
+def jacobi_residual(rng: np.random.Generator, count: int, step: float = 1e-4) -> float:
+    """Largest residual of J'' + c J = 0, with J'' a central second
+    difference of the given step, relative to 1 + max |J|, over ``count``
+    random c in (-3, 3), C0 with q in 1..5 and t in (0.1, 2)."""
+    worst = 0.0
+    for _ in range(count):
+        c = float(rng.uniform(-3.0, 3.0))
+        C0 = random_splitting_tensor(rng, int(rng.integers(1, 6)))
+        t = float(rng.uniform(0.1, 2.0))
+        Jm, J0, Jp = (jacobi_tensor(c, C0, x).mat for x in (t - step, t, t + step))
+        resid = float(np.abs((Jp - 2.0 * J0 + Jm) / (step * step) + c * J0).max())
+        worst = max(worst, resid / (1.0 + float(np.abs(J0).max())))
+    return worst
+
+
 def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng([seed, salt])
-
-
-def _sample_times(c, C0, n=5, frac=0.8, cap=5.0):
-    b = max_invertible_time(c, C0)
-    t_end = min(frac * b, cap)
-    return [t_end * (i + 1) / n for i in range(n)]
 
 
 def _bounded(label: str, worst: float, bound: float):
     return worst <= bound, label, worst, bound
 
 
-def _radon_hurwitz_oracle(m: int) -> int:
-    # recursive form of the 8-fold periodicity, independent of the closed form
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    base = (1, 2, 4, 8)
-    val = base[e % 4] if e < 4 else None
-    if val is None:
-        return _radon_hurwitz_oracle(2 ** (e - 4)) + 8
-    return val
-
-
 def _check_riccati_oracle(seed, step):
-    worst = 0.0
-    for i in range(5):
-        rng = _rng(seed, 100 + i)
-        c = [-1.0, 0.0, 1.0][i % 3]
-        q = 2 + i % 4
-        C0 = random_splitting_tensor(rng, q)
-        times = _sample_times(c, C0)
-        path = riccati_path(c, C0, times, step)
-        for t, Ct in zip(times, path):
-            closed = splitting_tensor_at(c, C0, t).mat
-            worst = max(worst, float(np.abs(closed - Ct).max()))
-    return _bounded("max deviation", worst, 1e-6)
+    return _bounded("max deviation", riccati_deviation(_rng(seed, 100), 5, step), 1e-6)
 
 
 def _check_shape_oracle(seed, step):
-    worst = 0.0
-    for i in range(5):
-        rng = _rng(seed, 200 + i)
-        c = [-1.0, 0.0, 1.0][i % 3]
-        q = 2 + i % 3
-        A0, C0 = random_compatible_pair(rng, q)
-        t_end = _sample_times(c, C0.mat)[-1]
-        ode = shape_ode_flow(A0, c, C0, t_end, step)
-        closed = shape_operator_at(A0, c, C0, t_end)
-        for a, b in zip(ode.ops, closed.ops):
-            worst = max(worst, float(np.abs(a - b).max()))
-    return _bounded("max deviation", worst, 1e-6)
+    return _bounded("max deviation", shape_deviation(_rng(seed, 200), 5, step), 1e-6)
 
 
 def _check_jacobi_residual(seed, step):
-    h = 1e-3
-    worst = 0.0
-    for i in range(10):
-        rng = _rng(seed, 300 + i)
-        c = [-1.0, 0.0, 1.0][i % 3]
-        q = 2 + i % 4
-        C0 = random_splitting_tensor(rng, q)
-        t = rng.uniform(0.1, 2.0)
-        Jm = jacobi_tensor(c, C0, t - h).mat
-        J0 = jacobi_tensor(c, C0, t).mat
-        Jp = jacobi_tensor(c, C0, t + h).mat
-        resid = (Jp - 2.0 * J0 + Jm) / (h * h) + c * J0
-        rel = float(np.abs(resid).max()) / (1.0 + float(np.abs(J0).max()))
-        worst = max(worst, rel)
-    return _bounded("max relative residual", worst, 1e-4)
+    return _bounded("max relative residual", jacobi_residual(_rng(seed, 300), 10), 1e-4)
 
 
 def _check_gauge_identity(seed, step):
@@ -130,7 +151,7 @@ def _check_derivative_consistency(seed, step):
     worst = 0.0
     for i in range(10):
         rng = _rng(seed, 500 + i)
-        c = [-1.0, 0.0, 1.0][i % 3]
+        c = CURVATURES[i % 3]
         C0 = random_splitting_tensor(rng, 2 + i % 3)
         t = rng.uniform(0.0, 2.0)
         exact = jacobi_derivative(c, C0, t)
@@ -144,10 +165,9 @@ def _check_cocycle(seed, step):
     worst = 0.0
     for i in range(5):
         rng = _rng(seed, 600 + i)
-        c = [-1.0, 0.0, 1.0][i % 3]
+        c = CURVATURES[i % 3]
         C0 = random_splitting_tensor(rng, 2 + i % 3)
-        ts = _sample_times(c, C0, n=2, frac=0.6)
-        s, total = ts[0], ts[1]
+        s, total = sample_grid(c, C0, n=2, frac=0.6)
         lhs = splitting_tensor_at(c, C0, total).mat
         mid = splitting_tensor_at(c, C0, s).mat
         rhs = splitting_tensor_at(c, mid, total - s).mat
@@ -160,7 +180,7 @@ def _check_radon_hurwitz(seed, step):
     if table != RH_TABLE_16:
         return False, f"table mismatch: {table}"
     for m in range(1, 65):
-        if radon_hurwitz(m) != _radon_hurwitz_oracle(m):
+        if radon_hurwitz(m) != radon_hurwitz_oracle(m):
             return False, f"oracle mismatch at m={m}"
     return True, "table 1..16 and oracle 1..64 agree"
 
@@ -190,14 +210,7 @@ def _check_kernel_search(seed, step):
 
 
 def _check_max_invertible_exact(seed, step):
-    cases = [
-        (0.0, np.diag([2.0, -3.0]), 0.5),
-        (1.0, np.array([[1.0]]), math.pi / 4.0),
-        (-1.0, 2.0 * np.eye(2), 0.5 * math.log(3.0)),
-    ]
-    worst = 0.0
-    for c, C0, want in cases:
-        worst = max(worst, abs(max_invertible_time(c, C0) - want))
+    worst = max(abs(max_invertible_time(c, C0) - want) for c, C0, want in EXACT_HORIZONS)
     return _bounded("max deviation", worst, 1e-12)
 
 

@@ -162,8 +162,10 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ScenarioParseError("t_grid needs finite t_end > 0 and samples >= 2")
     if "catalog" in raw:
         cat = raw["catalog"]
-        if not isinstance(cat, dict) or "entry" not in cat:
-            raise ScenarioParseError("catalog must be an object with an 'entry'")
+        if not isinstance(cat, dict) or not isinstance(cat.get("entry"), str):
+            raise ScenarioParseError("catalog must be an object with a string 'entry'")
+        if not isinstance(cat.get("params", {}), dict):
+            raise ScenarioParseError("catalog params must be an object")
         scn.catalog_entry = cat["entry"]
         scn.catalog_params = dict(cat.get("params", {}))
 
@@ -424,6 +426,8 @@ def run_catalog(scn: Scenario, out_dir: Path, stem: str) -> int:
 def run_check(scn: Scenario | None, out_dir: Path, stem: str, step: float, seed: int) -> int:
     if scn is not None:
         seed = scn.seed
+    if seed < 0:
+        raise ScenarioParseError(f"seed must be a non-negative integer, got {seed}")
     results = run_checks(seed=seed, step=step)
     text, code = report(results)
     (out_dir / f"{stem}.report.txt").write_text(text)

@@ -10,6 +10,7 @@ constant ``c``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +49,7 @@ REAL_EIG_TOL = 1e-10     # |Im| <= REAL_EIG_TOL * (1 + |lam|) counts as real
 INTERVAL_SLACK = 1e-10   # closed-interval membership slack
 RICCATI_BLOWUP = 1e8     # abort integration once a tensor norm exceeds this
 _STAGE_CHUNK = 512       # RK4 steps per batched evaluation of C in the shape oracle
+_COSH_MAX = math.log(sys.float_info.max)  # cosh(x) < e^x is finite for x up to here
 
 
 class NullityError(Exception):
@@ -235,25 +237,23 @@ def real_eigenvalues(M: np.ndarray, tol: float = REAL_EIG_TOL) -> list[float]:
 # closed-form evolution
 # ---------------------------------------------------------------------------
 
-def _jacobi_scalars(c: float, t: float) -> tuple[float, float, float, float]:
-    """Coefficients (u, v, du, dv) with J = u*I - v*C0 and J' = du*I - dv*C0."""
-    if c > 0.0:
-        a = math.sqrt(c)
-        return math.cos(a * t), math.sin(a * t) / a, -a * math.sin(a * t), math.cos(a * t)
-    if c < 0.0:
-        a = math.sqrt(-c)
-        return math.cosh(a * t), math.sinh(a * t) / a, a * math.sinh(a * t), math.cosh(a * t)
-    return 1.0, t, 0.0, 1.0
+def _jacobi(c: float, C0: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of J(t) = u I - v C0 and J'(t) = du I - dv C0, one per t.
 
-
-def _jacobi_mat(c: float, C0: np.ndarray, t: float) -> np.ndarray:
-    u, v, _, _ = _jacobi_scalars(c, t)
-    return u * np.eye(C0.shape[0]) - v * C0
-
-
-def _jacobi_dmat(c: float, C0: np.ndarray, t: float) -> np.ndarray:
-    _, _, du, dv = _jacobi_scalars(c, t)
-    return du * np.eye(C0.shape[0]) - dv * C0
+    The coefficients come from ``math`` one time at a time, with one call of
+    cos and sin (cosh and sinh for c < 0) per time: numpy's vectorised
+    cosh/sinh/exp differ from libm in the last bit.  For c < 0,
+    ``math.cosh`` raises OverflowError where cosh(a|t|) is not representable.
+    """
+    if c == 0.0:
+        coef = [(1.0, t, 0.0, 1.0) for t in ts]
+    else:
+        a = math.sqrt(abs(c))
+        cos, sin, k = (math.cos, math.sin, -a) if c > 0.0 else (math.cosh, math.sinh, a)
+        coef = [(co, si / a, k * si, co) for co, si in ((cos(a * t), sin(a * t)) for t in ts)]
+    u, v, du, dv = np.array(coef).reshape(-1, 4).T[:, :, None, None]
+    eye = np.eye(C0.shape[0])
+    return u * eye - v * C0, du * eye - dv * C0
 
 
 def jacobi_tensor(c, C0, t: float) -> JacobiTensor:
@@ -263,16 +263,14 @@ def jacobi_tensor(c, C0, t: float) -> JacobiTensor:
     solution; arbitrary real c is handled by sqrt(|c|) scaling of those three
     branches.
     """
-    c = _curv(c)
-    C0 = _smat(C0)
-    return JacobiTensor(_jacobi_mat(c, C0, t), float(t))
+    J, _ = _jacobi(_curv(c), _smat(C0), [t])
+    return JacobiTensor(J[0], float(t))
 
 
 def jacobi_derivative(c, C0, t: float) -> np.ndarray:
     """Exact t-derivative of :func:`jacobi_tensor`."""
-    c = _curv(c)
-    C0 = _smat(C0)
-    return _jacobi_dmat(c, C0, t)
+    _, dJ = _jacobi(_curv(c), _smat(C0), [t])
+    return dJ[0]
 
 
 def max_invertible_time(c, C0) -> float:
@@ -358,31 +356,28 @@ class _Evolution:
         itself with r = 1, or (M, N) with r = 2 e^{-a|t|} on the scaled
         branch."""
         ts = [float(t) for t in ts]
-        branches: dict[float, list[int]] = {}
-        for i, t in enumerate(ts):
-            scaled = self.c < 0.0 and self.a * abs(t) >= 1.0
-            branches.setdefault(math.copysign(1.0, t) if scaled else 0.0, []).append(i)
-        parts = [(rows, self._branch(sgn, [ts[i] for i in rows])) for sgn, rows in branches.items()]
-        if len(parts) == 1:
-            return parts[0][1]
+        far = [i for i, t in enumerate(ts) if self.a * abs(t) >= 1.0]  # a = 0 for c >= 0
+        if not far:
+            return (*_jacobi(self.c, self.C0, ts), np.ones(len(ts)))
+        if len(far) == len(ts):
+            return self._scaled(ts)
+        near = [i for i, t in enumerate(ts) if not self.a * abs(t) >= 1.0]
         k, q = len(ts), self.eye.shape[0]
-        P, Q, r = np.empty((k, q, q)), np.empty((k, q, q)), np.empty(k)
-        for rows, (P_b, Q_b, r_b) in parts:
-            P[rows], Q[rows], r[rows] = P_b, Q_b, r_b
+        P, Q, r = np.empty((k, q, q)), np.empty((k, q, q)), np.ones(k)
+        P[near], Q[near] = _jacobi(self.c, self.C0, [ts[i] for i in near])
+        P[far], Q[far], r[far] = self._scaled([ts[i] for i in far])
         return P, Q, r
 
-    def _branch(self, sgn: float, ts: list[float]):
-        """:meth:`_factors` for times on one branch: unscaled (``sgn`` 0) or
-        scaled with t of sign ``sgn``."""
-        if not sgn:
-            u, v, du, dv = np.array([_jacobi_scalars(self.c, t) for t in ts]).T[:, :, None, None]
-            return u * self.eye - v * self.C0, du * self.eye - dv * self.C0, np.ones(len(ts))
-        eps = np.array([math.exp(-2.0 * self.a * abs(t)) for t in ts])[:, None, None]
-        lo = self.eye - (sgn / self.a) * self.C0
-        hi = self.eye + (sgn / self.a) * self.C0
+    def _scaled(self, ts: list[float]):
+        """:meth:`_factors` on the scaled branch, a|t| >= 1."""
+        a = self.a
+        sgn = np.array([math.copysign(1.0, t) for t in ts])[:, None, None]
+        eps = np.array([math.exp(-2.0 * a * abs(t)) for t in ts])[:, None, None]
+        lo = self.eye - (sgn / a) * self.C0
+        hi = self.eye + (sgn / a) * self.C0
         M = lo + eps * hi
-        N = sgn * self.a * (self.eye - eps * self.eye) - (1.0 + eps) * self.C0
-        return M, N, np.array([2.0 * math.exp(-self.a * abs(t)) for t in ts])
+        N = sgn * a * (self.eye - eps * self.eye) - (1.0 + eps) * self.C0
+        return M, N, np.array([2.0 * math.exp(-a * abs(t)) for t in ts])
 
     @staticmethod
     def _splitting(P, Q) -> np.ndarray:
@@ -425,28 +420,21 @@ class _Evolution:
     def det(self, ts) -> np.ndarray:
         """det J(t) for each t.
 
-        det(u I - v C0) wherever cosh(a|t|) is representable.  Beyond that,
-        sign(det M) exp(q (a|t| - ln 2) + log|det M|) from the scaled form,
-        which is inf where it exceeds the float range.
+        det(u I - v C0) for a|t| up to ln(DBL_MAX), where cosh(a|t|) is
+        surely representable.  Beyond that, sign(det M) exp(q (a|t| - ln 2) +
+        log|det M|) from the scaled form, which is inf where it exceeds the
+        float range.
         """
         ts = [float(t) for t in ts]
         out = np.empty(len(ts))
-        fits, coef, over = [], [], []
-        for i, t in enumerate(ts):
-            try:
-                u, v, _, _ = _jacobi_scalars(self.c, t)
-            except OverflowError:
-                over.append(i)
-            else:
-                fits.append(i)
-                coef.append((u, v))
+        over = [i for i, t in enumerate(ts) if self.a * abs(t) > _COSH_MAX]
+        fits = [i for i, t in enumerate(ts) if not self.a * abs(t) > _COSH_MAX]
         if fits:
-            uv = np.array(coef)
-            J = uv[:, 0, None, None] * self.eye - uv[:, 1, None, None] * self.C0
+            J, _ = _jacobi(self.c, self.C0, [ts[i] for i in fits])
             with np.errstate(over="ignore"):  # inf is the honest value
                 out[fits] = np.linalg.det(J)
         if over:
-            M, _, _ = self._factors([ts[i] for i in over])
+            M, _, _ = self._scaled([ts[i] for i in over])
             sign, logdet = np.linalg.slogdet(M)
             q = self.eye.shape[0]
             for i, s, ld in zip(over, sign, logdet):

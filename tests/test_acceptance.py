@@ -18,16 +18,18 @@ from nullgeo.catalog import (
     verify_model,
 )
 from nullgeo.classify import AlphaLimit, sign_balance_check, signature_counts
-from nullgeo.cli import main as cli_main
-from nullgeo.core import (
-    ShapeOperatorSet,
-    jacobi_tensor,
-    max_invertible_time,
-    riccati_path,
-    shape_ode_path,
-    shape_operator_at,
-    splitting_tensor_at,
+from nullgeo.checks import (
+    CURVATURES,
+    EXACT_HORIZONS,
+    RH_TABLE_16,
+    jacobi_residual,
+    radon_hurwitz_oracle,
+    riccati_deviation,
+    sample_grid,
+    shape_deviation,
 )
+from nullgeo.cli import main as cli_main
+from nullgeo.core import ShapeOperatorSet, max_invertible_time, shape_operator_at
 from nullgeo.sampling import random_compatible_pair
 from nullgeo.theorems import (
     NotConstant,
@@ -44,13 +46,12 @@ from nullgeo.theorems import (
 )
 
 from conftest import det_sampling_bmax
-from test_theorems import WORKED_FAMILY, radon_hurwitz_oracle
+from test_theorems import WORKED_FAMILY
 
 ROOT = Path(__file__).resolve().parents[1]
 SKEW2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 ORACLE_STEP = 1e-3
-CURVATURES = (-1.0, 0.0, 1.0)
 
 
 def _verdict(n: int, ok: bool, detail: str = "") -> None:
@@ -60,60 +61,20 @@ def _verdict(n: int, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {n}{suffix}"
 
 
-def _sample_grid(c, C0, n_pts=5):
-    """Times in (0, min(0.8 * b_max, 5)]."""
-    span = min(0.8 * max_invertible_time(c, C0), 5.0)
-    return [span * k / n_pts for k in range(1, n_pts + 1)]
-
-
 def test_criterion_01_riccati_oracle_equivalence():
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for i in range(200):
-        c = CURVATURES[i % 3]
-        q = int(rng.integers(1, 6))
-        C0 = rng.uniform(-1.0, 1.0, size=(q, q))
-        times = _sample_grid(c, C0)
-        ode = riccati_path(c, C0, times, step=ORACLE_STEP)
-        for t, Ct in zip(times, ode):
-            closed = splitting_tensor_at(c, C0, t).mat
-            worst = max(worst, float(np.abs(closed - Ct).max()))
+    worst = riccati_deviation(np.random.default_rng(101), 200, ORACLE_STEP)
     _verdict(1, worst <= 1e-6, f"max deviation {worst:.3e}")
 
 
 def test_criterion_02_shape_oracle_equivalence():
-    rng = np.random.default_rng(102)
-    worst = 0.0
-    for i in range(200):
-        c = CURVATURES[i % 3]
-        q = int(rng.integers(2, 6))
-        A0, C0 = random_compatible_pair(rng, q)
-        times = _sample_grid(c, C0.mat)
-        ode = shape_ode_path(A0, c, C0, times, step=ORACLE_STEP)
-        for t, At in zip(times, ode):
-            closed = shape_operator_at(A0, c, C0, t)
-            for a, b in zip(closed.ops, At.ops):
-                worst = max(worst, float(np.abs(a - b).max()))
+    worst = shape_deviation(np.random.default_rng(102), 200, ORACLE_STEP)
     _verdict(2, worst <= 1e-6, f"max deviation {worst:.3e}")
 
 
 def test_criterion_03_jacobi_residual():
-    rng = np.random.default_rng(103)
-    h = 1e-4
-    ok = True
-    worst = 0.0
-    for i in range(100):
-        c = float(rng.uniform(-3.0, 3.0))
-        q = int(rng.integers(1, 6))
-        C0 = rng.uniform(-1.0, 1.0, size=(q, q))
-        t = float(rng.uniform(0.1, 2.0))
-        J = lambda x: jacobi_tensor(c, C0, x).mat
-        second = (J(t + h) - 2.0 * J(t) + J(t - h)) / (h * h)
-        resid = float(np.abs(second + c * J(t)).max())
-        bound = 1e-4 * (1.0 + float(np.abs(J(t)).max()))
-        worst = max(worst, resid / bound)
-        ok = ok and resid <= bound
-    _verdict(3, ok, f"worst residual at {worst:.3f} of the bound")
+    # residual of J'' + cJ relative to 1 + max |J|, second difference step 1e-4
+    worst = jacobi_residual(np.random.default_rng(103), 100, 1e-4)
+    _verdict(3, worst <= 1e-4, f"worst residual at {worst / 1e-4:.3f} of the bound")
 
 
 def test_criterion_04_symmetry_propagation():
@@ -122,7 +83,7 @@ def test_criterion_04_symmetry_propagation():
     for _ in range(50):
         q = int(rng.integers(2, 5))
         A0, C0 = random_compatible_pair(rng, q)
-        for t in _sample_grid(-1.0, C0.mat):
+        for t in sample_grid(-1.0, C0.mat):
             ok = ok and shape_operator_at(A0, -1.0, C0, t).asymmetry() <= 1e-8
     # negative control: nilpotent splitting with a diagonal shape operator
     bad_A = ShapeOperatorSet((np.diag([1.0, 2.0]),))
@@ -140,11 +101,10 @@ def test_criterion_05_rank_signature_constancy():
         c = CURVATURES[i % 3]
         q = int(rng.integers(2, 5))
         A0, C0 = random_compatible_pair(rng, q)
-        span = min(0.8 * max_invertible_time(c, C0.mat), 5.0)
         ranks0 = [int(np.linalg.matrix_rank(a, tol=1e-10)) for a in A0.ops]
         sigs0 = [signature_counts(a) for a in A0.ops]
-        for k in range(1, 21):
-            A = shape_operator_at(A0, c, C0, span * k / 20.0)
+        for t in sample_grid(c, C0.mat, 20):
+            A = shape_operator_at(A0, c, C0, t)
             ranks = [int(np.linalg.matrix_rank(a, tol=1e-10)) for a in A.ops]
             sigs = [signature_counts(a) for a in A.ops]
             ok = ok and ranks == ranks0 and sigs == sigs0
@@ -214,13 +174,8 @@ def test_criterion_08_theorem1_pipeline():
 
 
 def test_criterion_09_max_invertible_time():
-    exact = [
-        (0.0, np.diag([2.0, -3.0]), 0.5),
-        (1.0, np.array([[1.0]]), math.pi / 4.0),
-        (-1.0, 2.0 * np.eye(2), 0.5 * math.log(3.0)),
-    ]
     ok = all(
-        abs(max_invertible_time(c, C0) - want) <= 1e-12 for c, C0, want in exact
+        abs(max_invertible_time(c, C0) - want) <= 1e-12 for c, C0, want in EXACT_HORIZONS
     )
     rng = np.random.default_rng(109)
     worst = 0.0
@@ -241,7 +196,7 @@ def test_criterion_09_max_invertible_time():
 def test_criterion_10_radon_hurwitz():
     ok = all(radon_hurwitz(m) == radon_hurwitz_oracle(m) for m in range(1, 1025))
     table = tuple(radon_hurwitz(m) for m in range(1, 17))
-    ok = ok and table == (1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1, 9)
+    ok = ok and table == RH_TABLE_16
     ok = ok and [nu_n(n) for n in (2, 9, 17)] == [0, 1, 1]
     _verdict(10, ok)
 

@@ -91,16 +91,26 @@ class TestParsing:
             ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=-0.5)),
             ("catalog", _catalog("euclidean_cylinder", n=3, kappa=0.0)),
             ("catalog", _catalog("totally_geodesic", n=0, p=1, c=1.0)),
+            ("catalog", {"mode": "catalog", "catalog": {"entry": "totally_geodesic", "params": [1, 2]}}),
+            ("catalog", {"mode": "catalog", "catalog": {"entry": "totally_geodesic", "params": "ab"}}),
+            ("catalog", {"mode": "catalog", "catalog": {"entry": ["x"]}}),
+            ("check", {"mode": "check", "seed": -1}),
         ],
         ids=[
             "nan-c", "inf-c", "nan-C0", "inf-C0", "nan-A0", "inf-family",
             "inf-t_end", "nan-t_end", "nan-b", "seed-str", "inf-seed",
-            "rho-nonpos", "kappa-zero", "n-zero",
+            "rho-nonpos", "kappa-zero", "n-zero", "params-list", "params-str",
+            "entry-list", "check-seed-negative",
         ],
     )
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, payload):
         path = write(tmp_path, "s.json", payload)  # json writes NaN, Infinity
         assert main([command, "--scenario", path, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_negative_check_seed_option_is_one_error_line(self, tmp_path, capsys):
+        assert main(["check", "--seed", "-1", "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 

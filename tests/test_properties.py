@@ -5,6 +5,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from nullgeo.checks import radon_hurwitz_oracle
 from nullgeo.core import (
     is_codazzi_compatible,
     jacobi_derivative,
@@ -16,7 +17,6 @@ from nullgeo.core import (
 from nullgeo.sampling import random_compatible_pair, random_splitting_tensor
 from nullgeo.theorems import radon_hurwitz
 
-from test_theorems import radon_hurwitz_oracle
 
 curvatures = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

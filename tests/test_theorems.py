@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nullgeo.checks import radon_hurwitz_oracle
 from nullgeo.classify import AlphaLimit, BlockBehavior
 from nullgeo.core import ShapeOperatorSet
 from nullgeo.sampling import random_splitting_tensor
@@ -39,16 +40,6 @@ WORKED_FAMILY = SplittingFamily(
     ),
     q=2,
 )
-
-
-def radon_hurwitz_oracle(m):
-    e = 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    if e < 4:
-        return (1, 2, 4, 8)[e]
-    return radon_hurwitz_oracle(2 ** (e - 4)) + 8
 
 
 class TestIntegerPredicates:
