@@ -14,8 +14,6 @@ from .core import (
     jacobi_derivative,
     jacobi_tensor,
     max_invertible_time,
-    riccati_flow,
-    shape_ode_flow,
     shape_operator_at,
     splitting_tensor_at,
 )

@@ -22,6 +22,7 @@ from .core import (
     _curv,
     _smat,
     _sset,
+    is_codazzi_compatible,
     real_eigenvalues,
 )
 
@@ -179,6 +180,10 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     eigenspace the shape image decays; on it, flat space gives parallel
     constant data while negative curvature gives exponential blow-up unless
     the initial shape image already vanishes there.
+
+    Raises :class:`PreconditionViolated` unless ``A0`` is Codazzi compatible
+    with ``C0``: otherwise A0 J(t)^{-1} is no shape operator, and the
+    per-block asymptotics do not describe it.
     """
     c = _curv(c)
     C0 = _smat(C0)
@@ -187,6 +192,8 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
         raise ValueError("decay report requires a ray or a line")
     if c > 0.0:
         raise ValueError("decay report is defined for c <= 0 only")
+    if not is_codazzi_compatible(A0, C0):
+        raise PreconditionViolated("decay report requires A0 Codazzi compatible with C0")
     verdict = classify_splitting_spectrum(c, C0, domain)
     if not verdict.consistent:
         raise InconsistentSpectrum(

@@ -2,13 +2,12 @@
 
 Scenarios are JSON documents (key/value with nested arrays, matrices
 row-major).  Subcommands: evolve, classify, search, catalog, check.  Exit
-codes: 0 success, 1 failing invariant checks, 2 parse error, 3 dimension
-mismatch, 4 singular Jacobi tensor.
+codes: 0 success, 1 failing invariant checks, 2 parse error or input the
+computation rejects, 3 dimension mismatch, 4 singular Jacobi tensor.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -27,6 +26,7 @@ from .core import (
     ShapeOperatorSet,
     SingularJacobi,
     _Evolution,
+    is_codazzi_compatible,
 )
 from .theorems import SplittingFamily, find_special_nullity_direction
 
@@ -41,6 +41,8 @@ EXIT_SINGULAR = 4
 MODES = ("evolve", "classify", "search", "catalog", "check")
 
 _EVOLVE_CHUNK = 1024     # evolve samples per batched evaluation
+# oracle steps `check` accepts; the floor bounds the RK4 work of one run
+CHECK_STEP_RANGE = (1e-4, 0.1)
 
 
 class ScenarioParseError(NullityError):
@@ -200,16 +202,26 @@ def serialize_scenario(scn: Scenario) -> str:
 # output helpers
 # ---------------------------------------------------------------------------
 
+_FLOAT = "%.14g"
+
+
 def _fmt(x: float) -> str:
     """The CLI's one rendering of a float: 14 significant digits, no ``-0``.
 
-    Every float the CLI writes goes through here.  Results from different
+    Every float the CLI writes goes through here or through
+    :func:`_fmt_rows`, which renders the same way.  Results from different
     numpy/LAPACK builds differ in the last one or two of 17 digits; at 14
     digits they agree, which keeps the golden outputs comparable across
-    platforms.
+    platforms.  Adding 0.0 turns -0.0 into 0.0.
     """
-    s = format(float(x), ".14g")
-    return "0" if s == "-0" else s
+    return _FLOAT % (float(x) + 0.0)
+
+
+def _fmt_rows(table: np.ndarray) -> list[str]:
+    """The rows of a real 2-D table as CSV lines, each cell as :func:`_fmt`
+    renders it, with one ``%`` per row."""
+    template = ",".join([_FLOAT] * table.shape[1])
+    return [template % tuple(row) for row in (table + 0.0).tolist()]
 
 
 def _num(x: float) -> float:
@@ -243,6 +255,17 @@ def _require(scn: Scenario, *fields: str) -> None:
         raise ScenarioParseError(f"mode {scn.mode!r} requires fields {missing}")
 
 
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each matrix of a stack from :class:`_Evolution`,
+    bit for bit, with one stacked inner product.
+
+    The stacks are transposed views of C-ordered arrays, and ``norm`` sums
+    each matrix in memory order, so the flattening follows memory order too.
+    """
+    f = stack.transpose(0, 2, 1).reshape(len(stack), -1)
+    return np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1)
+
+
 def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
     _require(scn, "c", "C0", "A0", "t_end")
     ev = _Evolution(scn.c, scn.C0)
@@ -252,37 +275,47 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
             f"t_end={scn.t_end} reaches the singular time b_max={b_max:.6g}"
         )
     A0 = ShapeOperatorSet(scn.A0)
+    # for Codazzi data A(t) = A0 J(t)^{-1} is self-adjoint at every t, so its
+    # spectrum comes from the symmetric solver, real and ascending
+    symmetric = is_codazzi_compatible(A0, scn.C0)
     q = scn.C0.shape[0]
     header = ["t", "det_J", "C_norm"]
     for i in range(A0.p):
         header.append(f"A{i}_norm")
         header.extend(f"A{i}_eig{j}" for j in range(q))
     ts = [scn.t_end * k / (scn.samples - 1) for k in range(scn.samples)]
-    rows = []
+    lines = [",".join(header)]
     for lo in range(0, len(ts), _EVOLVE_CHUNK):
         grid = ts[lo:lo + _EVOLVE_CHUNK]
-        det_J = ev.det(grid)
         C, A = ev.splitting_and_shape(A0.ops, grid)
+        head = [np.array(grid), ev.det(grid), _frobenius(C)]
+        norms = [_frobenius(a) for a in A]
+        if grid[0] == 0.0:
+            # t = 0 shows the initial data as given; the norms sum in memory
+            # order, so they are taken of C0 and A0 themselves
+            head[2][0] = np.linalg.norm(scn.C0)
+            for a, n, a0 in zip(A, norms, A0.ops):
+                a[0], n[0] = a0, np.linalg.norm(a0)
+        if symmetric:
+            eigs = [np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1))) for a in A]
+            cols = head + [x for pair in zip(norms, eigs) for x in pair]
+            lines += _fmt_rows(np.column_stack(cols))
+            continue
         eigs = []
-        for a, a0 in zip(A, A0.ops):
-            if grid[0] == 0.0:
-                a[0] = a0
+        for a in A:
             w = np.linalg.eigvals(a)
             order = np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)), axis=-1)
             eigs.append(np.take_along_axis(w, order, axis=-1).tolist())
-        for k, t in enumerate(grid):
-            # t = 0 shows the initial data as given; the norms sum in memory
-            # order, so they are taken of C0 and A0 themselves
-            C_k = scn.C0 if t == 0.0 else C[k]
-            row = [_fmt(t), _fmt(det_J[k]), _fmt(np.linalg.norm(C_k))]
-            for a, a0, w in zip(A, A0.ops, eigs):
-                row.append(_fmt(np.linalg.norm(a0 if t == 0.0 else a[k])))
+        for k in range(len(grid)):
+            row = [_fmt(x[k]) for x in head]
+            for n, w in zip(norms, eigs):
+                row.append(_fmt(n[k]))
                 row.extend(_fmt_eig(z) for z in w[k])
-            rows.append(row)
-    with open(out_dir / f"{stem}.trajectory.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+            lines.append(",".join(row))
+    # csv's line ends; no cell holds a comma or a quote
+    (out_dir / f"{stem}.trajectory.csv").write_text(
+        "".join(line + "\r\n" for line in lines), newline=""
+    )
     return EXIT_OK
 
 
@@ -428,6 +461,9 @@ def run_check(scn: Scenario | None, out_dir: Path, stem: str, step: float, seed:
         seed = scn.seed
     if seed < 0:
         raise ScenarioParseError(f"seed must be a non-negative integer, got {seed}")
+    lo, hi = CHECK_STEP_RANGE
+    if not lo <= step <= hi:  # false for nan
+        raise ScenarioParseError(f"--step must lie in [{lo:g}, {hi:g}], got {step}")
     results = run_checks(seed=seed, step=step)
     text, code = report(results)
     (out_dir / f"{stem}.report.txt").write_text(text)
@@ -455,7 +491,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
-            "--step", type=float, default=1e-3, help="oracle integrator step"
+            "--step",
+            type=float,
+            default=1e-3,
+            help="oracle integrator step for check, in [%g, %g]" % CHECK_STEP_RANGE,
         )
     return parser
 
@@ -494,6 +533,9 @@ def main(argv=None) -> int:
     except SingularJacobi as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SINGULAR
+    except NullityError as e:  # input the computation rejects, e.g. in classify
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

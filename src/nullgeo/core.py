@@ -31,9 +31,7 @@ __all__ = [
     "max_invertible_time",
     "splitting_tensor_at",
     "shape_operator_at",
-    "riccati_flow",
     "riccati_path",
-    "shape_ode_flow",
     "shape_ode_path",
     "is_codazzi_compatible",
     "real_eigenvalues",
@@ -560,11 +558,6 @@ def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
     return _rk4_path(f, C0, list(times), step, RICCATI_BLOWUP)
 
 
-def riccati_flow(c, C0, t_end: float, step: float = 1e-3) -> SplittingTensor:
-    """Value of the Riccati flow at ``t_end`` (fixed-step RK4)."""
-    return SplittingTensor(riccati_path(c, C0, [float(t_end)], step)[-1])
-
-
 def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSet]:
     """RK4 integration of A' = A C(t), with C(t) taken from the closed form.
 
@@ -603,11 +596,6 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
                 _guard(A, t_n, RICCATI_BLOWUP)
         out.append(ShapeOperatorSet(tuple(A)))
     return out
-
-
-def shape_ode_flow(A0, c, C0, t_end: float, step: float = 1e-3) -> ShapeOperatorSet:
-    """Value of the shape-operator ODE flow at ``t_end``."""
-    return shape_ode_path(A0, c, C0, [float(t_end)], step)[-1]
 
 
 # ---------------------------------------------------------------------------

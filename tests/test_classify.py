@@ -125,6 +125,15 @@ class TestDecayReport:
         with pytest.raises(InconsistentSpectrum):
             decay_report(A0, -1.0, 2.0 * np.eye(2), GeodesicDomain.ray())
 
+    def test_rejects_codazzi_incompatible_data(self):
+        # critical eigenvalue 1 = sqrt(-c) with a consistent spectrum, but
+        # A0 C0 = [[1, 1], [0, 0]] is not symmetric
+        A0 = ShapeOperatorSet((np.diag([1.0, 0.0]),))
+        C0 = np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert classify_splitting_spectrum(-1.0, C0, GeodesicDomain.ray()).consistent
+        with pytest.raises(PreconditionViolated):
+            decay_report(A0, -1.0, C0, GeodesicDomain.ray())
+
     def test_rejects_segment(self):
         A0 = ShapeOperatorSet((np.eye(2),))
         with pytest.raises(ValueError):

@@ -9,11 +9,20 @@ from nullgeo.cli import (
     DimensionMismatch,
     Scenario,
     ScenarioParseError,
+    _fmt,
+    _fmt_rows,
     load_scenario,
     main,
     parse_scenario,
     serialize_scenario,
 )
+from nullgeo.core import (
+    jacobi_tensor,
+    max_invertible_time,
+    shape_operator_at,
+    splitting_tensor_at,
+)
+from nullgeo.sampling import random_compatible_pair
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -95,12 +104,14 @@ class TestParsing:
             ("catalog", {"mode": "catalog", "catalog": {"entry": "totally_geodesic", "params": "ab"}}),
             ("catalog", {"mode": "catalog", "catalog": {"entry": ["x"]}}),
             ("check", {"mode": "check", "seed": -1}),
+            # A0 C0 is not symmetric: A0 J(t)^{-1} is no shape operator
+            ("classify", {**_CLASSIFY, "C0": [[1.0, 1.0], [0.0, 1.0]], "A0": [[[1.0, 0.0], [0.0, 0.0]]]}),
         ],
         ids=[
             "nan-c", "inf-c", "nan-C0", "inf-C0", "nan-A0", "inf-family",
             "inf-t_end", "nan-t_end", "nan-b", "seed-str", "inf-seed",
             "rho-nonpos", "kappa-zero", "n-zero", "params-list", "params-str",
-            "entry-list", "check-seed-negative",
+            "entry-list", "check-seed-negative", "decay-incompatible",
         ],
     )
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, payload):
@@ -199,6 +210,82 @@ class TestEvolve:
         path = write(tmp_path, "s.json", payload)
         assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 4
         assert "b_max" in capsys.readouterr().err
+
+
+def _evolve_table(tmp_path, c, C0, A0, t_end, samples):
+    payload = {
+        "mode": "evolve",
+        "c": c,
+        "C0": np.asarray(C0).tolist(),
+        "A0": [np.asarray(a).tolist() for a in A0],
+        "t_grid": {"t_end": t_end, "samples": samples},
+    }
+    path = write(tmp_path, "s.json", payload)
+    assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "s.trajectory.csv").read_text().strip().splitlines()
+    return [line.split(",") for line in lines[1:]]
+
+
+class TestEvolveSpectrum:
+    @pytest.mark.parametrize("q", [2, 8, 32])
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("c", [-1.0, 0.0, 1.0])
+    def test_codazzi_data_take_the_symmetric_path(self, tmp_path, q, p, c):
+        # real, ascending eigenvalues; every other cell as a per-sample
+        # evaluation renders it
+        rng = np.random.default_rng([q, p, int(c) + 1])
+        A0s, C0s = random_compatible_pair(rng, q, p)
+        A0, C0 = A0s.ops, C0s.mat
+        t_end = 0.6 * min(max_invertible_time(c, C0), 5.0)
+        samples = 201
+        rows = _evolve_table(tmp_path, c, C0, A0, t_end, samples)
+        assert len(rows) == samples
+        for k, row in enumerate(rows):
+            assert not any("j" in cell for cell in row)
+            t = t_end * k / (samples - 1)
+            A = shape_operator_at(A0s, c, C0, t).ops
+            want = [
+                _fmt(t),
+                _fmt(np.linalg.det(jacobi_tensor(c, C0, t).mat)),
+                _fmt(np.linalg.norm(splitting_tensor_at(c, C0, t).mat)),
+            ]
+            assert row[:3] == want
+            for i, a in enumerate(A):
+                cells = row[3 + i * (q + 1):3 + (i + 1) * (q + 1)]
+                assert cells[0] == _fmt(np.linalg.norm(a))
+                w = np.linalg.eigvals(a)
+                w = w[np.argsort(w.real)]
+                got = np.array([float(x) for x in cells[1:]])
+                assert np.abs(got - w).max() <= 2e-13 * np.abs(w).max()
+
+    def test_incompatible_data_keep_complex_cells(self, tmp_path):
+        # A0 C0 is skew: A0 J(t)^{-1} = J(t)^{-1} has eigenvalues 1/(1 -+ i t)
+        rows = _evolve_table(tmp_path, 0.0, [[0.0, 1.0], [-1.0, 0.0]], [np.eye(2)], 1.0, 3)
+        assert rows[1][4:] == ["0.8-0.4j", "0.8+0.4j"]
+        assert rows[2][4:] == ["0.5-0.5j", "0.5+0.5j"]
+
+
+def _old_fmt(x):
+    s = format(float(x), ".14g")
+    return "0" if s == "-0" else s
+
+
+_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.1, 1 / 3, 1e14, 1e15,
+    123456789012345.6, 9.99999999999995e-5, 0.5e-4,
+    *np.random.default_rng(7).standard_normal(200) * np.logspace(-320, 307, 200),
+]
+
+
+class TestFloatRendering:
+    def test_fmt_is_14_digits_without_negative_zero(self):
+        for x in _FLOATS:
+            assert _fmt(x) == _fmt(np.float64(x)) == _old_fmt(x), x
+
+    def test_row_renderer_is_fmt_per_cell(self):
+        table = np.array(_FLOATS[:len(_FLOATS) // 8 * 8]).reshape(-1, 8)
+        assert _fmt_rows(table) == [",".join(_fmt(x) for x in row) for row in table]
 
 
 class TestClassify:

@@ -20,9 +20,7 @@ from nullgeo.core import (
     jacobi_derivative,
     jacobi_tensor,
     max_invertible_time,
-    riccati_flow,
     riccati_path,
-    shape_ode_flow,
     shape_ode_path,
     shape_operator_at,
     splitting_tensor_at,
@@ -176,7 +174,7 @@ class TestSplittingTensorAt:
         for c in (-1.0, 0.0, 1.0):
             t = 0.6 * min(max_invertible_time(c, C0), 5.0)
             closed = splitting_tensor_at(c, C0, t).mat
-            ode = riccati_flow(c, C0, t).mat
+            ode = riccati_path(c, C0, [t])[-1]
             assert np.abs(closed - ode).max() <= 1e-6
 
     def test_gauge_identity_exact(self, rng):
@@ -280,21 +278,21 @@ class TestGridEvaluator:
 
 class TestRiccatiFlow:
     def test_zero_fixed_point(self):
-        C = riccati_flow(0.0, np.zeros((2, 2)), 3.0).mat
+        C = riccati_path(0.0, np.zeros((2, 2)), [3.0])[-1]
         np.testing.assert_allclose(C, np.zeros((2, 2)), atol=1e-15)
 
     def test_sphere_tangent_solution(self):
         # C' = C^2 + I from C(0) = 0 is tan(t) I
-        C = riccati_flow(1.0, np.zeros((2, 2)), math.pi / 4).mat
+        C = riccati_path(1.0, np.zeros((2, 2)), [math.pi / 4])[-1]
         np.testing.assert_allclose(C, np.eye(2), atol=1e-10)
 
     def test_flat_scalar_solution(self):
-        C = riccati_flow(0.0, np.array([[1.0]]), 0.5).mat
+        C = riccati_path(0.0, np.array([[1.0]]), [0.5])[-1]
         assert C[0, 0] == pytest.approx(2.0, abs=1e-10)
 
     def test_blowup_guard(self):
         with pytest.raises(SingularJacobi):
-            riccati_flow(0.0, np.diag([2.0, -3.0]), 0.6)
+            riccati_path(0.0, np.diag([2.0, -3.0]), [0.6])
 
     def test_bitwise_textbook_rk4_on_criterion_01_draws(self):
         # the draws and time grids of acceptance criterion 01, at a coarser
@@ -314,12 +312,12 @@ class TestRiccatiFlow:
 class TestShapeOdeFlow:
     def test_zero_splitting(self):
         A0 = ShapeOperatorSet((np.diag([1.0, -1.0]),))
-        A = shape_ode_flow(A0, 0.0, np.zeros((2, 2)), 2.0)
+        A = shape_ode_path(A0, 0.0, np.zeros((2, 2)), [2.0])[-1]
         np.testing.assert_allclose(A.ops[0], A0.ops[0], atol=1e-12)
 
     def test_flat_identity_splitting(self):
         A0 = ShapeOperatorSet((np.diag([1.0, -1.0]),))
-        A = shape_ode_flow(A0, 0.0, np.eye(2), 0.5)
+        A = shape_ode_path(A0, 0.0, np.eye(2), [0.5])[-1]
         np.testing.assert_allclose(A.ops[0], np.diag([2.0, -2.0]), atol=1e-8)
 
     def test_matches_closed_form_on_catalog_data(self):
@@ -328,7 +326,7 @@ class TestShapeOdeFlow:
         lam_h = 1.0 / math.sqrt(2.0)
         A0 = ShapeOperatorSet((np.diag([lam_s, lam_h]),))
         C0 = np.zeros((2, 2))
-        ode = shape_ode_flow(A0, -1.0, C0, 1.0)
+        ode = shape_ode_path(A0, -1.0, C0, [1.0])[-1]
         closed = shape_operator_at(A0, -1.0, C0, 1.0)
         assert np.abs(ode.ops[0] - closed.ops[0]).max() <= 1e-6
 
@@ -379,7 +377,7 @@ class TestShapeOdeFlow:
         # exactly on the step end, where rounding decides the step
         A0 = ShapeOperatorSet((5.0001e7 * np.eye(2),))
         with pytest.raises(SingularJacobi, match=r"near t=0\.5$"):
-            shape_ode_flow(A0, 0.0, np.eye(2), 0.6)
+            shape_ode_path(A0, 0.0, np.eye(2), [0.6])
 
 
 class TestCodazziCompatibility:
