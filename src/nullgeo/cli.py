@@ -2,12 +2,14 @@
 
 Scenarios are JSON documents (key/value with nested arrays, matrices
 row-major).  Subcommands: evolve, classify, search, catalog, check.  Exit
-codes: 0 success, 1 failing invariant checks, 2 parse error or input the
-computation rejects, 3 dimension mismatch, 4 singular Jacobi tensor.
+codes: 0 success, 1 failing invariant checks, 2 a bad command line, parse
+error or input the computation rejects, 3 dimension mismatch, 4 singular
+Jacobi tensor.  Exit codes 2-4 come with one ``error:`` line on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -66,30 +68,6 @@ class Scenario:
     seed: int = 0
     catalog_entry: str | None = None
     catalog_params: dict | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"mode": self.mode, "seed": self.seed}
-        if self.c is not None:
-            out["c"] = self.c
-        if self.C0 is not None:
-            out["C0"] = self.C0.tolist()
-        if self.A0 is not None:
-            out["A0"] = [a.tolist() for a in self.A0]
-        if self.family is not None:
-            out["family"] = [m.tolist() for m in self.family]
-        if self.domain is not None:
-            d = {"kind": self.domain.kind.value}
-            if self.domain.b is not None:
-                d["b"] = self.domain.b
-            out["domain"] = d
-        if self.t_end is not None:
-            out["t_grid"] = {"t_end": self.t_end, "samples": self.samples}
-        if self.catalog_entry is not None:
-            out["catalog"] = {
-                "entry": self.catalog_entry,
-                "params": self.catalog_params or {},
-            }
-        return out
 
 
 def _as_matrix(raw, what: str) -> np.ndarray:
@@ -191,11 +169,6 @@ def load_scenario(path: str | Path) -> Scenario:
     except (OSError, json.JSONDecodeError) as e:
         raise ScenarioParseError(f"{path}: {e}")
     return parse_scenario(raw)
-
-
-def serialize_scenario(scn: Scenario) -> str:
-    """Canonical form used for the round-trip guarantee."""
-    return json.dumps(scn.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +448,17 @@ def run_check(scn: Scenario | None, out_dir: Path, stem: str, step: float, seed:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are one ``error:`` line on stderr and exit 2;
+    ``add_subparsers`` gives every subcommand this class too."""
+
+    def error(self, message):
+        # an unrecognized argument is quoted raw and may hold line breaks
+        self.exit(EXIT_PARSE, "error: %s\n" % " ".join(message.splitlines()))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nullgeo",
         description="Evaluate and classify tensor data along nullity geodesics",
     )
@@ -489,18 +471,26 @@ def build_parser() -> argparse.ArgumentParser:
             help="path to a scenario JSON file",
         )
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--step",
-            type=float,
-            default=1e-3,
-            help="oracle integrator step for check, in [%g, %g]" % CHECK_STEP_RANGE,
-        )
+    check = sub.choices["check"]
+    check.add_argument("--seed", type=int, default=0)
+    check.add_argument(
+        "--step",
+        type=float,
+        default=1e-3,
+        help="oracle integrator step for check, in [%g, %g]" % CHECK_STEP_RANGE,
+    )
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  ``parse_args`` fills a fresh namespace on
+    every call, so no state carries from one call to the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

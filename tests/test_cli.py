@@ -5,17 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nullgeo.cli import (
-    DimensionMismatch,
-    Scenario,
-    ScenarioParseError,
-    _fmt,
-    _fmt_rows,
-    load_scenario,
-    main,
-    parse_scenario,
-    serialize_scenario,
-)
+from nullgeo import cli
+from nullgeo.cli import DimensionMismatch, _fmt, _fmt_rows, main, parse_scenario
 from nullgeo.core import (
     jacobi_tensor,
     max_invertible_time,
@@ -43,10 +34,16 @@ def _catalog(entry, **params):
     return {"mode": "catalog", "catalog": {"entry": entry, "params": params}}
 
 
-def write(tmp_path, name, payload):
-    p = tmp_path / name
-    p.write_text(json.dumps(payload))
-    return str(p)
+def run_scenario(command, payload, out):
+    """``main`` on ``payload`` written to ``out/s.json``, writing under ``out``."""
+    path = out / "s.json"
+    path.write_text(json.dumps(payload))  # json writes NaN, Infinity
+    return main([command, "--scenario", str(path), "--out", str(out)])
+
+
+def run_shipped(command, scenario, out):
+    """``main`` on a scenario from ``scenarios/``, writing under ``out``."""
+    return main([command, "--scenario", str(SCENARIOS / scenario), "--out", str(out)])
 
 
 class TestParsing:
@@ -57,31 +54,22 @@ class TestParsing:
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_mode_is_parse_error(self, tmp_path):
-        path = write(tmp_path, "s.json", {"mode": "simulate"})
-        assert main(["classify", "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert run_scenario("classify", {"mode": "simulate"}, tmp_path) == 2
 
     def test_mode_mismatch_is_parse_error(self, tmp_path):
-        path = write(tmp_path, "s.json", {"mode": "search", "family": [[[0.0]]]})
-        assert main(["classify", "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert run_scenario("classify", {"mode": "search", "family": [[[0.0]]]}, tmp_path) == 2
 
     def test_dimension_mismatch_exit_code(self, tmp_path):
-        payload = {
-            "mode": "evolve",
-            "c": 0.0,
-            "C0": [[0.0, 0.0], [0.0, 0.0]],
-            "A0": [[[1.0]]],
-            "t_grid": {"t_end": 1.0, "samples": 3},
-        }
-        path = write(tmp_path, "s.json", payload)
-        assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 3
+        payload = {"mode": "evolve", "c": 0.0, "C0": [[0.0, 0.0], [0.0, 0.0]], "A0": [[[1.0]]],
+                   "t_grid": {"t_end": 1.0, "samples": 3}}
+        assert run_scenario("evolve", payload, tmp_path) == 3
 
     def test_nonsquare_matrix_is_dimension_error(self, tmp_path):
         with pytest.raises(DimensionMismatch):
             parse_scenario({"mode": "classify", "C0": [[1.0, 0.0]]})
 
     def test_missing_fields_is_parse_error(self, tmp_path):
-        path = write(tmp_path, "s.json", {"mode": "evolve"})
-        assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert run_scenario("evolve", {"mode": "evolve"}, tmp_path) == 2
 
     @pytest.mark.parametrize(
         "command,payload",
@@ -115,8 +103,7 @@ class TestParsing:
         ],
     )
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, payload):
-        path = write(tmp_path, "s.json", payload)  # json writes NaN, Infinity
-        assert main([command, "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert run_scenario(command, payload, tmp_path) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
@@ -125,25 +112,63 @@ class TestParsing:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    def test_round_trip_is_idempotent(self):
-        scn = load_scenario(SCENARIOS / "evolve_skew_hyperbolic.json")
-        text = serialize_scenario(scn)
-        again = serialize_scenario(parse_scenario(json.loads(text)))
-        assert text == again
+
+class TestCommandLine:
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch, capsys):
+        built, build = [], cli.build_parser
+
+        def counting_build():
+            built.append(None)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        assert run_shipped("classify", "classify_flat_line.json", tmp_path) == 0
+        assert run_shipped("search", "search_worked_family.json", tmp_path) == 0
+        assert run_shipped("catalog", "catalog_hyperbolic_cylinder.json", tmp_path) == 0
+        assert run_shipped("evolve", "evolve_skew_hyperbolic.json", tmp_path) == 0
+        assert main(["check", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert len(built) == 1
+
+    def test_no_option_carries_to_the_next_call(self, tmp_path, capsys):
+        # a coarse step fails the Riccati oracle's bound: exit 1
+        assert main(["check", "--seed", "3", "--step", "0.05", "--out", str(tmp_path)]) == 1
+        assert run_shipped("check", "check_default.json", tmp_path) == 0
+        name = "check_default.report.txt"
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evolve", "--scenario", str(SCENARIOS / "evolve_skew_hyperbolic.json"), "--step", "0.1"],
+            ["evolve", "--scenario", str(SCENARIOS / "evolve_skew_hyperbolic.json"), "--step", "nan"],
+            ["classify", "--scenario", str(SCENARIOS / "classify_flat_line.json"), "--seed", "1"],
+            ["check", "--seed", "abc"],
+            ["evolve"],
+            ["simulate"],
+        ],
+        ids=["evolve-step", "evolve-step-nan", "classify-seed", "check-seed-str",
+             "no-scenario", "unknown-command"],
+    )
+    def test_rejected_command_line_is_one_error_line(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main([*argv, "--out", str(tmp_path)])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not any(tmp_path.iterdir())
+
+    def test_help_is_not_an_error(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["check", "--help"])
+        assert stop.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: nullgeo check") and "--step STEP" in out and err == ""
 
 
 class TestEvolve:
     def test_writes_trajectory(self, tmp_path):
-        code = main(
-            [
-                "evolve",
-                "--scenario",
-                str(SCENARIOS / "evolve_skew_hyperbolic.json"),
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+        assert run_shipped("evolve", "evolve_skew_hyperbolic.json", tmp_path) == 0
         csv_path = tmp_path / "evolve_skew_hyperbolic.trajectory.csv"
         lines = csv_path.read_text().strip().splitlines()
         header = lines[0].split(",")
@@ -158,16 +183,7 @@ class TestEvolve:
 
     def test_branch_q8_golden(self, tmp_path):
         # q = 8, complex spectrum, c < 0, on a grid across a|t| = 1
-        code = main(
-            [
-                "evolve",
-                "--scenario",
-                str(SCENARIOS / "evolve_branch_q8.json"),
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+        assert run_shipped("evolve", "evolve_branch_q8.json", tmp_path) == 0
         name = "evolve_branch_q8.trajectory.csv"
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
@@ -175,8 +191,7 @@ class TestEvolve:
         # cosh(a t) is not representable at t = 800: det J is reported as
         # inf, while C and A come from the scaled form and stay finite
         payload = {**_EVOLVE, "t_grid": {"t_end": 800.0, "samples": 41}}
-        path = write(tmp_path, "s.json", payload)
-        assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 0
+        assert run_scenario("evolve", payload, tmp_path) == 0
         assert capsys.readouterr().err == ""
         lines = (tmp_path / "s.trajectory.csv").read_text().strip().splitlines()
         last = lines[-1].split(",")
@@ -188,40 +203,22 @@ class TestEvolve:
         # without slack put a singular time at ~18.4 and exited 4
         S = np.random.default_rng(0).normal(size=(3, 3))
         C0 = S @ np.diag([1.0, 0.3, -0.5]) @ np.linalg.inv(S)
-        payload = {
-            "mode": "evolve",
-            "c": -1.0,
-            "C0": C0.tolist(),
-            "A0": [np.eye(3).tolist()],
-            "t_grid": {"t_end": 20.0, "samples": 5},
-        }
-        path = write(tmp_path, "s.json", payload)
-        assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 0
+        payload = {"mode": "evolve", "c": -1.0, "C0": C0.tolist(), "A0": [np.eye(3).tolist()],
+                   "t_grid": {"t_end": 20.0, "samples": 5}}
+        assert run_scenario("evolve", payload, tmp_path) == 0
         assert capsys.readouterr().err == ""
 
     def test_singular_horizon_exit_code(self, tmp_path, capsys):
-        payload = {
-            "mode": "evolve",
-            "c": 0.0,
-            "C0": [[2.0, 0.0], [0.0, -3.0]],
-            "A0": [[[1.0, 0.0], [0.0, 1.0]]],
-            "t_grid": {"t_end": 1.0, "samples": 5},
-        }
-        path = write(tmp_path, "s.json", payload)
-        assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 4
+        payload = {"mode": "evolve", "c": 0.0, "C0": [[2.0, 0.0], [0.0, -3.0]],
+                   "A0": [[[1.0, 0.0], [0.0, 1.0]]], "t_grid": {"t_end": 1.0, "samples": 5}}
+        assert run_scenario("evolve", payload, tmp_path) == 4
         assert "b_max" in capsys.readouterr().err
 
 
 def _evolve_table(tmp_path, c, C0, A0, t_end, samples):
-    payload = {
-        "mode": "evolve",
-        "c": c,
-        "C0": np.asarray(C0).tolist(),
-        "A0": [np.asarray(a).tolist() for a in A0],
-        "t_grid": {"t_end": t_end, "samples": samples},
-    }
-    path = write(tmp_path, "s.json", payload)
-    assert main(["evolve", "--scenario", path, "--out", str(tmp_path)]) == 0
+    payload = {"mode": "evolve", "c": c, "C0": np.asarray(C0).tolist(),
+               "A0": [np.asarray(a).tolist() for a in A0], "t_grid": {"t_end": t_end, "samples": samples}}
+    assert run_scenario("evolve", payload, tmp_path) == 0
     lines = (tmp_path / "s.trajectory.csv").read_text().strip().splitlines()
     return [line.split(",") for line in lines[1:]]
 
@@ -290,16 +287,7 @@ class TestFloatRendering:
 
 class TestClassify:
     def test_flat_line_verdict(self, tmp_path):
-        code = main(
-            [
-                "classify",
-                "--scenario",
-                str(SCENARIOS / "classify_flat_line.json"),
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+        assert run_shipped("classify", "classify_flat_line.json", tmp_path) == 0
         rec = json.loads((tmp_path / "classify_flat_line.verdict.json").read_text())
         assert rec["verdict"]["consistent"] is False
         assert rec["verdict"]["violated_clause"] == "II1"
@@ -307,15 +295,7 @@ class TestClassify:
         assert "violates (ii.1)" in txt
 
     def test_consistent_ray_embeds_decay(self, tmp_path):
-        payload = {
-            "mode": "classify",
-            "c": -1.0,
-            "C0": [[0.0, 1.0], [-1.0, 0.0]],
-            "A0": [[[1.0, 0.0], [0.0, -1.0]]],
-            "domain": {"kind": "ray"},
-        }
-        path = write(tmp_path, "s.json", payload)
-        assert main(["classify", "--scenario", path, "--out", str(tmp_path)]) == 0
+        assert run_scenario("classify", _CLASSIFY, tmp_path) == 0
         rec = json.loads((tmp_path / "s.verdict.json").read_text())
         assert rec["verdict"]["consistent"] is True
         assert rec["decay"]["global_alpha_limit"] == "Zero"
@@ -323,57 +303,29 @@ class TestClassify:
 
 class TestSearch:
     def test_worked_family_found(self, tmp_path):
-        code = main(
-            [
-                "search",
-                "--scenario",
-                str(SCENARIOS / "search_worked_family.json"),
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
+        assert run_shipped("search", "search_worked_family.json", tmp_path) == 0
         rec = json.loads((tmp_path / "search_worked_family.direction.json").read_text())
         assert rec["result"] == "found"
         np.testing.assert_allclose(np.abs(rec["coeffs"]), [0.0, 0.0, 1.0], atol=1e-10)
         assert rec["lambda"] == pytest.approx(-1.0, abs=1e-10)
 
     def test_absent(self, tmp_path):
-        payload = {
-            "mode": "search",
-            "family": [
-                [[1.0, 0.0], [0.0, -1.0]],
-                [[0.0, 1.0], [1.0, 0.0]],
-            ],
-        }
-        path = write(tmp_path, "s.json", payload)
-        assert main(["search", "--scenario", path, "--out", str(tmp_path)]) == 0
+        payload = {"mode": "search", "family": [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]]}
+        assert run_scenario("search", payload, tmp_path) == 0
         rec = json.loads((tmp_path / "s.direction.json").read_text())
         assert rec == {"result": "absent"}
 
 
 class TestCatalogAndCheck:
     def test_catalog_entry_verified(self, tmp_path):
-        code = main(
-            [
-                "catalog",
-                "--scenario",
-                str(SCENARIOS / "catalog_hyperbolic_cylinder.json"),
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert code == 0
-        rec = json.loads(
-            (tmp_path / "catalog_hyperbolic_cylinder.model.json").read_text()
-        )
+        assert run_shipped("catalog", "catalog_hyperbolic_cylinder.json", tmp_path) == 0
+        rec = json.loads((tmp_path / "catalog_hyperbolic_cylinder.model.json").read_text())
         assert rec["name"] == "hyperbolic_cylinder"
         assert all(rec["verified"].values())
 
     def test_unknown_catalog_entry(self, tmp_path):
         payload = {"mode": "catalog", "catalog": {"entry": "nope"}}
-        path = write(tmp_path, "s.json", payload)
-        assert main(["catalog", "--scenario", path, "--out", str(tmp_path)]) == 2
+        assert run_scenario("catalog", payload, tmp_path) == 2
 
     def test_check_without_scenario(self, tmp_path, capsys):
         assert main(["check", "--out", str(tmp_path)]) == 0
@@ -388,14 +340,6 @@ class TestDeterminism:
         for sub in ("a", "b"):
             d = tmp_path / sub
             d.mkdir()
-            main(
-                [
-                    "evolve",
-                    "--scenario",
-                    str(SCENARIOS / "evolve_skew_hyperbolic.json"),
-                    "--out",
-                    str(d),
-                ]
-            )
+            run_shipped("evolve", "evolve_skew_hyperbolic.json", d)
             outs.append((d / "evolve_skew_hyperbolic.trajectory.csv").read_bytes())
         assert outs[0] == outs[1]

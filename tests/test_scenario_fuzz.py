@@ -10,6 +10,11 @@ small (q <= 4, samples <= 64), which keeps the run to about two seconds.
 ``check`` takes its ``--seed`` and ``--step`` options instead.  A step outside
 [1e-4, 0.1] or a negative seed is exit 2; accepted steps are drawn from
 [1e-2, 0.1] only, so no draw starts a long RK4 run.
+
+The command line itself is fuzzed too: one option (``--seed``, ``--step`` or
+an unknown ``--x``) with an arbitrary text value, added to a shipped
+scenario's command.  A command line the parser rejects is one ``error:`` line
+and exit 2; ``check`` command lines that would run the suite are not drawn.
 """
 import contextlib
 import io
@@ -18,9 +23,11 @@ import math
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from pathlib import Path
 
-from nullgeo.cli import main
+from hypothesis import assume, given, settings, strategies as st
+
+from nullgeo.cli import CHECK_STEP_RANGE, main
 
 MODES = ("evolve", "classify", "search", "catalog")
 CATALOG = {
@@ -133,3 +140,51 @@ def test_check_options_end_in_a_documented_exit(out_dir, step, seed):
     else:
         assert code == 2 and out.getvalue() == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+SHIPPED = {
+    "evolve": "evolve_skew_hyperbolic.json",
+    "classify": "classify_flat_line.json",
+    "search": "search_worked_family.json",
+    "catalog": "catalog_hyperbolic_cylinder.json",
+    "check": "check_default.json",
+}
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+option_values = st.text(max_size=8) | st.floats().map(repr) | st.integers(-99, 99).map(str)
+
+
+def _runs_the_suite(command, option, value):
+    """Whether ``check`` would accept ``option value`` and run the whole
+    suite; its scenario's seed takes the place of any integer ``--seed``."""
+    if command != "check" or option == "--x":
+        return False
+    try:
+        number = (int if option == "--seed" else float)(value)
+    except ValueError:
+        return False
+    lo, hi = CHECK_STEP_RANGE
+    return option == "--seed" or lo <= number <= hi
+
+
+@given(
+    command=st.sampled_from(sorted(SHIPPED)),
+    option=st.sampled_from(("--seed", "--step", "--x")),
+    value=option_values,
+)
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_any_command_line_ends_in_a_documented_exit(out_dir, command, option, value):
+    assume(not _runs_the_suite(command, option, value))
+    scenario = str(SCENARIO_DIR / SHIPPED[command])
+    argv = [command, "--scenario", scenario, "--out", str(out_dir), option, value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as stop:  # how argparse ends a rejected command line
+            code = stop.code
+    assert code in (0, 1, 2, 3, 4) and (code != 1 or command == "check")
+    lines = err.getvalue().splitlines()
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: "))
+    assert [str(w.message) for w in caught] == []
