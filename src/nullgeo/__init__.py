@@ -3,12 +3,10 @@ with relative nullity in space forms, at desk scale."""
 
 from .core import (
     GeodesicDomain,
-    JacobiTensor,
     NullityError,
     NullityProfile,
     ShapeOperatorSet,
     SingularJacobi,
-    SpaceFormCurvature,
     SplittingTensor,
     is_codazzi_compatible,
     jacobi_derivative,

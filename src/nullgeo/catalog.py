@@ -13,7 +13,7 @@ from .core import (
     GeodesicDomain,
     NullityProfile,
     ShapeOperatorSet,
-    SpaceFormCurvature,
+    _curv,
     is_codazzi_compatible,
 )
 from .theorems import SplittingFamily
@@ -35,7 +35,7 @@ __all__ = [
 class ModelSubmanifold:
     name: str
     profile: NullityProfile
-    c: SpaceFormCurvature
+    c: float                             # curvature of the ambient space form
     shape: ShapeOperatorSet              # full n x n, zero-padded on the nullity
     splitting_family: SplittingFamily    # on the conullity (q x q members)
     conullity_indices: tuple             # coordinates spanning the conullity
@@ -54,7 +54,7 @@ def totally_geodesic(n: int, p: int, c: float) -> ModelSubmanifold:
     return ModelSubmanifold(
         name="totally_geodesic",
         profile=NullityProfile(n=n, p=p, nu=n),
-        c=SpaceFormCurvature(float(c)),
+        c=_curv(c),
         shape=ShapeOperatorSet(tuple(zero.copy() for _ in range(p))),
         splitting_family=SplittingFamily(basis=tuple(np.zeros((0, 0)) for _ in range(n)), q=0),
         conullity_indices=(),
@@ -81,7 +81,7 @@ def hyperbolic_cylinder(k: int, n: int, rho: float) -> ModelSubmanifold:
     return ModelSubmanifold(
         name="hyperbolic_cylinder",
         profile=NullityProfile(n=n, p=1, nu=0),
-        c=SpaceFormCurvature(-1.0),
+        c=-1.0,
         shape=ShapeOperatorSet((np.diag(diag),)),
         splitting_family=SplittingFamily(basis=(), q=n),
         conullity_indices=tuple(range(n)),
@@ -115,7 +115,7 @@ def cartan_veronese_polar() -> ModelSubmanifold:
     return ModelSubmanifold(
         name="cartan_veronese_polar",
         profile=NullityProfile(n=3, p=1, nu=1),
-        c=SpaceFormCurvature(1.0),
+        c=1.0,
         shape=ShapeOperatorSet((shape,)),
         splitting_family=SplittingFamily(basis=(C,), q=2),
         conullity_indices=(0, 2),
@@ -141,7 +141,7 @@ def euclidean_cylinder(n: int, kappa: float) -> ModelSubmanifold:
     return ModelSubmanifold(
         name="euclidean_cylinder",
         profile=NullityProfile(n=n, p=1, nu=n - 1),
-        c=SpaceFormCurvature(0.0),
+        c=0.0,
         shape=ShapeOperatorSet((np.diag(diag),)),
         splitting_family=SplittingFamily(
             basis=tuple(np.zeros((1, 1)) for _ in range(n - 1)), q=1
@@ -205,18 +205,18 @@ def cone_samples(n_points: int = 8):
 # machine checks for the expected properties
 # ---------------------------------------------------------------------------
 
-def _kernel_dim(A: np.ndarray, rel_tol: float = 1e-10) -> int:
+def _kernel_dim(A: np.ndarray) -> int:
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return A.shape[0]
-    return int(np.sum(s <= rel_tol * s[0]))
+    return int(np.sum(s <= 1e-10 * s[0]))
 
 
 def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
     """Evaluate every expected property of a catalog entry; returns a map
     property name -> pass."""
     out: dict[str, bool] = {}
-    c = model.c.c
+    c = model.c
     cshape = model.conullity_shape()
     for prop in model.expected_properties:
         if prop == "kernel_dim":

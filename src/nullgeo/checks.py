@@ -110,7 +110,7 @@ def jacobi_residual(rng: np.random.Generator, count: int, step: float = 1e-4) ->
         c = float(rng.uniform(-3.0, 3.0))
         C0 = random_splitting_tensor(rng, int(rng.integers(1, 6)))
         t = float(rng.uniform(0.1, 2.0))
-        Jm, J0, Jp = (jacobi_tensor(c, C0, x).mat for x in (t - step, t, t + step))
+        Jm, J0, Jp = (jacobi_tensor(c, C0, x) for x in (t - step, t, t + step))
         resid = float(np.abs((Jp - 2.0 * J0 + Jm) / (step * step) + c * J0).max())
         worst = max(worst, resid / (1.0 + float(np.abs(J0).max())))
     return worst
@@ -155,7 +155,7 @@ def _check_derivative_consistency(seed, step):
         C0 = random_splitting_tensor(rng, 2 + i % 3)
         t = rng.uniform(0.0, 2.0)
         exact = jacobi_derivative(c, C0, t)
-        fd = (jacobi_tensor(c, C0, t + h).mat - jacobi_tensor(c, C0, t - h).mat) / (2 * h)
+        fd = (jacobi_tensor(c, C0, t + h) - jacobi_tensor(c, C0, t - h)) / (2 * h)
         rel = float(np.abs(exact - fd).max()) / (1.0 + float(np.abs(exact).max()))
         worst = max(worst, rel)
     return _bounded("max relative deviation", worst, 1e-6)

@@ -159,12 +159,12 @@ def _eig_blocks(C0: np.ndarray):
     return [(sum(b) / len(b), len(b)) for b in blocks]
 
 
-def _null_space(M: np.ndarray, rel_tol: float = 1e-8) -> np.ndarray:
+def _null_space(M: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker M (columns); may be empty."""
     u, s, vt = np.linalg.svd(M)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(M.shape[1])
-    rank = int(np.sum(s > rel_tol * s[0]))
+    rank = int(np.sum(s > 1e-8 * s[0]))
     return vt[rank:].T
 
 
@@ -254,12 +254,12 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     return DecayReport(tuple(blocks), limit, tuple(samples))
 
 
-def signature_counts(A: np.ndarray, rel_tol: float = 1e-8):
+def signature_counts(A: np.ndarray):
     """(positive, negative) eigenvalue counts of a symmetric operator,
-    excluding eigenvalues within tolerance of zero."""
+    excluding eigenvalues within 1e-8 (relative) of zero."""
     A = np.asarray(A, dtype=float)
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
-    cutoff = rel_tol * max(1.0, float(np.abs(w).max(initial=0.0)))
+    cutoff = 1e-8 * max(1.0, float(np.abs(w).max(initial=0.0)))
     pos = int(np.sum(w > cutoff))
     neg = int(np.sum(w < -cutoff))
     return pos, neg

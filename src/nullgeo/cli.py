@@ -45,6 +45,10 @@ MODES = ("evolve", "classify", "search", "catalog", "check")
 _EVOLVE_CHUNK = 1024     # evolve samples per batched evaluation
 # oracle steps `check` accepts; the floor bounds the RK4 work of one run
 CHECK_STEP_RANGE = (1e-4, 0.1)
+# sizes a scenario may request: evolve grid samples, and the catalog
+# dimensions n, p, k
+SAMPLES_RANGE = (2, 100_000)
+CATALOG_DIM_MAX = 256
 
 
 class ScenarioParseError(NullityError):
@@ -135,11 +139,15 @@ def parse_scenario(raw: dict) -> Scenario:
         g = raw["t_grid"]
         try:
             scn.t_end = float(g["t_end"])
-            scn.samples = int(g.get("samples", 11))
         except (KeyError, TypeError, ValueError):
-            raise ScenarioParseError("t_grid needs numeric t_end (and samples)")
-        if not (0.0 < scn.t_end < math.inf) or scn.samples < 2:
-            raise ScenarioParseError("t_grid needs finite t_end > 0 and samples >= 2")
+            raise ScenarioParseError("t_grid needs a numeric t_end")
+        if not 0.0 < scn.t_end < math.inf:
+            raise ScenarioParseError("t_grid needs finite t_end > 0")
+        scn.samples = g.get("samples", 11)
+        lo, hi = SAMPLES_RANGE
+        # bool is an int subclass, and int() would truncate a float
+        if type(scn.samples) is not int or not lo <= scn.samples <= hi:
+            raise ScenarioParseError(f"t_grid samples must be an integer in [{lo}, {hi}]")
     if "catalog" in raw:
         cat = raw["catalog"]
         if not isinstance(cat, dict) or not isinstance(cat.get("entry"), str):
@@ -148,6 +156,12 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ScenarioParseError("catalog params must be an object")
         scn.catalog_entry = cat["entry"]
         scn.catalog_params = dict(cat.get("params", {}))
+        for key in ("n", "p", "k"):
+            size = scn.catalog_params.get(key)
+            if isinstance(size, int) and size > CATALOG_DIM_MAX:
+                raise ScenarioParseError(
+                    f"catalog param {key} must be at most {CATALOG_DIM_MAX}"
+                )
 
     # cross-field dimension consistency
     if scn.C0 is not None and scn.A0 is not None:
@@ -166,7 +180,7 @@ def load_scenario(path: str | Path) -> Scenario:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, UTF-8 or an over-long int
         raise ScenarioParseError(f"{path}: {e}")
     return parse_scenario(raw)
 
@@ -239,6 +253,19 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1)
 
 
+def _real_spectrum(stack: np.ndarray, eigs: np.ndarray) -> bool:
+    """Whether every eigenvalue of every matrix A of ``stack`` renders real in
+    :func:`_fmt_eig`, given the eigenvalues ``eigs`` of the symmetric parts.
+
+    By Bendixson's theorem |Im lambda| <= ||(A - A^T)/2||_2, which the
+    Frobenius norm bounds.  Data that pass the Codazzi tolerance without
+    being exactly compatible fail here and keep their imaginary parts.
+    """
+    k = stack - stack.transpose(0, 2, 1)
+    skew = 0.5 * np.sqrt(np.einsum("kij,kij->k", k, k))  # one pass, unlike norm
+    return bool((skew <= 1e-12 * (1.0 + np.abs(eigs).max(axis=1))).all())
+
+
 def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
     _require(scn, "c", "C0", "A0", "t_end")
     ev = _Evolution(scn.c, scn.C0)
@@ -249,7 +276,8 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
         )
     A0 = ShapeOperatorSet(scn.A0)
     # for Codazzi data A(t) = A0 J(t)^{-1} is self-adjoint at every t, so its
-    # spectrum comes from the symmetric solver, real and ascending
+    # spectrum comes from the symmetric solver, real and ascending, in each
+    # chunk whose skew part is too small to show (see _real_spectrum)
     symmetric = is_codazzi_compatible(A0, scn.C0)
     q = scn.C0.shape[0]
     header = ["t", "det_J", "C_norm"]
@@ -271,9 +299,10 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
                 a[0], n[0] = a0, np.linalg.norm(a0)
         if symmetric:
             eigs = [np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1))) for a in A]
-            cols = head + [x for pair in zip(norms, eigs) for x in pair]
-            lines += _fmt_rows(np.column_stack(cols))
-            continue
+            if all(map(_real_spectrum, A, eigs)):
+                cols = head + [x for pair in zip(norms, eigs) for x in pair]
+                lines += _fmt_rows(np.column_stack(cols))
+                continue
         eigs = []
         for a in A:
             w = np.linalg.eigvals(a)
@@ -417,7 +446,7 @@ def run_catalog(scn: Scenario, out_dir: Path, stem: str) -> int:
                 "nu": model.profile.nu,
                 "q": model.profile.q,
             },
-            "c": _num(model.c.c),
+            "c": _num(model.c),
             "shape": [_nums(a) for a in model.shape.ops],
             "splitting_family": [_nums(m) for m in model.splitting_family.basis],
             "conullity_indices": list(model.conullity_indices),
@@ -514,18 +543,12 @@ def main(argv=None) -> int:
         if args.command == "catalog":
             return run_catalog(scn, out_dir, stem)
         return run_check(scn, out_dir, stem, args.step, args.seed)
-    except ScenarioParseError as e:
+    except NullityError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except DimensionMismatch as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except SingularJacobi as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except NullityError as e:  # input the computation rejects, e.g. in classify
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(e, DimensionMismatch):
+            return EXIT_DIMENSION
+        # anything else is a parse error or input the computation rejects
+        return EXIT_SINGULAR if isinstance(e, SingularJacobi) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -19,11 +19,9 @@ import numpy as np
 __all__ = [
     "NullityError",
     "SingularJacobi",
-    "SpaceFormCurvature",
     "NullityProfile",
     "SplittingTensor",
     "ShapeOperatorSet",
-    "JacobiTensor",
     "GeodesicDomain",
     "DomainKind",
     "jacobi_tensor",
@@ -61,17 +59,6 @@ class SingularJacobi(NullityError):
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpaceFormCurvature:
-    """Curvature constant of the ambient space form."""
-
-    c: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.c):
-            raise ValueError(f"curvature must be finite, got {self.c}")
-
 
 @dataclass(frozen=True)
 class NullityProfile:
@@ -142,23 +129,8 @@ class ShapeOperatorSet:
         return self.ops[0].shape[0] if self.ops else 0
 
     def asymmetry(self) -> float:
-        """Largest relative asymmetry over the entries."""
-        worst = 0.0
-        for a in self.ops:
-            scale = 1.0 + np.abs(a).max(initial=0.0)
-            worst = max(worst, np.abs(a - a.T).max(initial=0.0) / scale)
-        return worst
-
-    def is_symmetric(self, tol: float = SYM_TOL) -> bool:
-        return self.asymmetry() <= tol
-
-
-@dataclass(frozen=True)
-class JacobiTensor:
-    """Value of the Jacobi tensor at arc length ``t`` along the geodesic."""
-
-    mat: np.ndarray
-    t: float
+        """Largest :func:`_asymmetry` over the operators."""
+        return max((_asymmetry(a) for a in self.ops), default=0.0)
 
 
 class DomainKind(str, Enum):
@@ -199,8 +171,6 @@ class GeodesicDomain:
 # ---------------------------------------------------------------------------
 
 def _curv(c) -> float:
-    if isinstance(c, SpaceFormCurvature):
-        return c.c
     c = float(c)
     if not math.isfinite(c):
         raise ValueError(f"curvature must be finite, got {c}")
@@ -222,11 +192,16 @@ def _sset(A0) -> ShapeOperatorSet:
     return ShapeOperatorSet(tuple(A0))
 
 
-def real_eigenvalues(M: np.ndarray, tol: float = REAL_EIG_TOL) -> list[float]:
+def _asymmetry(m: np.ndarray) -> float:
+    """max |m - m^T| relative to 1 + max |m|: 0 for a symmetric matrix."""
+    return np.abs(m - m.T).max(initial=0.0) / (1.0 + np.abs(m).max(initial=0.0))
+
+
+def real_eigenvalues(M: np.ndarray) -> list[float]:
     """Real part of the eigenvalues whose imaginary part is negligible."""
     out = []
     for lam in np.linalg.eigvals(np.asarray(M, dtype=float)):
-        if abs(lam.imag) <= tol * (1.0 + abs(lam)):
+        if abs(lam.imag) <= REAL_EIG_TOL * (1.0 + abs(lam)):
             out.append(float(lam.real))
     return out
 
@@ -254,7 +229,7 @@ def _jacobi(c: float, C0: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
     return u * eye - v * C0, du * eye - dv * C0
 
 
-def jacobi_tensor(c, C0, t: float) -> JacobiTensor:
+def jacobi_tensor(c, C0, t: float) -> np.ndarray:
     """Jacobi tensor J(t) solving J'' + c J = 0, J(0) = I, J'(0) = -C0.
 
     For c = 1, 0, -1 this is the textbook trigonometric / affine / hyperbolic
@@ -262,7 +237,7 @@ def jacobi_tensor(c, C0, t: float) -> JacobiTensor:
     branches.
     """
     J, _ = _jacobi(_curv(c), _smat(C0), [t])
-    return JacobiTensor(J[0], float(t))
+    return J[0]
 
 
 def jacobi_derivative(c, C0, t: float) -> np.ndarray:
@@ -448,13 +423,9 @@ def splitting_tensor_at(c, C0, t: float) -> SplittingTensor:
     """Splitting tensor C(t) = -J'(t) J(t)^{-1} along the geodesic.
 
     Raises :class:`SingularJacobi` for t at or beyond the first singular time
-    of J.
+    of J.  At t = 0, J = I and the result is ``C0`` exactly.
     """
-    c = _curv(c)
-    C0 = _smat(C0)
-    if t == 0.0:
-        return SplittingTensor(C0.copy())
-    ev = _Evolution(c, C0)
+    ev = _Evolution(_curv(c), _smat(C0))
     ev.check([t])
     return SplittingTensor(ev.splitting([t])[0])
 
@@ -464,14 +435,11 @@ def shape_operator_at(A0, c, C0, t: float) -> ShapeOperatorSet:
 
     Symmetry of the result is only guaranteed when ``A0`` is Codazzi
     compatible with ``C0``; the caller is responsible for checking
-    :func:`is_codazzi_compatible` when that matters.
+    :func:`is_codazzi_compatible` when that matters.  At t = 0 the result is
+    ``A0`` exactly.
     """
-    c = _curv(c)
-    C0 = _smat(C0)
     A0 = _sset(A0)
-    if t == 0.0:
-        return ShapeOperatorSet(tuple(a.copy() for a in A0.ops))
-    ev = _Evolution(c, C0)
+    ev = _Evolution(_curv(c), _smat(C0))
     ev.check([t])
     return ShapeOperatorSet(tuple(A[0] for A in ev.shape(A0.ops, [t])))
 
@@ -602,7 +570,7 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
 # compatibility and convenience
 # ---------------------------------------------------------------------------
 
-def is_codazzi_compatible(A0, C0, tol: float = SYM_TOL) -> bool:
+def is_codazzi_compatible(A0, C0) -> bool:
     """Whether every A_xi * C0^k is symmetric for k = 0, ..., q-1.
 
     By Cayley-Hamilton this is equivalent to symmetry of A_xi J(t)^{-1} for
@@ -611,11 +579,9 @@ def is_codazzi_compatible(A0, C0, tol: float = SYM_TOL) -> bool:
     A0 = _sset(A0)
     C0 = _smat(C0)
     q = C0.shape[0]
-    for a in A0.ops:
-        m = a.copy()
+    for m in A0.ops:
         for _ in range(q):
-            scale = 1.0 + np.abs(m).max(initial=0.0)
-            if np.abs(m - m.T).max(initial=0.0) > tol * scale:
+            if _asymmetry(m) > SYM_TOL:
                 return False
             m = m @ C0
     return True

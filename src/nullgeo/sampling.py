@@ -38,22 +38,11 @@ def random_invertible_symmetric(rng: np.random.Generator, q: int) -> np.ndarray:
 
 
 def random_compatible_pair(rng: np.random.Generator, q: int, p: int = 1):
-    """(A0, C0) with A0 Codazzi compatible with C0.
-
-    A0 holds S0 and, for p > 1, further symmetric operators S0^{-1}-matched
-    via the same construction (each S_i symmetric with C0 = S0^{-1} S1).
-    """
+    """(A0, C0) with A0 Codazzi compatible with C0: A0 holds S0 for p = 1,
+    S0 and S1 for p = 2."""
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
     S0 = random_invertible_symmetric(rng, q)
     S1 = random_symmetric(rng, q)
     C0 = np.linalg.solve(S0, S1)
-    ops = [S0, S1][: max(p, 1)]
-    while len(ops) < p:
-        # S0 * polynomial in C0 stays symmetric and compatible
-        coef = rng.uniform(-1.0, 1.0, size=q)
-        m = np.zeros((q, q))
-        acc = np.eye(q)
-        for ck in coef:
-            m = m + ck * (S0 @ acc)
-            acc = acc @ C0
-        ops.append(0.5 * (m + m.T))
-    return ShapeOperatorSet(tuple(ops)), SplittingTensor(C0)
+    return ShapeOperatorSet((S0, S1)[:p]), SplittingTensor(C0)

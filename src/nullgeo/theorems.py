@@ -17,6 +17,7 @@ from .core import (
     NullityError,
     ShapeOperatorSet,
     SYM_TOL,
+    _asymmetry,
     _curv,
     _sset,
     _smat,
@@ -405,8 +406,7 @@ def integrable_conullity_classify(c, family: SplittingFamily) -> ConullityVerdic
     """
     c = _curv(c)
     for i, m in enumerate(family.basis):
-        scale = 1.0 + np.abs(m).max(initial=0.0)
-        if np.abs(m - m.T).max(initial=0.0) > SYM_TOL * scale:
+        if _asymmetry(m) > SYM_TOL:
             raise NotIntegrable(f"family member {i} is not self-adjoint")
     if c > 0.0:
         return ConullityVerdict("MustBeTotallyGeodesic", True)

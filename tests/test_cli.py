@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +95,17 @@ class TestParsing:
             ("catalog", {"mode": "catalog", "catalog": {"entry": "totally_geodesic", "params": "ab"}}),
             ("catalog", {"mode": "catalog", "catalog": {"entry": ["x"]}}),
             ("check", {"mode": "check", "seed": -1}),
+            ("catalog", _catalog("totally_geodesic", n=2, p=1, c=math.nan)),
+            # sizes past the limits: parsing rejects them before any allocation
+            ("evolve", {**_EVOLVE, "t_grid": {"t_end": 2.0, "samples": 11.5}}),
+            ("evolve", {**_EVOLVE, "t_grid": {"t_end": 2.0, "samples": 1e9}}),
+            ("evolve", {**_EVOLVE, "t_grid": {"t_end": 2.0, "samples": 10**9}}),
+            ("evolve", {**_EVOLVE, "t_grid": {"t_end": 2.0, "samples": 100_001}}),
+            ("evolve", {**_EVOLVE, "t_grid": {"t_end": 2.0, "samples": True}}),
+            ("catalog", _catalog("totally_geodesic", n=10**9, p=1, c=1.0)),
+            ("catalog", _catalog("totally_geodesic", n=2, p=10**9, c=1.0)),
+            ("catalog", _catalog("euclidean_cylinder", n=10**9, kappa=1.0)),
+            ("catalog", _catalog("hyperbolic_cylinder", k=10**9, n=3, rho=1.0)),
             # A0 C0 is not symmetric: A0 J(t)^{-1} is no shape operator
             ("classify", {**_CLASSIFY, "C0": [[1.0, 1.0], [0.0, 1.0]], "A0": [[[1.0, 0.0], [0.0, 0.0]]]}),
         ],
@@ -99,11 +113,35 @@ class TestParsing:
             "nan-c", "inf-c", "nan-C0", "inf-C0", "nan-A0", "inf-family",
             "inf-t_end", "nan-t_end", "nan-b", "seed-str", "inf-seed",
             "rho-nonpos", "kappa-zero", "n-zero", "params-list", "params-str",
-            "entry-list", "check-seed-negative", "decay-incompatible",
+            "entry-list", "check-seed-negative", "catalog-nan-c",
+            "samples-float", "samples-1e9", "samples-int-1e9", "samples-over", "samples-bool",
+            "catalog-n-huge", "catalog-p-huge", "cylinder-n-huge", "catalog-k-huge",
+            "decay-incompatible",
         ],
     )
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, payload):
         assert run_scenario(command, payload, tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_sizes_at_the_limits_parse(self):
+        lo, hi = cli.SAMPLES_RANGE
+        for samples in (lo, hi):
+            scn = parse_scenario({**_EVOLVE, "t_grid": {"t_end": 1.0, "samples": samples}})
+            assert scn.samples == samples
+        top = cli.CATALOG_DIM_MAX
+        scn = parse_scenario(_catalog("totally_geodesic", n=top, p=top, c=0.0))
+        assert scn.catalog_params == {"n": top, "p": top, "c": 0.0}
+
+    @pytest.mark.parametrize(
+        "text",
+        [b"\xff\xfe{", b'{"mode": "classify", "c": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "int-too-long"],
+    )
+    def test_unreadable_scenario_text_is_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "s.json"
+        path.write_bytes(text)
+        assert main(["classify", "--scenario", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
@@ -157,6 +195,25 @@ class TestCommandLine:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not any(tmp_path.iterdir())
+
+    def test_module_entry_point(self, tmp_path):
+        # ``python -m nullgeo.cli`` reaches ``sys.exit(main())``
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        scenario = str(SCENARIOS / "evolve_skew_hyperbolic.json")
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "nullgeo.cli", *argv],
+                                  capture_output=True, text=True, env=env, cwd=tmp_path)
+
+        done = run("evolve", "--scenario", scenario, "--out", str(tmp_path))
+        assert (done.returncode, done.stderr) == (0, "")
+        name = "evolve_skew_hyperbolic.trajectory.csv"
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+        done = run("evolve", "--scenario", scenario, "--step", "1")
+        assert done.returncode == 2
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_help_is_not_an_error(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -243,7 +300,7 @@ class TestEvolveSpectrum:
             A = shape_operator_at(A0s, c, C0, t).ops
             want = [
                 _fmt(t),
-                _fmt(np.linalg.det(jacobi_tensor(c, C0, t).mat)),
+                _fmt(np.linalg.det(jacobi_tensor(c, C0, t))),
                 _fmt(np.linalg.norm(splitting_tensor_at(c, C0, t).mat)),
             ]
             assert row[:3] == want
@@ -254,6 +311,16 @@ class TestEvolveSpectrum:
                 w = w[np.argsort(w.real)]
                 got = np.array([float(x) for x in cells[1:]])
                 assert np.abs(got - w).max() <= 2e-13 * np.abs(w).max()
+
+    def test_nearly_compatible_data_keep_imaginary_parts(self, tmp_path):
+        # A0 C0 is within the Codazzi tolerance of symmetric but not
+        # symmetric: the eigenvalues 2 -+ 1e-9 i of C0 give A(t) complex
+        # eigenvalues, which the symmetric solver would drop
+        C0 = [[2.0, 1e-9], [-1e-9, 2.0]]
+        rows = _evolve_table(tmp_path, -1.0, C0, [np.eye(2)], 1.0, 11)
+        assert rows[5][:1] + rows[5][4:] == [
+            "0.5", "11.704756293723-7.1390744643971e-08j", "11.704756293723+7.1390744643971e-08j"
+        ]
 
     def test_incompatible_data_keep_complex_cells(self, tmp_path):
         # A0 C0 is skew: A0 J(t)^{-1} = J(t)^{-1} has eigenvalues 1/(1 -+ i t)

@@ -58,20 +58,20 @@ class TestJacobiTensor:
     def test_flat_closed_form(self, rng):
         C0 = rng.uniform(-1, 1, size=(3, 3))
         t = 0.7
-        J = jacobi_tensor(0.0, C0, t).mat
+        J = jacobi_tensor(0.0, C0, t)
         np.testing.assert_allclose(J, np.eye(3) - t * C0, rtol=0, atol=1e-15)
 
     def test_sphere_half_period_is_minus_identity(self):
-        J = jacobi_tensor(1.0, np.zeros((2, 2)), math.pi).mat
+        J = jacobi_tensor(1.0, np.zeros((2, 2)), math.pi)
         np.testing.assert_allclose(J, -np.eye(2), atol=1e-15)
 
     def test_initial_condition(self, rng):
         C0 = rng.uniform(-1, 1, size=(4, 4))
         for c in (-1.0, 0.0, 1.0, 2.5):
-            assert np.array_equal(jacobi_tensor(c, C0, 0.0).mat, np.eye(4))
+            assert np.array_equal(jacobi_tensor(c, C0, 0.0), np.eye(4))
 
     def test_hyperbolic_skew_vs_ode_oracle(self):
-        J = jacobi_tensor(-1.0, SKEW2, 1.0).mat
+        J = jacobi_tensor(-1.0, SKEW2, 1.0)
         expected = math.cosh(1.0) * np.eye(2) - math.sinh(1.0) * SKEW2
         np.testing.assert_allclose(J, expected, atol=1e-14)
         J_ode, _ = rk4_second_order(-1.0, SKEW2, 1.0)
@@ -80,7 +80,7 @@ class TestJacobiTensor:
     def test_general_curvature_vs_ode_oracle(self, rng):
         C0 = rng.uniform(-1, 1, size=(3, 3))
         for c in (-2.3, 0.4, 3.1):
-            J = jacobi_tensor(c, C0, 0.8).mat
+            J = jacobi_tensor(c, C0, 0.8)
             J_ode, _ = rk4_second_order(c, C0, 0.8)
             np.testing.assert_allclose(J, J_ode, atol=1e-10)
 
@@ -104,7 +104,7 @@ class TestJacobiDerivative:
         h = 1e-6
         for c in (-1.0, 1.0):
             t = 0.9
-            fd = (jacobi_tensor(c, C0, t + h).mat - jacobi_tensor(c, C0, t - h).mat) / (2 * h)
+            fd = (jacobi_tensor(c, C0, t + h) - jacobi_tensor(c, C0, t - h)) / (2 * h)
             exact = jacobi_derivative(c, C0, t)
             scale = 1.0 + np.abs(exact).max()
             assert np.abs(fd - exact).max() <= 1e-6 * scale
@@ -247,7 +247,7 @@ class TestGridEvaluator:
         dets = ev.det(grid)
         for k, t in enumerate(grid):
             assert np.array_equal(C[k], splitting_tensor_at(c, C0, t).mat)
-            J = jacobi_tensor(c, C0, t).mat
+            J = jacobi_tensor(c, C0, t)
             if c >= 0.0 or 0.8 * abs(t) < 1.0:
                 # off the scaled branch: the textbook -J' J^{-1}, bit for bit
                 dJ = jacobi_derivative(c, C0, t)
