@@ -19,11 +19,11 @@ import numpy as np
 
 from . import catalog
 from .core import (
+    _riccati_stack,
+    _shape_stack,
     jacobi_derivative,
     jacobi_tensor,
     max_invertible_time,
-    riccati_path,
-    shape_ode_path,
     shape_operator_at,
     splitting_tensor_at,
 )
@@ -72,32 +72,55 @@ def radon_hurwitz_oracle(m: int) -> int:
     return radon_hurwitz_oracle(2 ** (e - 4)) + 8
 
 
+def _by_size(keys) -> list[list[int]]:
+    """Indices of equal keys, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
     """Largest entry gap between the closed-form C(t) and an RK4 solution of
     C' = C^2 + c I with the given step, on the sample grid of ``count``
-    random (c, C0), q in 1..5."""
-    worst = 0.0
+    random (c, C0), q in 1..5.  The RK4 solutions of the cases of one q are
+    advanced together."""
+    cs, C0s = [], []
     for i in range(count):
-        c = CURVATURES[i % 3]
-        C0 = random_splitting_tensor(rng, int(rng.integers(1, 6)))
-        times = sample_grid(c, C0)
-        for t, Ct in zip(times, riccati_path(c, C0, times, step)):
-            worst = max(worst, float(np.abs(splitting_tensor_at(c, C0, t).mat - Ct).max()))
+        cs.append(CURVATURES[i % 3])
+        C0s.append(random_splitting_tensor(rng, int(rng.integers(1, 6))))
+    grids = [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
+    worst = 0.0
+    for group in _by_size(C0.shape for C0 in C0s):
+        paths = _riccati_stack([cs[i] for i in group], [C0s[i] for i in group],
+                               [grids[i] for i in group], step)
+        for i, path in zip(group, paths):
+            for t, Ct in zip(grids[i], path):
+                closed = splitting_tensor_at(cs[i], C0s[i], t).mat
+                worst = max(worst, float(np.abs(closed - Ct).max()))
     return worst
 
 
 def shape_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
     """Largest entry gap between the closed-form A(t) = A0 J(t)^{-1} and an
     RK4 solution of A' = A C(t) with the given step, on the sample grid of
-    ``count`` random Codazzi-compatible (A0, C0), q in 2..5."""
-    worst = 0.0
+    ``count`` random Codazzi-compatible (A0, C0), q in 2..5.  The RK4
+    solutions of the cases of one q are advanced together."""
+    cs, A0s, C0s = [], [], []
     for i in range(count):
-        c = CURVATURES[i % 3]
         A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 6)))
-        times = sample_grid(c, C0.mat)
-        for t, At in zip(times, shape_ode_path(A0, c, C0, times, step)):
-            for a, b in zip(shape_operator_at(A0, c, C0, t).ops, At.ops):
-                worst = max(worst, float(np.abs(a - b).max()))
+        cs.append(CURVATURES[i % 3])
+        A0s.append(A0)
+        C0s.append(C0.mat)
+    grids = [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
+    worst = 0.0
+    for group in _by_size((A0.p, A0.q) for A0 in A0s):
+        paths = _shape_stack([np.stack(A0s[i].ops) for i in group], [cs[i] for i in group],
+                             [C0s[i] for i in group], [grids[i] for i in group], step)
+        for i, path in zip(group, paths):
+            for t, At in zip(grids[i], path):
+                closed = shape_operator_at(A0s[i], cs[i], C0s[i], t).ops
+                worst = max(worst, max(float(np.abs(a - b).max()) for a, b in zip(closed, At)))
     return worst
 
 

@@ -42,13 +42,18 @@ EXIT_SINGULAR = 4
 
 MODES = ("evolve", "classify", "search", "catalog", "check")
 
-_EVOLVE_CHUNK = 1024     # evolve samples per batched evaluation
+_EVOLVE_CHUNK = 1024     # evolve samples per batched evaluation, for q <= 32
+_EVOLVE_CHUNK_ENTRIES = 2**20  # matrix entries per stack of one evolve chunk
 # oracle steps `check` accepts; the floor bounds the RK4 work of one run
 CHECK_STEP_RANGE = (1e-4, 0.1)
 # sizes a scenario may request: evolve grid samples, and the catalog
 # dimensions n, p, k
 SAMPLES_RANGE = (2, 100_000)
 CATALOG_DIM_MAX = 256
+# the n*n*p shape entries a catalog model may hold: 256 x 256, one operator
+CATALOG_ENTRIES_MAX = CATALOG_DIM_MAX**2
+# rows of a scenario matrix (C0, A0, family): q, the conullity index
+MATRIX_DIM_MAX = 128
 
 
 class ScenarioParseError(NullityError):
@@ -83,6 +88,8 @@ def _as_matrix(raw, what: str) -> np.ndarray:
         raise ScenarioParseError(f"{what}: expected a matrix, got ndim={m.ndim}")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{what}: must be square, got {m.shape}")
+    if m.shape[0] > MATRIX_DIM_MAX:
+        raise ScenarioParseError(f"{what}: at most {MATRIX_DIM_MAX} rows, got {m.shape[0]}")
     if not np.isfinite(m).all():
         raise ScenarioParseError(f"{what}: entries must be finite")
     return m
@@ -286,8 +293,10 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
         header.extend(f"A{i}_eig{j}" for j in range(q))
     ts = [scn.t_end * k / (scn.samples - 1) for k in range(scn.samples)]
     lines = [",".join(header)]
-    for lo in range(0, len(ts), _EVOLVE_CHUNK):
-        grid = ts[lo:lo + _EVOLVE_CHUNK]
+    # a chunk holds a few stacks of chunk * q * q floats: at most 8 MB each
+    chunk = min(_EVOLVE_CHUNK, max(1, _EVOLVE_CHUNK_ENTRIES // (q * q)))
+    for lo in range(0, len(ts), chunk):
+        grid = ts[lo:lo + chunk]
         C, A = ev.splitting_and_shape(A0.ops, grid)
         head = [np.array(grid), ev.det(grid), _frobenius(C)]
         norms = [_frobenius(a) for a in A]
@@ -432,8 +441,15 @@ def run_catalog(scn: Scenario, out_dir: Path, stem: str) -> int:
             f"unknown catalog entry {scn.catalog_entry!r}; "
             f"known: {sorted(_CATALOG_ENTRIES)}"
         )
+    params = scn.catalog_params or {}
+    n, p = params.get("n"), params.get("p", 1)
+    if isinstance(n, int) and isinstance(p, int) and n * n * p > CATALOG_ENTRIES_MAX:
+        # totally_geodesic builds and writes p zero matrices of n x n
+        raise ScenarioParseError(
+            f"catalog params n*n*p = {n * n * p} exceed {CATALOG_ENTRIES_MAX} shape entries"
+        )
     try:
-        model = ctor(**(scn.catalog_params or {}))
+        model = ctor(**params)
     except (TypeError, ValueError) as e:
         raise ScenarioParseError(f"bad catalog params: {e}")
     checks = catalog_mod.verify_model(model)

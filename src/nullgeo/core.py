@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -210,23 +211,34 @@ def real_eigenvalues(M: np.ndarray) -> list[float]:
 # closed-form evolution
 # ---------------------------------------------------------------------------
 
+def _times(ts) -> np.ndarray:
+    return np.asarray(ts, dtype=float).reshape(-1)
+
+
+def _libm(fn, xs: list) -> np.ndarray:
+    """``fn`` from ``math`` at each of the floats ``xs``: numpy's vectorised
+    cos/sin/cosh/sinh/exp differ from libm in the last bit."""
+    return np.fromiter(map(fn, xs), float, len(xs))
+
+
 def _jacobi(c: float, C0: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
     """Stacks of J(t) = u I - v C0 and J'(t) = du I - dv C0, one per t.
 
-    The coefficients come from ``math`` one time at a time, with one call of
-    cos and sin (cosh and sinh for c < 0) per time: numpy's vectorised
-    cosh/sinh/exp differ from libm in the last bit.  For c < 0,
-    ``math.cosh`` raises OverflowError where cosh(a|t|) is not representable.
+    The coefficients take one ``math`` cos and sin (cosh and sinh for c < 0)
+    per time, so each time gets the bits of a grid of that time alone.  For
+    c < 0, ``math.cosh`` raises OverflowError where cosh(a|t|) is not
+    representable.
     """
-    if c == 0.0:
-        coef = [(1.0, t, 0.0, 1.0) for t in ts]
-    else:
-        a = math.sqrt(abs(c))
-        cos, sin, k = (math.cos, math.sin, -a) if c > 0.0 else (math.cosh, math.sinh, a)
-        coef = [(co, si / a, k * si, co) for co, si in ((cos(a * t), sin(a * t)) for t in ts)]
-    u, v, du, dv = np.array(coef).reshape(-1, 4).T[:, :, None, None]
+    ts = _times(ts)
     eye = np.eye(C0.shape[0])
-    return u * eye - v * C0, du * eye - dv * C0
+    if c == 0.0:
+        # u = dv = 1, v = t, du = 0: 1 I and 1 C0 are exact, 0 I is +0
+        return eye - ts[:, None, None] * C0, np.zeros((ts.size, 1, 1)) - C0
+    a = math.sqrt(abs(c))
+    cos, sin, k = (math.cos, math.sin, -a) if c > 0.0 else (math.cosh, math.sinh, a)
+    at = (a * ts).tolist()
+    co, si = (_libm(f, at)[:, None, None] for f in (cos, sin))
+    return co * eye - (si / a) * C0, (k * si) * eye - co * C0
 
 
 def jacobi_tensor(c, C0, t: float) -> np.ndarray:
@@ -328,29 +340,29 @@ class _Evolution:
         """Stacks P, Q and scales r with J = P / r and J' = Q / r: (J, J')
         itself with r = 1, or (M, N) with r = 2 e^{-a|t|} on the scaled
         branch."""
-        ts = [float(t) for t in ts]
-        far = [i for i, t in enumerate(ts) if self.a * abs(t) >= 1.0]  # a = 0 for c >= 0
-        if not far:
-            return (*_jacobi(self.c, self.C0, ts), np.ones(len(ts)))
-        if len(far) == len(ts):
+        ts = _times(ts)
+        far = self.a * np.abs(ts) >= 1.0  # a = 0 for c >= 0
+        n_far = np.count_nonzero(far)
+        if n_far == 0:
+            return (*_jacobi(self.c, self.C0, ts), np.ones(ts.size))
+        if n_far == ts.size:
             return self._scaled(ts)
-        near = [i for i, t in enumerate(ts) if not self.a * abs(t) >= 1.0]
-        k, q = len(ts), self.eye.shape[0]
+        k, q = ts.size, self.eye.shape[0]
         P, Q, r = np.empty((k, q, q)), np.empty((k, q, q)), np.ones(k)
-        P[near], Q[near] = _jacobi(self.c, self.C0, [ts[i] for i in near])
-        P[far], Q[far], r[far] = self._scaled([ts[i] for i in far])
+        near = ~far
+        P[near], Q[near] = _jacobi(self.c, self.C0, ts[near])
+        P[far], Q[far], r[far] = self._scaled(ts[far])
         return P, Q, r
 
-    def _scaled(self, ts: list[float]):
+    def _scaled(self, ts: np.ndarray):
         """:meth:`_factors` on the scaled branch, a|t| >= 1."""
-        a = self.a
-        sgn = np.array([math.copysign(1.0, t) for t in ts])[:, None, None]
-        eps = np.array([math.exp(-2.0 * a * abs(t)) for t in ts])[:, None, None]
-        lo = self.eye - (sgn / a) * self.C0
-        hi = self.eye + (sgn / a) * self.C0
-        M = lo + eps * hi
+        a, at = self.a, np.abs(ts)
+        sgn = np.copysign(1.0, ts)[:, None, None]
+        eps = _libm(math.exp, (-2.0 * a * at).tolist())[:, None, None]
+        sC = (sgn / a) * self.C0
+        M = (self.eye - sC) + eps * (self.eye + sC)
         N = sgn * a * (self.eye - eps * self.eye) - (1.0 + eps) * self.C0
-        return M, N, np.array([2.0 * math.exp(-a * abs(t)) for t in ts])
+        return M, N, 2.0 * _libm(math.exp, (-a * at).tolist())
 
     @staticmethod
     def _splitting(P, Q) -> np.ndarray:
@@ -398,25 +410,29 @@ class _Evolution:
         log|det M|) from the scaled form, which is inf where it exceeds the
         float range.
         """
-        ts = [float(t) for t in ts]
-        out = np.empty(len(ts))
-        over = [i for i, t in enumerate(ts) if self.a * abs(t) > _COSH_MAX]
-        fits = [i for i, t in enumerate(ts) if not self.a * abs(t) > _COSH_MAX]
-        if fits:
-            J, _ = _jacobi(self.c, self.C0, [ts[i] for i in fits])
+        ts = _times(ts)
+        out = np.empty(ts.size)
+        over = self.a * np.abs(ts) > _COSH_MAX
+        n_over = np.count_nonzero(over)
+        if n_over < ts.size:
+            fits = ~over
+            J, _ = _jacobi(self.c, self.C0, ts[fits])
             with np.errstate(over="ignore"):  # inf is the honest value
                 out[fits] = np.linalg.det(J)
-        if over:
-            M, _, _ = self._scaled([ts[i] for i in over])
+        if n_over:
+            M, _, _ = self._scaled(ts[over])
             sign, logdet = np.linalg.slogdet(M)
             q = self.eye.shape[0]
-            for i, s, ld in zip(over, sign, logdet):
-                x = q * (self.a * abs(ts[i]) - math.log(2.0)) + ld
-                try:
-                    out[i] = s * math.exp(x)
-                except OverflowError:
-                    out[i] = s * math.inf
+            x = q * (self.a * np.abs(ts[over]) - math.log(2.0)) + logdet
+            out[over] = sign * _libm(_exp_or_inf, x.tolist())
         return out
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def splitting_tensor_at(c, C0, t: float) -> SplittingTensor:
@@ -464,66 +480,245 @@ def _rk4_segments(times, step: float):
 
 
 def _rk4_stage_times(t: float, n: int, h: float):
-    """The times at which :func:`_rk4_path` evaluates the right-hand side in
+    """The times at which an RK4 integrator evaluates the right-hand side in
     ``n`` steps of size ``h`` from ``t``, in batches of at most
     ``_STAGE_CHUNK`` steps: ``[t, t + h/2, t + h, t + 3h/2, ...]``, so step
-    ``i`` of a batch runs from index ``2i`` to index ``2i + 2``.  They are
-    generated with the integrator's own arithmetic, so they equal its times
-    bit for bit."""
+    ``i`` of a batch runs from index ``2i`` to index ``2i + 2``.  The step
+    ends are ``t += h`` repeated (``np.add.accumulate`` adds in order), so
+    they equal the integrator's times bit for bit."""
+    ends = np.add.accumulate(np.concatenate(([t], np.full(n, h))))
     for done in range(0, n, _STAGE_CHUNK):
-        grid = [t]
-        for _ in range(min(_STAGE_CHUNK, n - done)):
-            grid += (t + 0.5 * h, t + h)
-            t += h
+        knots = ends[done:done + _STAGE_CHUNK + 1]
+        grid = np.empty(2 * knots.size - 1)
+        grid[0::2] = knots
+        grid[1::2] = knots[:-1] + 0.5 * h
         yield grid
 
 
-_amax = np.maximum.reduce  # ndarray.max without its Python-level wrapper
+class _Stack:
+    """The record schedule of cases that are stepped together.
 
-
-def _guard(y: np.ndarray, t: float, guard_norm: float) -> None:
-    """Raise :class:`SingularJacobi` once max |y| reaches ``guard_norm`` (or
-    is NaN) after the step that ends at ``t``."""
-    m = _amax(np.abs(y), None)
-    if not m < guard_norm:
-        raise SingularJacobi(
-            f"trajectory norm {m:.3g} exceeded blow-up guard near t={t:.6g}"
-        )
-
-
-def _rk4_path(f, y0: np.ndarray, times, step: float, guard_norm: float):
-    """Integrate y' = f(t, y) from t=0, recording y at each requested time.
-
-    ``times`` must be nonnegative and sorted.  Steps are sized to land exactly
-    on every record point while never exceeding ``step``.
+    Each case keeps its own :func:`_rk4_segments` schedule.  A case's step
+    size changes only at its own records, so between two consecutive record
+    counts of the stack every case takes steps of one size; a case with
+    fewer steps than the longest one takes ``h = 0`` steps after its last
+    record, which leave a finite state unchanged.
     """
-    y = y0.astype(float).copy()
-    out = []
-    for t, n, h in _rk4_segments(times, step):
-        h2, h6 = 0.5 * h, h / 6.0
-        for _ in range(n):
-            k1 = f(t, y)
-            k2 = f(t + h2, y + h2 * k1)
-            k3 = f(t + h2, y + h2 * k2)
-            k4 = f(t + h, y + h * k3)
-            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-            _guard(y, t, guard_norm)
-        out.append(y.copy())
-    return out
+
+    def __init__(self, times, step: float):
+        self.segs = [list(_rk4_segments(list(ts), step)) for ts in times]
+        self.due: dict[int, list[tuple[int, int]]] = {}
+        for k, seg in enumerate(self.segs):
+            done = 0
+            for j, (_, n, _) in enumerate(seg):
+                done += n
+                self.due.setdefault(done, []).append((k, j))
+
+    def run(self, Y: np.ndarray, advance) -> list[list[np.ndarray]]:
+        """Record each case of the stacked state ``Y`` at its record times.
+        ``advance(s0, s1, h)`` takes steps ``s0 .. s1 - 1`` of sizes ``h``
+        (one per case) and returns the stacked state."""
+        out = [[None] * len(seg) for seg in self.segs]
+        done = 0
+        for stop in sorted(self.due):
+            if stop > done:
+                Y = advance(done, stop, np.array([self._h(seg, done) for seg in self.segs]))
+                done = stop
+            for k, j in self.due[stop]:
+                out[k][j] = Y[k].copy()
+        return out
+
+    @staticmethod
+    def _h(seg, s: int) -> float:
+        for _, n, h in seg:
+            if s < n:
+                return h
+            s -= n
+        return 0.0
+
+    def guard(self, Y: np.ndarray, s: int) -> None:
+        """Raise :class:`SingularJacobi` for the first case whose max |y|
+        reached ``RICCATI_BLOWUP`` (or is NaN) in step ``s``."""
+        m = np.abs(Y.reshape(len(Y), -1)).max(axis=1)
+        bad = np.flatnonzero(~(m < RICCATI_BLOWUP))
+        if bad.size:
+            k = bad[0]
+            t = self.time(k, s)
+            raise SingularJacobi(
+                f"trajectory norm {m[k]:.3g} exceeded blow-up guard near t={t:.6g}"
+            )
+
+    def time(self, k: int, s: int) -> float:
+        """The time at the end of step ``s`` of case ``k``, by the
+        integrator's own arithmetic."""
+        for t, n, h in self.segs[k]:
+            if s < n:
+                for _ in range(s + 1):
+                    t += h
+                return t
+            s -= n
+
+
+def _guard_limit(size: int) -> float:
+    """A bound on the sum of squares of ``size`` entries below which every
+    entry is surely below ``RICCATI_BLOWUP``: the computed sum is at most
+    ``size`` roundings short of the exact one, under 1e-12 of it for up to
+    4096 entries.  Larger stacks skip the sum and always take the exact
+    per-entry check."""
+    return RICCATI_BLOWUP * RICCATI_BLOWUP * (1.0 - 1e-12) if size <= 4096 else 0.0
+
+
+def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
+    """RK4 paths of C' = C^2 + c I for cases ``(cs[k], C0s[k])`` of one size,
+    each recorded at its own ``times[k]`` and advanced together.
+
+    The step arithmetic is the textbook
+
+        k1 = f(y),  k2 = f(y + (h/2) k1),  k3 = f(y + (h/2) k2),
+        k4 = f(y + h k3),  y <- y + (h/6) (k1 + 2 k2 + 2 k3 + k4),
+
+    term by term in this order, with 2 k2 and 2 k3 computed in one call as
+    k + k (the same bits), written into buffers held across steps.  One case
+    runs on 2-D arrays with ``ndarray.dot`` and 0-d step factors, a stack
+    with ``np.matmul`` and one factor per case.  After every step one
+    dot product of the stack with itself screens the blow-up guard; only a
+    sum of squares near the bound runs the per-case check.
+    """
+    stack = _Stack(times, step)
+    Y = np.array(C0s, dtype=float)
+    ce = np.array(cs, dtype=float)[:, None, None] * np.eye(Y.shape[1])
+    one = len(Y) == 1
+    y, ce = (Y[0], ce[0]) if one else (Y, ce)
+    ks = np.empty((4, *y.shape))
+    k1, k2, k3, k4 = ks
+    k23 = ks[1:3]
+    u = np.empty_like(y)
+    if one:
+        ydot, udot = y.dot, u.dot
+
+        def factor(h):
+            return np.array(h[0])
+    else:
+        ydot, udot = partial(np.matmul, y), partial(np.matmul, u)
+
+        def factor(h):
+            return h[:, None, None]
+
+    yf = Y.reshape(-1)
+    limit = _guard_limit(yf.size)
+    add, mul = np.add, np.multiply
+
+    def advance(s0: int, s1: int, h: np.ndarray) -> np.ndarray:
+        h1, h2, h6 = factor(h), factor(0.5 * h), factor(h / 6.0)
+        for s in range(s0, s1):
+            ydot(y, k1)
+            add(k1, ce, k1)
+            mul(k1, h2, u)
+            add(y, u, u)
+            udot(u, k2)
+            add(k2, ce, k2)
+            mul(k2, h2, u)
+            add(y, u, u)
+            udot(u, k3)
+            add(k3, ce, k3)
+            mul(k3, h1, u)
+            add(y, u, u)
+            udot(u, k4)
+            add(k4, ce, k4)
+            add(k23, k23, k23)
+            add(k1, k2, k1)
+            add(k1, k3, k1)
+            add(k1, k4, k1)
+            mul(k1, h6, k1)
+            add(y, k1, y)
+            if not yf.dot(yf) < limit:
+                stack.guard(Y, s)
+        return Y
+
+    return stack.run(Y, advance)
 
 
 def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
     """RK4 integration of the Riccati equation C' = C^2 + c I, recorded at
-    the given times.  Independent oracle for :func:`splitting_tensor_at`."""
-    c = _curv(c)
-    C0 = _smat(C0)
-    c_eye = c * np.eye(C0.shape[0])
+    the given times.  Independent oracle for :func:`splitting_tensor_at`.
+    Raises :class:`SingularJacobi` once an entry of C reaches
+    ``RICCATI_BLOWUP``."""
+    return _riccati_stack([_curv(c)], [_smat(C0)], [times], step)[0]
 
-    def f(_t, C):
-        return C @ C + c_eye
 
-    return _rk4_path(f, C0, list(times), step, RICCATI_BLOWUP)
+def _step_matrices(ev: _Evolution, segs, pad: int):
+    """The RK4 step matrices R_n of one case of the shape oracle, in blocks
+    of up to ``_STAGE_CHUNK`` steps, then blocks of ``pad`` identities
+    without end."""
+    for t, n, h in segs:
+        h2, h6 = 0.5 * h, h / 6.0
+        for grid in _rk4_stage_times(t, n, h):
+            C = ev.splitting(grid)
+            C1, C2, C4 = C[:-1:2], C[1::2], C[2::2]
+            K2 = C2 + h2 * (C1 @ C2)
+            K3 = C2 + h2 * (K2 @ C2)
+            K4 = C4 + h * (K3 @ C4)
+            yield ev.eye + h6 * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
+    eyes = np.broadcast_to(ev.eye, (pad, *ev.eye.shape))
+    while True:
+        yield eyes
+
+
+def _rechunk(blocks, size: int):
+    """Blocks of exactly ``size`` rows from an endless iterator of blocks."""
+    buf, have = [], 0
+    for b in blocks:
+        buf.append(b)
+        have += len(b)
+        while have >= size:
+            rows = np.concatenate(buf)
+            yield rows[:size]
+            buf, have = [rows[size:]], have - size
+
+
+def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
+    """RK4 paths of A' = A C(t) for cases with ``p >= 1`` shape operators of
+    one size, each recorded at its own ``times[k]`` and advanced together
+    by their step matrices (see :func:`shape_ode_path`).  Each record is the
+    ``(p, q, q)`` stack of that case.
+
+    The step matrices of every case come from its own :class:`_Evolution`,
+    ``_STAGE_CHUNK`` steps of all cases at a time (fewer when no case takes
+    that many).  One case with ``p = 1`` is stepped on 2-D arrays with
+    ``np.dot``, anything else with ``np.matmul``.  The blow-up guard is
+    screened as in :func:`_riccati_stack`.
+    """
+    stack = _Stack(times, step)
+    A = np.array(A0s, dtype=float)
+    K, q = len(A), A.shape[-1]
+    chunk = min(_STAGE_CHUNK, max([1, *stack.due]))
+    feeds = zip(*(_rechunk(_step_matrices(_Evolution(c, C0), seg, chunk), chunk)
+                  for c, C0, seg in zip(cs, C0s, stack.segs)))
+    R = np.empty((chunk, K, q, q))
+    if K > 1:  # (K, p, q, q) @ (K, 1, q, q)
+        view, mm, Rv = (lambda X: X), np.matmul, R[:, :, None]
+    elif A.shape[1] == 1:  # one case, one operator: (q, q) @ (q, q)
+        view, mm, Rv = (lambda X: X[0, 0]), np.dot, R[:, 0]
+    else:  # one case: (p, q, q) @ (q, q)
+        view, mm, Rv = (lambda X: X[0]), np.matmul, R[:, 0]
+    # the state and the next state: stacked, as stepped, flat
+    bufs = [(X, view(X), X.reshape(-1)) for X in (A, np.empty_like(A))]
+    limit = _guard_limit(A.size)
+
+    def advance(s0: int, s1: int, _h) -> np.ndarray:
+        cur, nxt = bufs
+        for s in range(s0, s1):
+            i = s % chunk
+            if i == 0:
+                np.stack(next(feeds), axis=1, out=R)
+            mm(cur[1], Rv[i], nxt[1])
+            if not nxt[2].dot(nxt[2]) < limit:
+                stack.guard(nxt[0], s)
+            cur, nxt = nxt, cur
+        bufs[:] = cur, nxt
+        return cur[0]
+
+    return stack.run(A, advance)
 
 
 def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSet]:
@@ -540,30 +735,13 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
 
     The step matrices R of a batch of steps are formed together from C on
     the batch's stage times; A is then advanced one step at a time, with
-    the blow-up guard after every step as in :func:`_rk4_path`.
+    the blow-up guard after every step as in :func:`riccati_path`.
     """
-    c = _curv(c)
-    C0 = _smat(C0)
     A0 = _sset(A0)
     if A0.p == 0:
         return [A0 for _ in times]
-    ev = _Evolution(c, C0)
-    A = np.stack(A0.ops)
-    out = []
-    for t, n, h in _rk4_segments(times, step):
-        h2, h6 = 0.5 * h, h / 6.0
-        for grid in _rk4_stage_times(t, n, h):
-            C = ev.splitting(grid)
-            C1, C2, C4 = C[:-1:2], C[1::2], C[2::2]
-            K2 = C2 + h2 * (C1 @ C2)
-            K3 = C2 + h2 * (K2 @ C2)
-            K4 = C4 + h * (K3 @ C4)
-            R = ev.eye + h6 * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
-            for R_n, t_n in zip(R, grid[2::2]):
-                A = A @ R_n
-                _guard(A, t_n, RICCATI_BLOWUP)
-        out.append(ShapeOperatorSet(tuple(A)))
-    return out
+    path = _shape_stack([np.stack(A0.ops)], [_curv(c)], [_smat(C0)], [times], step)[0]
+    return [ShapeOperatorSet(tuple(A)) for A in path]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from nullgeo.core import SingularJacobi, _rk4_segments
+
 
 @pytest.fixture
 def rng():
@@ -29,6 +31,32 @@ def rk4_second_order(c, C0, t_end, n_steps=2000):
         J = J + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         dJ = dJ + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
     return J, dJ
+
+
+def rk4_path(f, y0, times, step, guard_norm):
+    """Textbook RK4 integration of y' = f(t, y) from t = 0, recording y at
+    each of the sorted ``times``: the reference for the library's stacked
+    steppers, which must give its bits.  Steps never exceed ``step`` and land
+    exactly on every record time; the run stops with ``SingularJacobi`` once
+    max |y| reaches ``guard_norm`` (or is NaN)."""
+    y = y0.astype(float).copy()
+    out = []
+    for t, n, h in _rk4_segments(times, step):
+        h2, h6 = 0.5 * h, h / 6.0
+        for _ in range(n):
+            k1 = f(t, y)
+            k2 = f(t + h2, y + h2 * k1)
+            k3 = f(t + h2, y + h2 * k2)
+            k4 = f(t + h, y + h * k3)
+            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            m = np.abs(y).max()
+            if not m < guard_norm:
+                raise SingularJacobi(
+                    f"trajectory norm {m:.3g} exceeded blow-up guard near t={t:.6g}"
+                )
+        out.append(y.copy())
+    return out
 
 
 def det_sampling_bmax(c, C0, scan_to=10.0, step=1e-3, bisect_tol=1e-12):

@@ -106,6 +106,9 @@ class TestParsing:
             ("catalog", _catalog("totally_geodesic", n=2, p=10**9, c=1.0)),
             ("catalog", _catalog("euclidean_cylinder", n=10**9, kappa=1.0)),
             ("catalog", _catalog("hyperbolic_cylinder", k=10**9, n=3, rho=1.0)),
+            ("evolve", {**_EVOLVE, "C0": np.zeros((129, 129)).tolist()}),
+            # n and p within the limit, but n*n*p shape entries beyond it
+            ("catalog", _catalog("totally_geodesic", n=128, p=128, c=1.0)),
             # A0 C0 is not symmetric: A0 J(t)^{-1} is no shape operator
             ("classify", {**_CLASSIFY, "C0": [[1.0, 1.0], [0.0, 1.0]], "A0": [[[1.0, 0.0], [0.0, 0.0]]]}),
         ],
@@ -116,7 +119,7 @@ class TestParsing:
             "entry-list", "check-seed-negative", "catalog-nan-c",
             "samples-float", "samples-1e9", "samples-int-1e9", "samples-over", "samples-bool",
             "catalog-n-huge", "catalog-p-huge", "cylinder-n-huge", "catalog-k-huge",
-            "decay-incompatible",
+            "C0-q-over", "catalog-npp-over", "decay-incompatible",
         ],
     )
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, payload):
@@ -132,6 +135,12 @@ class TestParsing:
         top = cli.CATALOG_DIM_MAX
         scn = parse_scenario(_catalog("totally_geodesic", n=top, p=top, c=0.0))
         assert scn.catalog_params == {"n": top, "p": top, "c": 0.0}
+
+    def test_catalog_of_many_entries_within_the_limit_runs(self, tmp_path):
+        payload = _catalog("totally_geodesic", n=32, p=32, c=1.0)
+        assert run_scenario("catalog", payload, tmp_path) == 0
+        model = json.loads((tmp_path / "s.model.json").read_text())
+        assert len(model["shape"]) == 32 and len(model["shape"][0]) == 32
 
     @pytest.mark.parametrize(
         "text",
@@ -243,6 +252,15 @@ class TestEvolve:
         assert run_shipped("evolve", "evolve_branch_q8.json", tmp_path) == 0
         name = "evolve_branch_q8.trajectory.csv"
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+    @pytest.mark.parametrize("entries", [64, 3 * 64])
+    def test_chunks_by_entry_count_keep_the_goldens(self, tmp_path, monkeypatch, entries):
+        # q = 8 takes chunks of 1 and 3 samples, q = 2 of 16 and 48
+        monkeypatch.setattr(cli, "_EVOLVE_CHUNK_ENTRIES", entries)
+        for stem in ("evolve_branch_q8", "evolve_skew_hyperbolic"):
+            assert run_shipped("evolve", f"{stem}.json", tmp_path) == 0
+            name = f"{stem}.trajectory.csv"
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     def test_long_hyperbolic_horizon(self, tmp_path, capsys):
         # cosh(a t) is not representable at t = 800: det J is reported as

@@ -11,9 +11,13 @@ from nullgeo.core import (
     ShapeOperatorSet,
     SingularJacobi,
     SplittingTensor,
+    _COSH_MAX,
     _STAGE_CHUNK,
     _Evolution,
-    _rk4_path,
+    _guard_limit,
+    _riccati_stack,
+    _shape_stack,
+    _Stack,
     _rk4_segments,
     _rk4_stage_times,
     is_codazzi_compatible,
@@ -25,9 +29,10 @@ from nullgeo.core import (
     shape_operator_at,
     splitting_tensor_at,
 )
-from nullgeo.sampling import random_compatible_pair
+from nullgeo.checks import CURVATURES, _by_size, riccati_deviation, sample_grid, shape_deviation
+from nullgeo.sampling import random_compatible_pair, random_splitting_tensor
 
-from conftest import det_sampling_bmax, rk4_second_order
+from conftest import det_sampling_bmax, rk4_path, rk4_second_order
 
 SKEW2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -304,7 +309,7 @@ class TestRiccatiFlow:
             C0 = rng.uniform(-1.0, 1.0, size=(q, q))
             span = min(0.8 * max_invertible_time(c, C0), 5.0)
             times = [span * k / 5 for k in range(1, 6)]
-            ref = _rk4_path(lambda _t, C: C @ C + c * np.eye(q), C0, times, 2e-2, RICCATI_BLOWUP)
+            ref = rk4_path(lambda _t, C: C @ C + c * np.eye(q), C0, times, 2e-2, RICCATI_BLOWUP)
             got = riccati_path(c, C0, times, step=2e-2)
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
@@ -334,7 +339,7 @@ class TestShapeOdeFlow:
         # the shape oracle takes C at the exact float time of each stage
         times = [0.3, 0.3, 1.25, 2.0]
         seen = []
-        _rk4_path(lambda t, y: seen.append(t) or 0.0 * y, np.zeros(1), times, 1e-3, 1.0)
+        rk4_path(lambda t, y: seen.append(t) or 0.0 * y, np.zeros(1), times, 1e-3, 1.0)
         grids = [g for seg in _rk4_segments(times, 1e-3) for g in _rk4_stage_times(*seg)]
         assert set(seen) == {t for g in grids for t in g}
         assert max(len(g) for g in grids) == 2 * _STAGE_CHUNK + 1
@@ -342,7 +347,7 @@ class TestShapeOdeFlow:
     @staticmethod
     def _assert_matches_textbook_rk4(c, C0, A0, times, step=1e-2):
         # the generic integrator with one closed-form C per stage
-        ref = _rk4_path(
+        ref = rk4_path(
             lambda t, A: A @ splitting_tensor_at(c, C0, t).mat,
             np.stack(A0), times, step, RICCATI_BLOWUP,
         )
@@ -378,6 +383,208 @@ class TestShapeOdeFlow:
         A0 = ShapeOperatorSet((5.0001e7 * np.eye(2),))
         with pytest.raises(SingularJacobi, match=r"near t=0\.5$"):
             shape_ode_path(A0, 0.0, np.eye(2), [0.6])
+
+
+def _bits(x) -> np.ndarray:
+    # int64 views tell -0.0 from 0.0, which array_equal does not
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+# the generators of acceptance criteria 01 (seed 101, 200 cases) and 02
+# (seed 102), and of the `check` runs of seeds 0..7 (5 cases each)
+DEVIATION_DRAWS = pytest.mark.parametrize(
+    "ric_seed,shape_seed,count",
+    [(101, 102, 200)] + [([s, 100], [s, 200], 5) for s in range(8)],
+    ids=["criteria-01-02"] + [f"check-seed-{s}" for s in range(8)],
+)
+STACK_STEP = 2e-2  # the arithmetic of a step does not depend on its size
+
+
+class TestStackedOracles:
+    """Cases stepped together as one stack give the bits of each case
+    stepped alone, and the deviations computed from stacks are those of the
+    case-by-case loop."""
+
+    @DEVIATION_DRAWS
+    def test_riccati_stacks_match_stacks_of_one(self, ric_seed, shape_seed, count):
+        rng = np.random.default_rng(ric_seed)
+        cs = [CURVATURES[i % 3] for i in range(count)]
+        C0s = [random_splitting_tensor(rng, int(rng.integers(1, 6))) for _ in range(count)]
+        grids = [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
+        alone = [riccati_path(c, C0, ts, STACK_STEP) for c, C0, ts in zip(cs, C0s, grids)]
+        for group in _by_size(C0.shape for C0 in C0s):
+            stacked = _riccati_stack([cs[i] for i in group], [C0s[i] for i in group],
+                                     [grids[i] for i in group], STACK_STEP)
+            for i, path in zip(group, stacked):
+                assert len(path) == len(alone[i]) == 5
+                assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, alone[i]))
+        worst = 0.0
+        for c, C0, ts, path in zip(cs, C0s, grids, alone):
+            for t, Ct in zip(ts, path):
+                worst = max(worst, float(np.abs(splitting_tensor_at(c, C0, t).mat - Ct).max()))
+        got = riccati_deviation(np.random.default_rng(ric_seed), count, STACK_STEP)
+        assert _bits(got) == _bits(worst)
+
+    @DEVIATION_DRAWS
+    def test_shape_stacks_match_stacks_of_one(self, ric_seed, shape_seed, count):
+        rng = np.random.default_rng(shape_seed)
+        cs, A0s, C0s = [], [], []
+        for i in range(count):
+            A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 6)))
+            cs.append(CURVATURES[i % 3])
+            A0s.append(A0)
+            C0s.append(C0.mat)
+        grids = [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
+        alone = [shape_ode_path(*case, STACK_STEP) for case in zip(A0s, cs, C0s, grids)]
+        for group in _by_size(C0.shape for C0 in C0s):
+            stacked = _shape_stack([np.stack(A0s[i].ops) for i in group], [cs[i] for i in group],
+                                   [C0s[i] for i in group], [grids[i] for i in group], STACK_STEP)
+            for i, path in zip(group, stacked):
+                assert len(path) == len(alone[i]) == 5
+                for a, b in zip(path, alone[i]):
+                    assert np.array_equal(_bits(a), _bits(np.stack(b.ops)))
+        worst = 0.0
+        for A0, c, C0, ts, path in zip(A0s, cs, C0s, grids, alone):
+            for t, At in zip(ts, path):
+                for x, y in zip(shape_operator_at(A0, c, C0, t).ops, At.ops):
+                    worst = max(worst, float(np.abs(x - y).max()))
+        got = shape_deviation(np.random.default_rng(shape_seed), count, STACK_STEP)
+        assert _bits(got) == _bits(worst)
+
+    def test_mixed_schedules_pad_only_after_the_last_record(self, rng):
+        # a repeated time, a record at 0 and schedules of different lengths
+        C0s = [0.3 * rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(3)]
+        times = [[0.0, 0.3, 0.3, 0.9], [0.05], [0.2, 1.7]]
+        cs = [1.0, -1.0, 0.0]
+        stacked = _riccati_stack(cs, C0s, times, 1e-2)
+        A0s = [np.stack([rng.uniform(-1.0, 1.0, size=(3, 3))]) for _ in range(3)]
+        shaped = _shape_stack(A0s, cs, C0s, times, 1e-2)
+        for c, C0, A0, ts, path, shape in zip(cs, C0s, A0s, times, stacked, shaped):
+            alone = riccati_path(c, C0, ts, 1e-2)
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, alone))
+            alone = [np.stack(b.ops) for b in shape_ode_path(list(A0), c, C0, ts, 1e-2)]
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(shape, alone))
+
+    def test_guard_in_a_stack_names_the_crossing_case_as_alone(self, rng):
+        # C = diag(2, -3) / (1 - diag(2, -3) t) blows up at t = 0.5; the other
+        # cases of the stack run longer and stay bounded
+        blow = np.diag([2.0, -3.0])
+        with pytest.raises(SingularJacobi) as alone:
+            riccati_path(0.0, blow, [0.6])
+        calm = [0.1 * rng.uniform(-1.0, 1.0, size=(2, 2)) for _ in range(3)]
+        with pytest.raises(SingularJacobi) as stacked:
+            _riccati_stack([-1.0, 0.0, 1.0, 0.0], [*calm, blow],
+                           [[0.3, 1.0], [0.7], [0.2, 0.4, 0.9], [0.6]], 1e-3)
+        assert str(stacked.value) == str(alone.value)
+        assert "near t=0.5" in str(alone.value)
+
+        A0 = 5.0001e7 * np.eye(2)
+        with pytest.raises(SingularJacobi) as alone:
+            shape_ode_path([A0], 0.0, np.eye(2), [0.6])
+        calm = [np.stack([np.eye(2)]) for _ in range(2)]
+        with pytest.raises(SingularJacobi) as stacked:
+            _shape_stack([*calm, A0[None]], [0.0, -1.0, 0.0], [np.zeros((2, 2)), SKEW2, np.eye(2)],
+                         [[0.3, 0.9], [1.0], [0.6]], 1e-3)
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).endswith("near t=0.5")
+
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, RICCATI_BLOWUP, -RICCATI_BLOWUP]
+    )
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 3), (7, 2, 2), (60, 2, 5, 5)])
+    def test_guard_screen_never_clears_a_tripping_entry(self, rng, bad, shape):
+        # the sum of squares screens the stack; an entry that trips the exact
+        # check must always fail the screen, at the worst place in the stack
+        scale = 0.999 * RICCATI_BLOWUP / math.sqrt(math.prod(shape))
+        Y = scale * rng.uniform(-1.0, 1.0, size=shape)
+        Y.reshape(-1)[-1] = bad
+        yf = Y.reshape(-1)
+        assert not yf.dot(yf) < _guard_limit(yf.size)
+        stack = _Stack([[1.0]] * len(Y), 0.5)
+        with pytest.raises(SingularJacobi, match=r"exceeded blow-up guard near t=0\.5$"):
+            stack.guard(Y, 0)
+
+    def test_guard_screen_is_conservative_just_below_the_bound(self):
+        below = np.nextafter(RICCATI_BLOWUP, 0.0)
+        yf = np.array([below, 0.0, 0.0, 0.0])
+        assert not yf.dot(yf) < _guard_limit(yf.size)  # screened out, then
+        _Stack([[1.0]], 0.5).guard(yf.reshape(1, 2, 2), 0)  # the exact check passes
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, RICCATI_BLOWUP])
+    def test_oracles_trip_on_nan_inf_and_the_bound_itself(self, value):
+        # C = 0 makes every step matrix I, so A keeps its entries exactly
+        A0 = np.diag([value, 0.0])
+        late = "near t=0.001$"  # the end of the first step
+        with np.errstate(invalid="ignore"), pytest.raises(SingularJacobi, match=late):
+            shape_ode_path([A0], 0.0, np.zeros((2, 2)), [0.5])
+        if value != RICCATI_BLOWUP:
+            with np.errstate(invalid="ignore"), pytest.raises(SingularJacobi, match=late):
+                riccati_path(0.0, np.diag([value, 0.0]), [0.5])
+        below = np.diag([np.nextafter(RICCATI_BLOWUP, 0.0), 0.0])
+        (A,) = shape_ode_path([below], 0.0, np.zeros((2, 2)), [0.5])
+        assert np.array_equal(_bits(A.ops[0]), _bits(below))
+
+    # the closed forms' arithmetic one time at a time, with Python floats
+
+    @staticmethod
+    def _scalar_jacobi(c, C0, t):
+        a = math.sqrt(abs(c))
+        if c == 0.0:
+            u, v, du, dv = 1.0, t, 0.0, 1.0
+        elif c > 0.0:
+            co, si = math.cos(a * t), math.sin(a * t)
+            u, v, du, dv = co, si / a, -a * si, co
+        else:
+            co, si = math.cosh(a * t), math.sinh(a * t)
+            u, v, du, dv = co, si / a, a * si, co
+        eye = np.eye(len(C0))
+        return u * eye - v * C0, du * eye - dv * C0
+
+    def _scalar_factors(self, c, C0, t):
+        a = math.sqrt(abs(c))
+        if not (c < 0.0 and a * abs(t) >= 1.0):
+            return (*self._scalar_jacobi(c, C0, t), 1.0)
+        eye = np.eye(len(C0))
+        sgn = math.copysign(1.0, t)
+        eps = math.exp(-2.0 * a * abs(t))
+        M = (eye - (sgn / a) * C0) + eps * (eye + (sgn / a) * C0)
+        N = sgn * a * (eye - eps * eye) - (1.0 + eps) * C0
+        return M, N, 2.0 * math.exp(-a * abs(t))
+
+    def _scalar_det(self, c, C0, t):
+        a = math.sqrt(abs(c))
+        if a * abs(t) <= _COSH_MAX:
+            return np.linalg.det(self._scalar_jacobi(c, C0, t)[0])
+        sign, logdet = np.linalg.slogdet(self._scalar_factors(c, C0, t)[0])
+        try:
+            return sign * math.exp(len(C0) * (a * abs(t) - math.log(2.0)) + logdet)
+        except OverflowError:
+            return sign * math.inf
+
+    @pytest.mark.parametrize("c", [-0.64, -1.0, 0.25, 0.0])
+    def test_factors_and_det_straddling_branch_points_match_scalar_arithmetic(self, rng, c):
+        # a|t| = 1 switches to the scaled factors, a|t| = _COSH_MAX the det;
+        # the grids give the bits of the per-time arithmetic they replaced
+        C0 = 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3))
+        a = math.sqrt(abs(c)) or 1.0
+        grid = []
+        for edge in (1.0 / a, _COSH_MAX / a):
+            for t in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, math.inf), 0.5 * edge):
+                grid += [float(t), -float(t)]
+        grid += [0.0, -0.0, 3.0, -2.0]
+        if c > 0.0:
+            grid = [t for t in grid if abs(t) < 0.9 * math.pi / a]
+        ev = _Evolution(c, C0)
+        P, Q, r = ev._factors(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = ev.det(grid)
+            for k, t in enumerate(grid):
+                p1, q1, r1 = self._scalar_factors(c, C0, t)
+                assert np.array_equal(_bits(P[k]), _bits(p1))
+                assert np.array_equal(_bits(Q[k]), _bits(q1))
+                assert _bits(r[k]) == _bits(r1)
+                assert _bits(det[k]) == _bits(self._scalar_det(c, C0, t))
+                assert _bits(det[k]) == _bits(ev.det([t])[0])
 
 
 class TestCodazziCompatibility:
