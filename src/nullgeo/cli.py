@@ -47,7 +47,7 @@ _EVOLVE_CHUNK_ENTRIES = 2**20  # matrix entries per stack of one evolve chunk
 # oracle steps `check` accepts; the floor bounds the RK4 work of one run
 CHECK_STEP_RANGE = (1e-4, 0.1)
 # sizes a scenario may request: evolve grid samples, and the catalog
-# dimensions n, p, k
+# dimensions n, k
 SAMPLES_RANGE = (2, 100_000)
 CATALOG_DIM_MAX = 256
 # the n*n*p shape entries a catalog model may hold: 256 x 256, one operator
@@ -163,12 +163,19 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ScenarioParseError("catalog params must be an object")
         scn.catalog_entry = cat["entry"]
         scn.catalog_params = dict(cat.get("params", {}))
-        for key in ("n", "p", "k"):
-            size = scn.catalog_params.get(key)
+        params = scn.catalog_params
+        for key in ("n", "k"):
+            size = params.get(key)
             if isinstance(size, int) and size > CATALOG_DIM_MAX:
                 raise ScenarioParseError(
                     f"catalog param {key} must be at most {CATALOG_DIM_MAX}"
                 )
+        n, p = params.get("n"), params.get("p", 1)
+        if isinstance(n, int) and isinstance(p, int) and n * n * p > CATALOG_ENTRIES_MAX:
+            # totally_geodesic builds and writes p zero matrices of n x n
+            raise ScenarioParseError(
+                f"catalog params n*n*p = {n * n * p} exceed {CATALOG_ENTRIES_MAX} shape entries"
+            )
 
     # cross-field dimension consistency
     if scn.C0 is not None and scn.A0 is not None:
@@ -441,15 +448,8 @@ def run_catalog(scn: Scenario, out_dir: Path, stem: str) -> int:
             f"unknown catalog entry {scn.catalog_entry!r}; "
             f"known: {sorted(_CATALOG_ENTRIES)}"
         )
-    params = scn.catalog_params or {}
-    n, p = params.get("n"), params.get("p", 1)
-    if isinstance(n, int) and isinstance(p, int) and n * n * p > CATALOG_ENTRIES_MAX:
-        # totally_geodesic builds and writes p zero matrices of n x n
-        raise ScenarioParseError(
-            f"catalog params n*n*p = {n * n * p} exceed {CATALOG_ENTRIES_MAX} shape entries"
-        )
     try:
-        model = ctor(**params)
+        model = ctor(**(scn.catalog_params or {}))
     except (TypeError, ValueError) as e:
         raise ScenarioParseError(f"bad catalog params: {e}")
     checks = catalog_mod.verify_model(model)

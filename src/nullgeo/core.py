@@ -695,12 +695,10 @@ def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
     feeds = zip(*(_rechunk(_step_matrices(_Evolution(c, C0), seg, chunk), chunk)
                   for c, C0, seg in zip(cs, C0s, stack.segs)))
     R = np.empty((chunk, K, q, q))
-    if K > 1:  # (K, p, q, q) @ (K, 1, q, q)
-        view, mm, Rv = (lambda X: X), np.matmul, R[:, :, None]
-    elif A.shape[1] == 1:  # one case, one operator: (q, q) @ (q, q)
+    if K == 1 and A.shape[1] == 1:  # one case, one operator: (q, q) @ (q, q)
         view, mm, Rv = (lambda X: X[0, 0]), np.dot, R[:, 0]
-    else:  # one case: (p, q, q) @ (q, q)
-        view, mm, Rv = (lambda X: X[0]), np.matmul, R[:, 0]
+    else:  # (K, p, q, q) @ (K, 1, q, q)
+        view, mm, Rv = (lambda X: X), np.matmul, R[:, :, None]
     # the state and the next state: stacked, as stepped, flat
     bufs = [(X, view(X), X.reshape(-1)) for X in (A, np.empty_like(A))]
     limit = _guard_limit(A.size)
