@@ -4,6 +4,7 @@ embeddings); the cylinder sample generators emit exact analytic points."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,17 @@ class ModelSubmanifold:
         return ShapeOperatorSet(tuple(a[np.ix_(idx, idx)] for a in self.shape.ops))
 
 
+def _finite_real(name: str, x) -> float:
+    """``x`` as a float; ValueError unless it is a finite real number."""
+    try:
+        ok = isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite real number, got {x!r}")
+    return float(x)
+
+
 def totally_geodesic(n: int, p: int, c: float) -> ModelSubmanifold:
     """Zero second fundamental form; the nullity is everything."""
     zero = np.zeros((n, n))
@@ -73,10 +85,13 @@ def hyperbolic_cylinder(k: int, n: int, rho: float) -> ModelSubmanifold:
     """
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
+    rho = _finite_real("rho", rho)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     lam_s = math.sqrt(1.0 + rho * rho) / rho
     lam_h = rho / math.sqrt(1.0 + rho * rho)
+    if not (math.isfinite(lam_s * lam_s) and 0.0 < rho * rho and 1.0 / (rho * rho) < math.inf):
+        raise ValueError(f"rho = {rho!r} is out of range: lam_s^2 or 1/rho^2 is not finite")
     diag = [lam_s] * k + [lam_h] * (n - k)
     return ModelSubmanifold(
         name="hyperbolic_cylinder",
@@ -135,9 +150,12 @@ def euclidean_cylinder(n: int, kappa: float) -> ModelSubmanifold:
     """Cylinder over a plane curve of curvature kappa in Euclidean space:
     one nonzero principal curvature, nullity index n - 1, vanishing
     splitting family."""
+    kappa = _finite_real("kappa", kappa)
     if kappa == 0.0:
         raise ValueError("kappa must be nonzero")
-    diag = [float(kappa)] + [0.0] * (n - 1)
+    if not 1.0 / abs(kappa) < math.inf:
+        raise ValueError(f"kappa = {kappa!r} is out of range: the radius 1/|kappa| is not finite")
+    diag = [kappa] + [0.0] * (n - 1)
     return ModelSubmanifold(
         name="euclidean_cylinder",
         profile=NullityProfile(n=n, p=1, nu=n - 1),

@@ -155,6 +155,11 @@ def parse_scenario(raw: dict) -> Scenario:
         # bool is an int subclass, and int() would truncate a float
         if type(scn.samples) is not int or not lo <= scn.samples <= hi:
             raise ScenarioParseError(f"t_grid samples must be an integer in [{lo}, {hi}]")
+        if not math.isfinite(scn.t_end * (scn.samples - 1)):
+            # the grid is t_end * k / (samples - 1)
+            raise ScenarioParseError(
+                f"t_grid t_end = {scn.t_end} times samples - 1 = {scn.samples - 1} overflows"
+            )
     if "catalog" in raw:
         cat = raw["catalog"]
         if not isinstance(cat, dict) or not isinstance(cat.get("entry"), str):

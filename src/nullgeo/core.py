@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -479,62 +480,51 @@ def _rk4_segments(times, step: float):
         t = tk
 
 
-def _rk4_stage_times(t: float, n: int, h: float):
-    """The times at which an RK4 integrator evaluates the right-hand side in
-    ``n`` steps of size ``h`` from ``t``, in batches of at most
-    ``_STAGE_CHUNK`` steps: ``[t, t + h/2, t + h, t + 3h/2, ...]``, so step
-    ``i`` of a batch runs from index ``2i`` to index ``2i + 2``.  The step
-    ends are ``t += h`` repeated (``np.add.accumulate`` adds in order), so
-    they equal the integrator's times bit for bit."""
-    ends = np.add.accumulate(np.concatenate(([t], np.full(n, h))))
-    for done in range(0, n, _STAGE_CHUNK):
-        knots = ends[done:done + _STAGE_CHUNK + 1]
-        grid = np.empty(2 * knots.size - 1)
-        grid[0::2] = knots
-        grid[1::2] = knots[:-1] + 0.5 * h
-        yield grid
-
-
 class _Stack:
-    """The record schedule of cases that are stepped together.
+    """The step schedule of cases that are stepped together, built once.
 
-    Each case keeps its own :func:`_rk4_segments` schedule.  A case's step
-    size changes only at its own records, so between two consecutive record
-    counts of the stack every case takes steps of one size; a case with
-    fewer steps than the longest one takes ``h = 0`` steps after its last
-    record, which leave a finite state unchanged.
+    Each case keeps its own :func:`_rk4_segments` schedule, laid out over
+    the steps of the stack: ``h[k, s]`` is the size of step ``s`` of case
+    ``k`` and ``t0[k, s]`` its start, ``t += h`` from the start of its
+    segment (``np.add.accumulate`` adds in order), so ``t0 + h`` is the
+    integrator's time at the end of the step bit for bit.  ``ends[k]`` holds
+    the step count at each record of case ``k``: its segment bounds.  A
+    case's step size changes only at its own records, so between two
+    consecutive record counts of the stack every case takes steps of one
+    size; a case with fewer steps than the longest one takes ``h = 0``
+    steps after its last record (``t0 = 0`` there), which leave a finite
+    state unchanged.
     """
 
     def __init__(self, times, step: float):
-        self.segs = [list(_rk4_segments(list(ts), step)) for ts in times]
+        segs = [list(_rk4_segments(list(ts), step)) for ts in times]
+        self.ends = [list(accumulate(n for _, n, _ in seg)) for seg in segs]
+        self.steps = max([0, *(ends[-1] for ends in self.ends if ends)])
+        self.h = np.zeros((len(segs), self.steps))
+        self.t0 = np.zeros((len(segs), self.steps))
         self.due: dict[int, list[tuple[int, int]]] = {}
-        for k, seg in enumerate(self.segs):
-            done = 0
-            for j, (_, n, _) in enumerate(seg):
-                done += n
-                self.due.setdefault(done, []).append((k, j))
+        for k, (seg, ends) in enumerate(zip(segs, self.ends)):
+            for j, ((t, n, h), s1) in enumerate(zip(seg, ends)):
+                self.due.setdefault(s1, []).append((k, j))
+                if n:
+                    starts = np.full(n, h)
+                    starts[0] = t
+                    self.h[k, s1 - n:s1] = h
+                    self.t0[k, s1 - n:s1] = np.add.accumulate(starts)
 
     def run(self, Y: np.ndarray, advance) -> list[list[np.ndarray]]:
         """Record each case of the stacked state ``Y`` at its record times.
-        ``advance(s0, s1, h)`` takes steps ``s0 .. s1 - 1`` of sizes ``h``
-        (one per case) and returns the stacked state."""
-        out = [[None] * len(seg) for seg in self.segs]
+        ``advance(s0, s1)`` takes steps ``s0 .. s1 - 1`` and returns the
+        stacked state."""
+        out = [[None] * len(ends) for ends in self.ends]
         done = 0
         for stop in sorted(self.due):
             if stop > done:
-                Y = advance(done, stop, np.array([self._h(seg, done) for seg in self.segs]))
+                Y = advance(done, stop)
                 done = stop
             for k, j in self.due[stop]:
                 out[k][j] = Y[k].copy()
         return out
-
-    @staticmethod
-    def _h(seg, s: int) -> float:
-        for _, n, h in seg:
-            if s < n:
-                return h
-            s -= n
-        return 0.0
 
     def guard(self, Y: np.ndarray, s: int) -> None:
         """Raise :class:`SingularJacobi` for the first case whose max |y|
@@ -543,20 +533,10 @@ class _Stack:
         bad = np.flatnonzero(~(m < RICCATI_BLOWUP))
         if bad.size:
             k = bad[0]
-            t = self.time(k, s)
+            t = self.t0[k, s] + self.h[k, s]
             raise SingularJacobi(
                 f"trajectory norm {m[k]:.3g} exceeded blow-up guard near t={t:.6g}"
             )
-
-    def time(self, k: int, s: int) -> float:
-        """The time at the end of step ``s`` of case ``k``, by the
-        integrator's own arithmetic."""
-        for t, n, h in self.segs[k]:
-            if s < n:
-                for _ in range(s + 1):
-                    t += h
-                return t
-            s -= n
 
 
 def _guard_limit(size: int) -> float:
@@ -608,7 +588,8 @@ def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
     limit = _guard_limit(yf.size)
     add, mul = np.add, np.multiply
 
-    def advance(s0: int, s1: int, h: np.ndarray) -> np.ndarray:
+    def advance(s0: int, s1: int) -> np.ndarray:
+        h = stack.h[:, s0]
         h1, h2, h6 = factor(h), factor(0.5 * h), factor(h / 6.0)
         for s in range(s0, s1):
             ydot(y, k1)
@@ -646,34 +627,22 @@ def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
     return _riccati_stack([_curv(c)], [_smat(C0)], [times], step)[0]
 
 
-def _step_matrices(ev: _Evolution, segs, pad: int):
-    """The RK4 step matrices R_n of one case of the shape oracle, in blocks
-    of up to ``_STAGE_CHUNK`` steps, then blocks of ``pad`` identities
-    without end."""
-    for t, n, h in segs:
-        h2, h6 = 0.5 * h, h / 6.0
-        for grid in _rk4_stage_times(t, n, h):
-            C = ev.splitting(grid)
-            C1, C2, C4 = C[:-1:2], C[1::2], C[2::2]
-            K2 = C2 + h2 * (C1 @ C2)
-            K3 = C2 + h2 * (K2 @ C2)
-            K4 = C4 + h * (K3 @ C4)
-            yield ev.eye + h6 * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
-    eyes = np.broadcast_to(ev.eye, (pad, *ev.eye.shape))
-    while True:
-        yield eyes
-
-
-def _rechunk(blocks, size: int):
-    """Blocks of exactly ``size`` rows from an endless iterator of blocks."""
-    buf, have = [], 0
-    for b in blocks:
-        buf.append(b)
-        have += len(b)
-        while have >= size:
-            rows = np.concatenate(buf)
-            yield rows[:size]
-            buf, have = [rows[size:]], have - size
+def _step_matrices(ev: _Evolution, t0: np.ndarray, h: float) -> np.ndarray:
+    """The RK4 step matrices R of steps of size ``h`` from the times ``t0``,
+    consecutive steps of one segment: C is evaluated once at every start,
+    midpoint and end, the end of each step but the last being the start of
+    the next."""
+    h2 = 0.5 * h
+    grid = np.empty(2 * t0.size + 1)
+    grid[:-1:2] = t0
+    grid[1::2] = t0 + h2
+    grid[-1] = t0[-1] + h
+    C = ev.splitting(grid)
+    C1, C2, C4 = C[:-1:2], C[1::2], C[2::2]
+    K2 = C2 + h2 * (C1 @ C2)
+    K3 = C2 + h2 * (K2 @ C2)
+    K4 = C4 + h * (K3 @ C4)
+    return ev.eye + (h / 6.0) * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
 def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
@@ -683,17 +652,17 @@ def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
     ``(p, q, q)`` stack of that case.
 
     The step matrices of every case come from its own :class:`_Evolution`,
-    ``_STAGE_CHUNK`` steps of all cases at a time (fewer when no case takes
-    that many).  One case with ``p = 1`` is stepped on 2-D arrays with
-    ``np.dot``, anything else with ``np.matmul``.  The blow-up guard is
-    screened as in :func:`_riccati_stack`.
+    in blocks of ``_STAGE_CHUNK`` steps of the stack (fewer when no case
+    takes that many): one evaluation of C per segment of a case within a
+    block, and the identity for ``h = 0`` steps.  One case with ``p = 1`` is
+    stepped on 2-D arrays with ``np.dot``, anything else with ``np.matmul``.
+    The blow-up guard is screened as in :func:`_riccati_stack`.
     """
     stack = _Stack(times, step)
     A = np.array(A0s, dtype=float)
     K, q = len(A), A.shape[-1]
-    chunk = min(_STAGE_CHUNK, max([1, *stack.due]))
-    feeds = zip(*(_rechunk(_step_matrices(_Evolution(c, C0), seg, chunk), chunk)
-                  for c, C0, seg in zip(cs, C0s, stack.segs)))
+    evs = [_Evolution(c, C0) for c, C0 in zip(cs, C0s)]
+    chunk = min(_STAGE_CHUNK, max(1, stack.steps))
     R = np.empty((chunk, K, q, q))
     if K == 1 and A.shape[1] == 1:  # one case, one operator: (q, q) @ (q, q)
         view, mm, Rv = (lambda X: X[0, 0]), np.dot, R[:, 0]
@@ -703,12 +672,21 @@ def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
     bufs = [(X, view(X), X.reshape(-1)) for X in (A, np.empty_like(A))]
     limit = _guard_limit(A.size)
 
-    def advance(s0: int, s1: int, _h) -> np.ndarray:
+    def fill(b0: int) -> None:
+        """R[i] for step ``b0 + i`` of every case, one call per segment."""
+        b1 = min(b0 + chunk, stack.steps)
+        for k, (ev, ends) in enumerate(zip(evs, stack.ends)):
+            cuts = [b0, *sorted({e for e in ends if b0 < e < b1}), b1]
+            for s0, s1 in zip(cuts, cuts[1:]):
+                h = stack.h[k, s0]
+                R[s0 - b0:s1 - b0, k] = _step_matrices(ev, stack.t0[k, s0:s1], h) if h else ev.eye
+
+    def advance(s0: int, s1: int) -> np.ndarray:
         cur, nxt = bufs
         for s in range(s0, s1):
             i = s % chunk
             if i == 0:
-                np.stack(next(feeds), axis=1, out=R)
+                fill(s)
             mm(cur[1], Rv[i], nxt[1])
             if not nxt[2].dot(nxt[2]) < limit:
                 stack.guard(nxt[0], s)

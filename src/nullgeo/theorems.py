@@ -181,13 +181,17 @@ def find_special_nullity_direction(family: SplittingFamily) -> SpecialDirection 
 
     The obstruction T -> sym-traceless part of C_T is linear with codomain of
     dimension q(q+1)/2 - 1, so a kernel vector exists whenever
-    nu0 >= q(q+1)/2.  Returns None when the kernel is trivial.
+    nu0 >= q(q+1)/2.  Returns None when the kernel is trivial.  Raises
+    :class:`NullityError` when the sym-traceless parts overflow.
     """
     q = family.q
     nu0 = family.nu0
     if nu0 == 0:
         return None
-    B = np.column_stack([_sym_traceless(m).ravel() for m in family.basis])
+    with np.errstate(over="ignore", invalid="ignore"):
+        B = np.column_stack([_sym_traceless(m).ravel() for m in family.basis])
+    if not np.isfinite(B).all():
+        raise NullityError("the sym-traceless parts of the family overflow the float range")
     _, s, vt = np.linalg.svd(B, full_matrices=False)
     if s.size and s[0] > 0.0:
         rank = int(np.sum(s > KERNEL_SV_TOL * s[0]))

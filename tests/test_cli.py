@@ -111,6 +111,20 @@ class TestParsing:
             ("catalog", _catalog("totally_geodesic", n=128, p=128, c=1.0)),
             # A0 C0 is not symmetric: A0 J(t)^{-1} is no shape operator
             ("classify", {**_CLASSIFY, "C0": [[1.0, 1.0], [0.0, 1.0]], "A0": [[[1.0, 0.0], [0.0, 0.0]]]}),
+            # parameters that are no finite real number, or whose derived
+            # values (the radius 1/|kappa|, lam_s^2, 1/rho^2) are not finite
+            ("catalog", _catalog("euclidean_cylinder", n=3, kappa=math.nan)),
+            ("catalog", _catalog("euclidean_cylinder", n=3, kappa="1")),
+            ("catalog", _catalog("euclidean_cylinder", n=3, kappa=1e-310)),
+            ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=math.inf)),
+            ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=1e-300)),
+            ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=1e200)),
+            # finite input whose sym-traceless parts overflow
+            ("search", {**_SEARCH, "family": [[[1e308, 0.0], [0.0, -1e308]], [[1e308, 1e308], [0.0, 1e308]],
+                                              [[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]]]}),
+            # t_end * k overflows before the division by samples - 1
+            ("evolve", {"mode": "evolve", "c": 0.0, "C0": [[-1.0]], "A0": [[[1.0]]],
+                        "t_grid": {"t_end": 1e308, "samples": 3}}),
         ],
         ids=[
             "nan-c", "inf-c", "nan-C0", "inf-C0", "nan-A0", "inf-family",
@@ -120,6 +134,8 @@ class TestParsing:
             "samples-float", "samples-1e9", "samples-int-1e9", "samples-over", "samples-bool",
             "catalog-n-huge", "catalog-p-huge", "cylinder-n-huge", "catalog-k-huge",
             "C0-q-over", "catalog-npp-over", "decay-incompatible",
+            "kappa-nan", "kappa-str", "kappa-tiny", "rho-inf", "rho-tiny", "rho-huge",
+            "search-overflow", "t_end-grid-overflow",
         ],
     )
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, payload):

@@ -18,8 +18,6 @@ from nullgeo.core import (
     _riccati_stack,
     _shape_stack,
     _Stack,
-    _rk4_segments,
-    _rk4_stage_times,
     is_codazzi_compatible,
     jacobi_derivative,
     jacobi_tensor,
@@ -335,12 +333,20 @@ class TestShapeOdeFlow:
         closed = shape_operator_at(A0, -1.0, C0, 1.0)
         assert np.abs(ode.ops[0] - closed.ops[0]).max() <= 1e-6
 
-    def test_stage_times_are_the_integrator_times(self):
+    def test_stage_times_are_the_integrator_times(self, monkeypatch):
         # the shape oracle takes C at the exact float time of each stage
         times = [0.3, 0.3, 1.25, 2.0]
         seen = []
         rk4_path(lambda t, y: seen.append(t) or 0.0 * y, np.zeros(1), times, 1e-3, 1.0)
-        grids = [g for seg in _rk4_segments(times, 1e-3) for g in _rk4_stage_times(*seg)]
+        stack = _Stack([times], 1e-3)
+        live = stack.h[0] > 0.0
+        t0, h = stack.t0[0][live], stack.h[0][live]
+        assert set(seen) == {*t0, *(t0 + 0.5 * h), *(t0 + h)}
+        grids, splitting = [], _Evolution.splitting
+        monkeypatch.setattr(
+            _Evolution, "splitting", lambda ev, ts: grids.append(ts.copy()) or splitting(ev, ts)
+        )
+        shape_ode_path([np.eye(2)], 0.0, np.zeros((2, 2)), times, 1e-3)
         assert set(seen) == {t for g in grids for t in g}
         assert max(len(g) for g in grids) == 2 * _STAGE_CHUNK + 1
 
@@ -452,18 +458,22 @@ class TestStackedOracles:
         assert _bits(got) == _bits(worst)
 
     def test_mixed_schedules_pad_only_after_the_last_record(self, rng):
-        # a repeated time, a record at 0 and schedules of different lengths
-        C0s = [0.3 * rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(3)]
-        times = [[0.0, 0.3, 0.3, 0.9], [0.05], [0.2, 1.7]]
-        cs = [1.0, -1.0, 0.0]
-        stacked = _riccati_stack(cs, C0s, times, 1e-2)
-        A0s = [np.stack([rng.uniform(-1.0, 1.0, size=(3, 3))]) for _ in range(3)]
-        shaped = _shape_stack(A0s, cs, C0s, times, 1e-2)
-        for c, C0, A0, ts, path, shape in zip(cs, C0s, A0s, times, stacked, shaped):
-            alone = riccati_path(c, C0, ts, 1e-2)
-            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, alone))
-            alone = [np.stack(b.ops) for b in shape_ode_path(list(A0), c, C0, ts, 1e-2)]
-            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(shape, alone))
+        for cs, times, step in [
+            # a repeated time, a record at 0 and schedules of different lengths
+            ([1.0, -1.0, 0.0], [[0.0, 0.3, 0.3, 0.9], [0.05], [0.2, 1.7]], 1e-2),
+            # segments that end at different offsets inside 512-step blocks;
+            # |eigenvalues of C0| < 1 = sqrt(-c) keeps J invertible
+            ([-1.0, -1.0], [[0.3, 0.3, 1.25, 2.0], [0.7, 3.1]], 1e-3),
+        ]:
+            C0s = [0.3 * rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in cs]
+            stacked = _riccati_stack(cs, C0s, times, step)
+            A0s = [np.stack([rng.uniform(-1.0, 1.0, size=(3, 3))]) for _ in cs]
+            shaped = _shape_stack(A0s, cs, C0s, times, step)
+            for c, C0, A0, ts, path, shape in zip(cs, C0s, A0s, times, stacked, shaped):
+                alone = riccati_path(c, C0, ts, step)
+                assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, alone))
+                alone = [np.stack(b.ops) for b in shape_ode_path(list(A0), c, C0, ts, step)]
+                assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(shape, alone))
 
     def test_guard_in_a_stack_names_the_crossing_case_as_alone(self, rng):
         # C = diag(2, -3) / (1 - diag(2, -3) t) blows up at t = 0.5; the other
