@@ -82,7 +82,7 @@ class Scenario:
 def _as_matrix(raw, what: str) -> np.ndarray:
     try:
         m = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ScenarioParseError(f"{what}: not a numeric matrix ({e})")
     if m.ndim != 2:
         raise ScenarioParseError(f"{what}: expected a matrix, got ndim={m.ndim}")
@@ -110,7 +110,7 @@ def parse_scenario(raw: dict) -> Scenario:
     if "c" in raw:
         try:
             scn.c = float(raw["c"])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ScenarioParseError("c must be a real number")
         if not math.isfinite(scn.c):
             raise ScenarioParseError(f"c must be finite, got {scn.c}")
@@ -123,9 +123,14 @@ def parse_scenario(raw: dict) -> Scenario:
     if "family" in raw:
         if not isinstance(raw["family"], list):
             raise ScenarioParseError("family must be a list of matrices")
-        scn.family = tuple(
-            _as_matrix(m, f"family[{i}]") for i, m in enumerate(raw["family"])
-        )
+        try:
+            F = np.array(raw["family"], dtype=float)  # the conversion of _as_matrix
+        except (TypeError, ValueError, OverflowError):
+            F = np.zeros(0)
+        if F.ndim == 3 and F.shape[1] == F.shape[2] <= MATRIX_DIM_MAX and np.isfinite(F).all():
+            scn.family = tuple(F)
+        else:  # member by member, for the error that names the first bad one
+            scn.family = tuple(_as_matrix(m, f"family[{i}]") for i, m in enumerate(raw["family"]))
     if "domain" in raw:
         d = raw["domain"]
         if not isinstance(d, dict) or "kind" not in d:
@@ -140,13 +145,13 @@ def parse_scenario(raw: dict) -> Scenario:
                 scn.domain = GeodesicDomain.line()
             else:
                 raise ScenarioParseError(f"unknown domain kind {kind!r}")
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise ScenarioParseError(f"bad domain: {e}")
     if "t_grid" in raw:
         g = raw["t_grid"]
         try:
             scn.t_end = float(g["t_end"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ScenarioParseError("t_grid needs a numeric t_end")
         if not 0.0 < scn.t_end < math.inf:
             raise ScenarioParseError("t_grid needs finite t_end > 0")
@@ -267,9 +272,21 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
 
     The stacks are transposed views of C-ordered arrays, and ``norm`` sums
     each matrix in memory order, so the flattening follows memory order too.
+    ``_frobenius(X.T[None])[0]`` is thus ``norm(X)`` of a C-ordered ``X``.
+    Squares past ~1.3e154 overflow, so a finite matrix whose norm comes out
+    inf has it taken again as m ||X / m||, m = max |x|, as LAPACK's dnrm2
+    scales.
     """
     f = stack.transpose(0, 2, 1).reshape(len(stack), -1)
-    return np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1)
+    big = np.isinf(norms) & np.isfinite(f).all(axis=1)
+    if big.any():
+        g = f[big]
+        m = np.abs(g).max(axis=1, keepdims=True)
+        g = g / m
+        norms[big] = m[:, 0] * np.sqrt(g[:, None, :] @ g[:, :, None]).reshape(-1)
+    return norms
 
 
 def _real_spectrum(stack: np.ndarray, eigs: np.ndarray) -> bool:
@@ -315,9 +332,9 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
         if grid[0] == 0.0:
             # t = 0 shows the initial data as given; the norms sum in memory
             # order, so they are taken of C0 and A0 themselves
-            head[2][0] = np.linalg.norm(scn.C0)
+            head[2][0] = _frobenius(scn.C0.T[None])[0]
             for a, n, a0 in zip(A, norms, A0.ops):
-                a[0], n[0] = a0, np.linalg.norm(a0)
+                a[0], n[0] = a0, _frobenius(a0.T[None])[0]
         if symmetric:
             eigs = [np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1))) for a in A]
             if all(map(_real_spectrum, A, eigs)):

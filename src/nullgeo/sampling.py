@@ -12,8 +12,6 @@ from .core import ShapeOperatorSet, SplittingTensor
 
 __all__ = [
     "random_splitting_tensor",
-    "random_symmetric",
-    "random_invertible_symmetric",
     "random_compatible_pair",
 ]
 
@@ -23,12 +21,12 @@ def random_splitting_tensor(rng: np.random.Generator, q: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(q, q))
 
 
-def random_symmetric(rng: np.random.Generator, q: int) -> np.ndarray:
+def _random_symmetric(rng: np.random.Generator, q: int) -> np.ndarray:
     m = rng.uniform(-1.0, 1.0, size=(q, q))
     return 0.5 * (m + m.T)
 
 
-def random_invertible_symmetric(rng: np.random.Generator, q: int) -> np.ndarray:
+def _random_invertible_symmetric(rng: np.random.Generator, q: int) -> np.ndarray:
     """Symmetric matrix with eigenvalues bounded away from zero (|w| in
     [0.3, 1.3], random signs)."""
     g = rng.normal(size=(q, q))
@@ -42,7 +40,7 @@ def random_compatible_pair(rng: np.random.Generator, q: int, p: int = 1):
     S0 and S1 for p = 2."""
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
-    S0 = random_invertible_symmetric(rng, q)
-    S1 = random_symmetric(rng, q)
+    S0 = _random_invertible_symmetric(rng, q)
+    S1 = _random_symmetric(rng, q)
     C0 = np.linalg.solve(S0, S1)
     return ShapeOperatorSet((S0, S1)[:p]), SplittingTensor(C0)

@@ -153,10 +153,9 @@ class SplittingFamily:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.nu0,):
             raise ValueError("coefficient vector length must match the basis")
-        out = np.zeros((self.q, self.q))
-        for a, m in zip(coeffs, self.basis):
-            out += a * m
-        return out
+        # the terms in basis order from +0.0, as a loop of out += a * m
+        terms = coeffs[:, None, None] * np.array(self.basis).reshape(self.nu0, self.q, self.q)
+        return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -167,12 +166,6 @@ class SpecialDirection:
     coeffs: np.ndarray
     skew_part: np.ndarray
     lam: float
-
-
-def _sym_traceless(M: np.ndarray) -> np.ndarray:
-    q = M.shape[0]
-    S = 0.5 * (M + M.T)
-    return S - (np.trace(S) / q) * np.eye(q)
 
 
 def find_special_nullity_direction(family: SplittingFamily) -> SpecialDirection | None:
@@ -188,8 +181,11 @@ def find_special_nullity_direction(family: SplittingFamily) -> SpecialDirection 
     nu0 = family.nu0
     if nu0 == 0:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        B = np.column_stack([_sym_traceless(m).ravel() for m in family.basis])
+    F = np.array(family.basis)
+    with np.errstate(over="ignore", invalid="ignore"):  # sym-traceless parts
+        S = 0.5 * (F + F.transpose(0, 2, 1))
+        S = S - (np.trace(S, axis1=1, axis2=2) / q)[:, None, None] * np.eye(q)
+    B = S.reshape(nu0, q * q).T
     if not np.isfinite(B).all():
         raise NullityError("the sym-traceless parts of the family overflow the float range")
     _, s, vt = np.linalg.svd(B, full_matrices=False)
@@ -322,7 +318,8 @@ class CylinderSplit:
 
 
 def principal_angles(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
-    """Principal angles between the column spans of two basis matrices."""
+    """Principal angles between the column spans of two basis matrices, or
+    one row of them per basis of a stack ``B2`` (one stacked QR and SVD)."""
     Q1, _ = np.linalg.qr(np.asarray(B1, dtype=float))
     Q2, _ = np.linalg.qr(np.asarray(B2, dtype=float))
     sv = np.linalg.svd(Q1.T @ Q2, compute_uv=False)
@@ -348,12 +345,11 @@ def cylinder_split(points, k: int, leaf_ids=None) -> CylinderSplit:
                 f"expected points in R^{m} with {m}x{k} basis matrices"
             )
     Q0, _ = np.linalg.qr(pts[0][1])
-    for _, b in pts[1:]:
-        worst = float(principal_angles(Q0, b).max(initial=0.0))
-        if worst > ANGLE_TOL:
-            raise NotConstant(
-                f"nullity image varies by principal angle {worst:.3g}"
-            )
+    rest = np.array([b for _, b in pts[1:]]).reshape(len(pts) - 1, m, k)
+    worst = principal_angles(Q0, rest).max(axis=1, initial=0.0)
+    bad = worst[worst > ANGLE_TOL]
+    if bad.size:
+        raise NotConstant(f"nullity image varies by principal angle {bad[0]:.3g}")
     P = Q0 @ Q0.T
     base = [x - P @ x for x, _ in pts]
     fiber = [Q0.T @ x for x, _ in pts]

@@ -11,6 +11,7 @@ import pytest
 from nullgeo import cli
 from nullgeo.cli import DimensionMismatch, _fmt, _fmt_rows, main, parse_scenario
 from nullgeo.core import (
+    NullityError,
     jacobi_tensor,
     max_invertible_time,
     shape_operator_at,
@@ -47,6 +48,24 @@ def run_scenario(command, payload, out):
 def run_shipped(command, scenario, out):
     """``main`` on a scenario from ``scenarios/``, writing under ``out``."""
     return main([command, "--scenario", str(SCENARIOS / scenario), "--out", str(out)])
+
+
+_I2 = [[1.0, 0.0], [0.0, 1.0]]
+
+
+def _member_by_member_error(family):
+    """The ``error:`` line and exit code of a search family converted one
+    member at a time by ``_as_matrix``, checked for one shared shape, and
+    required to be nonempty."""
+    try:
+        members = [cli._as_matrix(m, f"family[{i}]") for i, m in enumerate(family)]
+        if len({m.shape for m in members}) > 1:
+            raise DimensionMismatch("family members must share one shape")
+        if not members:
+            raise DimensionMismatch("family must contain at least one matrix")
+    except NullityError as e:
+        return f"error: {e}", 3 if isinstance(e, DimensionMismatch) else 2
+    raise AssertionError("the family is valid")
 
 
 class TestParsing:
@@ -125,6 +144,12 @@ class TestParsing:
             # t_end * k overflows before the division by samples - 1
             ("evolve", {"mode": "evolve", "c": 0.0, "C0": [[-1.0]], "A0": [[[1.0]]],
                         "t_grid": {"t_end": 1e308, "samples": 3}}),
+            # JSON integers beyond the float range
+            ("classify", {**_CLASSIFY, "c": -(10**400)}),
+            ("classify", {**_CLASSIFY, "C0": [[10**400, 1.0], [-1.0, 0.0]]}),
+            ("search", {**_SEARCH, "family": [[[10**400, 0.0], [0.0, 1.0]]]}),
+            ("classify", {**_CLASSIFY, "domain": {"kind": "segment", "b": 10**400}}),
+            ("evolve", {**_EVOLVE, "t_grid": {"t_end": 10**400, "samples": 5}}),
         ],
         ids=[
             "nan-c", "inf-c", "nan-C0", "inf-C0", "nan-A0", "inf-family",
@@ -136,12 +161,36 @@ class TestParsing:
             "C0-q-over", "catalog-npp-over", "decay-incompatible",
             "kappa-nan", "kappa-str", "kappa-tiny", "rho-inf", "rho-tiny", "rho-huge",
             "search-overflow", "t_end-grid-overflow",
+            "c-int-huge", "C0-int-huge", "family-int-huge", "b-int-huge", "t_end-int-huge",
         ],
     )
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, payload):
         assert run_scenario(command, payload, tmp_path) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "family,line",
+        [
+            ([_I2, _I2, _I2, [[1.0, 2.0], [3.0]]], "error: family[3]: not a numeric matrix ("),
+            ([_I2, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], "error: family[1]: must be square, got (2, 3)"),
+            ([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2, "error: family[0]: must be square, got (2, 3)"),
+            ([np.zeros((129, 129)).tolist()], "error: family[0]: at most 128 rows, got 129"),
+            ([_I2, _I2, [[math.nan, 0.0], [0.0, 1.0]]], "error: family[2]: entries must be finite"),
+            ([_I2, "abc"], "error: family[1]: not a numeric matrix (could not convert string"),
+            ([_I2, np.eye(3).tolist()], "error: family members must share one shape"),
+            ([], "error: family must contain at least one matrix"),
+        ],
+        ids=["ragged-3", "non-square", "non-square-stack", "rows-129", "nan-2", "string",
+             "two-sizes", "empty"],
+    )
+    def test_stacked_family_keeps_the_member_errors(self, tmp_path, capsys, family, line):
+        # the family is converted in one stacked pass, and member by member
+        # only when that fails: the error is the member-by-member one
+        want_line, want_code = _member_by_member_error(family)
+        assert want_line.startswith(line)
+        assert run_scenario("search", {"mode": "search", "family": family}, tmp_path) == want_code
+        assert capsys.readouterr().err == want_line + "\n"
 
     def test_sizes_at_the_limits_parse(self):
         lo, hi = cli.SAMPLES_RANGE
@@ -301,6 +350,33 @@ class TestEvolve:
                    "t_grid": {"t_end": 20.0, "samples": 5}}
         assert run_scenario("evolve", payload, tmp_path) == 0
         assert capsys.readouterr().err == ""
+
+    def test_huge_entries_have_finite_norms(self, tmp_path, capsys):
+        # squares of entries past ~1.3e154 overflow; such norms are taken
+        # again as m ||X / m||, m = max |x|, with nothing on stderr
+        rows = _evolve_table(tmp_path, 0.0, [[0.0]], [[[1e200]]], 1.0, 3)
+        assert capsys.readouterr().err == ""
+        assert [row[3:] for row in rows] == [["1e+200", "1e+200"]] * 3
+        rows = _evolve_table(tmp_path, 0.0, [[-1e200]], [[[1.0]]], 1.0, 3)
+        assert capsys.readouterr().err == ""
+        assert rows[0][:4] == ["0", "1", "1e+200", "1"]
+        A0 = np.array([[1e200, 3e199], [3e199, -2e200]])
+        rows = _evolve_table(tmp_path, 0.0, np.zeros((2, 2)), [A0, np.eye(2)], 1.0, 3)
+        assert capsys.readouterr().err == ""
+        want = 1e200 * np.linalg.norm(A0 / 1e200)
+        for row in rows:
+            assert float(row[3]) == pytest.approx(want, rel=1e-13)
+            assert row[6] == _fmt(math.sqrt(2.0))
+
+    def test_norms_keep_their_bits_next_to_a_rescaled_one(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(4, 3, 3))
+        X[1] *= 1e200
+        got = cli._frobenius(X.transpose(0, 2, 1))
+        for k in (0, 2, 3):
+            assert got[k] == np.linalg.norm(X[k])
+        assert got[1] == pytest.approx(1e200 * np.linalg.norm(X[1] / 1e200), rel=1e-15)
+        assert cli._frobenius(X[1].T[None])[0] == got[1]
 
     def test_singular_horizon_exit_code(self, tmp_path, capsys):
         payload = {"mode": "evolve", "c": 0.0, "C0": [[2.0, 0.0], [0.0, -3.0]],

@@ -8,6 +8,8 @@ from nullgeo.classify import AlphaLimit, BlockBehavior
 from nullgeo.core import ShapeOperatorSet
 from nullgeo.sampling import random_splitting_tensor
 from nullgeo.theorems import (
+    ANGLE_TOL,
+    KERNEL_SV_TOL,
     InconsistentInput,
     MinimalityVerdict,
     NoDirection,
@@ -132,6 +134,64 @@ class TestKernelSearch:
             assert resid <= 1e-10
 
 
+def _direction_member_by_member(family):
+    """``find_special_nullity_direction`` as a loop over the members: one
+    sym-traceless part per member, stacked into columns, and C_T summed
+    term by term.  Returns (coeffs, skew_part, lam) or None."""
+    q = family.q
+
+    def sym_traceless(M):
+        S = 0.5 * (M + M.T)
+        return S - (np.trace(S) / q) * np.eye(q)
+
+    B = np.column_stack([sym_traceless(m).ravel() for m in family.basis])
+    _, s, vt = np.linalg.svd(B, full_matrices=False)
+    rank = int(np.sum(s > KERNEL_SV_TOL * s[0])) if s.size and s[0] > 0.0 else 0
+    if rank >= family.nu0:
+        return None
+    coeffs = vt[rank]
+    nz = np.flatnonzero(np.abs(coeffs) > 1e-12)
+    if nz.size and coeffs[nz[0]] < 0.0:
+        coeffs = -coeffs
+    C = np.zeros((q, q))
+    for a, m in zip(coeffs, family.basis):
+        C += a * m
+    lam = -float(np.trace(C)) / q
+    if lam > 0.0:
+        coeffs, C, lam = -coeffs, -C, -lam
+    return coeffs, -0.5 * (C - C.T), lam
+
+
+class TestStackedKernelSearch:
+    def test_same_bits_as_member_by_member(self, rng):
+        # at the threshold nu0 = q(q+1)/2 a direction exists; one below it
+        # generically none; a planted skew - lam I member gives one at any nu0
+        found = 0
+        for q in range(2, 13):
+            top = q * (q + 1) // 2
+            for nu0 in (1, top - 1, top):
+                for planted in (False, True):
+                    scale = 10.0 ** rng.uniform(-5, 5)
+                    basis = list(rng.uniform(-1.0, 1.0, size=(nu0, q, q)) * scale)
+                    if planted:
+                        K = rng.uniform(-1.0, 1.0, size=(q, q))
+                        basis[0] = scale * (K - K.T - 0.5 * np.eye(q))
+                    fam = SplittingFamily(basis=tuple(basis), q=q)
+                    want = _direction_member_by_member(fam)
+                    got = find_special_nullity_direction(fam)
+                    assert (got is None) == (want is None), (q, nu0, planted)
+                    if got is None:
+                        continue
+                    found += 1
+                    for g, w in zip((got.coeffs, got.skew_part, np.float64(got.lam)), want):
+                        assert np.array_equal(g.view(np.int64), np.float64(w).view(np.int64))
+                    C = np.zeros((q, q))
+                    for a, m in zip(got.coeffs, basis):
+                        C += a * m
+                    assert np.array_equal(fam.evaluate(got.coeffs).view(np.int64), C.view(np.int64))
+        assert found >= 2 * 11
+
+
 class TestTheorem1Pipeline:
     def test_worked_family_decays(self):
         A0 = ShapeOperatorSet((np.array([[1.0, 0.0], [0.0, -1.0]]),))
@@ -252,6 +312,39 @@ class TestCylinderSplit:
         samples, leaf_ids = cone_samples()
         with pytest.raises(NotConstant):
             cylinder_split(samples, k=1, leaf_ids=leaf_ids)
+
+    def test_stacked_angles_match_per_sample_calls(self, rng):
+        from nullgeo.catalog import circle_line_samples, cone_samples
+
+        cases = [[b for _, b in circle_line_samples()[0]], [b for _, b in cone_samples()[0]]]
+        cases.append(list(rng.normal(size=(12, 5, 2))))
+        for bases in cases:
+            Q0, _ = np.linalg.qr(bases[0])
+            got = principal_angles(Q0, np.array(bases[1:]))
+            want = np.array([principal_angles(Q0, b) for b in bases[1:]])
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-15
+
+    def test_not_constant_names_the_first_offending_angle(self):
+        from nullgeo.catalog import cone_samples
+
+        samples, leaf_ids = cone_samples()
+        Q0, _ = np.linalg.qr(samples[0][1])
+        angles = [float(principal_angles(Q0, b).max()) for _, b in samples[1:]]
+        first = next(a for a in angles if a > ANGLE_TOL)
+        # the first offender is not the largest angle, so the message tells them apart
+        assert f"{first:.3g}" != f"{max(angles):.3g}"
+        with pytest.raises(NotConstant) as err:
+            cylinder_split(samples, k=1, leaf_ids=leaf_ids)
+        assert str(err.value) == f"nullity image varies by principal angle {first:.3g}"
+
+    def test_criterion_12_figures(self):
+        from nullgeo.catalog import circle_line_samples
+
+        samples, leaf_ids = circle_line_samples()
+        split = cylinder_split(samples, k=1, leaf_ids=leaf_ids)
+        angle = float(principal_angles(split.V, np.array([[0.0], [0.0], [1.0]])).max())
+        assert (angle, split.residual) == (0.0, 0.0)
 
     def test_leaf_inference(self):
         from nullgeo.catalog import circle_line_samples
