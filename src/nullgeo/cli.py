@@ -273,19 +273,24 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     The stacks are transposed views of C-ordered arrays, and ``norm`` sums
     each matrix in memory order, so the flattening follows memory order too.
     ``_frobenius(X.T[None])[0]`` is thus ``norm(X)`` of a C-ordered ``X``.
-    Squares past ~1.3e154 overflow, so a finite matrix whose norm comes out
-    inf has it taken again as m ||X / m||, m = max |x|, as LAPACK's dnrm2
-    scales.
+    The squares lose range at both ends, so two kinds of matrix have the
+    norm taken again as m ||X / m||, m = max |x|, as LAPACK's dnrm2 scales:
+    a finite matrix whose norm comes out inf (squares past ~1.3e154
+    overflow), and a nonzero one whose entries all lie below 2**-486
+    (~1.6e-146, where squares near the subnormal range and flush to 0).
+    The norm of such a matrix is below 2**-400, which screens the stack.
     """
     f = stack.transpose(0, 2, 1).reshape(len(stack), -1)
     with np.errstate(over="ignore"):
         norms = np.sqrt(f[:, None, :] @ f[:, :, None]).reshape(-1)
-    big = np.isinf(norms) & np.isfinite(f).all(axis=1)
-    if big.any():
-        g = f[big]
-        m = np.abs(g).max(axis=1, keepdims=True)
-        g = g / m
-        norms[big] = m[:, 0] * np.sqrt(g[:, None, :] @ g[:, :, None]).reshape(-1)
+    idx = np.flatnonzero(np.isinf(norms) | (norms < 2.0**-400))
+    if idx.size:
+        g = f[idx]
+        m = np.abs(g).max(axis=1)
+        redo = np.where(np.isinf(norms[idx]), np.isfinite(m), (0.0 < m) & (m < 2.0**-486))
+        idx, m = idx[redo], m[redo, None]
+        g = g[redo] / m
+        norms[idx] = m[:, 0] * np.sqrt(g[:, None, :] @ g[:, :, None]).reshape(-1)
     return norms
 
 

@@ -350,9 +350,10 @@ def cylinder_split(points, k: int, leaf_ids=None) -> CylinderSplit:
     bad = worst[worst > ANGLE_TOL]
     if bad.size:
         raise NotConstant(f"nullity image varies by principal angle {bad[0]:.3g}")
-    P = Q0 @ Q0.T
-    base = [x - P @ x for x, _ in pts]
-    fiber = [Q0.T @ x for x, _ in pts]
+    # stacked matrix-vector products, the bits of one P @ x per sample
+    X = np.array([x for x, _ in pts])[:, :, None]
+    base = (X - (Q0 @ Q0.T) @ X)[:, :, 0]
+    fiber = (Q0.T @ X)[:, :, 0]
 
     if leaf_ids is None:
         scale = 1.0 + max(float(np.abs(x).max(initial=0.0)) for x, _ in pts)
@@ -370,16 +371,15 @@ def cylinder_split(points, k: int, leaf_ids=None) -> CylinderSplit:
     if len(leaf_ids) != len(pts):
         raise InconsistentInput("leaf_ids length must match the samples")
 
+    # the largest |a - b| over pairs of a leaf's base points is its largest
+    # column spread max - min, bit for bit: rounding a difference is monotone
     residual = 0.0
     groups: dict = {}
-    for lid, bp in zip(leaf_ids, base):
-        groups.setdefault(lid, []).append(bp)
+    for i, lid in enumerate(leaf_ids):
+        groups.setdefault(lid, []).append(i)
     for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                residual = max(
-                    residual, float(np.abs(members[i] - members[j]).max(initial=0.0))
-                )
+        b = base[members]
+        residual = max(residual, float((b.max(axis=0) - b.min(axis=0)).max(initial=0.0)))
     return CylinderSplit(
         V=Q0,
         base_points=tuple(base),

@@ -59,6 +59,25 @@ def rk4_path(f, y0, times, step, guard_norm):
     return out
 
 
+def rank_one_draws(count: int = 300, seed: int = 1111) -> list:
+    """``(c, C0, times, step)`` of lone q = 1 Riccati cases: c in
+    {-1, 0, 1}·(0.1..3) of either sign (so c = -0.0 too), C0 uniform in
+    (-3, 3) with +0.0 and -0.0 among them, steps 1e-3, 2e-2 and 0.1, and
+    four record times within 20..300 steps, one of them repeated and some
+    starting at 0.  About a third of them reach the blow-up guard."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(count):
+        step = (1e-3, 2e-2, 0.1)[i % 3]
+        c = (-1.0, 0.0, 1.0)[(i // 3) % 3] * float(rng.uniform(0.1, 3.0))
+        c = -c if i % 2 else c
+        y0 = (0.0, -0.0)[i % 10 // 5] if i % 5 == 0 else float(rng.uniform(-3.0, 3.0))
+        ts = sorted(rng.uniform(0.0, step * int(rng.integers(20, 300)), size=3).tolist())
+        times = [0.0 if i % 7 == 0 else ts[0], ts[1], ts[1], ts[2]]
+        draws.append((c, np.array([[y0]]), times, step))
+    return draws
+
+
 def det_sampling_bmax(c, C0, scan_to=10.0, step=1e-3, bisect_tol=1e-12):
     """Dense det-sampling of the closed-form Jacobi matrix with bisection
     refinement.  Independent of the eigenvalue route in the library."""

@@ -360,6 +360,9 @@ class TestEvolve:
         rows = _evolve_table(tmp_path, 0.0, [[-1e200]], [[[1.0]]], 1.0, 3)
         assert capsys.readouterr().err == ""
         assert rows[0][:4] == ["0", "1", "1e+200", "1"]
+        # A = 1 / (1 + 1e200 t): squares below 2**-486 flush to 0, so these
+        # norms are taken as m ||X / m|| too
+        assert [row[3:] for row in rows[1:]] == [["2e-200", "2e-200"], ["1e-200", "1e-200"]]
         A0 = np.array([[1e200, 3e199], [3e199, -2e200]])
         rows = _evolve_table(tmp_path, 0.0, np.zeros((2, 2)), [A0, np.eye(2)], 1.0, 3)
         assert capsys.readouterr().err == ""

@@ -30,7 +30,7 @@ from nullgeo.core import (
 from nullgeo.checks import CURVATURES, _by_size, riccati_deviation, sample_grid, shape_deviation
 from nullgeo.sampling import random_compatible_pair, random_splitting_tensor
 
-from conftest import det_sampling_bmax, rk4_path, rk4_second_order
+from conftest import det_sampling_bmax, rank_one_draws, rk4_path, rk4_second_order
 
 SKEW2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -309,7 +309,33 @@ class TestRiccatiFlow:
             times = [span * k / 5 for k in range(1, 6)]
             ref = rk4_path(lambda _t, C: C @ C + c * np.eye(q), C0, times, 2e-2, RICCATI_BLOWUP)
             got = riccati_path(c, C0, times, step=2e-2)
-            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, ref))
+
+    def test_lone_rank_one_case_is_textbook_rk4(self):
+        # a lone q = 1 case steps on Python floats; records and guard
+        # messages are those of the textbook RK4 on 1x1 arrays
+        calm = {}
+        for c, C0, times, step in rank_one_draws():
+            def f(_t, C, c=c):
+                return C @ C + c * np.eye(1)
+
+            try:
+                ref = rk4_path(f, C0, times, step, RICCATI_BLOWUP)
+            except SingularJacobi as exc:
+                with pytest.raises(SingularJacobi) as got:
+                    riccati_path(c, C0, times, step)
+                assert str(got.value) == str(exc)
+                continue
+            got = riccati_path(c, C0, times, step)
+            assert len(got) == len(ref) == 4
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, ref))
+            calm.setdefault(step, []).append((c, C0, times, got))
+        # q = 1 stacks of K >= 2 keep the stacked path and the same bits
+        for step, cases in calm.items():
+            cs, C0s, times, alone = zip(*cases)
+            assert len(cases) >= 2
+            for path, ref in zip(_riccati_stack(cs, C0s, times, step), alone):
+                assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, ref))
 
 
 class TestShapeOdeFlow:

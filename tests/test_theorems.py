@@ -34,6 +34,12 @@ from nullgeo.theorems import (
     theorem2_applicable,
 )
 
+
+def _bits(x) -> np.ndarray:
+    # int64 views tell -0.0 from 0.0, which array_equal does not
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 WORKED_FAMILY = SplittingFamily(
     basis=(
         np.array([[1.0, 0.0], [0.0, -1.0]]),
@@ -345,6 +351,45 @@ class TestCylinderSplit:
         split = cylinder_split(samples, k=1, leaf_ids=leaf_ids)
         angle = float(principal_angles(split.V, np.array([[0.0], [0.0], [1.0]])).max())
         assert (angle, split.residual) == (0.0, 0.0)
+
+    def test_stacked_split_keeps_the_per_sample_bits(self, rng):
+        # one stacked product for all samples and a per-leaf column spread
+        # give the bits of P @ x and Q0.T @ x per sample and of the largest
+        # |a - b| over pairs of a leaf: on the catalog samples and on 200
+        # random draws that pass the angle check
+        from nullgeo.catalog import circle_line_samples, plane_samples
+
+        cases = [circle_line_samples(radius=r) + (1,) for r in (1.0, 1.0 / 3.0, 7.0)]
+        cases.append(plane_samples() + (2,))
+        for i in range(600):
+            m = int(rng.integers(2, 9))
+            k = int(rng.integers(1, m))
+            B = rng.normal(size=(m, k))
+            n = int(rng.integers(1, 30))
+            pts = [(rng.normal(size=m) * 10.0 ** rng.uniform(-3, 3), B) for _ in range(n)]
+            cases.append((pts, list(rng.integers(0, 4, size=n)) if i % 2 else None, k))
+        compared = 0
+        for pts, leaf_ids, k in cases:
+            try:
+                split = cylinder_split(pts, k=k, leaf_ids=leaf_ids)
+            except NotConstant:
+                continue  # rounding in the angles of equal bases
+            Q0 = split.V
+            P = Q0 @ Q0.T
+            base = [x - P @ x for x, _ in pts]
+            assert np.array_equal(_bits(split.base_points), _bits(base))
+            assert np.array_equal(_bits(split.fiber_coords), _bits([Q0.T @ x for x, _ in pts]))
+            if leaf_ids is not None:
+                want = max(
+                    [0.0] + [float(np.abs(a - b).max(initial=0.0))
+                             for i, a in enumerate(base) for j, b in enumerate(base)
+                             if i < j and leaf_ids[i] == leaf_ids[j]]
+                )
+                assert _bits(split.residual) == _bits(want)
+            compared += 1
+            if compared == 204:
+                break
+        assert compared == 204
 
     def test_leaf_inference(self):
         from nullgeo.catalog import circle_line_samples
