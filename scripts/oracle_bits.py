@@ -3,12 +3,16 @@
 
 Prints one line per draw set: the case count, the count of raised blow-up
 guards and a sha256 over the bytes of every record (its int64 view) and the
-text of every guard message.  Each case runs alone (``riccati_path``,
-``shape_ode_path``) and in the stacks of one size that the ``check`` runs
-build (``_riccati_stack``, ``_shape_stack``).  The sets are the draws of
-acceptance criteria 01 and 02 at step 2e-2, the ``check`` runs of seeds 0-7
-at their default step 1e-3, and the lone q = 1 draws of
-``tests/conftest.py::rank_one_draws``, which run alone only.
+text of every guard message.  Each case of ``checks.riccati_cases`` and
+``checks.shape_cases`` runs alone (``riccati_path``, ``shape_ode_path``)
+and in the stacks that ``checks._batch`` builds for the ``check`` runs,
+recorded in case order.  The next line gives the int64 view, in hex, of
+``riccati_deviation`` and ``shape_deviation`` on the same set, so a change
+to the closed-form side of the comparison shows there.  The sets are the
+draws of acceptance criteria 01 and 02 at step 2e-2, the ``check`` runs of
+seeds 0-7 at their default step 1e-3, and the lone q = 1 draws of
+``tests/conftest.py::rank_one_draws``, which run alone only and have no
+deviation line.
 
 Two source trees give the same oracle bits when the outputs diff clean:
 
@@ -25,15 +29,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import rank_one_draws  # noqa: E402
-from nullgeo.checks import CURVATURES, _by_size, sample_grid  # noqa: E402
-from nullgeo.core import (  # noqa: E402
-    SingularJacobi,
-    _riccati_stack,
-    _shape_stack,
-    riccati_path,
-    shape_ode_path,
-)
-from nullgeo.sampling import random_compatible_pair, random_splitting_tensor  # noqa: E402
+from nullgeo import checks, core  # noqa: E402
 
 
 class Fingerprint:
@@ -46,7 +42,7 @@ class Fingerprint:
         lists of arrays, or the message of the guard it raises."""
         try:
             out = oracle(*args)
-        except SingularJacobi as exc:
+        except core.SingularJacobi as exc:
             self.guards += 1
             self.sha.update(str(exc).encode())
             return
@@ -55,34 +51,21 @@ class Fingerprint:
                 self.sha.update(np.ascontiguousarray(a, dtype=float).view(np.int64).tobytes())
 
 
-def riccati_cases(rng, count):
-    cs = [CURVATURES[i % 3] for i in range(count)]
-    C0s = [random_splitting_tensor(rng, int(rng.integers(1, 6))) for _ in range(count)]
-    return cs, C0s, [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
+def shape_alone(A0, *case) -> list[np.ndarray]:
+    return [np.stack(r.ops) for r in core.shape_ode_path(list(A0), *case)]
 
 
-def shape_cases(rng, count):
-    cs, A0s, C0s = [], [], []
-    for i in range(count):
-        A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 6)))
-        cs.append(CURVATURES[i % 3])
-        A0s.append(np.stack(A0.ops))
-        C0s.append(C0.mat)
-    return A0s, cs, C0s, [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
-
-
-def riccati(fp, cs, C0s, grids, step) -> None:
-    for case in zip(cs, C0s, grids):
-        fp.run(riccati_path, *case, step)
-    for group in _by_size(C0.shape for C0 in C0s):
-        fp.run(_riccati_stack, *([x[i] for i in group] for x in (cs, C0s, grids)), step)
-
-
-def shape(fp, A0s, cs, C0s, grids, step) -> None:
-    for A0, *case in zip(A0s, cs, C0s, grids):
-        fp.run(lambda *a: [np.stack(r.ops) for r in shape_ode_path(*a)], list(A0), *case, step)
-    for group in _by_size(A0.shape for A0 in A0s):
-        fp.run(_shape_stack, *([x[i] for i in group] for x in (A0s, cs, C0s, grids)), step)
+# (draws, one case alone, the stacked stepper, the deviation) per oracle
+ORACLES = (
+    (checks.riccati_cases, core.riccati_path, core._riccati_stack, checks.riccati_deviation),
+    (checks.shape_cases, shape_alone, core._shape_stack, checks.shape_deviation),
+)
+# (name, Riccati seed, shape seed, cases per oracle, step); None skips an oracle
+SETS = [
+    ("criterion-01 riccati step=2e-2", 101, None, 200, 2e-2),
+    ("criterion-02 shape step=2e-2", None, 102, 200, 2e-2),
+    *((f"check-seed-{s} riccati+shape step=1e-3", [s, 100], [s, 200], 5, 1e-3) for s in range(8)),
+]
 
 
 def line(name: str, cases: int, fp: Fingerprint) -> str:
@@ -90,21 +73,22 @@ def line(name: str, cases: int, fp: Fingerprint) -> str:
 
 
 def main() -> int:
-    fp = Fingerprint()
-    riccati(fp, *riccati_cases(np.random.default_rng(101), 200), 2e-2)
-    print(line("criterion-01 riccati step=2e-2", 200, fp))
-    fp = Fingerprint()
-    shape(fp, *shape_cases(np.random.default_rng(102), 200), 2e-2)
-    print(line("criterion-02 shape step=2e-2", 200, fp))
-    for seed in range(8):
-        fp = Fingerprint()
-        riccati(fp, *riccati_cases(np.random.default_rng([seed, 100]), 5), 1e-3)
-        shape(fp, *shape_cases(np.random.default_rng([seed, 200]), 5), 1e-3)
-        print(line(f"check-seed-{seed} riccati+shape step=1e-3", 10, fp))
+    for name, *seeds, count, step in SETS:
+        fp, devs = Fingerprint(), []
+        for seed, (draw, alone, stack, deviation) in zip(seeds, ORACLES):
+            if seed is not None:
+                cases = draw(np.random.default_rng(seed), count)
+                for case in cases:
+                    fp.run(alone, *case, step)
+                fp.run(checks._batch, stack, cases, step)
+                worst = np.float64(deviation(np.random.default_rng(seed), count, step))
+                devs.append(f"{deviation.__name__}={int(worst.view(np.int64)):#018x}")
+        print(line(name, count * len(devs), fp))
+        print("  " + " ".join(devs))
     draws = rank_one_draws()
     fp = Fingerprint()
     for case in draws:
-        fp.run(riccati_path, *case)
+        fp.run(core.riccati_path, *case)
     print(line("rank-one riccati alone", len(draws), fp))
     return 0
 

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
 
 from . import catalog
 from .core import (
+    _Evolution,
     _riccati_stack,
     _shape_stack,
     jacobi_derivative,
@@ -72,55 +74,52 @@ def radon_hurwitz_oracle(m: int) -> int:
     return radon_hurwitz_oracle(2 ** (e - 4)) + 8
 
 
-def _by_size(keys) -> list[list[int]]:
-    """Indices of equal keys, in order of first appearance."""
+def riccati_cases(rng: np.random.Generator, count: int) -> list[tuple]:
+    """``count`` random Riccati oracle cases ``(c, C0, grid)``, q in 1..5."""
+    C0s = [random_splitting_tensor(rng, int(rng.integers(1, 6))) for _ in range(count)]
+    return [(c, C0, sample_grid(c, C0)) for c, C0 in zip(cycle(CURVATURES), C0s)]
+
+
+def shape_cases(rng: np.random.Generator, count: int) -> list[tuple]:
+    """``count`` random shape oracle cases ``(A0, c, C0, grid)``, ``A0`` the
+    ``(p, q, q)`` stack of a Codazzi-compatible pair with ``C0``, q in 2..5."""
+    pairs = [random_compatible_pair(rng, int(rng.integers(2, 6))) for _ in range(count)]
+    return [(np.stack(A0.ops), c, C0.mat, sample_grid(c, C0.mat))
+            for c, (A0, C0) in zip(cycle(CURVATURES), pairs)]
+
+
+def _batch(stack, cases, step: float) -> list[list[np.ndarray]]:
+    """The records of ``stack(*arguments, step)`` for each case, in case
+    order.  The cases whose arguments share their shapes are stepped
+    together, the groups in order of first appearance."""
     groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+    for i, case in enumerate(cases):
+        groups.setdefault(tuple(map(np.shape, case)), []).append(i)
+    paths = {}
+    for group in groups.values():
+        paths.update(zip(group, stack(*zip(*(cases[i] for i in group)), step)))
+    return [paths[i] for i in range(len(cases))]
 
 
 def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
     """Largest entry gap between the closed-form C(t) and an RK4 solution of
-    C' = C^2 + c I with the given step, on the sample grid of ``count``
-    random (c, C0), q in 1..5.  The RK4 solutions of the cases of one q are
-    advanced together."""
-    cs, C0s = [], []
-    for i in range(count):
-        cs.append(CURVATURES[i % 3])
-        C0s.append(random_splitting_tensor(rng, int(rng.integers(1, 6))))
-    grids = [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
+    C' = C^2 + c I with the given step, over ``riccati_cases(rng, count)``."""
+    cases = riccati_cases(rng, count)
     worst = 0.0
-    for group in _by_size(C0.shape for C0 in C0s):
-        paths = _riccati_stack([cs[i] for i in group], [C0s[i] for i in group],
-                               [grids[i] for i in group], step)
-        for i, path in zip(group, paths):
-            for t, Ct in zip(grids[i], path):
-                closed = splitting_tensor_at(cs[i], C0s[i], t).mat
-                worst = max(worst, float(np.abs(closed - Ct).max()))
+    for (c, C0, ts), path in zip(cases, _batch(_riccati_stack, cases, step)):
+        worst = max(worst, float(np.abs(_Evolution(c, C0).splitting(ts) - path).max()))
     return worst
 
 
 def shape_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
     """Largest entry gap between the closed-form A(t) = A0 J(t)^{-1} and an
-    RK4 solution of A' = A C(t) with the given step, on the sample grid of
-    ``count`` random Codazzi-compatible (A0, C0), q in 2..5.  The RK4
-    solutions of the cases of one q are advanced together."""
-    cs, A0s, C0s = [], [], []
-    for i in range(count):
-        A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 6)))
-        cs.append(CURVATURES[i % 3])
-        A0s.append(A0)
-        C0s.append(C0.mat)
-    grids = [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
+    RK4 solution of A' = A C(t) with the given step, over
+    ``shape_cases(rng, count)``."""
+    cases = shape_cases(rng, count)
     worst = 0.0
-    for group in _by_size((A0.p, A0.q) for A0 in A0s):
-        paths = _shape_stack([np.stack(A0s[i].ops) for i in group], [cs[i] for i in group],
-                             [C0s[i] for i in group], [grids[i] for i in group], step)
-        for i, path in zip(group, paths):
-            for t, At in zip(grids[i], path):
-                closed = shape_operator_at(A0s[i], cs[i], C0s[i], t).ops
-                worst = max(worst, max(float(np.abs(a - b).max()) for a, b in zip(closed, At)))
+    for (A0, c, C0, ts), path in zip(cases, _batch(_shape_stack, cases, step)):
+        closed = np.stack(_Evolution(c, C0).shape(A0, ts), axis=1)
+        worst = max(worst, float(np.abs(closed - path).max()))
     return worst
 
 

@@ -95,6 +95,21 @@ def _as_matrix(raw, what: str) -> np.ndarray:
     return m
 
 
+def _as_matrices(raw, what: str) -> tuple:
+    """A list of matrices under the rules of :func:`_as_matrix`, converted
+    in one stacked pass, and member by member only when that fails: the
+    error then names the first bad member."""
+    if not isinstance(raw, list):
+        raise ScenarioParseError(f"{what} must be a list of matrices")
+    try:
+        F = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        F = np.zeros(0)
+    if F.ndim == 3 and F.shape[1] == F.shape[2] <= MATRIX_DIM_MAX and np.isfinite(F).all():
+        return tuple(F)
+    return tuple(_as_matrix(m, f"{what}[{i}]") for i, m in enumerate(raw))
+
+
 def parse_scenario(raw: dict) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioParseError("scenario must be a JSON object")
@@ -117,20 +132,9 @@ def parse_scenario(raw: dict) -> Scenario:
     if "C0" in raw:
         scn.C0 = _as_matrix(raw["C0"], "C0")
     if "A0" in raw:
-        if not isinstance(raw["A0"], list):
-            raise ScenarioParseError("A0 must be a list of matrices")
-        scn.A0 = tuple(_as_matrix(a, f"A0[{i}]") for i, a in enumerate(raw["A0"]))
+        scn.A0 = _as_matrices(raw["A0"], "A0")
     if "family" in raw:
-        if not isinstance(raw["family"], list):
-            raise ScenarioParseError("family must be a list of matrices")
-        try:
-            F = np.array(raw["family"], dtype=float)  # the conversion of _as_matrix
-        except (TypeError, ValueError, OverflowError):
-            F = np.zeros(0)
-        if F.ndim == 3 and F.shape[1] == F.shape[2] <= MATRIX_DIM_MAX and np.isfinite(F).all():
-            scn.family = tuple(F)
-        else:  # member by member, for the error that names the first bad one
-            scn.family = tuple(_as_matrix(m, f"family[{i}]") for i, m in enumerate(raw["family"]))
+        scn.family = _as_matrices(raw["family"], "family")
     if "domain" in raw:
         d = raw["domain"]
         if not isinstance(d, dict) or "kind" not in d:
@@ -290,7 +294,8 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
         redo = np.where(np.isinf(norms[idx]), np.isfinite(m), (0.0 < m) & (m < 2.0**-486))
         idx, m = idx[redo], m[redo, None]
         g = g[redo] / m
-        norms[idx] = m[:, 0] * np.sqrt(g[:, None, :] @ g[:, :, None]).reshape(-1)
+        with np.errstate(over="ignore"):  # inf is the true norm past the float range
+            norms[idx] = m[:, 0] * np.sqrt(g[:, None, :] @ g[:, :, None]).reshape(-1)
     return norms
 
 
@@ -341,7 +346,9 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
             for a, n, a0 in zip(A, norms, A0.ops):
                 a[0], n[0] = a0, _frobenius(a0.T[None])[0]
         if symmetric:
-            eigs = [np.linalg.eigvalsh(0.5 * (a + a.transpose(0, 2, 1))) for a in A]
+            # halves first: A/2 + A^T/2 cannot overflow, and it is (A + A^T)/2
+            # bit for bit unless an entry is below 2**-1021
+            eigs = [np.linalg.eigvalsh(h + h.transpose(0, 2, 1)) for h in (0.5 * a for a in A)]
             if all(map(_real_spectrum, A, eigs)):
                 cols = head + [x for pair in zip(norms, eigs) for x in pair]
                 lines += _fmt_rows(np.column_stack(cols))

@@ -344,14 +344,17 @@ def cylinder_split(points, k: int, leaf_ids=None) -> CylinderSplit:
             raise InconsistentInput(
                 f"expected points in R^{m} with {m}x{k} basis matrices"
             )
-    Q0, _ = np.linalg.qr(pts[0][1])
-    rest = np.array([b for _, b in pts[1:]]).reshape(len(pts) - 1, m, k)
-    worst = principal_angles(Q0, rest).max(axis=1, initial=0.0)
+    X = np.array([x for x, _ in pts])[:, :, None]
+    B = np.array([b for _, b in pts])
+    bad = np.flatnonzero(~(np.isfinite(X).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))))
+    if bad.size:
+        raise InconsistentInput(f"sample {bad[0]} has a non-finite point or basis entry")
+    Q0, _ = np.linalg.qr(B[0])
+    worst = principal_angles(Q0, B[1:]).max(axis=1, initial=0.0)
     bad = worst[worst > ANGLE_TOL]
     if bad.size:
         raise NotConstant(f"nullity image varies by principal angle {bad[0]:.3g}")
     # stacked matrix-vector products, the bits of one P @ x per sample
-    X = np.array([x for x, _ in pts])[:, :, None]
     base = (X - (Q0 @ Q0.T) @ X)[:, :, 0]
     fiber = (Q0.T @ X)[:, :, 0]
 

@@ -53,19 +53,32 @@ def run_shipped(command, scenario, out):
 _I2 = [[1.0, 0.0], [0.0, 1.0]]
 
 
-def _member_by_member_error(family):
-    """The ``error:`` line and exit code of a search family converted one
-    member at a time by ``_as_matrix``, checked for one shared shape, and
-    required to be nonempty."""
+def _member_by_member_error(key, members):
+    """The ``error:`` line and exit code of the matrices ``members`` of
+    ``key`` converted one member at a time by ``_as_matrix``, then checked
+    as a search family: for one shared shape, and to be nonempty."""
     try:
-        members = [cli._as_matrix(m, f"family[{i}]") for i, m in enumerate(family)]
-        if len({m.shape for m in members}) > 1:
+        mats = [cli._as_matrix(m, f"{key}[{i}]") for i, m in enumerate(members)]
+        if len({m.shape for m in mats}) > 1:
             raise DimensionMismatch("family members must share one shape")
-        if not members:
+        if not mats:
             raise DimensionMismatch("family must contain at least one matrix")
     except NullityError as e:
         return f"error: {e}", 3 if isinstance(e, DimensionMismatch) else 2
     raise AssertionError("the family is valid")
+
+
+# (members, the error after "error: <key>", id) of a bad member of a list
+# of matrices
+_MEMBER_ERRORS = [
+    ([_I2, _I2, _I2, [[1.0, 2.0], [3.0]]], "[3]: not a numeric matrix (", "ragged-3"),
+    ([_I2, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], "[1]: must be square, got (2, 3)", "non-square"),
+    ([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2, "[0]: must be square, got (2, 3)",
+     "non-square-stack"),
+    ([np.zeros((129, 129)).tolist()], "[0]: at most 128 rows, got 129", "rows-129"),
+    ([_I2, _I2, [[math.nan, 0.0], [0.0, 1.0]]], "[2]: entries must be finite", "nan-2"),
+    ([_I2, "abc"], "[1]: not a numeric matrix (could not convert string", "string"),
+]
 
 
 class TestParsing:
@@ -170,26 +183,23 @@ class TestParsing:
         assert len(err) == 1 and err[0].startswith("error: ")
 
     @pytest.mark.parametrize(
-        "family,line",
-        [
-            ([_I2, _I2, _I2, [[1.0, 2.0], [3.0]]], "error: family[3]: not a numeric matrix ("),
-            ([_I2, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]], "error: family[1]: must be square, got (2, 3)"),
-            ([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]] * 2, "error: family[0]: must be square, got (2, 3)"),
-            ([np.zeros((129, 129)).tolist()], "error: family[0]: at most 128 rows, got 129"),
-            ([_I2, _I2, [[math.nan, 0.0], [0.0, 1.0]]], "error: family[2]: entries must be finite"),
-            ([_I2, "abc"], "error: family[1]: not a numeric matrix (could not convert string"),
-            ([_I2, np.eye(3).tolist()], "error: family members must share one shape"),
-            ([], "error: family must contain at least one matrix"),
+        "key,members,line",
+        [pytest.param("family", m, "error: family" + tail, id=i) for m, tail, i in _MEMBER_ERRORS]
+        + [pytest.param("A0", m, "error: A0" + tail, id="A0-" + i) for m, tail, i in _MEMBER_ERRORS]
+        + [
+            pytest.param("family", [_I2, np.eye(3).tolist()],
+                         "error: family members must share one shape", id="two-sizes"),
+            pytest.param("family", [], "error: family must contain at least one matrix", id="empty"),
         ],
-        ids=["ragged-3", "non-square", "non-square-stack", "rows-129", "nan-2", "string",
-             "two-sizes", "empty"],
     )
-    def test_stacked_family_keeps_the_member_errors(self, tmp_path, capsys, family, line):
-        # the family is converted in one stacked pass, and member by member
-        # only when that fails: the error is the member-by-member one
-        want_line, want_code = _member_by_member_error(family)
+    def test_stacked_family_keeps_the_member_errors(self, tmp_path, capsys, key, members, line):
+        # a list of matrices (a search family, A0) is converted in one stacked
+        # pass, and member by member only when that fails: the error is the
+        # member-by-member one
+        want_line, want_code = _member_by_member_error(key, members)
         assert want_line.startswith(line)
-        assert run_scenario("search", {"mode": "search", "family": family}, tmp_path) == want_code
+        command = "search" if key == "family" else "evolve"
+        assert run_scenario(command, {"mode": command, key: members}, tmp_path) == want_code
         assert capsys.readouterr().err == want_line + "\n"
 
     def test_sizes_at_the_limits_parse(self):
@@ -370,6 +380,14 @@ class TestEvolve:
         for row in rows:
             assert float(row[3]) == pytest.approx(want, rel=1e-13)
             assert row[6] == _fmt(math.sqrt(2.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_near_the_float_maximum(self, tmp_path, capsys):
+        # A + A^T would overflow here; the symmetric part is taken as A/2 + A^T/2,
+        # the norm 2e308 lies past the float range and is written as inf
+        rows = _evolve_table(tmp_path, 0.0, np.zeros((2, 2)), [np.full((2, 2), 1e308)], 1.0, 2)
+        assert capsys.readouterr().err == ""
+        assert rows == [["0", "1", "0", "inf", "0", "inf"], ["1", "1", "0", "inf", "0", "inf"]]
 
     def test_norms_keep_their_bits_next_to_a_rescaled_one(self):
         rng = np.random.default_rng(5)

@@ -27,8 +27,8 @@ from nullgeo.core import (
     shape_operator_at,
     splitting_tensor_at,
 )
-from nullgeo.checks import CURVATURES, _by_size, riccati_deviation, sample_grid, shape_deviation
-from nullgeo.sampling import random_compatible_pair, random_splitting_tensor
+from nullgeo.checks import _batch, riccati_cases, riccati_deviation, shape_cases, shape_deviation
+from nullgeo.sampling import random_compatible_pair
 
 from conftest import det_sampling_bmax, rank_one_draws, rk4_path, rk4_second_order
 
@@ -439,19 +439,13 @@ class TestStackedOracles:
 
     @DEVIATION_DRAWS
     def test_riccati_stacks_match_stacks_of_one(self, ric_seed, shape_seed, count):
-        rng = np.random.default_rng(ric_seed)
-        cs = [CURVATURES[i % 3] for i in range(count)]
-        C0s = [random_splitting_tensor(rng, int(rng.integers(1, 6))) for _ in range(count)]
-        grids = [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
-        alone = [riccati_path(c, C0, ts, STACK_STEP) for c, C0, ts in zip(cs, C0s, grids)]
-        for group in _by_size(C0.shape for C0 in C0s):
-            stacked = _riccati_stack([cs[i] for i in group], [C0s[i] for i in group],
-                                     [grids[i] for i in group], STACK_STEP)
-            for i, path in zip(group, stacked):
-                assert len(path) == len(alone[i]) == 5
-                assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, alone[i]))
+        cases = riccati_cases(np.random.default_rng(ric_seed), count)
+        alone = [riccati_path(*case, STACK_STEP) for case in cases]
+        for path, one in zip(_batch(_riccati_stack, cases, STACK_STEP), alone, strict=True):
+            assert len(path) == len(one) == 5
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, one))
         worst = 0.0
-        for c, C0, ts, path in zip(cs, C0s, grids, alone):
+        for (c, C0, ts), path in zip(cases, alone):
             for t, Ct in zip(ts, path):
                 worst = max(worst, float(np.abs(splitting_tensor_at(c, C0, t).mat - Ct).max()))
         got = riccati_deviation(np.random.default_rng(ric_seed), count, STACK_STEP)
@@ -459,26 +453,16 @@ class TestStackedOracles:
 
     @DEVIATION_DRAWS
     def test_shape_stacks_match_stacks_of_one(self, ric_seed, shape_seed, count):
-        rng = np.random.default_rng(shape_seed)
-        cs, A0s, C0s = [], [], []
-        for i in range(count):
-            A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 6)))
-            cs.append(CURVATURES[i % 3])
-            A0s.append(A0)
-            C0s.append(C0.mat)
-        grids = [sample_grid(c, C0) for c, C0 in zip(cs, C0s)]
-        alone = [shape_ode_path(*case, STACK_STEP) for case in zip(A0s, cs, C0s, grids)]
-        for group in _by_size(C0.shape for C0 in C0s):
-            stacked = _shape_stack([np.stack(A0s[i].ops) for i in group], [cs[i] for i in group],
-                                   [C0s[i] for i in group], [grids[i] for i in group], STACK_STEP)
-            for i, path in zip(group, stacked):
-                assert len(path) == len(alone[i]) == 5
-                for a, b in zip(path, alone[i]):
-                    assert np.array_equal(_bits(a), _bits(np.stack(b.ops)))
+        cases = shape_cases(np.random.default_rng(shape_seed), count)
+        alone = [shape_ode_path(list(A0), *case, STACK_STEP) for A0, *case in cases]
+        for path, one in zip(_batch(_shape_stack, cases, STACK_STEP), alone, strict=True):
+            assert len(path) == len(one) == 5
+            for a, b in zip(path, one):
+                assert np.array_equal(_bits(a), _bits(np.stack(b.ops)))
         worst = 0.0
-        for A0, c, C0, ts, path in zip(A0s, cs, C0s, grids, alone):
+        for (A0, c, C0, ts), path in zip(cases, alone):
             for t, At in zip(ts, path):
-                for x, y in zip(shape_operator_at(A0, c, C0, t).ops, At.ops):
+                for x, y in zip(shape_operator_at(list(A0), c, C0, t).ops, At.ops):
                     worst = max(worst, float(np.abs(x - y).max()))
         got = shape_deviation(np.random.default_rng(shape_seed), count, STACK_STEP)
         assert _bits(got) == _bits(worst)

@@ -344,6 +344,19 @@ class TestCylinderSplit:
             cylinder_split(samples, k=1, leaf_ids=leaf_ids)
         assert str(err.value) == f"nullity image varies by principal angle {first:.3g}"
 
+    @pytest.mark.parametrize("part", [0, 1])  # the point, the basis
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_are_named(self, part, bad):
+        # the first bad sample is named, before a NaN can vanish in the
+        # residual's max or stall the QR
+        from nullgeo.catalog import circle_line_samples
+
+        samples, leaf_ids = circle_line_samples()
+        for i in (7, 9):
+            samples[i][part][0] = bad
+        with pytest.raises(InconsistentInput, match=r"^sample 7 has a non-finite point or basis"):
+            cylinder_split(samples, k=1, leaf_ids=leaf_ids)
+
     def test_criterion_12_figures(self):
         from nullgeo.catalog import circle_line_samples
 
