@@ -42,8 +42,14 @@ EXIT_SINGULAR = 4
 
 MODES = ("evolve", "classify", "search", "catalog", "check")
 
-_EVOLVE_CHUNK = 1024     # evolve samples per batched evaluation, for q <= 32
-_EVOLVE_CHUNK_ENTRIES = 2**20  # matrix entries per stack of one evolve chunk
+# evolve decides between the symmetric and the general eigen-solver once per
+# chunk of min(_EVOLVE_CHUNK, _EVOLVE_CHUNK_ENTRIES / q^2) samples (see
+# _real_spectrum), and evaluates each chunk in blocks of at most
+# _EVOLVE_BLOCK_ENTRIES matrix entries per stack, 512 KiB, so that the
+# stacks of one block stay in a core's cache from one call to the next
+_EVOLVE_CHUNK = 1024
+_EVOLVE_CHUNK_ENTRIES = 2**20
+_EVOLVE_BLOCK_ENTRIES = 2**16
 # oracle steps `check` accepts; the floor bounds the RK4 work of one run
 CHECK_STEP_RANGE = (1e-4, 0.1)
 # sizes a scenario may request: evolve grid samples, and the catalog
@@ -232,11 +238,13 @@ def _fmt(x: float) -> str:
     return _FLOAT % (float(x) + 0.0)
 
 
-def _fmt_rows(table: np.ndarray) -> list[str]:
-    """The rows of a real 2-D table as CSV lines, each cell as :func:`_fmt`
-    renders it, with one ``%`` per row."""
-    template = ",".join([_FLOAT] * table.shape[1])
-    return [template % tuple(row) for row in (table + 0.0).tolist()]
+def _fmt_rows(table: np.ndarray) -> str:
+    """The rows of a real 2-D table as CSV lines, each ended by CRLF and each
+    cell as :func:`_fmt` renders it, with one ``%`` over the row template
+    repeated once per row."""
+    rows, cols = table.shape
+    template = (",".join([_FLOAT] * cols) + "\r\n") * rows
+    return template % tuple((table + 0.0).ravel().tolist())
 
 
 def _num(x: float) -> float:
@@ -312,6 +320,39 @@ def _real_spectrum(stack: np.ndarray, eigs: np.ndarray) -> bool:
     return bool((skew <= 1e-12 * (1.0 + np.abs(eigs).max(axis=1))).all())
 
 
+def _evolve_block(ev: _Evolution, scn: Scenario, grid: list[float]):
+    """The columns t, det J, |C| and the stacks A of one block of ``evolve``
+    samples, with the norms of the A."""
+    det, C, A = ev.evaluate(scn.A0, grid)
+    head = [np.array(grid), det, _frobenius(C)]
+    norms = [_frobenius(a) for a in A]
+    if grid[0] == 0.0:
+        # t = 0 shows the initial data as given; the norms sum in memory
+        # order, so they are taken of C0 and A0 themselves
+        head[2][0] = _frobenius(scn.C0.T[None])[0]
+        for a, n, a0 in zip(A, norms, scn.A0):
+            a[0], n[0] = a0, _frobenius(a0.T[None])[0]
+    return head, A, norms
+
+
+def _general_rows(head: list, A: list, norms: list) -> str:
+    """CSV lines of one block with the eigenvalues of the general solver,
+    ordered by real and then imaginary part, complex ones as ``a±bj``."""
+    eigs = []
+    for a in A:
+        w = np.linalg.eigvals(a)
+        order = np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)), axis=-1)
+        eigs.append(np.take_along_axis(w, order, axis=-1).tolist())
+    lines = []
+    for k in range(len(head[0])):
+        row = [_fmt(x[k]) for x in head]
+        for n, w in zip(norms, eigs):
+            row.append(_fmt(n[k]))
+            row.extend(_fmt_eig(z) for z in w[k])
+        lines.append(",".join(row) + "\r\n")
+    return "".join(lines)
+
+
 def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
     _require(scn, "c", "C0", "A0", "t_end")
     ev = _Evolution(scn.c, scn.C0)
@@ -320,54 +361,37 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
         raise SingularJacobi(
             f"t_end={scn.t_end} reaches the singular time b_max={b_max:.6g}"
         )
-    A0 = ShapeOperatorSet(scn.A0)
     # for Codazzi data A(t) = A0 J(t)^{-1} is self-adjoint at every t, so its
     # spectrum comes from the symmetric solver, real and ascending, in each
     # chunk whose skew part is too small to show (see _real_spectrum)
-    symmetric = is_codazzi_compatible(A0, scn.C0)
-    q = scn.C0.shape[0]
+    symmetric = is_codazzi_compatible(scn.A0, scn.C0)
+    q, p = scn.C0.shape[0], len(scn.A0)
     header = ["t", "det_J", "C_norm"]
-    for i in range(A0.p):
+    for i in range(p):
         header.append(f"A{i}_norm")
         header.extend(f"A{i}_eig{j}" for j in range(q))
     ts = [scn.t_end * k / (scn.samples - 1) for k in range(scn.samples)]
-    lines = [",".join(header)]
-    # a chunk holds a few stacks of chunk * q * q floats: at most 8 MB each
+    text = [",".join(header) + "\r\n"]  # csv's line ends; no cell holds a comma or a quote
     chunk = min(_EVOLVE_CHUNK, max(1, _EVOLVE_CHUNK_ENTRIES // (q * q)))
+    block = min(chunk, max(1, _EVOLVE_BLOCK_ENTRIES // (q * q)))
     for lo in range(0, len(ts), chunk):
         grid = ts[lo:lo + chunk]
-        C, A = ev.splitting_and_shape(A0.ops, grid)
-        head = [np.array(grid), ev.det(grid), _frobenius(C)]
-        norms = [_frobenius(a) for a in A]
-        if grid[0] == 0.0:
-            # t = 0 shows the initial data as given; the norms sum in memory
-            # order, so they are taken of C0 and A0 themselves
-            head[2][0] = _frobenius(scn.C0.T[None])[0]
-            for a, n, a0 in zip(A, norms, A0.ops):
-                a[0], n[0] = a0, _frobenius(a0.T[None])[0]
-        if symmetric:
-            # halves first: A/2 + A^T/2 cannot overflow, and it is (A + A^T)/2
-            # bit for bit unless an entry is below 2**-1021
-            eigs = [np.linalg.eigvalsh(h + h.transpose(0, 2, 1)) for h in (0.5 * a for a in A)]
-            if all(map(_real_spectrum, A, eigs)):
-                cols = head + [x for pair in zip(norms, eigs) for x in pair]
-                lines += _fmt_rows(np.column_stack(cols))
-                continue
-        eigs = []
-        for a in A:
-            w = np.linalg.eigvals(a)
-            order = np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)), axis=-1)
-            eigs.append(np.take_along_axis(w, order, axis=-1).tolist())
-        for k in range(len(grid)):
-            row = [_fmt(x[k]) for x in head]
-            for n, w in zip(norms, eigs):
-                row.append(_fmt(n[k]))
-                row.extend(_fmt_eig(z) for z in w[k])
-            lines.append(",".join(row))
-    # csv's line ends; no cell holds a comma or a quote
-    (out_dir / f"{stem}.trajectory.csv").write_text(
-        "".join(line + "\r\n" for line in lines), newline=""
-    )
+        real, blocks = symmetric, []
+        for b in range(0, len(grid), block):
+            head, A, norms = _evolve_block(ev, scn, grid[b:b + block])
+            table = None
+            if real:
+                # halves first: A/2 + A^T/2 cannot overflow, and it is
+                # (A + A^T)/2 bit for bit unless an entry is below 2**-1021
+                eigs = [np.linalg.eigvalsh(h + h.transpose(0, 2, 1)) for h in (0.5 * a for a in A)]
+                real = all(map(_real_spectrum, A, eigs))
+                table = np.column_stack(head + [x for pair in zip(norms, eigs) for x in pair])
+            blocks.append((head, A, norms, table))
+        if real:
+            text += [_fmt_rows(table) for *_, table in blocks]
+        else:
+            text += [_general_rows(head, A, norms) for head, A, norms, _ in blocks]
+    (out_dir / f"{stem}.trajectory.csv").write_text("".join(text), newline="")
     return EXIT_OK
 
 

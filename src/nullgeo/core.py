@@ -222,24 +222,28 @@ def _libm(fn, xs: list) -> np.ndarray:
     return np.fromiter(map(fn, xs), float, len(xs))
 
 
-def _jacobi(c: float, C0: np.ndarray, ts) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks of J(t) = u I - v C0 and J'(t) = du I - dv C0, one per t.
+def _jacobi(c: float, C0: np.ndarray, ts, derivative: bool = True):
+    """Stacks of J(t) = u I - v C0 and J'(t) = du I - dv C0, one per t; J'
+    is None without ``derivative``.
 
     The coefficients take one ``math`` cos and sin (cosh and sinh for c < 0)
-    per time, so each time gets the bits of a grid of that time alone.  For
-    c < 0, ``math.cosh`` raises OverflowError where cosh(a|t|) is not
-    representable.
+    per time, so each time gets the bits of a grid of that time alone, with
+    or without J'.  For c < 0, ``math.cosh`` raises OverflowError where
+    cosh(a|t|) is not representable.  :meth:`_Evolution.evaluate` takes J
+    and J' from here where a|t| < 1, and J alone for det J where
+    1 <= a|t| <= ln(DBL_MAX).
     """
     ts = _times(ts)
     eye = np.eye(C0.shape[0])
     if c == 0.0:
         # u = dv = 1, v = t, du = 0: 1 I and 1 C0 are exact, 0 I is +0
-        return eye - ts[:, None, None] * C0, np.zeros((ts.size, 1, 1)) - C0
+        J = eye - ts[:, None, None] * C0
+        return J, (np.zeros((ts.size, 1, 1)) - C0 if derivative else None)
     a = math.sqrt(abs(c))
     cos, sin, k = (math.cos, math.sin, -a) if c > 0.0 else (math.cosh, math.sinh, a)
     at = (a * ts).tolist()
     co, si = (_libm(f, at)[:, None, None] for f in (cos, sin))
-    return co * eye - (si / a) * C0, (k * si) * eye - co * C0
+    return co * eye - (si / a) * C0, ((k * si) * eye - co * C0 if derivative else None)
 
 
 def jacobi_tensor(c, C0, t: float) -> np.ndarray:
@@ -281,8 +285,9 @@ def max_invertible_time(c, C0) -> float:
             # an eigenvalue within the slack of a is a, which never makes J
             # singular; the same cut as the ray clause in classify
             if lam > a + INTERVAL_SLACK:
-                x = lam / a
-                roots.append(0.5 * math.log((x + 1.0) / (x - 1.0)) / a)
+                # coth(a t) = lam / a; atanh keeps a / lam where the
+                # ratio (lam + a) / (lam - a) would round to 1
+                roots.append(math.atanh(a / lam) / a)
     else:
         for lam in reals:
             if lam > 0.0:
@@ -295,10 +300,13 @@ class _Evolution:
     time grid.
 
     Built once per (c, C0): the first singular time in each direction is
-    computed on first use and kept.  A grid costs one stacked LAPACK call per
-    quantity.  The scalar coefficients come from ``math`` one time at a time,
-    so every grid gives the same bits for a time as the grid of that time
-    alone.
+    computed on first use and kept.  :meth:`evaluate` gives det J, C and the
+    A stacks of a grid from one stack of factors (see :meth:`_factors`),
+    with one stacked LAPACK call per quantity: a solve for C, an inverse for
+    A and a det (slogdet past ln(DBL_MAX)) for det J.  The scalar
+    coefficients come from ``math`` one time at a time, and every stacked
+    call works matrix by matrix, so every grid gives the same bits for a
+    time as the grid of that time alone.
 
     For c < 0 and a|t| >= 1 the factors come from the scaled form
     J(t) = (e^{a|t|}/2) M and J'(t) = (e^{a|t|}/2) N with
@@ -339,7 +347,7 @@ class _Evolution:
 
     def _factors(self, ts):
         """Stacks P, Q and scales r with J = P / r and J' = Q / r: (J, J')
-        itself with r = 1, or (M, N) with r = 2 e^{-a|t|} on the scaled
+        itself with r = 1, or (M, N) with r = 2 e^{-a|t|} < 1 on the scaled
         branch."""
         ts = _times(ts)
         far = self.a * np.abs(ts) >= 1.0  # a = 0 for c >= 0
@@ -372,7 +380,9 @@ class _Evolution:
 
     @staticmethod
     def _inverse(P, r) -> np.ndarray:
-        return r[:, None, None] * np.linalg.inv(P)
+        # x * 1.0 == x for every float, so a grid without scaled rows skips it
+        inv = np.linalg.inv(P)
+        return inv if (r == 1.0).all() else r[:, None, None] * inv
 
     @staticmethod
     def _shape(ops, Jinv) -> list[np.ndarray]:
@@ -381,6 +391,41 @@ class _Evolution:
         # with this layout
         Jinv_T = Jinv.transpose(0, 2, 1)
         return [np.matmul(Jinv_T, a.T).transpose(0, 2, 1) for a in ops]
+
+    def _det(self, ts: np.ndarray, P: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """det J(t) for each t, given the factors ``P``, ``r`` of ``ts``.
+
+        det(u I - v C0) for a|t| up to ln(DBL_MAX), where cosh(a|t|) is
+        surely representable: ``P`` itself where r = 1, J built again (without
+        J') on the scaled rows.  Beyond that, sign(det M) exp(q (a|t| - ln 2)
+        + log|det M|) from ``P = M``, which is inf where it exceeds the float
+        range.
+        """
+        unit = r == 1.0
+        if unit.all():
+            with np.errstate(over="ignore"):  # inf is the honest value
+                return np.linalg.det(P)
+        out = np.empty(ts.size)
+        over = self.a * np.abs(ts) > _COSH_MAX
+        mid = ~(unit | over)
+        with np.errstate(over="ignore"):
+            if unit.any():
+                out[unit] = np.linalg.det(P[unit])
+            if mid.any():
+                out[mid] = np.linalg.det(_jacobi(self.c, self.C0, ts[mid], derivative=False)[0])
+        if over.any():
+            sign, logdet = np.linalg.slogdet(P[over])
+            q = self.eye.shape[0]
+            x = q * (self.a * np.abs(ts[over]) - math.log(2.0)) + logdet
+            out[over] = sign * _libm(_exp_or_inf, x.tolist())
+        return out
+
+    def evaluate(self, ops, ts) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """det J(t), C(t) and A_xi(t) = A_xi(0) J(t)^{-1} for each t, stacked
+        over the grid, from one stack of factors."""
+        ts = _times(ts)
+        P, Q, r = self._factors(ts)
+        return self._det(ts, P, r), self._splitting(P, Q), self._shape(ops, self._inverse(P, r))
 
     def splitting(self, ts) -> np.ndarray:
         """C(t) for each t, stacked."""
@@ -397,36 +442,11 @@ class _Evolution:
         over the grid."""
         return self._shape(ops, self.inverse(ts))
 
-    def splitting_and_shape(self, ops, ts) -> tuple[np.ndarray, list[np.ndarray]]:
-        """:meth:`splitting` and :meth:`shape` on one grid, from one stack of
-        factors."""
-        P, Q, r = self._factors(ts)
-        return self._splitting(P, Q), self._shape(ops, self._inverse(P, r))
-
     def det(self, ts) -> np.ndarray:
-        """det J(t) for each t.
-
-        det(u I - v C0) for a|t| up to ln(DBL_MAX), where cosh(a|t|) is
-        surely representable.  Beyond that, sign(det M) exp(q (a|t| - ln 2) +
-        log|det M|) from the scaled form, which is inf where it exceeds the
-        float range.
-        """
+        """det J(t) for each t (see :meth:`_det`)."""
         ts = _times(ts)
-        out = np.empty(ts.size)
-        over = self.a * np.abs(ts) > _COSH_MAX
-        n_over = np.count_nonzero(over)
-        if n_over < ts.size:
-            fits = ~over
-            J, _ = _jacobi(self.c, self.C0, ts[fits])
-            with np.errstate(over="ignore"):  # inf is the honest value
-                out[fits] = np.linalg.det(J)
-        if n_over:
-            M, _, _ = self._scaled(ts[over])
-            sign, logdet = np.linalg.slogdet(M)
-            q = self.eye.shape[0]
-            x = q * (self.a * np.abs(ts[over]) - math.log(2.0)) + logdet
-            out[over] = sign * _libm(_exp_or_inf, x.tolist())
-        return out
+        P, _, r = self._factors(ts)
+        return self._det(ts, P, r)
 
 
 def _exp_or_inf(x: float) -> float:

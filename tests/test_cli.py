@@ -340,6 +340,39 @@ class TestEvolve:
             name = f"{stem}.trajectory.csv"
             assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
+    @pytest.mark.parametrize("case", ["codazzi-q32", "nearly-compatible-q16"])
+    def test_blocks_keep_the_bytes(self, tmp_path, monkeypatch, case):
+        # a chunk is evaluated in blocks of _EVOLVE_BLOCK_ENTRIES entries per
+        # stack (q = 32: 1, 64 and 1024 samples; q = 16: 4, 256 and 1024),
+        # while the symmetric-or-general decision stays with the chunk
+        rng = np.random.default_rng(16)
+        if case == "codazzi-q32":
+            # no singular time for a above every |eigenvalue|; the grid
+            # crosses a|t| = 1
+            A0s, C0s = random_compatible_pair(rng, 32, 2)
+            a = 1.5 * np.abs(np.linalg.eigvals(C0s.mat)).max()
+            c, C0, A0, t_end, samples = -a * a, C0s.mat, A0s.ops, 3.0 / a, 300
+        else:
+            # A0 C0 is off symmetric by ~7e-9: the skew part of A(t) passes
+            # the Bendixson bound up to sample 1356 and fails from 1357, in
+            # the second chunk of 1024 samples
+            A0s, C0s = random_compatible_pair(rng, 16, 1)
+            K = rng.normal(size=(16, 16))
+            C0 = C0s.mat + np.linalg.solve(A0s.ops[0], 1e-9 * (K - K.T))
+            c, A0, t_end, samples = -1.0, A0s.ops, 1.25e-4, 1500
+        csvs = []
+        for entries in (2**10, 2**16, 2**20):
+            monkeypatch.setattr(cli, "_EVOLVE_BLOCK_ENTRIES", entries)
+            _evolve_table(tmp_path, c, C0, A0, t_end, samples)
+            csvs.append((tmp_path / "s.trajectory.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+        if case == "nearly-compatible-q16":
+            # the first chunk ends on the symmetric solver, the second starts
+            # on the general one, whose cells differ there
+            rows = [row.split(",")[4:] for row in csvs[0].decode().splitlines()[1:]]
+            last, first = (_eig_cells(A0, c, C0, t_end * k / (samples - 1)) for k in (1023, 1024))
+            assert rows[1023] == last[0] and rows[1024] == first[1] != first[0]
+
     def test_long_hyperbolic_horizon(self, tmp_path, capsys):
         # cosh(a t) is not representable at t = 800: det J is reported as
         # inf, while C and A come from the scaled form and stay finite
@@ -399,11 +432,28 @@ class TestEvolve:
         assert got[1] == pytest.approx(1e200 * np.linalg.norm(X[1] / 1e200), rel=1e-15)
         assert cli._frobenius(X[1].T[None])[0] == got[1]
 
+    def test_tiny_negative_curvature_keeps_its_horizon(self, tmp_path, capsys):
+        # a = 1e-150 << lam = 0.5: b_max = atanh(2a) / a = 2, where the
+        # ratio (lam + a) / (lam - a) rounds to 1 and once gave b_max = 0
+        rows = _evolve_table(tmp_path, -1e-300, [[0.5]], [[[1.0]]], 1.0, 3)
+        assert capsys.readouterr().err == ""
+        assert [row[:2] for row in rows] == [["0", "1"], ["0.5", "0.75"], ["1", "0.5"]]
+
     def test_singular_horizon_exit_code(self, tmp_path, capsys):
         payload = {"mode": "evolve", "c": 0.0, "C0": [[2.0, 0.0], [0.0, -3.0]],
                    "A0": [[[1.0, 0.0], [0.0, 1.0]]], "t_grid": {"t_end": 1.0, "samples": 5}}
         assert run_scenario("evolve", payload, tmp_path) == 4
         assert "b_max" in capsys.readouterr().err
+
+
+def _eig_cells(A0, c, C0, t):
+    """The eigenvalue cells of A0[0] J(t)^{-1} as the symmetric and as the
+    general eigen-solver render them in ``evolve``."""
+    a = shape_operator_at(A0, c, C0, t).ops[0]
+    h = 0.5 * a
+    w = np.linalg.eigvals(a)
+    w = w[np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)))]
+    return [_fmt(x) for x in np.linalg.eigvalsh(h + h.T)], [cli._fmt_eig(z) for z in w]
 
 
 def _evolve_table(tmp_path, c, C0, A0, t_end, samples):
@@ -483,7 +533,7 @@ class TestFloatRendering:
 
     def test_row_renderer_is_fmt_per_cell(self):
         table = np.array(_FLOATS[:len(_FLOATS) // 8 * 8]).reshape(-1, 8)
-        assert _fmt_rows(table) == [",".join(_fmt(x) for x in row) for row in table]
+        assert _fmt_rows(table) == "".join(",".join(_fmt(x) for x in row) + "\r\n" for row in table)
 
 
 class TestClassify:

@@ -145,6 +145,15 @@ class TestMaxInvertibleTime:
         b = max_invertible_time(-1.0, C0)
         assert b == pytest.approx(0.5 * math.log((lam + 1.0) / (lam - 1.0)), rel=1e-8)
 
+    @pytest.mark.parametrize("c", [-1e-300, -1e-40, -1e-20, -1e-12])
+    def test_hyperbolic_root_for_a_far_below_the_eigenvalue(self, c):
+        # coth(a b) = lam / a with a = sqrt(-c) << lam: b = atanh(2a) / a for
+        # lam = 1/2, 2 (1 + 4a^2/3 + ...) by the series; (x + 1)/(x - 1) with
+        # x = lam / a rounded to 1 for x > ~2**53 and gave b = 0
+        want = 2.0 * (1.0 + 4.0 * -c / 3.0)
+        assert max_invertible_time(c, np.array([[0.5]])) == pytest.approx(want, rel=1e-12)
+        assert np.isfinite(splitting_tensor_at(c, [[0.5]], 1.0).mat).all()
+
     def test_agrees_with_det_sampling(self, rng):
         for c in (-1.0, 0.0, 1.0):
             C0 = rng.uniform(-1, 1, size=(4, 4))
@@ -581,11 +590,10 @@ class TestStackedOracles:
         except OverflowError:
             return sign * math.inf
 
-    @pytest.mark.parametrize("c", [-0.64, -1.0, 0.25, 0.0])
-    def test_factors_and_det_straddling_branch_points_match_scalar_arithmetic(self, rng, c):
-        # a|t| = 1 switches to the scaled factors, a|t| = _COSH_MAX the det;
-        # the grids give the bits of the per-time arithmetic they replaced
-        C0 = 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3))
+    @staticmethod
+    def _straddling_grid(c):
+        """Times at, next to and below a|t| = 1 and a|t| = _COSH_MAX, of
+        both signs (a = 1 for c = 0), and 0, -0, 3, -2."""
         a = math.sqrt(abs(c)) or 1.0
         grid = []
         for edge in (1.0 / a, _COSH_MAX / a):
@@ -594,6 +602,14 @@ class TestStackedOracles:
         grid += [0.0, -0.0, 3.0, -2.0]
         if c > 0.0:
             grid = [t for t in grid if abs(t) < 0.9 * math.pi / a]
+        return grid
+
+    @pytest.mark.parametrize("c", [-0.64, -1.0, 0.25, 0.0])
+    def test_factors_and_det_straddling_branch_points_match_scalar_arithmetic(self, rng, c):
+        # a|t| = 1 switches to the scaled factors, a|t| = _COSH_MAX the det;
+        # the grids give the bits of the per-time arithmetic they replaced
+        C0 = 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3))
+        grid = self._straddling_grid(c)
         ev = _Evolution(c, C0)
         P, Q, r = ev._factors(grid)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -605,6 +621,27 @@ class TestStackedOracles:
                 assert _bits(r[k]) == _bits(r1)
                 assert _bits(det[k]) == _bits(self._scalar_det(c, C0, t))
                 assert _bits(det[k]) == _bits(ev.det([t])[0])
+
+    @pytest.mark.parametrize("c", [-0.64, -1.0, 0.25, 0.0])
+    def test_one_factor_stack_gives_det_splitting_and_shape(self, rng, c):
+        # evaluate takes det J, C and A from one stack of factors; each keeps
+        # the bits of its own grid method, on the whole grid and on each
+        # time alone
+        C0 = 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3))
+        ops = [rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(2)]
+        grid = self._straddling_grid(c)
+        ev = _Evolution(c, C0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            det, C, A = ev.evaluate(ops, grid)
+            assert np.array_equal(_bits(det), _bits(ev.det(grid)))
+            assert np.array_equal(_bits(C), _bits(ev.splitting(grid)))
+            for got, want in zip(A, ev.shape(ops, grid), strict=True):
+                assert np.array_equal(_bits(got), _bits(want))
+            for k, t in enumerate(grid):
+                det1, C1, A1 = ev.evaluate(ops, [t])
+                assert _bits(det1[0]) == _bits(det[k])
+                assert np.array_equal(_bits(C1[0]), _bits(C[k]))
+                assert all(np.array_equal(_bits(a1[0]), _bits(a[k])) for a1, a in zip(A1, A))
 
 
 class TestCodazziCompatibility:
