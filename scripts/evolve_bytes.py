@@ -9,11 +9,13 @@ this process.  The set:
 
 - random Codazzi-compatible pairs (``sampling.random_compatible_pair``)
   with q in 1, 2, 3, 8, 16, 32, p in 1, 2 and c of each sign, on 1001
-  samples (2500 at q = 32, more than one evaluation chunk); for c < 0,
+  samples (2500 at q = 32, more than one evaluation block); for c < 0,
   a = sqrt(-c) exceeds every |eigenvalue| of C0, so the grid runs to 3 and
   crosses a|t| = 1;
 - the README's nearly compatible data, whose eigenvalues keep their
   imaginary parts;
+- nearly compatible data at q = 16 on 1500 samples, where one block holds
+  rows that take the symmetric solver and rows that take the general one;
 - Codazzi-incompatible data;
 - a long hyperbolic horizon, t_end = 800, where det J is inf;
 - entries of 1e200 and of 1e-200, whose norms are rescaled.
@@ -76,6 +78,15 @@ def scenarios():
     yield "nearly compatible (README)", {
         "c": -1.0, "C0": [[2.0, 1e-9], [-1e-9, 2.0]], "A0": [np.eye(2).tolist()],
         "t_grid": {"t_end": 1.0, "samples": 11},
+    }
+    rng = np.random.default_rng(16)
+    A0, C0 = random_compatible_pair(rng, 16, 1)
+    K = rng.normal(size=(16, 16))
+    # A0 C0 is off symmetric by ~7e-9: the rows pass the Bendixson bound up
+    # to 1356 and fail from 1357, inside the block of rows 1280-1535
+    yield "nearly compatible q=16", {
+        "c": -1.0, "C0": (C0.mat + np.linalg.solve(A0.ops[0], 1e-9 * (K - K.T))).tolist(),
+        "A0": [m.tolist() for m in A0.ops], "t_grid": {"t_end": 1.25e-4, "samples": 1500},
     }
     yield "incompatible", {
         "c": 0.0, "C0": [[0.0, 1.0], [-1.0, 0.0]], "A0": [np.eye(2).tolist()],

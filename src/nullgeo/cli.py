@@ -42,13 +42,9 @@ EXIT_SINGULAR = 4
 
 MODES = ("evolve", "classify", "search", "catalog", "check")
 
-# evolve decides between the symmetric and the general eigen-solver once per
-# chunk of min(_EVOLVE_CHUNK, _EVOLVE_CHUNK_ENTRIES / q^2) samples (see
-# _real_spectrum), and evaluates each chunk in blocks of at most
-# _EVOLVE_BLOCK_ENTRIES matrix entries per stack, 512 KiB, so that the
-# stacks of one block stay in a core's cache from one call to the next
-_EVOLVE_CHUNK = 1024
-_EVOLVE_CHUNK_ENTRIES = 2**20
+# evolve evaluates its grid in blocks of at most _EVOLVE_BLOCK_ENTRIES matrix
+# entries per stack, 512 KiB, so that the stacks of one block stay in a
+# core's cache from one call to the next
 _EVOLVE_BLOCK_ENTRIES = 2**16
 # oracle steps `check` accepts; the floor bounds the RK4 work of one run
 CHECK_STEP_RANGE = (1e-4, 0.1)
@@ -307,8 +303,8 @@ def _frobenius(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _real_spectrum(stack: np.ndarray, eigs: np.ndarray) -> bool:
-    """Whether every eigenvalue of every matrix A of ``stack`` renders real in
+def _real_spectrum(stack: np.ndarray, eigs: np.ndarray) -> np.ndarray:
+    """For each matrix A of ``stack``, whether every eigenvalue renders real in
     :func:`_fmt_eig`, given the eigenvalues ``eigs`` of the symmetric parts.
 
     By Bendixson's theorem |Im lambda| <= ||(A - A^T)/2||_2, which the
@@ -317,7 +313,7 @@ def _real_spectrum(stack: np.ndarray, eigs: np.ndarray) -> bool:
     """
     k = stack - stack.transpose(0, 2, 1)
     skew = 0.5 * np.sqrt(np.einsum("kij,kij->k", k, k))  # one pass, unlike norm
-    return bool((skew <= 1e-12 * (1.0 + np.abs(eigs).max(axis=1))).all())
+    return skew <= 1e-12 * (1.0 + np.abs(eigs).max(axis=1))
 
 
 def _evolve_block(ev: _Evolution, scn: Scenario, grid: list[float]):
@@ -336,7 +332,7 @@ def _evolve_block(ev: _Evolution, scn: Scenario, grid: list[float]):
 
 
 def _general_rows(head: list, A: list, norms: list) -> str:
-    """CSV lines of one block with the eigenvalues of the general solver,
+    """CSV lines of a run of rows with the eigenvalues of the general solver,
     ordered by real and then imaginary part, complex ones as ``a±bj``."""
     eigs = []
     for a in A:
@@ -363,7 +359,7 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
         )
     # for Codazzi data A(t) = A0 J(t)^{-1} is self-adjoint at every t, so its
     # spectrum comes from the symmetric solver, real and ascending, in each
-    # chunk whose skew part is too small to show (see _real_spectrum)
+    # row whose skew part is too small to show (see _real_spectrum)
     symmetric = is_codazzi_compatible(scn.A0, scn.C0)
     q, p = scn.C0.shape[0], len(scn.A0)
     header = ["t", "det_J", "C_norm"]
@@ -372,25 +368,24 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
         header.extend(f"A{i}_eig{j}" for j in range(q))
     ts = [scn.t_end * k / (scn.samples - 1) for k in range(scn.samples)]
     text = [",".join(header) + "\r\n"]  # csv's line ends; no cell holds a comma or a quote
-    chunk = min(_EVOLVE_CHUNK, max(1, _EVOLVE_CHUNK_ENTRIES // (q * q)))
-    block = min(chunk, max(1, _EVOLVE_BLOCK_ENTRIES // (q * q)))
-    for lo in range(0, len(ts), chunk):
-        grid = ts[lo:lo + chunk]
-        real, blocks = symmetric, []
-        for b in range(0, len(grid), block):
-            head, A, norms = _evolve_block(ev, scn, grid[b:b + block])
-            table = None
-            if real:
-                # halves first: A/2 + A^T/2 cannot overflow, and it is
-                # (A + A^T)/2 bit for bit unless an entry is below 2**-1021
-                eigs = [np.linalg.eigvalsh(h + h.transpose(0, 2, 1)) for h in (0.5 * a for a in A)]
-                real = all(map(_real_spectrum, A, eigs))
-                table = np.column_stack(head + [x for pair in zip(norms, eigs) for x in pair])
-            blocks.append((head, A, norms, table))
-        if real:
-            text += [_fmt_rows(table) for *_, table in blocks]
-        else:
-            text += [_general_rows(head, A, norms) for head, A, norms, _ in blocks]
+    block = max(1, _EVOLVE_BLOCK_ENTRIES // (q * q))
+    for lo in range(0, len(ts), block):
+        head, A, norms = _evolve_block(ev, scn, ts[lo:lo + block])
+        real = np.full(len(head[0]), symmetric)
+        if symmetric:
+            # halves first: A/2 + A^T/2 cannot overflow, and it is
+            # (A + A^T)/2 bit for bit unless an entry is below 2**-1021
+            eigs = [np.linalg.eigvalsh(h + h.transpose(0, 2, 1)) for h in (0.5 * a for a in A)]
+            for a, w in zip(A, eigs):
+                real &= _real_spectrum(a, w)
+            table = np.column_stack(head + [x for pair in zip(norms, eigs) for x in pair])
+        # runs of rows that render real, and of rows that do not
+        cuts = [0, *(np.flatnonzero(np.diff(real)) + 1), len(real)]
+        for i, j in zip(cuts, cuts[1:]):
+            if real[i]:
+                text.append(_fmt_rows(table[i:j]))
+            else:
+                text.append(_general_rows(*([x[i:j] for x in part] for part in (head, A, norms))))
     (out_dir / f"{stem}.trajectory.csv").write_text("".join(text), newline="")
     return EXIT_OK
 

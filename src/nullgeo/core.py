@@ -194,9 +194,11 @@ def _sset(A0) -> ShapeOperatorSet:
     return ShapeOperatorSet(tuple(A0))
 
 
-def _asymmetry(m: np.ndarray) -> float:
-    """max |m - m^T| relative to 1 + max |m|: 0 for a symmetric matrix."""
-    return np.abs(m - m.T).max(initial=0.0) / (1.0 + np.abs(m).max(initial=0.0))
+def _asymmetry(m: np.ndarray, one: float = 1.0) -> float:
+    """max |m - m^T| relative to 1 + max |m|, with 1 written as ``one`` in
+    the units of a scaled m: 0 for a symmetric matrix."""
+    d = np.abs(m - m.T).max(initial=0.0)
+    return d / (one + np.abs(m).max(initial=0.0)) if d else d
 
 
 def real_eigenvalues(M: np.ndarray) -> list[float]:
@@ -784,14 +786,24 @@ def is_codazzi_compatible(A0, C0) -> bool:
 
     By Cayley-Hamilton this is equivalent to symmetry of A_xi J(t)^{-1} for
     all t, i.e. the pair can arise as Codazzi data of an actual immersion.
+    A product past the float range is formed again from its factors scaled
+    by powers of two, which is exact, and ``one`` follows 1 into the units
+    of the scaled products.  A non-finite asymmetry counts as incompatible.
     """
     A0 = _sset(A0)
     C0 = _smat(C0)
     q = C0.shape[0]
-    for m in A0.ops:
-        for _ in range(q):
-            if _asymmetry(m) > SYM_TOL:
-                return False
-            m = m @ C0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in A0.ops:
+            one = 1.0
+            for k in range(q):
+                if not _asymmetry(m, one) <= SYM_TOL:
+                    return False
+                if k + 1 < q:
+                    p = m @ C0
+                    if not np.isfinite(p).all():
+                        sm, sc = (np.frexp(np.abs(x).max())[1] for x in (m, C0))
+                        p, one = np.ldexp(m, -sm) @ np.ldexp(C0, -sc), np.ldexp(one, -sm - sc)
+                    m = p
     return True
 

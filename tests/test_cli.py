@@ -332,9 +332,9 @@ class TestEvolve:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
     @pytest.mark.parametrize("entries", [64, 3 * 64])
-    def test_chunks_by_entry_count_keep_the_goldens(self, tmp_path, monkeypatch, entries):
-        # q = 8 takes chunks of 1 and 3 samples, q = 2 of 16 and 48
-        monkeypatch.setattr(cli, "_EVOLVE_CHUNK_ENTRIES", entries)
+    def test_blocks_by_entry_count_keep_the_goldens(self, tmp_path, monkeypatch, entries):
+        # q = 8 takes blocks of 1 and 3 samples, q = 2 of 16 and 48
+        monkeypatch.setattr(cli, "_EVOLVE_BLOCK_ENTRIES", entries)
         for stem in ("evolve_branch_q8", "evolve_skew_hyperbolic"):
             assert run_shipped("evolve", f"{stem}.json", tmp_path) == 0
             name = f"{stem}.trajectory.csv"
@@ -342,24 +342,17 @@ class TestEvolve:
 
     @pytest.mark.parametrize("case", ["codazzi-q32", "nearly-compatible-q16"])
     def test_blocks_keep_the_bytes(self, tmp_path, monkeypatch, case):
-        # a chunk is evaluated in blocks of _EVOLVE_BLOCK_ENTRIES entries per
-        # stack (q = 32: 1, 64 and 1024 samples; q = 16: 4, 256 and 1024),
-        # while the symmetric-or-general decision stays with the chunk
-        rng = np.random.default_rng(16)
+        # the grid is evaluated in blocks of _EVOLVE_BLOCK_ENTRIES entries per
+        # stack (q = 32: 1, 64 and 1024 samples; q = 16: 4, 256 and 4096),
+        # and each row takes its own eigen-solver
         if case == "codazzi-q32":
             # no singular time for a above every |eigenvalue|; the grid
             # crosses a|t| = 1
-            A0s, C0s = random_compatible_pair(rng, 32, 2)
+            A0s, C0s = random_compatible_pair(np.random.default_rng(16), 32, 2)
             a = 1.5 * np.abs(np.linalg.eigvals(C0s.mat)).max()
             c, C0, A0, t_end, samples = -a * a, C0s.mat, A0s.ops, 3.0 / a, 300
         else:
-            # A0 C0 is off symmetric by ~7e-9: the skew part of A(t) passes
-            # the Bendixson bound up to sample 1356 and fails from 1357, in
-            # the second chunk of 1024 samples
-            A0s, C0s = random_compatible_pair(rng, 16, 1)
-            K = rng.normal(size=(16, 16))
-            C0 = C0s.mat + np.linalg.solve(A0s.ops[0], 1e-9 * (K - K.T))
-            c, A0, t_end, samples = -1.0, A0s.ops, 1.25e-4, 1500
+            c, C0, A0, t_end, samples = _nearly_compatible_q16()
         csvs = []
         for entries in (2**10, 2**16, 2**20):
             monkeypatch.setattr(cli, "_EVOLVE_BLOCK_ENTRIES", entries)
@@ -367,11 +360,24 @@ class TestEvolve:
             csvs.append((tmp_path / "s.trajectory.csv").read_bytes())
         assert csvs[0] == csvs[1] == csvs[2]
         if case == "nearly-compatible-q16":
-            # the first chunk ends on the symmetric solver, the second starts
-            # on the general one, whose cells differ there
+            # the skew part of A(t) passes the Bendixson bound up to row
+            # 1356 and fails from 1357: the symmetric solver renders the
+            # rows up to 1356, the general one the rows from 1357, whose
+            # cells differ there
             rows = [row.split(",")[4:] for row in csvs[0].decode().splitlines()[1:]]
-            last, first = (_eig_cells(A0, c, C0, t_end * k / (samples - 1)) for k in (1023, 1024))
-            assert rows[1023] == last[0] and rows[1024] == first[1] != first[0]
+            for k in (1023, 1024, 1356, 1357):
+                symmetric, general = _eig_cells(A0, c, C0, t_end * k / (samples - 1))
+                assert symmetric != general
+                assert rows[k] == (symmetric if k <= 1356 else general)
+
+    def test_a_row_does_not_depend_on_its_grid(self, tmp_path):
+        # row 1024 of the 1500-sample grid and the last row of a
+        # 1025-sample grid that ends there (end * 1024 / 1024 is end) share
+        # one t, and one rendering
+        c, C0, A0, t_end, samples = _nearly_compatible_q16()
+        rows = _evolve_table(tmp_path, c, C0, A0, t_end, samples)
+        last = _evolve_table(tmp_path, c, C0, A0, t_end * 1024 / (samples - 1), 1025)[-1]
+        assert rows[1024] == last
 
     def test_long_hyperbolic_horizon(self, tmp_path, capsys):
         # cosh(a t) is not representable at t = 800: det J is reported as
@@ -454,6 +460,16 @@ def _eig_cells(A0, c, C0, t):
     w = np.linalg.eigvals(a)
     w = w[np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)))]
     return [_fmt(x) for x in np.linalg.eigvalsh(h + h.T)], [cli._fmt_eig(z) for z in w]
+
+
+def _nearly_compatible_q16():
+    """c, C0, A0, t_end and samples of an evolve scenario whose A0 C0 is off
+    symmetric by ~7e-9."""
+    rng = np.random.default_rng(16)
+    A0s, C0s = random_compatible_pair(rng, 16, 1)
+    K = rng.normal(size=(16, 16))
+    C0 = C0s.mat + np.linalg.solve(A0s.ops[0], 1e-9 * (K - K.T))
+    return -1.0, C0, A0s.ops, 1.25e-4, 1500
 
 
 def _evolve_table(tmp_path, c, C0, A0, t_end, samples):
@@ -550,6 +566,16 @@ class TestClassify:
         rec = json.loads((tmp_path / "s.verdict.json").read_text())
         assert rec["verdict"]["consistent"] is True
         assert rec["decay"]["global_alpha_limit"] == "Zero"
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_incompatible_data_have_no_decay_at_any_scale(self, tmp_path, capsys, scale):
+        # A0 C0 = -scale^2 [[1, 1], [0, 1]] overflows at 1e200; the decay
+        # report requires Codazzi data all the same
+        payload = {"mode": "classify", "c": 0.0, "domain": {"kind": "ray"},
+                   "C0": [[-scale, -scale], [0.0, -scale]], "A0": [[[scale, 0.0], [0.0, scale]]]}
+        assert run_scenario("classify", payload, tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Codazzi" in err[0]
 
 
 class TestSearch:

@@ -6,6 +6,7 @@ import pytest
 from nullgeo.core import (
     INTERVAL_SLACK,
     RICCATI_BLOWUP,
+    SYM_TOL,
     GeodesicDomain,
     NullityProfile,
     ShapeOperatorSet,
@@ -658,3 +659,43 @@ class TestCodazziCompatibility:
         A0 = ShapeOperatorSet((np.diag([1.0, 2.0]),))
         C0 = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert not is_codazzi_compatible(A0, C0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_products_past_the_float_range(self):
+        # symmetry of A0 C0^k does not depend on the scale of A0 or of C0;
+        # an inf product once made the asymmetry NaN, which passed
+        I = np.eye(2)
+        shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+        assert not is_codazzi_compatible([I], shear)
+        assert not is_codazzi_compatible([1e200 * I], 1e200 * shear)
+        assert is_codazzi_compatible([1e200 * I], 1e200 * I)
+        assert is_codazzi_compatible([[[1e200]]], [[-1e200]])
+        # A0 C0 = 1e400 E_22 overflows, 1 in its scaled units underflows to
+        # 0, and A0 C0^2 = 0 is symmetric
+        A0 = np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]])
+        N = np.zeros((3, 3))
+        N[0, 2] = 1.0
+        assert is_codazzi_compatible([1e200 * A0], 1e200 * N)
+
+    def test_finite_verdicts_are_the_unscaled_loops(self):
+        # draws whose asymmetry straddles SYM_TOL, over a range of scales,
+        # get the verdict of the loop without rescaling
+        def unscaled(A0, C0):
+            for m in A0:
+                for _ in range(len(C0)):
+                    if np.abs(m - m.T).max() / (1.0 + np.abs(m).max()) > SYM_TOL:
+                        return False
+                    m = m @ C0
+            return True
+
+        rng = np.random.default_rng(1910)
+        verdicts = []
+        for _ in range(300):
+            q = int(rng.integers(2, 6))
+            A0s, C0s = random_compatible_pair(rng, q, 1)
+            K = rng.normal(size=(q, q))
+            C0 = C0s.mat + np.linalg.solve(A0s.ops[0], 10 ** rng.uniform(-11, -6) * (K - K.T))
+            A0 = [10 ** rng.uniform(-3, 3) * A0s.ops[0]]
+            verdicts.append(unscaled(A0, C0))
+            assert is_codazzi_compatible(A0, C0) == verdicts[-1]
+        assert 50 < sum(verdicts) < 250
