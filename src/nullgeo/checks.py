@@ -1,25 +1,27 @@
-"""Invariant checks shared by the ``check`` CLI subcommand and the
-acceptance gate in ``tests/test_acceptance.py``.
+"""The one table of invariant checks, :data:`CHECKS`, run by the ``check``
+CLI subcommand at small case counts and by the acceptance gate in
+``tests/test_acceptance.py`` at its pinned seeds and counts.
 
-Each measured invariant is one function of a generator and a case count
-that returns the worst value it saw.  ``check`` calls it with a few cases
-from a seed-derived generator, the acceptance gate with its pinned seed and
-full count; each caller holds its own bound.  Identical (seed, step) inputs
-produce identical reports.  A check with a pinned bound reports the bound
-when it passes and the measured worst case only when it fails: the worst
-case sits at roundoff level and its digits vary between numpy/LAPACK
-builds, the bound does not.
+Identical (seed, step) inputs produce identical reports.  A bounded entry
+reports the bound when it passes and the measured worst case only when it
+fails: the worst case sits at roundoff level and its digits vary between
+numpy/LAPACK builds, the bound does not.  An exact entry reports a fixed
+statement.
 """
 from __future__ import annotations
 
 import math
+import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import cycle
 
 import numpy as np
 
 from . import catalog
+from .classify import AlphaLimit, sign_balance_check, signature_counts
 from .core import (
+    ShapeOperatorSet,
     _Evolution,
     _riccati_stack,
     _shape_stack,
@@ -30,11 +32,24 @@ from .core import (
     splitting_tensor_at,
 )
 from .sampling import random_compatible_pair, random_splitting_tensor
-from .theorems import SplittingFamily, find_special_nullity_direction, nu_n, radon_hurwitz
+from .theorems import (
+    NotConstant,
+    SplittingFamily,
+    alpha_norm,
+    cylinder_split,
+    find_special_nullity_direction,
+    mean_curvature_norm,
+    nu_n,
+    principal_angles,
+    radon_hurwitz,
+    scalar_curvature,
+    theorem1_pipeline,
+)
 
 __all__ = [
-    "CheckResult", "run_checks", "report", "CURVATURES", "EXACT_HORIZONS", "RH_TABLE_16",
-    "sample_grid", "radon_hurwitz_oracle", "riccati_deviation", "shape_deviation", "jacobi_residual",
+    "Check", "CHECKS", "run_checks", "report", "CURVATURES", "EXACT_HORIZONS",
+    "WORKED_FAMILY", "RH_TABLE_16", "sample_grid", "radon_hurwitz_oracle", "riccati_deviation",
+    "shape_deviation",
 ]
 
 CURVATURES = (-1.0, 0.0, 1.0)
@@ -45,15 +60,41 @@ EXACT_HORIZONS = (
     (1.0, np.array([[1.0]]), math.pi / 4.0),
     (-1.0, 2.0 * np.eye(2), 0.5 * math.log(3.0)),
 )
+# a family whose special nullity direction is the third member, with
+# lambda = -1 = -sqrt(-c) for c = -1: the critical edge of Theorem 1
+WORKED_FAMILY = SplittingFamily(
+    basis=(
+        np.array([[1.0, 0.0], [0.0, -1.0]]),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[1.0, 1.0], [-1.0, 1.0]]),
+    ),
+    q=2,
+)
+SKEW2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class Check:
+    """One invariant.  ``run(rng, count, step)``, whose docstring names the
+    statement of arXiv:1910.04050 or the identity it checks, draws ``count``
+    cases from ``rng`` (only the RK4 oracles read ``step``) and returns
+    ``(ok, values)``.  A bounded entry passes when ``ok`` holds and
+    ``values[0]``, its worst case, is at most ``bound``.  ``detail`` is the
+    report text: the measured quantity, or an exact entry's statement;
+    ``count`` and ``salt`` are those of ``check``."""
+
     name: str
-    passed: bool
+    run: Callable[[np.random.Generator, int, float], tuple[bool, tuple]]
     detail: str
-    value: float | None = None  # measured worst case, for checks with a bound
+    count: int
+    salt: int
     bound: float | None = None
+
+    def evaluate(self, rng: np.random.Generator, count: int, step: float) -> tuple[bool, tuple]:
+        ok, values = self.run(rng, count, step)
+        if self.bound is not None:
+            ok = ok and values[0] <= self.bound
+        return ok, values
 
 
 def sample_grid(c, C0, n: int = 5, frac: float = 0.8) -> list[float]:
@@ -123,70 +164,61 @@ def shape_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) ->
     return worst
 
 
-def jacobi_residual(rng: np.random.Generator, count: int, step: float = 1e-4) -> float:
-    """Largest residual of J'' + c J = 0, with J'' a central second
-    difference of the given step, relative to 1 + max |J|, over ``count``
-    random c in (-3, 3), C0 with q in 1..5 and t in (0.1, 2)."""
+def _riccati_oracle(rng, count, step):
+    """Main theorem: the closed-form splitting tensor C(t) solves the
+    Riccati equation C' = C^2 + cI (against RK4)."""
+    return True, (riccati_deviation(rng, count, step),)
+
+
+def _shape_oracle(rng, count, step):
+    """Main theorem: the Codazzi equation along the nullity, A' = A C(t),
+    integrates to A(t) = A0 J(t)^{-1} (against RK4)."""
+    return True, (shape_deviation(rng, count, step),)
+
+
+def _jacobi_residual(rng, count, step):
+    """Main theorem: J solves the Jacobi equation J'' + cJ = 0; its residual
+    by a second difference of step 1e-4, relative to 1 + max |J|."""
+    h = 1e-4
     worst = 0.0
     for _ in range(count):
         c = float(rng.uniform(-3.0, 3.0))
         C0 = random_splitting_tensor(rng, int(rng.integers(1, 6)))
         t = float(rng.uniform(0.1, 2.0))
-        Jm, J0, Jp = (jacobi_tensor(c, C0, x) for x in (t - step, t, t + step))
-        resid = float(np.abs((Jp - 2.0 * J0 + Jm) / (step * step) + c * J0).max())
+        Jm, J0, Jp = (jacobi_tensor(c, C0, x) for x in (t - h, t, t + h))
+        resid = float(np.abs((Jp - 2.0 * J0 + Jm) / (h * h) + c * J0).max())
         worst = max(worst, resid / (1.0 + float(np.abs(J0).max())))
-    return worst
+    return True, (worst,)
 
 
-def _rng(seed: int, salt: int) -> np.random.Generator:
-    return np.random.default_rng([seed, salt])
+def _gauge_identity(rng, count, step):
+    """Initial values of the main theorem: C(0) = C0 and A(0) = A0 exactly."""
+    ok = True
+    for _ in range(count):
+        A0, C0 = random_compatible_pair(rng, 3)
+        ok = ok and np.array_equal(splitting_tensor_at(-1.0, C0, 0.0).mat, C0.mat)
+        ok = ok and np.array_equal(shape_operator_at(A0, -1.0, C0, 0.0).ops, A0.ops)
+    return ok, ()
 
 
-def _bounded(label: str, worst: float, bound: float):
-    return worst <= bound, label, worst, bound
-
-
-def _check_riccati_oracle(seed, step):
-    return _bounded("max deviation", riccati_deviation(_rng(seed, 100), 5, step), 1e-6)
-
-
-def _check_shape_oracle(seed, step):
-    return _bounded("max deviation", shape_deviation(_rng(seed, 200), 5, step), 1e-6)
-
-
-def _check_jacobi_residual(seed, step):
-    return _bounded("max relative residual", jacobi_residual(_rng(seed, 300), 10), 1e-4)
-
-
-def _check_gauge_identity(seed, step):
-    rng = _rng(seed, 400)
-    c = -1.0
-    A0, C0 = random_compatible_pair(rng, 3)
-    ok = np.array_equal(splitting_tensor_at(c, C0, 0.0).mat, C0.mat)
-    at0 = shape_operator_at(A0, c, C0, 0.0)
-    ok = ok and all(np.array_equal(a, b) for a, b in zip(at0.ops, A0.ops))
-    return ok, "C(0) == C0 and A(0) == A0 exactly"
-
-
-def _check_derivative_consistency(seed, step):
+def _derivative(rng, count, step):
+    """The closed-form J'(t) against a central difference of J, relative."""
     h = 1e-6
     worst = 0.0
-    for i in range(10):
-        rng = _rng(seed, 500 + i)
+    for i in range(count):
         c = CURVATURES[i % 3]
         C0 = random_splitting_tensor(rng, 2 + i % 3)
         t = rng.uniform(0.0, 2.0)
         exact = jacobi_derivative(c, C0, t)
         fd = (jacobi_tensor(c, C0, t + h) - jacobi_tensor(c, C0, t - h)) / (2 * h)
-        rel = float(np.abs(exact - fd).max()) / (1.0 + float(np.abs(exact).max()))
-        worst = max(worst, rel)
-    return _bounded("max relative deviation", worst, 1e-6)
+        worst = max(worst, float(np.abs(exact - fd).max()) / (1.0 + float(np.abs(exact).max())))
+    return True, (worst,)
 
 
-def _check_cocycle(seed, step):
+def _cocycle(rng, count, step):
+    """The Riccati flow is autonomous: C(t) from C0 is C(t - s) from C(s)."""
     worst = 0.0
-    for i in range(5):
-        rng = _rng(seed, 600 + i)
+    for i in range(count):
         c = CURVATURES[i % 3]
         C0 = random_splitting_tensor(rng, 2 + i % 3)
         s, total = sample_grid(c, C0, n=2, frac=0.6)
@@ -194,105 +226,211 @@ def _check_cocycle(seed, step):
         mid = splitting_tensor_at(c, C0, s).mat
         rhs = splitting_tensor_at(c, mid, total - s).mat
         worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return _bounded("max deviation", worst, 1e-8)
+    return True, (worst,)
 
 
-def _check_radon_hurwitz(seed, step):
-    table = tuple(radon_hurwitz(m) for m in range(1, 17))
-    if table != RH_TABLE_16:
-        return False, f"table mismatch: {table}"
-    for m in range(1, 65):
-        if radon_hurwitz(m) != radon_hurwitz_oracle(m):
-            return False, f"oracle mismatch at m={m}"
-    return True, "table 1..16 and oracle 1..64 agree"
+def _radon_hurwitz(rng, count, step):
+    """The Radon-Hurwitz numbers behind the nullity thresholds: the table
+    rho(1..16), and rho(1..count) against the periodicity oracle."""
+    ok = tuple(radon_hurwitz(m) for m in range(1, 17)) == RH_TABLE_16
+    return ok and all(radon_hurwitz(m) == radon_hurwitz_oracle(m) for m in range(1, count + 1)), ()
 
 
-def _check_nu_n(seed, step):
-    got = {n: nu_n(n) for n in (2, 9, 17)}
-    want = {2: 0, 9: 1, 17: 1}
-    return got == want, f"nu_n {got}"
+def _nu_n(rng, count, step):
+    """The nullity threshold nu_n at n = 2, 9 and 17."""
+    return [nu_n(n) for n in (2, 9, 17)] == [0, 1, 1], ()
 
 
-def _check_kernel_search(seed, step):
-    for i in range(50):
-        rng = _rng(seed, 700 + i)
+def _kernel(rng, count, step):
+    """Kernel-search theorem: a family of nu0 = q(q+1)/2 splitting tensors
+    has a member C = -S - lambda I, S skew and lambda <= 0."""
+    ok = True
+    for i in range(count):
         q = 2 + i % 2
-        nu0 = q * (q + 1) // 2
-        fam = SplittingFamily(
-            basis=tuple(random_splitting_tensor(rng, q) for _ in range(nu0)), q=q
-        )
+        basis = tuple(random_splitting_tensor(rng, q) for _ in range(q * (q + 1) // 2))
+        fam = SplittingFamily(basis=basis, q=q)
         d = find_special_nullity_direction(fam)
-        if d is None:
-            return False, f"no direction at trial {i}"
-        C = fam.evaluate(d.coeffs)
-        resid = float(np.abs(C + d.skew_part + d.lam * np.eye(q)).max())
-        if resid > 1e-10 or d.lam > 0.0:
-            return False, f"bad decomposition at trial {i}: resid {resid:.3e}"
-    return True, "50 trials found admissible directions"
+        ok = ok and d is not None and d.lam <= 0.0
+        ok = ok and np.abs(fam.evaluate(d.coeffs) + d.skew_part + d.lam * np.eye(q)).max() <= 1e-10
+    return ok, ()
 
 
-def _check_max_invertible_exact(seed, step):
-    worst = max(abs(max_invertible_time(c, C0) - want) for c, C0, want in EXACT_HORIZONS)
-    return _bounded("max deviation", worst, 1e-12)
+def _max_invertible_exact(rng, count, step):
+    """The first singular time of J against the cases known in closed form."""
+    return True, (max(abs(max_invertible_time(c, C0) - want) for c, C0, want in EXACT_HORIZONS),)
 
 
-def _check_catalog(seed, step):
+def _catalog(rng, count, step):
+    """The exact models' expected properties, among them Cartan's identity,
+    lam_s lam_h = 1 and the Gauss curvatures of the hyperbolic cylinders."""
     models = [
         catalog.totally_geodesic(3, 1, 1.0),
         catalog.hyperbolic_cylinder(1, 2, 1.0),
+        *(catalog.hyperbolic_cylinder(1, 3, rho) for rho in (0.5, 1.0, 2.0)),
         catalog.cartan_veronese_polar(),
         catalog.euclidean_cylinder(3, 1.0),
     ]
-    failures = []
-    for m in models:
-        for prop, ok in catalog.verify_model(m).items():
-            if not ok:
-                failures.append(f"{m.name}:{prop}")
-    if failures:
-        return False, "failed: " + ", ".join(failures)
-    return True, "all catalog properties hold"
+    return all(all(catalog.verify_model(m).values()) for m in models), ()
 
 
-_CHECKS = (
-    ("riccati_oracle_equivalence", _check_riccati_oracle),
-    ("shape_oracle_equivalence", _check_shape_oracle),
-    ("jacobi_residual", _check_jacobi_residual),
-    ("gauge_identity", _check_gauge_identity),
-    ("derivative_consistency", _check_derivative_consistency),
-    ("cocycle_property", _check_cocycle),
-    ("radon_hurwitz_table", _check_radon_hurwitz),
-    ("nu_n_values", _check_nu_n),
-    ("kernel_search_soundness", _check_kernel_search),
-    ("max_invertible_time_exact", _check_max_invertible_exact),
-    ("catalog_identities", _check_catalog),
+# _symmetry and _rank evaluate A on a whole grid in one call, which gives each
+# time the bits of shape_operator_at
+def _symmetry(rng, count, step):
+    """Main theorem: A(t) stays symmetric for Codazzi-compatible (A0, C0); a
+    control pair that is not compatible breaks symmetry."""
+    worst = 0.0
+    for _ in range(count):
+        A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 5)))
+        A = _Evolution(-1.0, C0.mat).shape(A0.ops, sample_grid(-1.0, C0.mat))
+        worst = max(worst, ShapeOperatorSet(tuple(np.concatenate(A))).asymmetry())
+    bad_A = ShapeOperatorSet((np.diag([1.0, 2.0]),))
+    bad_C = np.array([[0.0, 1.0], [0.0, 0.0]])
+    control = max(shape_operator_at(bad_A, 0.0, bad_C, t).asymmetry() for t in (0.25, 0.5, 1.0))
+    return control > 1e-4, (worst, control)
+
+
+def _rank(rng, count, step):
+    """Main theorem: A(t) = A0 J(t)^{-1} keeps the rank and signature of A0."""
+    ok = True
+    for i in range(count):
+        c = CURVATURES[i % 3]
+        A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 5)))
+        grid = sample_grid(c, C0.mat, 20)
+        for a0, a in zip(A0.ops, _Evolution(c, C0.mat).shape(A0.ops, grid)):
+            ranks = np.linalg.matrix_rank(np.concatenate([[a0], a]), tol=1e-10)
+            ok = ok and (ranks == ranks[0]).all()
+            sig0 = signature_counts(a0)
+            ok = ok and all(signature_counts(m) == sig0 for m in a)
+    return ok, ()
+
+
+def _sphere(rng, count, step):
+    """Sphere continuation (c = 1): without real eigenvalues of C0, A(pi)
+    has the negated eigenvalues of A0, whose signs then balance."""
+    ok, worst = True, 0.0
+    for _ in range(count):
+        p, r = rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)
+        C0 = p * np.eye(2) + r * SKEW2
+        x, y = rng.uniform(-1.0, 1.0, size=2)
+        A0 = ShapeOperatorSet((np.array([[x, y], [y, -x]]),))
+        A = shape_operator_at(A0, 1.0, C0, math.pi)
+        w0 = np.sort(np.linalg.eigvalsh(A0.ops[0]))
+        w = np.sort(np.linalg.eigvalsh(A.ops[0]))
+        worst = max(worst, float(np.abs(w - np.sort(-w0)).max()))
+        ok = ok and sign_balance_check(A0, 1.0, C0)
+    return ok, (worst,)
+
+
+def _hyperbolic_decay(rng, count, step):
+    """Hyperbolic space (c = -1): A(t) decays along a ray for C0 = rS + lambda I,
+    S skew, lambda <= 0 (max |A(20)| / max |A0|), and blows up for C0 = I."""
+    ratios = []
+    for _ in range(count):
+        lam, r = float(rng.uniform(-2.0, 0.0)), float(rng.uniform(0.2, 1.5))
+        C0 = r * SKEW2 + lam * np.eye(2)
+        x, y = rng.uniform(-1.0, 1.0, size=2)
+        A0 = ShapeOperatorSet((np.array([[x, y], [y, -x]]),))
+        A = shape_operator_at(A0, -1.0, C0, 20.0)
+        ratios.append(float(np.abs(A.ops[0]).max()) / (1e-300 + float(np.abs(A0.ops[0]).max())))
+    blowup = shape_operator_at(ShapeOperatorSet((np.eye(2),)), -1.0, np.eye(2), 10.0)
+    grown = float(np.linalg.norm(blowup.ops[0]))
+    return grown >= 1e3, (float(np.max(ratios, initial=0.0)), grown)
+
+
+def _theorem1(rng, count, step):
+    """Theorem 1: the worked family's direction and vanishing decay limit (with
+    the critical-edge warning), and a direction in every family of
+    nu0 >= q(q+1)/2 members."""
+    d = find_special_nullity_direction(WORKED_FAMILY)
+    ok = d is not None and np.abs(np.abs(d.coeffs) - [0.0, 0.0, 1.0]).max() <= 1e-10
+    ok = ok and abs(d.lam + 1.0) <= 1e-10
+    A0 = ShapeOperatorSet((np.array([[1.0, 0.0], [0.0, -1.0]]),))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = theorem1_pipeline(WORKED_FAMILY, A0, -1.0)
+    ok = ok and any(issubclass(w.category, UserWarning) for w in caught)
+    ok = ok and rep.global_alpha_limit is AlphaLimit.ZERO
+    found = 0
+    for _ in range(count):
+        q = int(rng.integers(2, 5))
+        nu0 = q * (q + 1) // 2 + int(rng.integers(0, 3))
+        basis = tuple(rng.uniform(-1.0, 1.0, size=(q, q)) for _ in range(nu0))
+        found += find_special_nullity_direction(SplittingFamily(basis=basis, q=q)) is not None
+    return ok and found == count, (found, count)
+
+
+def _cylinder_split(rng, count, step):
+    """Integrable conullity in Euclidean space: a round cylinder splits off its
+    axis (angle, residual), and a cone has no constant factor."""
+    samples, leaf_ids = catalog.circle_line_samples()
+    split = cylinder_split(samples, k=1, leaf_ids=leaf_ids)
+    angle = float(principal_angles(split.V, np.array([[0.0], [0.0], [1.0]])).max())
+    cone, cone_ids = catalog.cone_samples()
+    try:
+        cylinder_split(cone, k=1, leaf_ids=cone_ids)
+        ok = False
+    except NotConstant:
+        ok = split.residual <= 1e-10
+    return ok, (angle, split.residual)
+
+
+def _gauss(rng, count, step):
+    """Gauss equation: s = c when totally geodesic, and s <= c exactly when
+    |alpha|^2 >= n^2 |H|^2."""
+    zero = ShapeOperatorSet((np.zeros((3, 3)),))
+    ok = all(scalar_curvature(zero, 3, c) == c for c in CURVATURES)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        ms = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(int(rng.integers(1, 4)))]
+        A = ShapeOperatorSet(tuple(0.5 * (m + m.T) for m in ms))
+        big_alpha = alpha_norm(A) ** 2 >= (n * mean_curvature_norm(A, n)) ** 2
+        ok = ok and (scalar_curvature(A, n, -1.0) <= -1.0) == big_alpha
+    return ok, ()
+
+
+CHECKS = (
+    # name, function, report detail, check count, rng salt (0: draws nothing), bound
+    Check("riccati_oracle_equivalence", _riccati_oracle, "max deviation", 5, 100, 1e-6),
+    Check("shape_oracle_equivalence", _shape_oracle, "max deviation", 5, 200, 1e-6),
+    Check("jacobi_residual", _jacobi_residual, "max relative residual", 10, 300, 1e-4),
+    Check("gauge_identity", _gauge_identity, "C(0) == C0 and A(0) == A0 exactly", 1, 400),
+    Check("derivative_consistency", _derivative, "max relative deviation", 10, 500, 1e-6),
+    Check("cocycle_property", _cocycle, "max deviation", 5, 600, 1e-8),
+    Check("radon_hurwitz_table", _radon_hurwitz, "table 1..16 and oracle 1..64 agree", 64, 0),
+    Check("nu_n_values", _nu_n, "nu_n {2: 0, 9: 1, 17: 1}", 0, 0),
+    Check("kernel_search_soundness", _kernel, "50 trials found admissible directions", 50, 700),
+    Check("max_invertible_time_exact", _max_invertible_exact, "max deviation", 0, 0, 1e-12),
+    Check("catalog_identities", _catalog, "all catalog properties hold", 0, 0),
+    Check("symmetry_propagation", _symmetry, "max asymmetry", 3, 800, 1e-8),
+    Check("rank_signature_constancy", _rank, "ranks and signatures of A(t) constant", 3, 900),
+    Check("sphere_continuation", _sphere, "max eigenvalue deviation", 5, 1000, 1e-8),
+    Check("hyperbolic_decay_and_blowup", _hyperbolic_decay, "max decay ratio", 5, 1100, 1e-6),
+    Check("theorem1_pipeline", _theorem1, "every family has a special direction", 10, 1200),
+    Check("cylinder_split", _cylinder_split, "max principal angle", 0, 0, 1e-8),
+    Check("scalar_curvature", _gauss, "s <= c exactly when |alpha|^2 >= n^2 |H|^2", 20, 1300),
 )
 
 
-def run_checks(seed: int = 0, step: float = 1e-3) -> list[CheckResult]:
-    results = []
-    for name, fn in _CHECKS:
-        results.append(CheckResult(name, *fn(seed, step)))
-    return results
+def run_checks(seed: int = 0, step: float = 1e-3) -> list[tuple[Check, bool, tuple]]:
+    """``(check, passed, values)`` of every entry of :data:`CHECKS` at its
+    small count, on ``default_rng([seed, salt])``, with the oracle step."""
+    return [(check, *check.evaluate(np.random.default_rng([seed, check.salt]), check.count, step))
+            for check in CHECKS]
 
 
 def report(results) -> tuple[str, int]:
     """Formatted summary plus exit code (0 iff nothing failed).
 
     A PASS line of a bounded check shows the pinned bound; a FAIL line shows
-    the measured worst case next to it.
+    the measured worst case next to it.  An exact check's line shows its
+    statement.
     """
     lines = []
-    failed = 0
-    for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        detail = r.detail
-        if r.bound is not None:
-            if r.passed:
-                detail += f" within {r.bound:g}"
-            else:
-                detail += f" {r.value:.3e}, bound {r.bound:g}"
-        lines.append(f"{tag} {r.name}: {detail}")
-        if not r.passed:
-            failed += 1
+    for check, passed, values in results:
+        detail, bound = check.detail, check.bound
+        if bound is not None:
+            detail += f" within {bound:g}" if passed else f" {values[0]:.3e}, bound {bound:g}"
+        lines.append(f"{'PASS' if passed else 'FAIL'} {check.name}: {detail}")
+    failed = sum(not passed for _, passed, _ in results)
     lines.append(f"{len(results)} checks, {failed} failed")
     return "\n".join(lines) + "\n", 0 if failed == 0 else 1

@@ -118,10 +118,10 @@ def parse_scenario(raw: dict) -> Scenario:
     mode = raw.get("mode")
     if mode not in MODES:
         raise ScenarioParseError(f"mode must be one of {MODES}, got {mode!r}")
-    try:
-        seed = int(raw.get("seed", 0))
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioParseError(f"seed must be an integer, got {raw['seed']!r}")
+    seed = raw.get("seed", 0)
+    # bool is an int subclass, and int() would truncate a float or read a string
+    if type(seed) is not int:
+        raise ScenarioParseError(f"seed must be an integer, got {seed!r}")
     scn = Scenario(mode=mode, seed=seed)
 
     if "c" in raw:
@@ -535,8 +535,7 @@ def run_check(scn: Scenario | None, out_dir: Path, stem: str, step: float, seed:
     lo, hi = CHECK_STEP_RANGE
     if not lo <= step <= hi:  # false for nan
         raise ScenarioParseError(f"--step must lie in [{lo:g}, {hi:g}], got {step}")
-    results = run_checks(seed=seed, step=step)
-    text, code = report(results)
+    text, code = report(run_checks(seed=seed, step=step))
     (out_dir / f"{stem}.report.txt").write_text(text)
     sys.stdout.write(text)
     return EXIT_OK if code == 0 else EXIT_CHECK_FAILED

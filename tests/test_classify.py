@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nullgeo.checks import SKEW2
 from nullgeo.classify import (
     AlphaLimit,
     BlockBehavior,
@@ -21,7 +22,6 @@ from nullgeo.core import (
     shape_operator_at,
 )
 
-SKEW2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 TRACELESS = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 

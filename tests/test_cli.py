@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -120,6 +121,11 @@ class TestParsing:
             ("classify", {**_CLASSIFY, "domain": {"kind": "segment", "b": math.nan}}),
             ("evolve", {**_EVOLVE, "seed": "1.5"}),
             ("evolve", {**_EVOLVE, "seed": math.inf}),
+            # a seed is a JSON integer: no float, string or bool is read as one
+            ("check", {"mode": "check", "seed": 1.5}),
+            ("check", {"mode": "check", "seed": "3"}),
+            ("check", {"mode": "check", "seed": True}),
+            ("check", {"mode": "check", "seed": 1e3}),
             ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=-0.5)),
             ("catalog", _catalog("euclidean_cylinder", n=3, kappa=0.0)),
             ("catalog", _catalog("totally_geodesic", n=0, p=1, c=1.0)),
@@ -167,6 +173,7 @@ class TestParsing:
         ids=[
             "nan-c", "inf-c", "nan-C0", "inf-C0", "nan-A0", "inf-family",
             "inf-t_end", "nan-t_end", "nan-b", "seed-str", "inf-seed",
+            "check-seed-float", "check-seed-digits", "check-seed-bool", "check-seed-1e3",
             "rho-nonpos", "kappa-zero", "n-zero", "params-list", "params-str",
             "entry-list", "check-seed-negative", "catalog-nan-c",
             "samples-float", "samples-1e9", "samples-int-1e9", "samples-over", "samples-bool",
@@ -609,6 +616,16 @@ class TestCatalogAndCheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert (tmp_path / "check.report.txt").exists()
+
+    def test_coarse_step_fails_the_oracle_checks_alone(self, tmp_path, capsys):
+        # the RK4 oracles, the first two entries, miss their bound at step
+        # 0.1; no other entry reads the step, so every other line is golden
+        assert main(["check", "--step", "0.1", "--seed", "0", "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        golden = (GOLDEN / "check_default.report.txt").read_text().splitlines()
+        assert lines[2:] == golden[2:-1] + ["18 checks, 2 failed"]
+        for line, name in zip(lines, ("riccati_oracle_equivalence", "shape_oracle_equivalence")):
+            assert re.fullmatch(rf"FAIL {name}: max deviation \d\.\d{{3}}e[+-]\d{{2}}, bound 1e-06", line)
 
 
 class TestDeterminism:

@@ -28,12 +28,10 @@ from nullgeo.core import (
     shape_operator_at,
     splitting_tensor_at,
 )
-from nullgeo.checks import _batch, riccati_cases, riccati_deviation, shape_cases, shape_deviation
+from nullgeo.checks import SKEW2, _batch, riccati_cases, riccati_deviation, shape_cases, shape_deviation
 from nullgeo.sampling import random_compatible_pair
 
 from conftest import det_sampling_bmax, rank_one_draws, rk4_path, rk4_second_order
-
-SKEW2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class TestDomainTypes:

@@ -9,7 +9,9 @@ small (q <= 4, samples <= 64), which keeps the run to about two seconds.
 
 ``check`` takes its ``--seed`` and ``--step`` options instead.  A step outside
 [1e-4, 0.1] or a negative seed is exit 2; accepted steps are drawn from
-[1e-2, 0.1] only, so no draw starts a long RK4 run.
+[1e-2, 0.1] only, so no draw starts a long RK4 run.  A run that passes writes
+the golden report byte for byte: no line shows digits that depend on the
+seed or the step.
 
 The command line itself is fuzzed too: one option (``--seed``, ``--step`` or
 an unknown ``--x``) with an arbitrary text value, added to a shipped
@@ -29,6 +31,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nullgeo.cli import CHECK_STEP_RANGE, main
 
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIO_DIR = ROOT / "scenarios"
+GOLDEN_REPORT = ROOT / "tests" / "golden" / "check_default.report.txt"
 MODES = ("evolve", "classify", "search", "catalog")
 CATALOG = {
     "totally_geodesic": ("n", "p", "c"),
@@ -137,6 +142,9 @@ def test_check_options_end_in_a_documented_exit(out_dir, step, seed):
     if 1e-4 <= step <= 0.1 and seed >= 0:
         # a coarse step may miss the pinned oracle bounds: exit 1, a FAIL line
         assert code in (0, 1) and lines == []
+        if code == 0:
+            # a passing report shows bounds and fixed text, whatever the seed
+            assert (out_dir / "check.report.txt").read_bytes() == GOLDEN_REPORT.read_bytes()
     else:
         assert code == 2 and out.getvalue() == ""
         assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -149,7 +157,6 @@ SHIPPED = {
     "catalog": "catalog_hyperbolic_cylinder.json",
     "check": "check_default.json",
 }
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 option_values = st.text(max_size=8) | st.floats().map(repr) | st.integers(-99, 99).map(str)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nullgeo.checks import radon_hurwitz_oracle
+from nullgeo.checks import WORKED_FAMILY, radon_hurwitz_oracle
 from nullgeo.classify import AlphaLimit, BlockBehavior
 from nullgeo.core import ShapeOperatorSet
 from nullgeo.sampling import random_splitting_tensor
@@ -38,16 +38,6 @@ from nullgeo.theorems import (
 def _bits(x) -> np.ndarray:
     # int64 views tell -0.0 from 0.0, which array_equal does not
     return np.asarray(x, dtype=float).view(np.int64)
-
-
-WORKED_FAMILY = SplittingFamily(
-    basis=(
-        np.array([[1.0, 0.0], [0.0, -1.0]]),
-        np.array([[0.0, 1.0], [1.0, 0.0]]),
-        np.array([[1.0, 1.0], [-1.0, 1.0]]),
-    ),
-    q=2,
-)
 
 
 class TestIntegerPredicates:
