@@ -16,7 +16,7 @@ this process.  The set:
   imaginary parts;
 - nearly compatible data at q = 16 on 1500 samples, where one block holds
   rows that take the symmetric solver and rows that take the general one;
-- Codazzi-incompatible data;
+- Codazzi-incompatible data, once at the scale of 1e-9;
 - a long hyperbolic horizon, t_end = 800, where det J is inf;
 - entries of 1e200 and of 1e-200, whose norms are rescaled.
 
@@ -91,6 +91,12 @@ def scenarios():
     yield "incompatible", {
         "c": 0.0, "C0": [[0.0, 1.0], [-1.0, 0.0]], "A0": [np.eye(2).tolist()],
         "t_grid": {"t_end": 1.0, "samples": 3},
+    }
+    # as incompatible as A0 = I, since symmetry of A0 C0 does not depend on
+    # the scale of A0; up to t = 1e-3 the skew part of A(t) is below 1e-12
+    yield "incompatible A0=1e-9 I", {
+        "c": 0.0, "C0": [[-1.0, -1.0], [0.0, -1.0]], "A0": [(1e-9 * np.eye(2)).tolist()],
+        "t_grid": {"t_end": 1e-3, "samples": 3},
     }
     yield "t_end=800", {
         "c": -1.0, "C0": [[0.0, 1.0], [-1.0, 0.0]], "A0": [[[1.0, 0.0], [0.0, -1.0]]],

@@ -179,7 +179,8 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     sqrt(-c) (0 for flat ambient space) and its complement.  Off the critical
     eigenspace the shape image decays; on it, flat space gives parallel
     constant data while negative curvature gives exponential blow-up unless
-    the initial shape image already vanishes there.
+    the initial shape image already vanishes there, below 1e-10 max|A0|: the
+    verdicts do not change when A0 is scaled.
 
     Raises :class:`PreconditionViolated` unless ``A0`` is Codazzi compatible
     with ``C0``: otherwise A0 J(t)^{-1} is no shape operator, and the
@@ -202,7 +203,7 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
         )
 
     a = math.sqrt(-c)
-    scale = 1.0 + max((np.abs(m).max(initial=0.0) for m in A0.ops), default=0.0)
+    scale = max((np.abs(m).max(initial=0.0) for m in A0.ops), default=0.0)
     E = _critical_eigenspace(C0, a)
     crit_image = 0.0
     if E.shape[1] and A0.p:
@@ -256,10 +257,10 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
 
 def signature_counts(A: np.ndarray):
     """(positive, negative) eigenvalue counts of a symmetric operator,
-    excluding eigenvalues within 1e-8 (relative) of zero."""
+    excluding eigenvalues w within 1e-8 max|w| of zero, so scale-free."""
     A = np.asarray(A, dtype=float)
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
-    cutoff = 1e-8 * max(1.0, float(np.abs(w).max(initial=0.0)))
+    cutoff = 1e-8 * np.abs(w).max(initial=0.0)
     pos = int(np.sum(w > cutoff))
     neg = int(np.sum(w < -cutoff))
     return pos, neg

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import catalog as catalog_mod
-from .checks import report, run_checks
 from .classify import classify_splitting_spectrum, decay_report
 from .core import (
     DomainKind,
@@ -535,6 +534,7 @@ def run_check(scn: Scenario | None, out_dir: Path, stem: str, step: float, seed:
     lo, hi = CHECK_STEP_RANGE
     if not lo <= step <= hi:  # false for nan
         raise ScenarioParseError(f"--step must lie in [{lo:g}, {hi:g}], got {step}")
+    from .checks import report, run_checks  # no other subcommand loads the check table
     text, code = report(run_checks(seed=seed, step=step))
     (out_dir / f"{stem}.report.txt").write_text(text)
     sys.stdout.write(text)

@@ -194,11 +194,16 @@ def _sset(A0) -> ShapeOperatorSet:
     return ShapeOperatorSet(tuple(A0))
 
 
-def _asymmetry(m: np.ndarray, one: float = 1.0) -> float:
-    """max |m - m^T| relative to 1 + max |m|, with 1 written as ``one`` in
-    the units of a scaled m: 0 for a symmetric matrix."""
-    d = np.abs(m - m.T).max(initial=0.0)
-    return d / (one + np.abs(m).max(initial=0.0)) if d else d
+def _asymmetry(m: np.ndarray) -> float:
+    """max |m - m^T| / max |m|, 0 for a symmetric m, unchanged by scaling m;
+    m - m^T is antisymmetric to the bit, so its largest entry is its modulus."""
+    d = np.maximum.reduce(m - m.T, None, initial=0.0)
+    return d / np.maximum.reduce(np.abs(m), None) if d else d
+
+
+def _unit_scale(m: np.ndarray) -> np.ndarray:
+    """m times the power of two that brings its largest entry into [1/2, 1)."""
+    return np.ldexp(m, -math.frexp(np.maximum.reduce(np.abs(m), None, initial=0.0))[1])
 
 
 def real_eigenvalues(M: np.ndarray) -> list[float]:
@@ -248,21 +253,26 @@ def _jacobi(c: float, C0: np.ndarray, ts, derivative: bool = True):
     return co * eye - (si / a) * C0, ((k * si) * eye - co * C0 if derivative else None)
 
 
+def _jacobi_at(c, C0, t: float) -> list[np.ndarray]:
+    try:
+        return [x[0] for x in _jacobi(_curv(c), _smat(C0), [t])]
+    except OverflowError:  # c < 0 and cosh(a|t|) past the float range
+        raise NullityError(f"Jacobi tensor overflows the float range at t={t}") from None
+
+
 def jacobi_tensor(c, C0, t: float) -> np.ndarray:
     """Jacobi tensor J(t) solving J'' + c J = 0, J(0) = I, J'(0) = -C0.
 
     For c = 1, 0, -1 this is the textbook trigonometric / affine / hyperbolic
     solution; arbitrary real c is handled by sqrt(|c|) scaling of those three
-    branches.
+    branches.  Past the float range it raises :class:`NullityError`.
     """
-    J, _ = _jacobi(_curv(c), _smat(C0), [t])
-    return J[0]
+    return _jacobi_at(c, C0, t)[0]
 
 
 def jacobi_derivative(c, C0, t: float) -> np.ndarray:
-    """Exact t-derivative of :func:`jacobi_tensor`."""
-    _, dJ = _jacobi(_curv(c), _smat(C0), [t])
-    return dJ[0]
+    """Exact t-derivative of :func:`jacobi_tensor`, with the same error."""
+    return _jacobi_at(c, C0, t)[1]
 
 
 def max_invertible_time(c, C0) -> float:
@@ -443,12 +453,6 @@ class _Evolution:
         """A_xi(t) = A_xi(0) J(t)^{-1} for each shape operator, each stacked
         over the grid."""
         return self._shape(ops, self.inverse(ts))
-
-    def det(self, ts) -> np.ndarray:
-        """det J(t) for each t (see :meth:`_det`)."""
-        ts = _times(ts)
-        P, _, r = self._factors(ts)
-        return self._det(ts, P, r)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -786,24 +790,17 @@ def is_codazzi_compatible(A0, C0) -> bool:
 
     By Cayley-Hamilton this is equivalent to symmetry of A_xi J(t)^{-1} for
     all t, i.e. the pair can arise as Codazzi data of an actual immersion.
-    A product past the float range is formed again from its factors scaled
-    by powers of two, which is exact, and ``one`` follows 1 into the units
-    of the scaled products.  A non-finite asymmetry counts as incompatible.
+    Neither this nor :func:`_asymmetry` changes when A0 or C0 is scaled, so
+    C0, A_xi and each product multiplied again are scaled by a power of two
+    to a largest entry in [1/2, 1): exact, and every product stays in range.
     """
-    A0 = _sset(A0)
-    C0 = _smat(C0)
+    C0 = _unit_scale(_smat(C0))
     q = C0.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in A0.ops:
-            one = 1.0
-            for k in range(q):
-                if not _asymmetry(m, one) <= SYM_TOL:
-                    return False
-                if k + 1 < q:
-                    p = m @ C0
-                    if not np.isfinite(p).all():
-                        sm, sc = (np.frexp(np.abs(x).max())[1] for x in (m, C0))
-                        p, one = np.ldexp(m, -sm) @ np.ldexp(C0, -sc), np.ldexp(one, -sm - sc)
-                    m = p
+    for m in _sset(A0).ops:
+        m = _unit_scale(m)
+        for k in range(1, q + 1):
+            if not _asymmetry(m) <= SYM_TOL:
+                return False
+            if k < q:
+                m = m @ C0 if k + 1 == q else _unit_scale(m @ C0)
     return True
-

@@ -6,6 +6,11 @@ import pytest
 from nullgeo.core import SingularJacobi, _rk4_segments
 
 
+# scale factors that are exact in floating point: a scale-free verdict must
+# not change under any of them
+POWERS_OF_TWO = (2.0, 0.5, 2.0**60, 2.0**-60)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -22,6 +22,8 @@ from nullgeo.core import (
     shape_operator_at,
 )
 
+from conftest import POWERS_OF_TWO
+
 TRACELESS = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
@@ -134,6 +136,31 @@ class TestDecayReport:
         with pytest.raises(PreconditionViolated):
             decay_report(A0, -1.0, C0, GeodesicDomain.ray())
 
+    def test_vanishing_image_is_relative_to_a0(self):
+        # A0 = 1e-12 I on the critical eigenspace of C0 = I grows like e^t:
+        # it blows up as A0 = I does, and is not identically zero
+        rep = decay_report([1e-12 * np.eye(2)], -1.0, np.eye(2), GeodesicDomain.ray())
+        assert rep.per_block[0].behavior is BlockBehavior.BLOWS_UP
+        assert rep.global_alpha_limit is AlphaLimit.DIVERGENT
+        assert rep.samples[-1][1] / 1e-12 == pytest.approx(math.exp(20.0), rel=1e-8)
+
+    @pytest.mark.parametrize("s", POWERS_OF_TWO)
+    def test_verdicts_do_not_depend_on_the_scale_of_a0(self, s):
+        cases = [
+            (-1.0, SKEW2, [TRACELESS], GeodesicDomain.ray()),
+            (0.0, np.zeros((2, 2)), [np.diag([1.0, 2.0])], GeodesicDomain.ray()),
+            (-1.0, np.eye(2), [np.eye(2)], GeodesicDomain.ray()),
+            (-1.0, np.diag([1.0, -0.5]), [np.diag([0.0, 1.0])], GeodesicDomain.ray()),
+            (0.0, np.diag([0.0, -1.0]), [np.eye(2)], GeodesicDomain.ray()),
+            (0.0, np.diag([0.0, -1.0]), [np.diag([1.0, 0.0])], GeodesicDomain.ray()),
+            (-0.25, 0.5 * SKEW2, [TRACELESS, np.fliplr(np.eye(2))], GeodesicDomain.line()),
+        ]
+        for c, C0, A0, domain in cases:
+            want = decay_report(A0, c, C0, domain)
+            got = decay_report([s * a for a in A0], c, C0, domain)
+            assert [b.behavior for b in got.per_block] == [b.behavior for b in want.per_block]
+            assert got.global_alpha_limit is want.global_alpha_limit
+
     def test_rejects_segment(self):
         A0 = ShapeOperatorSet((np.eye(2),))
         with pytest.raises(ValueError):
@@ -171,6 +198,20 @@ class TestSignBalance:
         for t in (0.5, 1.5, 3.0):
             A = shape_operator_at(A0, 1.0, C0, t)
             assert signature_counts(A.ops[0]) == counts0
+
+    def test_signature_cutoff_is_relative(self):
+        assert signature_counts(1e-10 * TRACELESS) == (1, 1)
+        assert signature_counts(np.zeros((2, 2))) == (0, 0)
+
+    @pytest.mark.parametrize("s", POWERS_OF_TWO)
+    def test_signature_does_not_depend_on_scale(self, rng, s):
+        for _ in range(20):
+            Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+            w = rng.choice([-1.0, 0.0, 1.0], size=4) * rng.uniform(0.5, 2.0, size=4)
+            A = Q @ np.diag(w) @ Q.T
+            want = (int(np.sum(w > 0)), int(np.sum(w < 0)))
+            assert signature_counts(A) == want
+            assert signature_counts(s * A) == want
 
     def test_sphere_continuation_negates_eigenvalues(self):
         C0 = 0.4 * np.eye(2) + 0.8 * SKEW2

@@ -46,6 +46,12 @@ def run_scenario(command, payload, out):
     return main([command, "--scenario", str(path), "--out", str(out)])
 
 
+def _src_env():
+    """The environment with this tree's ``src`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def run_shipped(command, scenario, out):
     """``main`` on a scenario from ``scenarios/``, writing under ``out``."""
     return main([command, "--scenario", str(SCENARIOS / scenario), "--out", str(out)])
@@ -292,8 +298,7 @@ class TestCommandLine:
 
     def test_module_entry_point(self, tmp_path):
         # ``python -m nullgeo.cli`` reaches ``sys.exit(main())``
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        env = _src_env()
         scenario = str(SCENARIOS / "evolve_skew_hyperbolic.json")
 
         def run(*argv):
@@ -308,6 +313,12 @@ class TestCommandLine:
         assert done.returncode == 2
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_only_check_loads_the_check_table(self):
+        code = "import sys, nullgeo.cli; print('nullgeo.checks' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_src_env())
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
     def test_help_is_not_an_error(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -535,6 +546,14 @@ class TestEvolveSpectrum:
         assert rows[1][4:] == ["0.8-0.4j", "0.8+0.4j"]
         assert rows[2][4:] == ["0.5-0.5j", "0.5+0.5j"]
 
+    def test_incompatible_data_below_unit_scale_keep_their_spectrum(self, tmp_path):
+        # A0 J(t)^{-1} = 1e-9 [[1 + t, -t], [0, 1 + t]] / (1 + t)^2 has the
+        # double eigenvalue 1e-9 / (1 + t), not the two of its symmetric part
+        C0 = [[-1.0, -1.0], [0.0, -1.0]]
+        rows = _evolve_table(tmp_path, 0.0, C0, [1e-9 * np.eye(2)], 1e-3, 3)
+        assert rows[1][4:] == ["9.9950024987506e-10"] * 2
+        assert rows[2][4:] == ["9.99000999001e-10"] * 2
+
 
 def _old_fmt(x):
     s = format(float(x), ".14g")
@@ -580,6 +599,15 @@ class TestClassify:
         # report requires Codazzi data all the same
         payload = {"mode": "classify", "c": 0.0, "domain": {"kind": "ray"},
                    "C0": [[-scale, -scale], [0.0, -scale]], "A0": [[[scale, 0.0], [0.0, scale]]]}
+        assert run_scenario("classify", payload, tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Codazzi" in err[0]
+
+    def test_incompatible_data_have_no_decay_below_unit_scale(self, tmp_path, capsys):
+        # the pair above at scale 1 with A0 = 1e-9 I: A0 C0 is as far from
+        # symmetric, relative to its size
+        payload = {"mode": "classify", "c": 0.0, "domain": {"kind": "ray"},
+                   "C0": [[-1.0, -1.0], [0.0, -1.0]], "A0": [[[1e-9, 0.0], [0.0, 1e-9]]]}
         assert run_scenario("classify", payload, tmp_path) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "Codazzi" in err[0]

@@ -8,6 +8,7 @@ from nullgeo.core import (
     RICCATI_BLOWUP,
     SYM_TOL,
     GeodesicDomain,
+    NullityError,
     NullityProfile,
     ShapeOperatorSet,
     SingularJacobi,
@@ -31,7 +32,7 @@ from nullgeo.core import (
 from nullgeo.checks import SKEW2, _batch, riccati_cases, riccati_deviation, shape_cases, shape_deviation
 from nullgeo.sampling import random_compatible_pair
 
-from conftest import det_sampling_bmax, rank_one_draws, rk4_path, rk4_second_order
+from conftest import POWERS_OF_TWO, det_sampling_bmax, rank_one_draws, rk4_path, rk4_second_order
 
 
 class TestDomainTypes:
@@ -85,6 +86,20 @@ class TestJacobiTensor:
             J = jacobi_tensor(c, C0, 0.8)
             J_ode, _ = rk4_second_order(c, C0, 0.8)
             np.testing.assert_allclose(J, J_ode, atol=1e-10)
+
+    def test_past_the_float_range_is_a_nullity_error(self):
+        # cosh(a|t|) is past the float range from a|t| ~ 710.48: one line
+        # naming t, where math.cosh raised a bare OverflowError
+        C0 = 0.5 * np.eye(2)
+        for fn in (jacobi_tensor, jacobi_derivative):
+            for t in (800.0, -711.0):
+                with pytest.raises(NullityError, match=rf"^[^\n]* at t={t}$"):
+                    fn(-1.0, C0, t)
+        # the times that return keep the bits of the libm arithmetic
+        for t in (700.0, _COSH_MAX, 710.0, -709.5):
+            co, si = math.cosh(t), math.sinh(t)
+            assert np.array_equal(jacobi_tensor(-1.0, C0, t), co * np.eye(2) - si * C0)
+            assert np.array_equal(jacobi_derivative(-1.0, C0, t), si * np.eye(2) - co * C0)
 
 
 class TestJacobiDerivative:
@@ -255,7 +270,7 @@ class TestGridEvaluator:
         C = ev.splitting(grid)
         A = ev.shape(A0, grid)
         Jinv = ev.inverse(grid)
-        dets = ev.det(grid)
+        dets = ev.evaluate([], grid)[0]
         for k, t in enumerate(grid):
             assert np.array_equal(C[k], splitting_tensor_at(c, C0, t).mat)
             J = jacobi_tensor(c, C0, t)
@@ -273,7 +288,7 @@ class TestGridEvaluator:
         # J = cosh t - sinh t / 2 ~ e^t / 4 is representable past the point
         # where cosh t is not; det J = inf only where the value itself is
         ev = _Evolution(-1.0, np.array([[0.5]]))
-        near, beyond, far = ev.det([700.0, 711.0, 712.0])
+        near, beyond, far = ev.evaluate([], [700.0, 711.0, 712.0])[0]
         assert near == pytest.approx(math.cosh(700.0) - 0.5 * math.sinh(700.0), rel=1e-12)
         assert beyond == pytest.approx(math.exp(711.0 - math.log(4.0)), rel=1e-12)
         assert far == math.inf
@@ -612,14 +627,14 @@ class TestStackedOracles:
         ev = _Evolution(c, C0)
         P, Q, r = ev._factors(grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            det = ev.det(grid)
+            det = ev.evaluate([], grid)[0]
             for k, t in enumerate(grid):
                 p1, q1, r1 = self._scalar_factors(c, C0, t)
                 assert np.array_equal(_bits(P[k]), _bits(p1))
                 assert np.array_equal(_bits(Q[k]), _bits(q1))
                 assert _bits(r[k]) == _bits(r1)
                 assert _bits(det[k]) == _bits(self._scalar_det(c, C0, t))
-                assert _bits(det[k]) == _bits(ev.det([t])[0])
+                assert _bits(det[k]) == _bits(ev.evaluate([], [t])[0][0])
 
     @pytest.mark.parametrize("c", [-0.64, -1.0, 0.25, 0.0])
     def test_one_factor_stack_gives_det_splitting_and_shape(self, rng, c):
@@ -632,7 +647,7 @@ class TestStackedOracles:
         ev = _Evolution(c, C0)
         with np.errstate(over="ignore", invalid="ignore"):
             det, C, A = ev.evaluate(ops, grid)
-            assert np.array_equal(_bits(det), _bits(ev.det(grid)))
+            assert np.array_equal(_bits(det), _bits([self._scalar_det(c, C0, t) for t in grid]))
             assert np.array_equal(_bits(C), _bits(ev.splitting(grid)))
             for got, want in zip(A, ev.shape(ops, grid), strict=True):
                 assert np.array_equal(_bits(got), _bits(want))
@@ -675,13 +690,40 @@ class TestCodazziCompatibility:
         N[0, 2] = 1.0
         assert is_codazzi_compatible([1e200 * A0], 1e200 * N)
 
+    def test_below_unit_scale(self):
+        # the measure is relative: A0 = 1e-9 I is as incompatible as I
+        shear = np.array([[-1.0, -1.0], [0.0, -1.0]])
+        for s in (1.0, 1e-9, 1e-300):
+            assert not is_codazzi_compatible([s * np.eye(2)], shear)
+            assert is_codazzi_compatible([s * np.eye(2)], -np.eye(2))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("s", POWERS_OF_TWO)
+    def test_verdicts_do_not_depend_on_scale(self, s):
+        # nearly compatible draws, as in the test below, scaled by a power of
+        # two: A0, C0 or both; the asymmetry itself keeps its bits
+        rng = np.random.default_rng(1910)
+        verdicts = []
+        for _ in range(100):
+            q = int(rng.integers(2, 6))
+            A0s, C0s = random_compatible_pair(rng, q, 1)
+            K = rng.normal(size=(q, q))
+            C0 = C0s.mat + np.linalg.solve(A0s.ops[0], 10 ** rng.uniform(-11, -6) * (K - K.T))
+            A0 = A0s.ops[0]
+            verdicts.append(is_codazzi_compatible([A0], C0))
+            for pair in (([s * A0], C0), ([A0], s * C0), ([s * A0], s * C0)):
+                assert is_codazzi_compatible(*pair) == verdicts[-1]
+            a = ShapeOperatorSet((A0,)).asymmetry()
+            assert ShapeOperatorSet((s * A0,)).asymmetry() == a
+        assert 10 < sum(verdicts) < 90
+
     def test_finite_verdicts_are_the_unscaled_loops(self):
         # draws whose asymmetry straddles SYM_TOL, over a range of scales,
-        # get the verdict of the loop without rescaling
+        # get the verdict of the plain loop on the unscaled products
         def unscaled(A0, C0):
             for m in A0:
                 for _ in range(len(C0)):
-                    if np.abs(m - m.T).max() / (1.0 + np.abs(m).max()) > SYM_TOL:
+                    if not np.abs(m - m.T).max() <= SYM_TOL * np.abs(m).max():
                         return False
                     m = m @ C0
             return True

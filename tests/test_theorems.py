@@ -34,6 +34,8 @@ from nullgeo.theorems import (
     theorem2_applicable,
 )
 
+from conftest import POWERS_OF_TWO
+
 
 def _bits(x) -> np.ndarray:
     # int64 views tell -0.0 from 0.0, which array_equal does not
@@ -432,3 +434,29 @@ class TestIntegrableConullity:
         fam = SplittingFamily(basis=(np.array([[0.0, 1.0], [0.0, 0.0]]),), q=2)
         with pytest.raises(NotIntegrable):
             integrable_conullity_classify(0.0, fam)
+
+    def test_asymmetric_member_below_unit_scale_rejected(self):
+        # self-adjointness does not depend on scale: this member once passed
+        # as self-adjoint, and c = -1 gave a passed LeafBound
+        shear = np.array([[0.0, 1.0], [0.0, 0.0]])
+        fam = SplittingFamily(basis=(np.diag([0.5, -0.3]), 1e-9 * shear), q=2)
+        with pytest.raises(NotIntegrable, match="family member 1 "):
+            integrable_conullity_classify(-1.0, fam)
+
+    @pytest.mark.parametrize("s", POWERS_OF_TWO)
+    def test_verdicts_do_not_depend_on_scale(self, rng, s):
+        # self-adjoint members (eps = 0, 1e-10) and members that are not
+        # (eps = 1e-6), and their multiples by a power of two; c > 0 has a
+        # verdict that depends on self-adjointness alone
+        for _ in range(20):
+            m = rng.normal(size=(3, 3))
+            for eps in (0.0, 1e-10, 1e-6):
+                member = m + m.T + eps * (m - m.T)
+                outcomes = []
+                for fam in (member, s * member):
+                    try:
+                        outcomes.append(integrable_conullity_classify(1.0, SplittingFamily((fam,), 3)))
+                    except NotIntegrable as e:
+                        outcomes.append(str(e))
+                assert outcomes[0] == outcomes[1]
+                assert isinstance(outcomes[0], str) == (eps == 1e-6)
