@@ -10,9 +10,13 @@ recorded in case order.  The next line gives the int64 view, in hex, of
 ``riccati_deviation`` and ``shape_deviation`` on the same set, so a change
 to the closed-form side of the comparison shows there.  The sets are the
 draws of acceptance criteria 01 and 02 at step 2e-2, the ``check`` runs of
-seeds 0-7 at their default step 1e-3, and the lone q = 1 draws of
-``tests/conftest.py::rank_one_draws``, which run alone only and have no
-deviation line.
+seeds 0-7 at their default step 1e-3, a tripping set of q = 2..5 draws
+of both oracles at step 1e-3 whose every other case is scaled up (``C0``
+doubled, ``A0`` to a largest entry of ``2**26``), so that about a third of
+them reach the blow-up guard, and the lone q = 1 draws of
+``tests/conftest.py::rank_one_draws``.  The tripping set runs each case
+alone and, per q, the cases of that q through ``checks._batch``; it and the
+q = 1 set, which runs alone only, have no deviation line.
 
 Two source trees give the same oracle bits when the outputs diff clean:
 
@@ -68,6 +72,17 @@ SETS = [
 ]
 
 
+def tripping_cases() -> tuple[list, list]:
+    """q = 2..5 Riccati and shape cases, every other one scaled up."""
+    ric = [case for case in checks.riccati_cases(np.random.default_rng(1919), 40) if len(case[1]) >= 2]
+    shp = checks.shape_cases(np.random.default_rng(1920), 32)
+    return (
+        [(c, C0 * (2.0 if i % 2 else 1.0), ts) for i, (c, C0, ts) in enumerate(ric)],
+        [(A0 * (2.0**26 / np.abs(A0).max() if i % 2 else 1.0), *case)
+         for i, (A0, *case) in enumerate(shp)],
+    )
+
+
 def line(name: str, cases: int, fp: Fingerprint) -> str:
     return f"{name}: cases={cases} guards={fp.guards} sha256={fp.sha.hexdigest()}"
 
@@ -85,6 +100,14 @@ def main() -> int:
                 devs.append(f"{deviation.__name__}={int(worst.view(np.int64)):#018x}")
         print(line(name, count * len(devs), fp))
         print("  " + " ".join(devs))
+    fp, total = Fingerprint(), 0
+    for cases, (_, alone, stack, _) in zip(tripping_cases(), ORACLES):
+        total += len(cases)
+        for case in cases:
+            fp.run(alone, *case, 1e-3)
+        for q in range(2, 6):
+            fp.run(checks._batch, stack, [case for case in cases if case[-2].shape[0] == q], 1e-3)
+    print(line("tripping riccati+shape step=1e-3", total, fp))
     draws = rank_one_draws()
     fp = Fingerprint()
     for case in draws:
