@@ -414,14 +414,13 @@ def integrable_conullity_classify(c, family: SplittingFamily) -> ConullityVerdic
     if c > 0.0:
         return ConullityVerdict("MustBeTotallyGeodesic", True)
     if c == 0.0:
-        bad = tuple(
-            i for i, m in enumerate(family.basis) if np.abs(m).max(initial=0.0) > 1e-10
-        )
+        # no reference scale: a member vanishes only when it is exactly zero
+        bad = tuple(i for i, m in enumerate(family.basis) if m.any())
         return ConullityVerdict("MustBeCylinder", not bad, bad)
     bound = math.sqrt(-c)
     bad = []
     for i, m in enumerate(family.basis):
         w = np.linalg.eigvalsh(0.5 * (m + m.T))
-        if np.abs(w).max(initial=0.0) > bound + 1e-10:
+        if np.abs(w).max(initial=0.0) > bound * (1.0 + 1e-10):
             bad.append(i)
     return ConullityVerdict("LeafBound", not bad, tuple(bad))

@@ -444,6 +444,25 @@ class TestIntegrableConullity:
             integrable_conullity_classify(-1.0, fam)
 
     @pytest.mark.parametrize("s", POWERS_OF_TWO)
+    def test_verdicts_keep_under_rescaled_geometry(self, rng, s):
+        # (c, C) -> (s^2 c, s C) rescales the space form: each verdict and
+        # its offending members stay; 2**-60 diag(0.5, 0) once passed at
+        # c = 0, and at s = 2**-60 the member just past the bound passed too
+        zero, sym = np.zeros((3, 3)), rng.normal(size=(6, 3, 3))
+        cases = [
+            (0.0, [zero, np.diag([0.5, 0.0, 0.0]), 2.0**-60 * np.diag([0.5, 0.0, 0.0]), zero], (1, 2)),
+            (-1.0, [np.diag([0.5, -0.3, 0.0]), np.diag([1.5, 0.0, 0.0]),
+                    np.diag([0.0, -1.0 - 1e-8, 0.0]), np.diag([1.0, -1.0, 0.5])], (1, 2)),
+            (-4.0, list(sym + sym.transpose(0, 2, 1)), None),
+            (1.0, [np.diag([0.2, -0.1, 0.0])], ()),
+        ]
+        for c, basis, offending in cases:
+            v = integrable_conullity_classify(c, SplittingFamily(tuple(basis), 3))
+            w = integrable_conullity_classify(s * s * c, SplittingFamily(tuple(s * m for m in basis), 3))
+            assert w == v
+            assert offending is None or v.offending == offending
+
+    @pytest.mark.parametrize("s", POWERS_OF_TWO)
     def test_verdicts_do_not_depend_on_scale(self, rng, s):
         # self-adjoint members (eps = 0, 1e-10) and members that are not
         # (eps = 1e-6), and their multiples by a power of two; c > 0 has a
