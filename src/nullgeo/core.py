@@ -13,7 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -46,7 +45,7 @@ SYM_TOL = 1e-8           # relative asymmetry threshold
 REAL_EIG_TOL = 1e-10     # |Im| <= REAL_EIG_TOL * (1 + |lam|) counts as real
 INTERVAL_SLACK = 1e-10   # closed-interval membership slack
 RICCATI_BLOWUP = 1e8     # abort integration once a tensor norm exceeds this
-_STAGE_CHUNK = 512       # RK4 steps per batched evaluation of C in the shape oracle
+_STAGE_CHUNK = 512       # RK4 steps per block of the oracles: history, guard check, stage C
 _COSH_MAX = math.log(sys.float_info.max)  # cosh(x) < e^x is finite for x up to here
 
 
@@ -507,7 +506,8 @@ def _rk4_segments(times, step: float):
 
 
 class _Stack:
-    """The step schedule of cases that are stepped together, built once.
+    """The step schedule of cases that are stepped together, built once,
+    and the block driver of their RK4 steppers.
 
     Each case keeps its own :func:`_rk4_segments` schedule, laid out over
     the steps of the stack: ``h[k, s]`` is the size of step ``s`` of case
@@ -520,9 +520,16 @@ class _Stack:
     size; a case with fewer steps than the longest one takes ``h = 0``
     steps after its last record (``t0 = 0`` there), which leave a finite
     state unchanged.
+
+    :meth:`run` takes the steps in blocks that end at every record count of
+    the stack and at every multiple of ``_STAGE_CHUNK``.  ``H`` is the
+    history of a block: ``H[0]`` holds the stacked state ``Y`` at its start,
+    and the stepper writes the state after the block's ``i``-th step into
+    ``H[i]``.  The blow-up guard is one :meth:`check` of the history per
+    block.
     """
 
-    def __init__(self, times, step: float):
+    def __init__(self, times, step: float, Y: np.ndarray):
         segs = [list(_rk4_segments(list(ts), step)) for ts in times]
         self.ends = [list(accumulate(n for _, n, _ in seg)) for seg in segs]
         self.steps = max([0, *(ends[-1] for ends in self.ends if ends)])
@@ -537,41 +544,46 @@ class _Stack:
                     starts[0] = t
                     self.h[k, s1 - n:s1] = h
                     self.t0[k, s1 - n:s1] = np.add.accumulate(starts)
+        self.H = np.empty((min(_STAGE_CHUNK, max(1, self.steps)) + 1, *Y.shape))
+        self.H[0] = Y
 
-    def run(self, Y: np.ndarray, advance) -> list[list[np.ndarray]]:
-        """Record each case of the stacked state ``Y`` at its record times.
-        ``advance(s0, s1)`` takes steps ``s0 .. s1 - 1`` and returns the
-        stacked state."""
+    def run(self, advance) -> list[list[np.ndarray]]:
+        """Record each case at its record times.  ``advance(s0, s1)`` takes
+        the steps ``s0 .. s1 - 1`` of one block from the state ``H[0]``,
+        writing each state into the history.  The steps past a trip are
+        discarded, so they must not warn: the numpy steppers take them under
+        ``np.errstate(all="ignore")``."""
         out = [[None] * len(ends) for ends in self.ends]
-        done = 0
+        H, done = self.H, 0
         for stop in sorted(self.due):
-            if stop > done:
-                Y = advance(done, stop)
-                done = stop
+            while done < stop:
+                end = min(stop, done - done % _STAGE_CHUNK + _STAGE_CHUNK)
+                advance(done, end)
+                self.check(done, end - done)
+                H[0] = H[end - done]
+                done = end
             for k, j in self.due[stop]:
-                out[k][j] = Y[k].copy()
+                out[k][j] = H[0, k].copy()
         return out
 
-    def guard(self, Y: np.ndarray, s: int) -> None:
-        """Raise :class:`SingularJacobi` for the first case whose max |y|
-        reached ``RICCATI_BLOWUP`` (or is NaN) in step ``s``."""
-        m = np.abs(Y.reshape(len(Y), -1)).max(axis=1)
-        bad = np.flatnonzero(~(m < RICCATI_BLOWUP))
-        if bad.size:
-            k = bad[0]
-            t = self.t0[k, s] + self.h[k, s]
-            raise SingularJacobi(
-                f"trajectory norm {m[k]:.3g} exceeded blow-up guard near t={t:.6g}"
-            )
+    def check(self, s0: int, n: int) -> None:
+        """Raise :class:`SingularJacobi` if an entry of the history
+        ``H[1:n + 1]`` of the steps ``s0 .. s0 + n - 1`` reached
+        ``RICCATI_BLOWUP`` in magnitude or is NaN, for the first such step
+        and its first such case.  ``max`` and ``min`` are exact, and a NaN
+        fails both comparisons."""
+        B = self.H[1:n + 1]
+        if B.max() < RICCATI_BLOWUP and -RICCATI_BLOWUP < B.min():
+            return
+        m = np.abs(B.reshape(n, B.shape[1], -1)).max(axis=2)
+        i, k = np.argwhere(~(m < RICCATI_BLOWUP))[0]
+        raise self.blowup(m[i, k], k, s0 + i)
 
-
-def _guard_limit(size: int) -> float:
-    """A bound on the sum of squares of ``size`` entries below which every
-    entry is surely below ``RICCATI_BLOWUP``: the computed sum is at most
-    ``size`` roundings short of the exact one, under 1e-12 of it for up to
-    4096 entries.  Larger stacks skip the sum and always take the exact
-    per-entry check."""
-    return RICCATI_BLOWUP * RICCATI_BLOWUP * (1.0 - 1e-12) if size <= 4096 else 0.0
+    def blowup(self, m: float, k: int, s: int) -> SingularJacobi:
+        """The guard's error for case ``k``, whose max |y| after step ``s``
+        is ``m``."""
+        t = self.t0[k, s] + self.h[k, s]
+        return SingularJacobi(f"trajectory norm {m:.3g} exceeded blow-up guard near t={t:.6g}")
 
 
 def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
@@ -584,84 +596,73 @@ def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
         k4 = f(y + h k3),  y <- y + (h/6) (k1 + 2 k2 + 2 k3 + k4),
 
     term by term in this order, with 2 k2 and 2 k3 computed in one call as
-    k + k (the same bits), written into buffers held across steps.  One case
-    runs on 2-D arrays with ``ndarray.dot`` and 0-d step factors, a stack
-    with ``np.matmul`` and one factor per case.  After every step one
-    dot product of the stack with itself screens the blow-up guard; only a
-    sum of squares near the bound runs the per-case check.
+    k + k (the same bits), written into buffers held across steps; the
+    final add writes the new state into the next row of the history of
+    :class:`_Stack`, which checks the blow-up guard once per block.  One
+    case runs on 2-D arrays with ``ndarray.dot`` and 0-d step factors, a
+    stack with ``np.matmul`` and one factor per case.
 
     One case with q = 1 is the scalar ODE y' = y^2 + c, stepped on Python
     floats: each of a step's twenty numpy calls on 1x1 arrays costs about a
     microsecond, and a 1x1 ``dot`` is the plain product, so the float steps
     give the same bits at a small fraction of the cost.
     """
-    stack = _Stack(times, step)
     Y = np.array(C0s, dtype=float)
+    stack = _Stack(times, step, Y)
     ce = np.array(cs, dtype=float)[:, None, None] * np.eye(Y.shape[1])
     if Y.shape == (1, 1, 1):
-        return stack.run(Y, _scalar_advance(stack, Y, float(ce[0, 0, 0])))
+        return stack.run(_scalar_advance(stack, float(ce[0, 0, 0])))
     one = len(Y) == 1
-    y, ce = (Y[0], ce[0]) if one else (Y, ce)
-    ks = np.empty((4, *y.shape))
+    lead, fshape = (0, ()) if one else (slice(None), (-1, 1, 1))  # one case: no case axis
+    rows, ce, mm = list(stack.H[:, lead]), ce[lead], np.ndarray.dot if one else np.matmul
+    ks = np.empty((4, *ce.shape))
     k1, k2, k3, k4 = ks
     k23 = ks[1:3]
-    u = np.empty_like(y)
-    if one:
-        ydot, udot = y.dot, u.dot
-
-        def factor(h):
-            return np.array(h[0])
-    else:
-        ydot, udot = partial(np.matmul, y), partial(np.matmul, u)
-
-        def factor(h):
-            return h[:, None, None]
-
-    yf = Y.reshape(-1)
-    limit = _guard_limit(yf.size)
+    u = np.empty_like(ce)
     add, mul = np.add, np.multiply
 
-    def advance(s0: int, s1: int) -> np.ndarray:
+    def advance(s0: int, s1: int) -> None:
         h = stack.h[:, s0]
-        h1, h2, h6 = factor(h), factor(0.5 * h), factor(h / 6.0)
-        for s in range(s0, s1):
-            ydot(y, k1)
-            add(k1, ce, k1)
-            mul(k1, h2, u)
-            add(y, u, u)
-            udot(u, k2)
-            add(k2, ce, k2)
-            mul(k2, h2, u)
-            add(y, u, u)
-            udot(u, k3)
-            add(k3, ce, k3)
-            mul(k3, h1, u)
-            add(y, u, u)
-            udot(u, k4)
-            add(k4, ce, k4)
-            add(k23, k23, k23)
-            add(k1, k2, k1)
-            add(k1, k3, k1)
-            add(k1, k4, k1)
-            mul(k1, h6, k1)
-            add(y, k1, y)
-            if not yf.dot(yf) < limit:
-                stack.guard(Y, s)
-        return Y
+        h1, h2, h6 = (x.reshape(fshape) for x in (h, 0.5 * h, h / 6.0))
+        with np.errstate(all="ignore"):
+            for y, nxt in zip(rows, rows[1:s1 - s0 + 1]):
+                mm(y, y, k1)
+                add(k1, ce, k1)
+                mul(k1, h2, u)
+                add(y, u, u)
+                mm(u, u, k2)
+                add(k2, ce, k2)
+                mul(k2, h2, u)
+                add(y, u, u)
+                mm(u, u, k3)
+                add(k3, ce, k3)
+                mul(k3, h1, u)
+                add(y, u, u)
+                mm(u, u, k4)
+                add(k4, ce, k4)
+                add(k23, k23, k23)
+                add(k1, k2, k1)
+                add(k1, k3, k1)
+                add(k1, k4, k1)
+                mul(k1, h6, k1)
+                add(y, k1, nxt)
 
-    return stack.run(Y, advance)
+    return stack.run(advance)
 
 
-def _scalar_advance(stack: _Stack, Y: np.ndarray, c: float):
-    """The stepper of :func:`_riccati_stack` for the lone case of ``Y``, of
-    shape ``(1, 1, 1)``: the same textbook RK4 arithmetic on Python floats.
-    The guard check |y| < ``RICCATI_BLOWUP`` is the one the sum-of-squares
-    screen and :meth:`_Stack.guard` make for one entry."""
+def _scalar_advance(stack: _Stack, c: float):
+    """The stepper of :func:`_riccati_stack` for a lone case of shape
+    ``(1, 1, 1)``: the same textbook RK4 arithmetic on Python floats.  It
+    checks |y| < ``RICCATI_BLOWUP`` after every step itself, raising the
+    guard's error of :class:`_Stack`, and writes the block's states into the
+    history once per block."""
+    H = stack.H.reshape(-1)
 
-    def advance(s0: int, s1: int) -> np.ndarray:
+    def advance(s0: int, s1: int) -> None:
         h = float(stack.h[0, s0])
         h2, h6 = 0.5 * h, h / 6.0
-        y = float(Y[0, 0, 0])
+        y = float(H[0])
+        ys = []
         for s in range(s0, s1):
             k1 = y * y + c
             u = y + h2 * k1
@@ -672,10 +673,9 @@ def _scalar_advance(stack: _Stack, Y: np.ndarray, c: float):
             k4 = u * u + c
             y = y + h6 * (((k1 + (k2 + k2)) + (k3 + k3)) + k4)
             if not abs(y) < RICCATI_BLOWUP:
-                Y[0, 0, 0] = y
-                stack.guard(Y, s)
-        Y[0, 0, 0] = y
-        return Y
+                raise stack.blowup(abs(y), 0, s)
+            ys.append(y)
+        H[1:len(ys) + 1] = ys
 
     return advance
 
@@ -715,47 +715,40 @@ def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
     The step matrices of every case come from its own :class:`_Evolution`,
     in blocks of ``_STAGE_CHUNK`` steps of the stack (fewer when no case
     takes that many): one evaluation of C per segment of a case within a
-    block, and the identity for ``h = 0`` steps.  One case with ``p = 1`` is
-    stepped on 2-D arrays with ``np.dot``, anything else with ``np.matmul``.
-    The blow-up guard is screened as in :func:`_riccati_stack`.
+    block, and the identity for ``h = 0`` steps.  Each product of a state
+    and a step matrix is written into the next row of the history of
+    :class:`_Stack`, which checks the blow-up guard once per block.  One
+    case with ``p = 1`` is stepped on 2-D arrays with ``np.dot``, anything
+    else with ``np.matmul``.
     """
-    stack = _Stack(times, step)
     A = np.array(A0s, dtype=float)
+    stack = _Stack(times, step, A)
     K, q = len(A), A.shape[-1]
     evs = [_Evolution(c, C0) for c, C0 in zip(cs, C0s)]
-    chunk = min(_STAGE_CHUNK, max(1, stack.steps))
-    R = np.empty((chunk, K, q, q))
+    R = np.empty((len(stack.H) - 1, K, q, q))
     if K == 1 and A.shape[1] == 1:  # one case, one operator: (q, q) @ (q, q)
-        view, mm, Rv = (lambda X: X[0, 0]), np.dot, R[:, 0]
+        rows, mm, Rs = list(stack.H[:, 0, 0]), np.dot, list(R[:, 0])
     else:  # (K, p, q, q) @ (K, 1, q, q)
-        view, mm, Rv = (lambda X: X), np.matmul, R[:, :, None]
-    # the state and the next state: stacked, as stepped, flat
-    bufs = [(X, view(X), X.reshape(-1)) for X in (A, np.empty_like(A))]
-    limit = _guard_limit(A.size)
+        rows, mm, Rs = list(stack.H), np.matmul, list(R[:, :, None])
 
     def fill(b0: int) -> None:
         """R[i] for step ``b0 + i`` of every case, one call per segment."""
-        b1 = min(b0 + chunk, stack.steps)
+        b1 = min(b0 + _STAGE_CHUNK, stack.steps)
         for k, (ev, ends) in enumerate(zip(evs, stack.ends)):
             cuts = [b0, *sorted({e for e in ends if b0 < e < b1}), b1]
             for s0, s1 in zip(cuts, cuts[1:]):
                 h = stack.h[k, s0]
                 R[s0 - b0:s1 - b0, k] = _step_matrices(ev, stack.t0[k, s0:s1], h) if h else ev.eye
 
-    def advance(s0: int, s1: int) -> np.ndarray:
-        cur, nxt = bufs
-        for s in range(s0, s1):
-            i = s % chunk
-            if i == 0:
-                fill(s)
-            mm(cur[1], Rv[i], nxt[1])
-            if not nxt[2].dot(nxt[2]) < limit:
-                stack.guard(nxt[0], s)
-            cur, nxt = nxt, cur
-        bufs[:] = cur, nxt
-        return cur[0]
+    def advance(s0: int, s1: int) -> None:
+        i = s0 % _STAGE_CHUNK
+        if i == 0:
+            fill(s0)
+        with np.errstate(all="ignore"):
+            for Y, Ri, nxt in zip(rows, Rs[i:], rows[1:s1 - s0 + 1]):
+                mm(Y, Ri, nxt)
 
-    return stack.run(A, advance)
+    return stack.run(advance)
 
 
 def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSet]:
@@ -771,8 +764,9 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
         R = I + (h/6) (K1 + 2 K2 + 2 K3 + K4).
 
     The step matrices R of a batch of steps are formed together from C on
-    the batch's stage times; A is then advanced one step at a time, with
-    the blow-up guard after every step as in :func:`riccati_path`.
+    the batch's stage times; A is then advanced one step at a time, and the
+    blow-up guard is checked once per block of steps as in
+    :func:`riccati_path`.
     """
     A0 = _sset(A0)
     if A0.p == 0:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from nullgeo.core import (
     _COSH_MAX,
     _STAGE_CHUNK,
     _Evolution,
-    _guard_limit,
     _riccati_stack,
     _shape_stack,
     _Stack,
@@ -387,7 +387,7 @@ class TestShapeOdeFlow:
         times = [0.3, 0.3, 1.25, 2.0]
         seen = []
         rk4_path(lambda t, y: seen.append(t) or 0.0 * y, np.zeros(1), times, 1e-3, 1.0)
-        stack = _Stack([times], 1e-3)
+        stack = _Stack([times], 1e-3, np.zeros(1))
         live = stack.h[0] > 0.0
         t0, h = stack.t0[0][live], stack.h[0][live]
         assert set(seen) == {*t0, *(t0 + 0.5 * h), *(t0 + h)}
@@ -531,27 +531,65 @@ class TestStackedOracles:
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value).endswith("near t=0.5")
 
+    def test_steps_past_a_trip_raise_no_warning(self, rng):
+        # each trip falls inside a block, which takes its later steps anyway:
+        # only the guard of the case run alone is raised, although the
+        # Riccati state overflows to inf and NaN within a few steps
+        blow = np.diag([2.0, -3.0])  # C blows up at t = 0.5: step 500 of [400, 512)
+        calm = [0.1 * rng.uniform(-1.0, 1.0, size=(2, 2)) for _ in range(3)]
+        grow = 5.0001e7 * np.eye(2)  # A = grow / (1 - t): step 500 of [300, 512)
+        runs = [
+            (lambda: riccati_path(0.0, blow, [0.6]),
+             lambda: _riccati_stack([-1.0, 0.0, 1.0, 0.0], [*calm, blow],
+                                    [[0.3, 1.0], [0.7], [0.2, 0.4, 0.9], [0.6]], 1e-3)),
+            (lambda: shape_ode_path([grow], 0.0, np.eye(2), [0.6]),
+             lambda: _shape_stack([np.stack([np.eye(2)]), grow[None]], [-1.0, 0.0],
+                                  [SKEW2, np.eye(2)], [[0.3, 1.0], [0.6]], 1e-3)),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alone, stacked in runs:
+                with pytest.raises(SingularJacobi) as one:
+                    alone()
+                with pytest.raises(SingularJacobi) as many:
+                    stacked()
+                assert str(many.value) == str(one.value)
+
+    @staticmethod
+    def _tripping_history(rng, shape):
+        # eight steps of cases with their own step sizes, every entry of the
+        # history below the bound in magnitude
+        K = shape[0]
+        stack = _Stack([[1.0 - 0.002 * k] for k in range(K)], 0.125, np.zeros(shape))
+        assert stack.steps == 8 and np.all(stack.h > 0.0)
+        stack.H[1:] = 0.999 * RICCATI_BLOWUP * rng.uniform(-1.0, 1.0, size=(8, *shape))
+        return stack, stack.H.reshape(9, K, -1)
+
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, RICCATI_BLOWUP, -RICCATI_BLOWUP]
     )
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 3), (7, 2, 2), (60, 2, 5, 5)])
     def test_guard_screen_never_clears_a_tripping_entry(self, rng, bad, shape):
-        # the sum of squares screens the stack; an entry that trips the exact
-        # check must always fail the screen, at the worst place in the stack
-        scale = 0.999 * RICCATI_BLOWUP / math.sqrt(math.prod(shape))
-        Y = scale * rng.uniform(-1.0, 1.0, size=shape)
-        Y.reshape(-1)[-1] = bad
-        yf = Y.reshape(-1)
-        assert not yf.dot(yf) < _guard_limit(yf.size)
-        stack = _Stack([[1.0]] * len(Y), 0.5)
-        with pytest.raises(SingularJacobi, match=r"exceeded blow-up guard near t=0\.5$"):
-            stack.guard(Y, 0)
+        # max and min screen a block's history; the entry trips at the first
+        # step (where a later case trips too), at the last step, case and
+        # entry, or at a middle step that later steps bring back below the
+        # bound, and the first tripping step and case are named
+        K = shape[0]
+        for s, k, e in [(0, K // 2, 0), (7, K - 1, -1), (3, K // 2, math.prod(shape[1:]) // 2)]:
+            stack, H = self._tripping_history(rng, shape)
+            H[s + 1, k, e] = bad
+            H[s + 1, K - 1, 0] = H[s + 1, K - 1, 0] if k == K - 1 else 2.0 * RICCATI_BLOWUP
+            t = stack.t0[k, s] + stack.h[k, s]
+            message = f"trajectory norm {abs(bad):.3g} exceeded blow-up guard near t={t:.6g}"
+            with pytest.raises(SingularJacobi) as got:
+                stack.check(0, 8)
+            assert str(got.value) == message
 
-    def test_guard_screen_is_conservative_just_below_the_bound(self):
-        below = np.nextafter(RICCATI_BLOWUP, 0.0)
-        yf = np.array([below, 0.0, 0.0, 0.0])
-        assert not yf.dot(yf) < _guard_limit(yf.size)  # screened out, then
-        _Stack([[1.0]], 0.5).guard(yf.reshape(1, 2, 2), 0)  # the exact check passes
+    def test_block_check_passes_just_below_the_bound(self, rng):
+        stack, H = self._tripping_history(rng, (3, 2, 2))
+        H[1:] = np.nextafter(RICCATI_BLOWUP, 0.0)
+        H[1:, :, ::2] *= -1.0
+        stack.check(0, 8)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, RICCATI_BLOWUP])
     def test_oracles_trip_on_nan_inf_and_the_bound_itself(self, value):
