@@ -571,14 +571,17 @@ class TestStackedOracles:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 3), (7, 2, 2), (60, 2, 5, 5)])
     def test_guard_screen_never_clears_a_tripping_entry(self, rng, bad, shape):
         # max and min screen a block's history; the entry trips at the first
-        # step (where a later case trips too), at the last step, case and
-        # entry, or at a middle step that later steps bring back below the
-        # bound, and the first tripping step and case are named
+        # step, at the last step, case and entry, or at a middle step that
+        # later steps bring back below the bound, and the first tripping step
+        # and case are named
         K = shape[0]
         for s, k, e in [(0, K // 2, 0), (7, K - 1, -1), (3, K // 2, math.prod(shape[1:]) // 2)]:
             stack, H = self._tripping_history(rng, shape)
             H[s + 1, k, e] = bad
-            H[s + 1, K - 1, 0] = H[s + 1, K - 1, 0] if k == K - 1 else 2.0 * RICCATI_BLOWUP
+            if s == 0:  # the first case trips at the next step, the last case now
+                H[2, 0, 0] = 2.0 * RICCATI_BLOWUP
+                if k < K - 1:
+                    H[1, K - 1, -1] = 2.0 * RICCATI_BLOWUP
             t = stack.t0[k, s] + stack.h[k, s]
             message = f"trajectory norm {abs(bad):.3g} exceeded blow-up guard near t={t:.6g}"
             with pytest.raises(SingularJacobi) as got:
