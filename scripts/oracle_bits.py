@@ -74,7 +74,8 @@ SETS = [
 
 def tripping_cases() -> tuple[list, list]:
     """q = 2..5 Riccati and shape cases, every other one scaled up."""
-    ric = [case for case in checks.riccati_cases(np.random.default_rng(1919), 40) if len(case[1]) >= 2]
+    ric = checks.riccati_cases(np.random.default_rng(1919), 40)
+    ric = [case for case in ric if len(case[1]) >= 2]
     shp = checks.shape_cases(np.random.default_rng(1920), 32)
     return (
         [(c, C0 * (2.0 if i % 2 else 1.0), ts) for i, (c, C0, ts) in enumerate(ric)],

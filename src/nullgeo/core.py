@@ -715,11 +715,11 @@ def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
     The step matrices of every case come from its own :class:`_Evolution`,
     for the ``_STAGE_CHUNK`` steps of the stack from each multiple of it
     (fewer when no case takes that many): one evaluation of C per segment
-    of a case within them, and the identity for ``h = 0`` steps.  Each product of a state
-    and a step matrix is written into the next row of the history of
-    :class:`_Stack`, which checks the blow-up guard once per block.  One
-    case with ``p = 1`` is stepped on 2-D arrays with ``np.dot``, anything
-    else with ``np.matmul``.
+    of a case within them, and the identity for ``h = 0`` steps.  Each
+    product of a state and a step matrix is written into the next row of
+    the history of :class:`_Stack`, which checks the blow-up guard once per
+    block.  One case with ``p = 1`` is stepped on 2-D arrays with
+    ``np.dot``, anything else with ``np.matmul``.
     """
     A = np.array(A0s, dtype=float)
     stack = _Stack(times, step, A)

@@ -450,7 +450,8 @@ class TestIntegrableConullity:
         # c = 0, and at s = 2**-60 the member just past the bound passed too
         zero, sym = np.zeros((3, 3)), rng.normal(size=(6, 3, 3))
         cases = [
-            (0.0, [zero, np.diag([0.5, 0.0, 0.0]), 2.0**-60 * np.diag([0.5, 0.0, 0.0]), zero], (1, 2)),
+            (0.0, [zero, np.diag([0.5, 0.0, 0.0]), 2.0**-60 * np.diag([0.5, 0.0, 0.0]), zero],
+             (1, 2)),
             (-1.0, [np.diag([0.5, -0.3, 0.0]), np.diag([1.5, 0.0, 0.0]),
                     np.diag([0.0, -1.0 - 1e-8, 0.0]), np.diag([1.0, -1.0, 0.5])], (1, 2)),
             (-4.0, list(sym + sym.transpose(0, 2, 1)), None),
@@ -458,7 +459,8 @@ class TestIntegrableConullity:
         ]
         for c, basis, offending in cases:
             v = integrable_conullity_classify(c, SplittingFamily(tuple(basis), 3))
-            w = integrable_conullity_classify(s * s * c, SplittingFamily(tuple(s * m for m in basis), 3))
+            scaled = SplittingFamily(tuple(s * m for m in basis), 3)
+            w = integrable_conullity_classify(s * s * c, scaled)
             assert w == v
             assert offending is None or v.offending == offending
 
