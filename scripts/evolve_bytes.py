@@ -18,7 +18,11 @@ this process.  The set:
   rows that take the symmetric solver and rows that take the general one;
 - Codazzi-incompatible data, once at the scale of 1e-9;
 - a long hyperbolic horizon, t_end = 800, where det J is inf;
-- entries of 1e200 and of 1e-200, whose norms are rescaled.
+- entries of 1e200 and of 1e-200, whose norms are rescaled;
+- the README's nearly compatible data with A0 = 1e-9 I, whose cells are
+  complex where those of A0 = I are;
+- the unstable fixed point C0 = I of c = -1 up to t_end = 400, where
+  rounding loses J(t) and evolve exits 2.
 
 The grid ends are fixed here, from the eigenvalues of C0, so they do not
 depend on the library's horizon.  Two source trees write the same bytes
@@ -83,7 +87,7 @@ def scenarios():
     A0, C0 = random_compatible_pair(rng, 16, 1)
     K = rng.normal(size=(16, 16))
     # A0 C0 is off symmetric by ~7e-9: the rows pass the Bendixson bound up
-    # to 1356 and fail from 1357, inside the block of rows 1280-1535
+    # to 762 and fail from 763, inside the block of rows 512-767
     yield "nearly compatible q=16", {
         "c": -1.0, "C0": (C0.mat + np.linalg.solve(A0.ops[0], 1e-9 * (K - K.T))).tolist(),
         "A0": [m.tolist() for m in A0.ops], "t_grid": {"t_end": 1.25e-4, "samples": 1500},
@@ -108,6 +112,14 @@ def scenarios():
     yield "entries 1e-200", {
         "c": -1.0, "C0": [[1e-200, 0.0], [0.0, 0.5]], "A0": [[[1e-200, 0.0], [0.0, 1e-200]]],
         "t_grid": {"t_end": 1.0, "samples": 5},
+    }
+    yield "nearly compatible (README) A0=1e-9 I", {
+        "c": -1.0, "C0": [[2.0, 1e-9], [-1e-9, 2.0]], "A0": [(1e-9 * np.eye(2)).tolist()],
+        "t_grid": {"t_end": 1.0, "samples": 11},
+    }
+    yield "fixed point C0=I t_end=400", {
+        "c": -1.0, "C0": np.eye(2).tolist(), "A0": [[[1.0, 0.0], [0.0, -1.0]]],
+        "t_grid": {"t_end": 400.0, "samples": 5},
     }
 
 

@@ -41,7 +41,7 @@ __all__ = [
     "signature_counts",
 ]
 
-EIG_CLUSTER_TOL = 1e-8   # eigenvalues closer than this are one block
+EIG_CLUSTER_TOL = 1e-8   # eigenvalues closer than this times rho(C0) are one block
 DECAY_SAMPLE_TIMES = (5.0, 10.0, 20.0)
 
 
@@ -98,7 +98,7 @@ class DecayReport:
     per_block: tuple
     global_alpha_limit: AlphaLimit
     # numeric confirmation: (t, max shape-operator norm, norm restricted to
-    # the critical eigenspace) at a few large times
+    # the critical eigenspace) at a few large times, where J(t)^{-1} is finite
     samples: tuple = ()
 
 
@@ -148,15 +148,17 @@ def classify_splitting_spectrum(c, C0, domain: GeodesicDomain) -> SpectrumVerdic
 
 
 def _eig_blocks(C0: np.ndarray):
-    """Cluster the spectrum into distinct eigenvalues with multiplicities."""
-    eigs = sorted(np.linalg.eigvals(C0), key=lambda z: (z.real, z.imag))
+    """Cluster the spectrum into distinct eigenvalues with multiplicities,
+    within ``EIG_CLUSTER_TOL`` times the spectral radius, returned too."""
+    w = np.linalg.eigvals(C0)
+    radius = np.abs(w).max(initial=0.0)
     blocks: list[list[complex]] = []
-    for lam in eigs:
-        if blocks and abs(lam - blocks[-1][-1]) <= EIG_CLUSTER_TOL * (1.0 + abs(lam)):
+    for lam in sorted(w, key=lambda z: (z.real, z.imag)):
+        if blocks and abs(lam - blocks[-1][-1]) <= EIG_CLUSTER_TOL * radius:
             blocks[-1].append(lam)
         else:
             blocks.append([lam])
-    return [(sum(b) / len(b), len(b)) for b in blocks]
+    return [(sum(b) / len(b), len(b)) for b in blocks], radius
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:
@@ -211,9 +213,10 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     crit_nonzero = crit_image > 1e-10 * scale
 
     blocks = []
-    for lam, mult in _eig_blocks(C0):
-        is_real = abs(lam.imag) <= 1e-8 * (1.0 + abs(lam))
-        critical = is_real and abs(lam.real - a) <= EIG_CLUSTER_TOL * (1.0 + a)
+    spectrum, radius = _eig_blocks(C0)
+    for lam, mult in spectrum:
+        is_real = abs(lam.imag) <= 1e-8 * radius
+        critical = is_real and abs(lam.real - a) <= EIG_CLUSTER_TOL * radius
         if critical:
             if c == 0.0:
                 blocks.append(DecayBlock(lam, mult, BlockBehavior.PARALLEL_CONSTANT, 0.0))
@@ -240,9 +243,17 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     else:
         limit = AlphaLimit.ZERO
 
+    # the scaled form of J keeps the critical eigenspace accurate at large t,
+    # until e^{a t} there is past the float range: the latest times go first
+    ev, Jinvs = _Evolution(c, C0), ()
+    for n in range(len(DECAY_SAMPLE_TIMES), 0, -1):
+        try:
+            Jinvs = ev.inverse(DECAY_SAMPLE_TIMES[:n])
+            break
+        except NullityError:
+            pass
     samples = []
-    # the scaled form of J keeps the critical eigenspace accurate at large t
-    for t, Jinv in zip(DECAY_SAMPLE_TIMES, _Evolution(c, C0).inverse(DECAY_SAMPLE_TIMES)):
+    for t, Jinv in zip(DECAY_SAMPLE_TIMES, Jinvs):
         total = 0.0
         crit = 0.0
         for m in A0.ops:

@@ -5,6 +5,7 @@ row-major).  Subcommands: evolve, classify, search, catalog, check.  Exit
 codes: 0 success, 1 failing invariant checks, 2 a bad command line, parse
 error or input the computation rejects, 3 dimension mismatch, 4 singular
 Jacobi tensor.  Exit codes 2-4 come with one ``error:`` line on stderr.
+Each subcommand imports the modules it runs, when it runs.
 """
 from __future__ import annotations
 
@@ -18,8 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog as catalog_mod
-from .classify import classify_splitting_spectrum, decay_report
 from .core import (
     DomainKind,
     GeodesicDomain,
@@ -29,7 +28,6 @@ from .core import (
     _Evolution,
     is_codazzi_compatible,
 )
-from .theorems import SplittingFamily, find_special_nullity_direction
 
 __all__ = ["main", "Scenario", "ScenarioParseError", "DimensionMismatch"]
 
@@ -252,8 +250,10 @@ def _nums(a) -> list:
     return [_nums(row) if np.ndim(row) else _num(row) for row in a]
 
 
-def _fmt_eig(z: complex) -> str:
-    if abs(z.imag) <= 1e-12 * (1.0 + abs(z)):
+def _fmt_eig(z: complex, radius: float) -> str:
+    """An eigenvalue of a matrix of spectral radius ``radius``, real when
+    |Im z| <= 1e-12 radius: scale-free."""
+    if abs(z.imag) <= 1e-12 * radius:
         return _fmt(z.real)
     sign = "+" if z.imag >= 0 else "-"
     return f"{_fmt(z.real)}{sign}{_fmt(abs(z.imag))}j"
@@ -307,12 +307,13 @@ def _real_spectrum(stack: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     :func:`_fmt_eig`, given the eigenvalues ``eigs`` of the symmetric parts.
 
     By Bendixson's theorem |Im lambda| <= ||(A - A^T)/2||_2, which the
-    Frobenius norm bounds.  Data that pass the Codazzi tolerance without
-    being exactly compatible fail here and keep their imaginary parts.
+    Frobenius norm bounds, and the spectral radius of A is that of its
+    symmetric part up to that norm.  Data that pass the Codazzi tolerance
+    without being exactly compatible fail here and keep their imaginary parts.
     """
     k = stack - stack.transpose(0, 2, 1)
     skew = 0.5 * np.sqrt(np.einsum("kij,kij->k", k, k))  # one pass, unlike norm
-    return skew <= 1e-12 * (1.0 + np.abs(eigs).max(axis=1))
+    return skew <= 1e-12 * np.abs(eigs).max(axis=1)
 
 
 def _evolve_block(ev: _Evolution, scn: Scenario, grid: list[float]):
@@ -337,13 +338,13 @@ def _general_rows(head: list, A: list, norms: list) -> str:
     for a in A:
         w = np.linalg.eigvals(a)
         order = np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)), axis=-1)
-        eigs.append(np.take_along_axis(w, order, axis=-1).tolist())
+        eigs.append((np.take_along_axis(w, order, axis=-1).tolist(), np.abs(w).max(axis=-1)))
     lines = []
     for k in range(len(head[0])):
         row = [_fmt(x[k]) for x in head]
-        for n, w in zip(norms, eigs):
+        for n, (w, radius) in zip(norms, eigs):
             row.append(_fmt(n[k]))
-            row.extend(_fmt_eig(z) for z in w[k])
+            row.extend(_fmt_eig(z, radius[k]) for z in w[k])
         lines.append(",".join(row) + "\r\n")
     return "".join(lines)
 
@@ -390,11 +391,12 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
 
 
 def _verdict_record(scn: Scenario):
+    from .classify import classify_splitting_spectrum, decay_report
     verdict = classify_splitting_spectrum(scn.c, scn.C0, scn.domain)
     rec = {
         "consistent": verdict.consistent,
         "violated_clause": verdict.violated_clause.value if verdict.violated_clause else None,
-        "offending_eigenvalues": [_fmt_eig(z) for z in verdict.offending_eigenvalues],
+        "offending_eigenvalues": [_fmt(z.real) for z in verdict.offending_eigenvalues],
         "admissible_interval": (
             _nums(verdict.admissible_interval) if verdict.admissible_interval else None
         ),
@@ -407,11 +409,13 @@ def _verdict_record(scn: Scenario):
         and scn.domain.kind in (DomainKind.RAY, DomainKind.LINE)
     ):
         rep = decay_report(ShapeOperatorSet(scn.A0), scn.c, scn.C0, scn.domain)
+        # the blocks hold the spectrum of C0, and so its spectral radius
+        radius = max(abs(b.eigenvalue) for b in rep.per_block)
         decay = {
             "global_alpha_limit": rep.global_alpha_limit.value,
             "blocks": [
                 {
-                    "eigenvalue": _fmt_eig(b.eigenvalue),
+                    "eigenvalue": _fmt_eig(b.eigenvalue, radius),
                     "multiplicity": b.multiplicity,
                     "behavior": b.behavior.value,
                     "rate": _num(b.rate),
@@ -440,8 +444,7 @@ def run_classify(scn: Scenario, out_dir: Path, stem: str) -> int:
     else:
         lines.append(
             f"violates ({_human_clause(verdict.violated_clause.value)}): "
-            f"offending eigenvalues "
-            + ", ".join(_fmt_eig(z) for z in verdict.offending_eigenvalues)
+            f"offending eigenvalues " + ", ".join(rec["offending_eigenvalues"])
         )
     if verdict.admissible_interval:
         lo, hi = verdict.admissible_interval
@@ -465,6 +468,7 @@ def run_search(scn: Scenario, out_dir: Path, stem: str) -> int:
     _require(scn, "family")
     if not scn.family:
         raise DimensionMismatch("family must contain at least one matrix")
+    from .theorems import SplittingFamily, find_special_nullity_direction
     q = scn.family[0].shape[0]
     fam = SplittingFamily(basis=scn.family, q=q)
     d = find_special_nullity_direction(fam)
@@ -483,28 +487,24 @@ def run_search(scn: Scenario, out_dir: Path, stem: str) -> int:
     return EXIT_OK
 
 
-_CATALOG_ENTRIES = {
-    "totally_geodesic": catalog_mod.totally_geodesic,
-    "hyperbolic_cylinder": catalog_mod.hyperbolic_cylinder,
-    "cartan_veronese_polar": catalog_mod.cartan_veronese_polar,
-    "euclidean_cylinder": catalog_mod.euclidean_cylinder,
-}
+# the constructors of nullgeo.catalog that ``catalog`` runs
+_CATALOG_ENTRIES = ("cartan_veronese_polar", "euclidean_cylinder", "hyperbolic_cylinder",
+                    "totally_geodesic")
 
 
 def run_catalog(scn: Scenario, out_dir: Path, stem: str) -> int:
     if scn.catalog_entry is None:
         raise ScenarioParseError("mode 'catalog' requires a catalog entry")
-    ctor = _CATALOG_ENTRIES.get(scn.catalog_entry)
-    if ctor is None:
+    if scn.catalog_entry not in _CATALOG_ENTRIES:
         raise ScenarioParseError(
-            f"unknown catalog entry {scn.catalog_entry!r}; "
-            f"known: {sorted(_CATALOG_ENTRIES)}"
+            f"unknown catalog entry {scn.catalog_entry!r}; known: {list(_CATALOG_ENTRIES)}"
         )
+    from . import catalog
     try:
-        model = ctor(**(scn.catalog_params or {}))
+        model = getattr(catalog, scn.catalog_entry)(**(scn.catalog_params or {}))
     except (TypeError, ValueError) as e:
         raise ScenarioParseError(f"bad catalog params: {e}")
-    checks = catalog_mod.verify_model(model)
+    checks = catalog.verify_model(model)
     _json_dump(
         {
             "name": model.name,
@@ -534,7 +534,7 @@ def run_check(scn: Scenario | None, out_dir: Path, stem: str, step: float, seed:
     lo, hi = CHECK_STEP_RANGE
     if not lo <= step <= hi:  # false for nan
         raise ScenarioParseError(f"--step must lie in [{lo:g}, {hi:g}], got {step}")
-    from .checks import report, run_checks  # no other subcommand loads the check table
+    from .checks import report, run_checks
     text, code = report(run_checks(seed=seed, step=step))
     (out_dir / f"{stem}.report.txt").write_text(text)
     sys.stdout.write(text)

@@ -331,7 +331,8 @@ class _Evolution:
     there J = u I - v C0 is used as it stands.
 
     Grids are not checked against the singular times; callers that must not
-    reach them call :meth:`check` first.
+    reach them call :meth:`check` first; where rounding has lost J,
+    :func:`_guarded` raises.
     """
 
     def __init__(self, c: float, C0: np.ndarray):
@@ -436,22 +437,43 @@ class _Evolution:
         over the grid, from one stack of factors."""
         ts = _times(ts)
         P, Q, r = self._factors(ts)
-        return self._det(ts, P, r), self._splitting(P, Q), self._shape(ops, self._inverse(P, r))
+        C = _guarded(self._splitting, ts, P, Q)
+        return self._det(ts, P, r), C, self._shape(ops, _guarded(self._inverse, ts, P, r))
 
     def splitting(self, ts) -> np.ndarray:
         """C(t) for each t, stacked."""
         P, Q, _ = self._factors(ts)
-        return self._splitting(P, Q)
+        return _guarded(self._splitting, ts, P, Q)
 
     def inverse(self, ts) -> np.ndarray:
         """J(t)^{-1} for each t, stacked."""
         P, _, r = self._factors(ts)
-        return self._inverse(P, r)
+        return _guarded(self._inverse, ts, P, r)
 
     def shape(self, ops, ts) -> list[np.ndarray]:
         """A_xi(t) = A_xi(0) J(t)^{-1} for each shape operator, each stacked
         over the grid."""
         return self._shape(ops, self.inverse(ts))
+
+
+def _guarded(fn, ts, *stacks) -> np.ndarray:
+    """``fn(*stacks)``, C or J^{-1} on the grid ``ts`` from its factors, unless
+    a factor is singular or a result not finite: finite data get there only
+    where rounding has lost J, as where M = 2 eps I underflows on the fixed
+    point C0 = a I of c = -a^2.  Then the first such t raises NullityError."""
+    try:
+        X = fn(*stacks)
+        if np.isfinite(X).all():
+            return X
+    except np.linalg.LinAlgError:
+        pass
+    for k, t in enumerate(_times(ts).tolist()):
+        try:
+            if not np.isfinite(fn(*(x[k:k + 1] for x in stacks))).all():
+                break
+        except np.linalg.LinAlgError:
+            break
+    raise NullityError(f"Jacobi tensor lost to rounding at t={t}: J(t) cannot be inverted")
 
 
 def _exp_or_inf(x: float) -> float:
@@ -719,7 +741,7 @@ def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
     product of a state and a step matrix is written into the next row of
     the history of :class:`_Stack`, which checks the blow-up guard once per
     block.  One case with ``p = 1`` is stepped on 2-D arrays with
-    ``np.dot``, anything else with ``np.matmul``.
+    ``ndarray.dot``, anything else with ``np.matmul``.
     """
     A = np.array(A0s, dtype=float)
     stack = _Stack(times, step, A)
@@ -727,7 +749,7 @@ def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
     evs = [_Evolution(c, C0) for c, C0 in zip(cs, C0s)]
     R = np.empty((len(stack.H) - 1, K, q, q))
     if K == 1 and A.shape[1] == 1:  # one case, one operator: (q, q) @ (q, q)
-        rows, mm, Rs = list(stack.H[:, 0, 0]), np.dot, list(R[:, 0])
+        rows, mm, Rs = list(stack.H[:, 0, 0]), np.ndarray.dot, list(R[:, 0])
     else:  # (K, p, q, q) @ (K, 1, q, q)
         rows, mm, Rs = list(stack.H), np.matmul, list(R[:, :, None])
 

@@ -78,6 +78,18 @@ class TestClassifySpectrum:
                 assert b < math.inf
 
 
+# (c, C0, A0, domain) of decay reports with every block behaviour
+_DECAY_CASES = [
+    (-1.0, SKEW2, [TRACELESS], GeodesicDomain.ray()),
+    (0.0, np.zeros((2, 2)), [np.diag([1.0, 2.0])], GeodesicDomain.ray()),
+    (-1.0, np.eye(2), [np.eye(2)], GeodesicDomain.ray()),
+    (-1.0, np.diag([1.0, -0.5]), [np.diag([0.0, 1.0])], GeodesicDomain.ray()),
+    (0.0, np.diag([0.0, -1.0]), [np.eye(2)], GeodesicDomain.ray()),
+    (0.0, np.diag([0.0, -1.0]), [np.diag([1.0, 0.0])], GeodesicDomain.ray()),
+    (-0.25, 0.5 * SKEW2, [TRACELESS, np.fliplr(np.eye(2))], GeodesicDomain.line()),
+]
+
+
 class TestDecayReport:
     def test_hyperbolic_skew_all_decay(self):
         A0 = ShapeOperatorSet((TRACELESS,))
@@ -146,20 +158,34 @@ class TestDecayReport:
 
     @pytest.mark.parametrize("s", POWERS_OF_TWO)
     def test_verdicts_do_not_depend_on_the_scale_of_a0(self, s):
-        cases = [
-            (-1.0, SKEW2, [TRACELESS], GeodesicDomain.ray()),
-            (0.0, np.zeros((2, 2)), [np.diag([1.0, 2.0])], GeodesicDomain.ray()),
-            (-1.0, np.eye(2), [np.eye(2)], GeodesicDomain.ray()),
-            (-1.0, np.diag([1.0, -0.5]), [np.diag([0.0, 1.0])], GeodesicDomain.ray()),
-            (0.0, np.diag([0.0, -1.0]), [np.eye(2)], GeodesicDomain.ray()),
-            (0.0, np.diag([0.0, -1.0]), [np.diag([1.0, 0.0])], GeodesicDomain.ray()),
-            (-0.25, 0.5 * SKEW2, [TRACELESS, np.fliplr(np.eye(2))], GeodesicDomain.line()),
-        ]
-        for c, C0, A0, domain in cases:
+        for c, C0, A0, domain in _DECAY_CASES:
             want = decay_report(A0, c, C0, domain)
             got = decay_report([s * a for a in A0], c, C0, domain)
             assert [b.behavior for b in got.per_block] == [b.behavior for b in want.per_block]
             assert got.global_alpha_limit is want.global_alpha_limit
+
+    @pytest.mark.parametrize("s", [*POWERS_OF_TWO, 2.0**-30])
+    def test_blocks_do_not_depend_on_the_scale_of_the_geometry(self, s):
+        # (c, C0) -> (s^2 c, s C0) scales the spectrum, its spectral radius
+        # and sqrt(-c) alike; the samples at fixed times do not scale
+        for c, C0, A0, domain in _DECAY_CASES:
+            want = decay_report(A0, c, C0, domain)
+            got = decay_report(A0, s * s * c, s * C0, domain)
+            assert [(b.multiplicity, b.behavior) for b in got.per_block] == [
+                (b.multiplicity, b.behavior) for b in want.per_block
+            ]
+            assert got.global_alpha_limit is want.global_alpha_limit
+
+    def test_no_sample_where_the_inverse_is_lost(self):
+        # a = 2**60: J(t)^{-1} = e^{a t} on the critical eigenspace is past
+        # the float range at every sample time, so the report has no sample
+        s = 2.0**60
+        rep = decay_report([np.diag([0.0, 1.0])], -s * s, s * np.diag([1.0, -0.5]),
+                           GeodesicDomain.ray())
+        assert [b.behavior for b in rep.per_block] == [
+            BlockBehavior.DECAYS_TO_ZERO, BlockBehavior.IDENTICALLY_ZERO
+        ]
+        assert rep.samples == ()
 
     def test_rejects_segment(self):
         A0 = ShapeOperatorSet((np.eye(2),))

@@ -20,6 +20,8 @@ from nullgeo.core import (
 )
 from nullgeo.sampling import random_compatible_pair
 
+from conftest import POWERS_OF_TWO
+
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 GOLDEN = ROOT / "tests" / "golden"
@@ -314,11 +316,43 @@ class TestCommandLine:
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    def test_only_check_loads_the_check_table(self):
-        code = "import sys, nullgeo.cli; print('nullgeo.checks' in sys.modules)"
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=_src_env())
-        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    def test_each_subcommand_loads_the_modules_it_runs(self, tmp_path):
+        # a fresh process: ``import nullgeo`` loads no submodule, evolve
+        # runs on core alone, and each later subcommand adds the modules it
+        # runs; the last stdout line lists the loaded modules after each step
+        code = (
+            "import json, sys\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.startswith('nullgeo.'))\n"
+            "import nullgeo\n"
+            "seen = [loaded()]\n"
+            "from nullgeo.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append([main(argv), loaded()])\n"
+            "print(json.dumps(seen))\n"
+        )
+        runs = [
+            [command, "--scenario", str(SCENARIOS / name), "--out", str(tmp_path)]
+            for command, name in [
+                ("evolve", "evolve_skew_hyperbolic.json"),
+                ("classify", "classify_flat_line.json"),
+                ("search", "search_worked_family.json"),
+                ("catalog", "catalog_hyperbolic_cylinder.json"),
+                ("check", "check_default.json"),
+            ]
+        ]
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                              capture_output=True, text=True, env=_src_env())
+        assert (done.returncode, done.stderr) == (0, "")
+        base = ["nullgeo.cli", "nullgeo.core"]
+        assert json.loads(done.stdout.splitlines()[-1]) == [
+            [],
+            [0, base],
+            [0, sorted([*base, "nullgeo.classify"])],
+            [0, sorted([*base, "nullgeo.classify", "nullgeo.theorems"])],
+            [0, sorted([*base, "nullgeo.catalog", "nullgeo.classify", "nullgeo.theorems"])],
+            [0, sorted([*base, "nullgeo.catalog", "nullgeo.checks", "nullgeo.classify",
+                        "nullgeo.sampling", "nullgeo.theorems"])],
+        ]
 
     def test_help_is_not_an_error(self, capsys):
         with pytest.raises(SystemExit) as stop:
@@ -379,14 +413,14 @@ class TestEvolve:
         assert csvs[0] == csvs[1] == csvs[2]
         if case == "nearly-compatible-q16":
             # the skew part of A(t) passes the Bendixson bound up to row
-            # 1356 and fails from 1357: the symmetric solver renders the
-            # rows up to 1356, the general one the rows from 1357, whose
-            # cells differ there
+            # 762 and fails from 763, inside the block of rows 512-767 at
+            # 2**16 entries: the symmetric solver renders the rows up to
+            # 762, the general one the rows from 763, whose cells differ
             rows = [row.split(",")[4:] for row in csvs[0].decode().splitlines()[1:]]
-            for k in (1023, 1024, 1356, 1357):
+            for k in (759, 760, 763, 764):
                 symmetric, general = _eig_cells(A0, c, C0, t_end * k / (samples - 1))
                 assert symmetric != general
-                assert rows[k] == (symmetric if k <= 1356 else general)
+                assert rows[k] == (symmetric if k <= 762 else general)
 
     def test_a_row_does_not_depend_on_its_grid(self, tmp_path):
         # row 1024 of the 1500-sample grid and the last row of a
@@ -407,6 +441,17 @@ class TestEvolve:
         last = lines[-1].split(",")
         assert last[:3] == ["800", "inf", format(math.sqrt(2.0), ".14g")]
         assert all(math.isfinite(float(x)) for x in last[3:])
+
+    def test_unstable_fixed_point_is_a_documented_exit(self, tmp_path, capsys):
+        # C0 = I is a fixed point of c = -1, C(t) = C0, but the scaled factor
+        # M = 2 e^{-2t} I of J underflows to 0 by t = 400: exit 2 with one
+        # line naming that t, and no trajectory
+        payload = {**_EVOLVE, "C0": _I2, "t_grid": {"t_end": 400.0, "samples": 5}}
+        assert run_scenario("evolve", payload, tmp_path) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Jacobi tensor lost to rounding at t=400.0: J(t) cannot be inverted"
+        ]
+        assert not (tmp_path / "s.trajectory.csv").exists()
 
     def test_critical_eigenvalue_is_not_a_singular_time(self, tmp_path, capsys):
         # eigenvalue sqrt(-c) = 1, returned by eigvals as 1 + 2e-16; a cut
@@ -477,7 +522,8 @@ def _eig_cells(A0, c, C0, t):
     h = 0.5 * a
     w = np.linalg.eigvals(a)
     w = w[np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)))]
-    return [_fmt(x) for x in np.linalg.eigvalsh(h + h.T)], [cli._fmt_eig(z) for z in w]
+    radius = np.abs(w).max()
+    return [_fmt(x) for x in np.linalg.eigvalsh(h + h.T)], [cli._fmt_eig(z, radius) for z in w]
 
 
 def _nearly_compatible_q16():
@@ -539,6 +585,18 @@ class TestEvolveSpectrum:
         assert rows[5][:1] + rows[5][4:] == [
             "0.5", "11.704756293723-7.1390744643971e-08j", "11.704756293723+7.1390744643971e-08j"
         ]
+
+    @pytest.mark.parametrize("s", [*POWERS_OF_TWO, 1e-9])
+    def test_complex_cells_do_not_depend_on_the_scale_of_a0(self, tmp_path, s):
+        # A(t) = A0 J(t)^{-1} scales with A0, and |Im| is measured against
+        # the spectral radius of A(t): the same cells render complex
+        C0 = [[2.0, 1e-9], [-1e-9, 2.0]]
+        want, got = (
+            [["j" in cell for cell in row]
+             for row in _evolve_table(tmp_path, -1.0, C0, [a * np.eye(2)], 1.0, 11)]
+            for a in (1.0, s)
+        )
+        assert got == want and any(map(any, want))
 
     def test_incompatible_data_keep_complex_cells(self, tmp_path):
         # A0 C0 is skew: A0 J(t)^{-1} = J(t)^{-1} has eigenvalues 1/(1 -+ i t)

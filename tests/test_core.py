@@ -293,6 +293,26 @@ class TestGridEvaluator:
         assert beyond == pytest.approx(math.exp(711.0 - math.log(4.0)), rel=1e-12)
         assert far == math.inf
 
+    def test_rounding_loss_is_a_nullity_error(self):
+        # C0 = a I is the unstable fixed point of c = -a^2, C(t) = C0, with no
+        # singular time; on the scaled branch M = 2 eps I underflows, to a
+        # subnormal pivot and a non-finite C from t ~ 355.24 and to a singular
+        # M from t = 373.  Each call raises the base error, one line naming
+        # the first lost t
+        I2, lost = np.eye(2), r"^Jacobi tensor lost to rounding at t={}: [^\n]*$"
+        assert splitting_tensor_at(-1.0, I2, 10.0).mat[0, 0] == pytest.approx(1.0, rel=1e-8)
+        calls = [
+            (lambda: splitting_tensor_at(-1.0, I2, 372.0), "372.0"),
+            (lambda: splitting_tensor_at(-1.0, I2, 373.0), "373.0"),
+            (lambda: shape_operator_at([np.diag([1.0, -1.0])], -1.0, I2, 400.0), "400.0"),
+            # a = 1e4: a stage time of the first block of steps
+            (lambda: shape_ode_path([1e-200 * I2], -1e8, 1e4 * I2, [0.6]), r"0\.036\d*"),
+        ]
+        for call, t in calls:
+            with pytest.raises(NullityError, match=lost.format(t)) as err:
+                call()
+            assert type(err.value) is NullityError
+
     def test_check_raises_at_first_singular_time(self):
         ev = _Evolution(0.0, np.diag([2.0, -3.0]))
         ev.check([0.0, 0.25, -0.3])
