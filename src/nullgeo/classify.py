@@ -41,7 +41,7 @@ __all__ = [
     "signature_counts",
 ]
 
-EIG_CLUSTER_TOL = 1e-8   # eigenvalues closer than this times rho(C0) are one block
+EIG_CLUSTER_TOL = 1e-8   # eigenvalues closer than this, relative, are one block
 DECAY_SAMPLE_TIMES = (5.0, 10.0, 20.0)
 
 
@@ -98,8 +98,10 @@ class DecayReport:
     per_block: tuple
     global_alpha_limit: AlphaLimit
     # numeric confirmation: (t, max shape-operator norm, norm restricted to
-    # the critical eigenspace) at a few large times, where J(t)^{-1} is finite
+    # the critical eigenspace) at a few large times; none where J(t) cannot
+    # be inverted at one of them
     samples: tuple = ()
+    spectral_radius: float = 0.0   # of C0, the scale of the block eigenvalues
 
 
 def classify_splitting_spectrum(c, C0, domain: GeodesicDomain) -> SpectrumVerdict:
@@ -147,18 +149,16 @@ def classify_splitting_spectrum(c, C0, domain: GeodesicDomain) -> SpectrumVerdic
     return SpectrumVerdict(True, admissible_interval=(-a, a))
 
 
-def _eig_blocks(C0: np.ndarray):
-    """Cluster the spectrum into distinct eigenvalues with multiplicities,
-    within ``EIG_CLUSTER_TOL`` times the spectral radius, returned too."""
-    w = np.linalg.eigvals(C0)
-    radius = np.abs(w).max(initial=0.0)
+def _eig_blocks(w: np.ndarray, unit: float):
+    """Cluster the eigenvalues ``w`` into distinct eigenvalues with
+    multiplicities, within ``EIG_CLUSTER_TOL (unit + |lambda|)``."""
     blocks: list[list[complex]] = []
     for lam in sorted(w, key=lambda z: (z.real, z.imag)):
-        if blocks and abs(lam - blocks[-1][-1]) <= EIG_CLUSTER_TOL * radius:
+        if blocks and abs(lam - blocks[-1][-1]) <= EIG_CLUSTER_TOL * (unit + abs(lam)):
             blocks[-1].append(lam)
         else:
             blocks.append([lam])
-    return [(sum(b) / len(b), len(b)) for b in blocks], radius
+    return [(sum(b) / len(b), len(b)) for b in blocks]
 
 
 def _null_space(M: np.ndarray) -> np.ndarray:
@@ -212,11 +212,15 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
         crit_image = max(np.abs(m @ E).max(initial=0.0) for m in A0.ops)
     crit_nonzero = crit_image > 1e-10 * scale
 
+    # the tolerances are relative to the geometry's own scale: sqrt(-c), or
+    # rho(C0) in flat space, where sqrt(-c) = 0
+    w = np.linalg.eigvals(C0)
+    radius = float(np.abs(w).max(initial=0.0))
+    unit = a if c < 0.0 else radius
     blocks = []
-    spectrum, radius = _eig_blocks(C0)
-    for lam, mult in spectrum:
-        is_real = abs(lam.imag) <= 1e-8 * radius
-        critical = is_real and abs(lam.real - a) <= EIG_CLUSTER_TOL * radius
+    for lam, mult in _eig_blocks(w, unit):
+        is_real = abs(lam.imag) <= 1e-8 * (unit + abs(lam))
+        critical = is_real and abs(lam.real - a) <= EIG_CLUSTER_TOL * (unit + a)
         if critical:
             if c == 0.0:
                 blocks.append(DecayBlock(lam, mult, BlockBehavior.PARALLEL_CONSTANT, 0.0))
@@ -244,14 +248,11 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
         limit = AlphaLimit.ZERO
 
     # the scaled form of J keeps the critical eigenspace accurate at large t,
-    # until e^{a t} there is past the float range: the latest times go first
-    ev, Jinvs = _Evolution(c, C0), ()
-    for n in range(len(DECAY_SAMPLE_TIMES), 0, -1):
-        try:
-            Jinvs = ev.inverse(DECAY_SAMPLE_TIMES[:n])
-            break
-        except NullityError:
-            pass
+    # until its factor M underflows there
+    try:
+        Jinvs = _Evolution(c, C0).inverse(DECAY_SAMPLE_TIMES)
+    except NullityError:
+        Jinvs = ()
     samples = []
     for t, Jinv in zip(DECAY_SAMPLE_TIMES, Jinvs):
         total = 0.0
@@ -263,7 +264,7 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
                 crit = max(crit, np.abs(at @ (E @ E.T)).max(initial=0.0))
         samples.append((t, total, crit))
 
-    return DecayReport(tuple(blocks), limit, tuple(samples))
+    return DecayReport(tuple(blocks), limit, tuple(samples), radius)
 
 
 def signature_counts(A: np.ndarray):

@@ -409,13 +409,11 @@ def _verdict_record(scn: Scenario):
         and scn.domain.kind in (DomainKind.RAY, DomainKind.LINE)
     ):
         rep = decay_report(ShapeOperatorSet(scn.A0), scn.c, scn.C0, scn.domain)
-        # the blocks hold the spectrum of C0, and so its spectral radius
-        radius = max(abs(b.eigenvalue) for b in rep.per_block)
         decay = {
             "global_alpha_limit": rep.global_alpha_limit.value,
             "blocks": [
                 {
-                    "eigenvalue": _fmt_eig(b.eigenvalue, radius),
+                    "eigenvalue": _fmt_eig(b.eigenvalue, rep.spectral_radius),
                     "multiplicity": b.multiplicity,
                     "behavior": b.behavior.value,
                     "rate": _num(b.rate),

@@ -331,7 +331,7 @@ class _Evolution:
     there J = u I - v C0 is used as it stands.
 
     Grids are not checked against the singular times; callers that must not
-    reach them call :meth:`check` first; where rounding has lost J,
+    reach them call :meth:`check` first; where J(t) cannot be inverted,
     :func:`_guarded` raises.
     """
 
@@ -458,8 +458,8 @@ class _Evolution:
 
 def _guarded(fn, ts, *stacks) -> np.ndarray:
     """``fn(*stacks)``, C or J^{-1} on the grid ``ts`` from its factors, unless
-    a factor is singular or a result not finite: finite data get there only
-    where rounding has lost J, as where M = 2 eps I underflows on the fixed
+    a factor is singular or a result not finite, as at a singular time that
+    the caller did not check, or where M = 2 eps I underflows on the fixed
     point C0 = a I of c = -a^2.  Then the first such t raises NullityError."""
     try:
         X = fn(*stacks)
@@ -473,7 +473,7 @@ def _guarded(fn, ts, *stacks) -> np.ndarray:
                 break
         except np.linalg.LinAlgError:
             break
-    raise NullityError(f"Jacobi tensor lost to rounding at t={t}: J(t) cannot be inverted")
+    raise NullityError(f"J(t) cannot be inverted at t={t}")
 
 
 def _exp_or_inf(x: float) -> float:

@@ -87,6 +87,8 @@ _DECAY_CASES = [
     (0.0, np.diag([0.0, -1.0]), [np.eye(2)], GeodesicDomain.ray()),
     (0.0, np.diag([0.0, -1.0]), [np.diag([1.0, 0.0])], GeodesicDomain.ray()),
     (-0.25, 0.5 * SKEW2, [TRACELESS, np.fliplr(np.eye(2))], GeodesicDomain.line()),
+    (-1.0, np.diag([0.99, -1e6]), [np.eye(2)], GeodesicDomain.ray()),
+    (-1.0, np.diag([0.99, 1.0, -2e6]), [np.eye(3)], GeodesicDomain.ray()),
 ]
 
 
@@ -176,10 +178,27 @@ class TestDecayReport:
             ]
             assert got.global_alpha_limit is want.global_alpha_limit
 
-    def test_no_sample_where_the_inverse_is_lost(self):
-        # a = 2**60: J(t)^{-1} = e^{a t} on the critical eigenspace is past
-        # the float range at every sample time, so the report has no sample
-        s = 2.0**60
+    def test_a_large_eigenvalue_does_not_widen_the_critical_test(self):
+        # the critical distance is measured against sqrt(-c), not rho(C0):
+        # 0.99 is no critical eigenvalue of c = -1 beside -1e6, and stays a
+        # block apart from the critical 1 beside -2e6
+        rep = decay_report([np.eye(2)], -1.0, np.diag([0.99, -1e6]), GeodesicDomain.ray())
+        assert [b.behavior for b in rep.per_block] == [BlockBehavior.DECAYS_TO_ZERO] * 2
+        assert rep.global_alpha_limit is AlphaLimit.ZERO
+        rep = decay_report([np.eye(3)], -1.0, np.diag([0.99, 1.0, -2e6]), GeodesicDomain.ray())
+        assert [(b.eigenvalue, b.behavior) for b in rep.per_block] == [
+            (-2e6, BlockBehavior.DECAYS_TO_ZERO),
+            (0.99, BlockBehavior.DECAYS_TO_ZERO),
+            (1.0, BlockBehavior.BLOWS_UP),
+        ]
+        assert rep.global_alpha_limit is AlphaLimit.DIVERGENT
+
+    @pytest.mark.parametrize("s", [25.0, 2.0**60])
+    def test_no_sample_where_the_inverse_is_lost(self, s):
+        # a = s: the scaled factor M = 2 e^{-2 a t} of J(t) on the critical
+        # eigenspace underflows to 0 at t = 20 for a = 25, and at every sample
+        # time for a = 2**60, where e^{a t} is past the float range too: the
+        # report has no sample
         rep = decay_report([np.diag([0.0, 1.0])], -s * s, s * np.diag([1.0, -0.5]),
                            GeodesicDomain.ray())
         assert [b.behavior for b in rep.per_block] == [

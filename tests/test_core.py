@@ -299,7 +299,7 @@ class TestGridEvaluator:
         # subnormal pivot and a non-finite C from t ~ 355.24 and to a singular
         # M from t = 373.  Each call raises the base error, one line naming
         # the first lost t
-        I2, lost = np.eye(2), r"^Jacobi tensor lost to rounding at t={}: [^\n]*$"
+        I2, lost = np.eye(2), r"^J\(t\) cannot be inverted at t={}$"
         assert splitting_tensor_at(-1.0, I2, 10.0).mat[0, 0] == pytest.approx(1.0, rel=1e-8)
         calls = [
             (lambda: splitting_tensor_at(-1.0, I2, 372.0), "372.0"),
