@@ -22,7 +22,10 @@ this process.  The set:
 - the README's nearly compatible data with A0 = 1e-9 I, whose cells are
   complex where those of A0 = I are;
 - the unstable fixed point C0 = I of c = -1 up to t_end = 400, where
-  rounding loses J(t) and evolve exits 2.
+  rounding loses J(t) and evolve exits 2;
+- c = -1, C0 = diag(2, 1/2) at the scale 2**-40 (c = -2**-80), whose grid
+  reaches the singular time 0.549 * 2**40, so evolve exits 4 as at unit
+  scale.
 
 The grid ends are fixed here, from the eigenvalues of C0, so they do not
 depend on the library's horizon.  Two source trees write the same bytes
@@ -120,6 +123,10 @@ def scenarios():
     yield "fixed point C0=I t_end=400", {
         "c": -1.0, "C0": np.eye(2).tolist(), "A0": [[[1.0, 0.0], [0.0, -1.0]]],
         "t_grid": {"t_end": 400.0, "samples": 5},
+    }
+    yield "singular at scale 2**-40", {
+        "c": -(2.0**-80), "C0": [[2.0**-39, 0.0], [0.0, 2.0**-41]], "A0": [np.eye(2).tolist()],
+        "t_grid": {"t_end": 1.2e12, "samples": 5},
     }
 
 

@@ -20,7 +20,10 @@ from .core import (
     NullityError,
     _Evolution,
     _curv,
+    _real_parts,
+    _rounding,
     _smat,
+    _spectrum,
     _sset,
     is_codazzi_compatible,
     real_eigenvalues,
@@ -110,43 +113,33 @@ def classify_splitting_spectrum(c, C0, domain: GeodesicDomain) -> SpectrumVerdic
     c > 0 with the geodesic reaching pi/sqrt(c): no real eigenvalues at all.
     c <= 0 on a ray: real eigenvalues at most sqrt(-c).  On a line the
     two-sided constraint pins real eigenvalues to {0} (c = 0) or to
-    [-sqrt(-c), sqrt(-c)] (c < 0).
+    [-sqrt(-c), sqrt(-c)] (c < 0).  The slacks (sqrt(-c) INTERVAL_SLACK; the
+    rounding of eigvals about 0) scale with (c, C0) -> (s^2 c, s C0).
     """
-    c = _curv(c)
-    C0 = _smat(C0)
-    reals = real_eigenvalues(C0)
+    return _clause(_curv(c), *_spectrum(_smat(C0)), domain)
 
+
+def _clause(c: float, w: np.ndarray, rho: float, domain: GeodesicDomain) -> SpectrumVerdict:
+    """:func:`classify_splitting_spectrum` on the spectrum (w, rho) of C0."""
+    reals = _real_parts(w, rho)
+    a = math.sqrt(abs(c))
     if c > 0.0:
-        horizon = math.pi / math.sqrt(c)
-        reaches = domain.kind is not DomainKind.SEGMENT or domain.b >= horizon
-        if reaches and reals:
-            return SpectrumVerdict(False, Clause.I, tuple(complex(x) for x in reals))
+        reaches = domain.kind is not DomainKind.SEGMENT or domain.b >= math.pi / a
+        clause, interval, bad = Clause.I, None, reals if reaches else []
+    elif domain.kind is DomainKind.SEGMENT:
         return SpectrumVerdict(True)
-
-    a = math.sqrt(-c)
-    if domain.kind is DomainKind.SEGMENT:
-        return SpectrumVerdict(True)
-    if domain.kind is DomainKind.RAY:
-        bad = [x for x in reals if x > a + INTERVAL_SLACK]
-        if bad:
-            return SpectrumVerdict(
-                False, Clause.II, tuple(complex(x) for x in bad), (-math.inf, a)
-            )
-        return SpectrumVerdict(True, admissible_interval=(-math.inf, a))
-    # line
-    if c == 0.0:
-        bad = [x for x in reals if abs(x) > INTERVAL_SLACK]
-        if bad:
-            return SpectrumVerdict(
-                False, Clause.II1, tuple(complex(x) for x in bad), (0.0, 0.0)
-            )
-        return SpectrumVerdict(True, admissible_interval=(0.0, 0.0))
-    bad = [x for x in reals if abs(x) > a + INTERVAL_SLACK]
+    elif domain.kind is DomainKind.RAY:
+        clause, interval = Clause.II, (-math.inf, a)
+        bad = [x for x in reals if x > a * (1.0 + INTERVAL_SLACK)]
+    elif c == 0.0:  # flat line
+        clause, interval = Clause.II1, (0.0, 0.0)
+        bad = [x for x in reals if abs(x) > _rounding(w, rho)]
+    else:  # line
+        clause, interval = Clause.II2, (-a, a)
+        bad = [x for x in reals if abs(x) > a * (1.0 + INTERVAL_SLACK)]
     if bad:
-        return SpectrumVerdict(
-            False, Clause.II2, tuple(complex(x) for x in bad), (-a, a)
-        )
-    return SpectrumVerdict(True, admissible_interval=(-a, a))
+        return SpectrumVerdict(False, clause, tuple(complex(x) for x in bad), interval)
+    return SpectrumVerdict(True, admissible_interval=interval)
 
 
 def _eig_blocks(w: np.ndarray, unit: float):
@@ -168,10 +161,6 @@ def _null_space(M: np.ndarray) -> np.ndarray:
         return np.eye(M.shape[1])
     rank = int(np.sum(s > 1e-8 * s[0]))
     return vt[rank:].T
-
-
-def _critical_eigenspace(C0: np.ndarray, a: float) -> np.ndarray:
-    return _null_space(C0 - a * np.eye(C0.shape[0]))
 
 
 def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
@@ -197,7 +186,8 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
         raise ValueError("decay report is defined for c <= 0 only")
     if not is_codazzi_compatible(A0, C0):
         raise PreconditionViolated("decay report requires A0 Codazzi compatible with C0")
-    verdict = classify_splitting_spectrum(c, C0, domain)
+    w, radius = _spectrum(C0)
+    verdict = _clause(c, w, radius, domain)
     if not verdict.consistent:
         raise InconsistentSpectrum(
             f"clause {verdict.violated_clause.value} violated by "
@@ -206,16 +196,12 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
 
     a = math.sqrt(-c)
     scale = max((np.abs(m).max(initial=0.0) for m in A0.ops), default=0.0)
-    E = _critical_eigenspace(C0, a)
-    crit_image = 0.0
-    if E.shape[1] and A0.p:
-        crit_image = max(np.abs(m @ E).max(initial=0.0) for m in A0.ops)
+    E = _null_space(C0 - a * np.eye(C0.shape[0]))  # the critical eigenspace
+    crit_image = max((np.abs(m @ E).max(initial=0.0) for m in A0.ops), default=0.0)
     crit_nonzero = crit_image > 1e-10 * scale
 
     # the tolerances are relative to the geometry's own scale: sqrt(-c), or
     # rho(C0) in flat space, where sqrt(-c) = 0
-    w = np.linalg.eigvals(C0)
-    radius = float(np.abs(w).max(initial=0.0))
     unit = a if c < 0.0 else radius
     blocks = []
     for lam, mult in _eig_blocks(w, unit):
@@ -231,18 +217,15 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
         else:
             blocks.append(DecayBlock(lam, mult, BlockBehavior.DECAYS_TO_ZERO, a))
 
-    all_zero = all(np.abs(m).max(initial=0.0) == 0.0 for m in A0.ops) or A0.p == 0
     behaviors = {b.behavior for b in blocks}
-    if all_zero:
+    if scale == 0.0:
         limit = AlphaLimit.ZERO
     elif BlockBehavior.BLOWS_UP in behaviors:
         limit = AlphaLimit.DIVERGENT
     elif BlockBehavior.PARALLEL_CONSTANT in behaviors and crit_nonzero:
         # nonzero constant part; mixed when the complement also carries shape
-        off = 0.0
-        if E.shape[1] < C0.shape[0] and A0.p:
-            P = np.eye(C0.shape[0]) - E @ E.T
-            off = max(np.abs(m @ P).max(initial=0.0) for m in A0.ops)
+        P = np.eye(C0.shape[0]) - E @ E.T
+        off = max(np.abs(m @ P).max(initial=0.0) for m in A0.ops)
         limit = AlphaLimit.MIXED if off > 1e-10 * scale else AlphaLimit.NONZERO
     else:
         limit = AlphaLimit.ZERO

@@ -333,12 +333,15 @@ def _evolve_block(ev: _Evolution, scn: Scenario, grid: list[float]):
 
 def _general_rows(head: list, A: list, norms: list) -> str:
     """CSV lines of a run of rows with the eigenvalues of the general solver,
-    ordered by real and then imaginary part, complex ones as ``a±bj``."""
+    ordered by real and then imaginary part, to 12 digits of the row's
+    spectral radius, complex ones as ``a±bj``."""
     eigs = []
     for a in A:
         w = np.linalg.eigvals(a)
-        order = np.lexsort((np.round(w.imag, 12), np.round(w.real, 12)), axis=-1)
-        eigs.append((np.take_along_axis(w, order, axis=-1).tolist(), np.abs(w).max(axis=-1)))
+        radius = np.abs(w).max(axis=-1)
+        u = w / np.where(radius > 0.0, radius, 1.0)[:, None]
+        order = np.lexsort((np.round(u.imag, 12), np.round(u.real, 12)), axis=-1)
+        eigs.append((np.take_along_axis(w, order, axis=-1).tolist(), radius))
     lines = []
     for k in range(len(head[0])):
         row = [_fmt(x[k]) for x in head]

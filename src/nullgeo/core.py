@@ -42,8 +42,8 @@ __all__ = [
 
 # Tolerances shared across modules (see also classify / theorems).
 SYM_TOL = 1e-8           # relative asymmetry threshold
-REAL_EIG_TOL = 1e-10     # |Im| <= REAL_EIG_TOL * (1 + |lam|) counts as real
-INTERVAL_SLACK = 1e-10   # closed-interval membership slack
+REAL_EIG_TOL = 1e-10     # |Im| <= REAL_EIG_TOL * |lam| (+ rounding) counts as real
+INTERVAL_SLACK = 1e-10   # relative closed-interval membership slack
 RICCATI_BLOWUP = 1e8     # abort integration once a tensor norm exceeds this
 _STAGE_CHUNK = 512       # RK4 steps per block of the oracles: history, guard check, stage C
 _COSH_MAX = math.log(sys.float_info.max)  # cosh(x) < e^x is finite for x up to here
@@ -205,13 +205,30 @@ def _unit_scale(m: np.ndarray) -> np.ndarray:
     return np.ldexp(m, -math.frexp(np.maximum.reduce(np.abs(m), None, initial=0.0))[1])
 
 
+def _spectrum(M: np.ndarray) -> tuple[np.ndarray, float]:
+    """The eigenvalues of M and its spectral radius, taken on M's unit
+    scaling (:func:`_unit_scale`) and scaled back: exact, so 2**k M gives
+    2**k times both bit for bit, as eigvals of 2**k M does not."""
+    e = math.frexp(np.maximum.reduce(np.abs(M), None, initial=0.0))[1]
+    w = np.linalg.eigvals(np.ldexp(M, -e))
+    return np.ldexp(w.view(float), e).view(w.dtype), math.ldexp(np.abs(w).max(initial=0.0), e)
+
+
+def _rounding(w: np.ndarray, rho: float) -> float:
+    """eigvals' own rounding on a q x q matrix of spectral radius rho, 4 q eps
+    rho: the one part of an eigenvalue rule measured against rho."""
+    return 4.0 * w.size * np.finfo(float).eps * rho
+
+
+def _real_parts(w: np.ndarray, rho: float) -> list[float]:
+    """Real parts of the ``w`` with |Im| <= REAL_EIG_TOL |lam| + the rounding."""
+    tol = _rounding(w, rho)
+    return [float(lam.real) for lam in w if abs(lam.imag) <= REAL_EIG_TOL * abs(lam) + tol]
+
+
 def real_eigenvalues(M: np.ndarray) -> list[float]:
     """Real part of the eigenvalues whose imaginary part is negligible."""
-    out = []
-    for lam in np.linalg.eigvals(np.asarray(M, dtype=float)):
-        if abs(lam.imag) <= REAL_EIG_TOL * (1.0 + abs(lam)):
-            out.append(float(lam.real))
-    return out
+    return _real_parts(*_spectrum(np.asarray(M, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,27 +299,18 @@ def max_invertible_time(c, C0) -> float:
     cannot vanish simultaneously.
     """
     c = _curv(c)
-    C0 = _smat(C0)
-    reals = real_eigenvalues(C0)
-    roots = []
+    reals = real_eigenvalues(_smat(C0))
+    a = math.sqrt(abs(c))
     if c > 0.0:
-        a = math.sqrt(c)
-        for lam in reals:
-            # first positive root of cot(a t) = lam / a, always in (0, pi/a]
-            roots.append((math.pi / 2.0 - math.atan(lam / a)) / a)
+        # first positive root of cot(a t) = lam / a, always in (0, pi/a]
+        roots = [(math.pi / 2.0 - math.atan(lam / a)) / a for lam in reals]
     elif c < 0.0:
-        a = math.sqrt(-c)
-        for lam in reals:
-            # an eigenvalue within the slack of a is a, which never makes J
-            # singular; the same cut as the ray clause in classify
-            if lam > a + INTERVAL_SLACK:
-                # coth(a t) = lam / a; atanh keeps a / lam where the
-                # ratio (lam + a) / (lam - a) would round to 1
-                roots.append(math.atanh(a / lam) / a)
+        # coth(a t) = lam / a; atanh keeps a / lam where (lam + a) / (lam - a)
+        # would round to 1.  An eigenvalue within the relative slack of a is
+        # a, which never makes J singular: the cut of the ray clause
+        roots = [math.atanh(a / lam) / a for lam in reals if lam > a * (1.0 + INTERVAL_SLACK)]
     else:
-        for lam in reals:
-            if lam > 0.0:
-                roots.append(1.0 / lam)
+        roots = [1.0 / lam for lam in reals if lam > 0.0]
     return min(roots, default=math.inf)
 
 
@@ -322,13 +330,14 @@ class _Evolution:
     For c < 0 and a|t| >= 1 the factors come from the scaled form
     J(t) = (e^{a|t|}/2) M and J'(t) = (e^{a|t|}/2) N with
 
-        M = (1 + eps) I -+ (1 - eps) C0 / a,
-        N = +-a (1 - eps) I - (1 + eps) C0,    eps = e^{-2 a |t|},
+        M = (I -+ C0 / a) + eps (I +- C0 / a),
+        N = +-a ((I -+ C0 / a) - eps (I +- C0 / a)),    eps = e^{-2 a |t|},
 
     the sign following sign(t).  cosh - sinh cancels catastrophically for
-    eigenvalues near +-a at large |t|; this grouping does not.  For small
-    a|t| the grouping cancels instead (1 - eps against the C0/a terms), so
-    there J = u I - v C0 is used as it stands.
+    eigenvalues near +-a at large |t|; this grouping does not, not even on
+    the fixed point C0 = a I, where 1 +- eps rounds to 1.  For small a|t|
+    it cancels instead (eps against the C0/a terms), so there J = u I - v C0
+    is used as it stands.
 
     Grids are not checked against the singular times; callers that must not
     reach them call :meth:`check` first; where J(t) cannot be inverted,
@@ -381,8 +390,9 @@ class _Evolution:
         sgn = np.copysign(1.0, ts)[:, None, None]
         eps = _libm(math.exp, (-2.0 * a * at).tolist())[:, None, None]
         sC = (sgn / a) * self.C0
-        M = (self.eye - sC) + eps * (self.eye + sC)
-        N = sgn * a * (self.eye - eps * self.eye) - (1.0 + eps) * self.C0
+        D, S = self.eye - sC, self.eye + sC
+        M = D + eps * S
+        N = (sgn * a) * (D - eps * S)
         return M, N, 2.0 * _libm(math.exp, (-a * at).tolist())
 
     @staticmethod

@@ -214,8 +214,8 @@ def theorem1_pipeline(family: SplittingFamily, A0, c) -> DecayReport:
     """Kernel search followed by the decay report along the found direction.
 
     When a direction exists and lambda <= 0, the report shows a vanishing
-    global shape limit for c <= 0 (away from the lambda = -sqrt(-c) edge,
-    which is flagged with a warning but still evaluated).
+    global shape limit for c <= 0 (away from the lambda = -sqrt(-c) edge; one
+    within 1e-12 sqrt(-c) of it is flagged with a warning but evaluated).
     """
     c = _curv(c)
     if c > 0.0:
@@ -227,7 +227,7 @@ def theorem1_pipeline(family: SplittingFamily, A0, c) -> DecayReport:
             f"(nu0={family.nu0}, q={family.q})"
         )
     a = math.sqrt(-c)
-    if a > 0.0 and abs(direction.lam + a) <= 1e-12:
+    if a > 0.0 and abs(direction.lam + a) <= 1e-12 * a:
         warnings.warn(
             "lambda equals -sqrt(-c); decay on the critical eigenspace is a "
             "boundary case",
@@ -286,17 +286,20 @@ def minimality_certificate(A_samples, n: int) -> MinimalityVerdict:
     """Constant mean-curvature length plus decayed extrinsic geometry forces
     minimality.
 
-    Raises :class:`InconsistentInput` when ||H|| drifts across the samples.
+    Raises :class:`InconsistentInput` when ||H|| drifts by more than 1e-8 of
+    the largest ``alpha_operator_norm``, the samples' size; decayed means a
+    smallest ``alpha_operator_norm`` of at most 1e-6 of the largest.
     """
     samples = [_sset(a) for a in A_samples]
     if not samples:
         raise InconsistentInput("no samples")
     norms = [mean_curvature_norm(a, n) for a in samples]
-    if max(norms) - min(norms) > 1e-8:
+    alphas = [alpha_operator_norm(a) for a in samples]
+    if max(norms) - min(norms) > 1e-8 * max(alphas):
         raise InconsistentInput(
             f"||H|| varies across samples: {min(norms):.3g} .. {max(norms):.3g}"
         )
-    if min(alpha_operator_norm(a) for a in samples) < 1e-6:
+    if min(alphas) <= 1e-6 * max(alphas):
         # constant ||H|| bounded by a quantity that reaches ~0
         return MinimalityVerdict.MINIMAL
     return MinimalityVerdict.INCONCLUSIVE

@@ -9,6 +9,8 @@ from nullgeo.core import SingularJacobi, _rk4_segments
 # scale factors that are exact in floating point: a scale-free verdict must
 # not change under any of them
 POWERS_OF_TWO = (2.0, 0.5, 2.0**60, 2.0**-60)
+# and 2**+-40, where absolute slacks of 1e-10 and 1e-12 once decided
+SCALES = (*POWERS_OF_TWO, 2.0**40, 2.0**-40)
 
 
 @pytest.fixture

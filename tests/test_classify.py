@@ -19,10 +19,11 @@ from nullgeo.core import (
     GeodesicDomain,
     ShapeOperatorSet,
     max_invertible_time,
+    real_eigenvalues,
     shape_operator_at,
 )
 
-from conftest import POWERS_OF_TWO
+from conftest import POWERS_OF_TWO, SCALES
 
 TRACELESS = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -76,6 +77,53 @@ class TestClassifySpectrum:
                 assert b == math.inf
             elif v.violated_clause is Clause.II:
                 assert b < math.inf
+
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_verdicts_keep_under_rescaled_geometry(self, rng, s):
+        # (c, C0) -> (s^2 c, s C0): the same verdict, with the offending
+        # eigenvalues and the interval times s, exactly.  Among the cases:
+        # c = -1, diag(2, 0.5) and the flat line's C0, whose clauses once
+        # passed at small scales, and eigenvalues that eigvals returns next
+        # to the bound sqrt(-c) = 1
+        S = rng.normal(size=(3, 3))
+        cases = [
+            (-1.0, np.diag([2.0, 0.5])),
+            (0.0, np.array([[0.5, 0.25], [0.25, -0.75]])),
+            (-1.0, S @ np.diag([1.0, 0.3, -1.0]) @ np.linalg.inv(S)),
+            (-1.0, SKEW2),
+            *((float(rng.choice([-1.0, 0.0, -0.25])), rng.uniform(-1.5, 1.5, size=(3, 3)))
+              for _ in range(50)),
+        ]
+        for c, C0 in cases:
+            for domain in (GeodesicDomain.ray(), GeodesicDomain.line()):
+                v = classify_splitting_spectrum(c, C0, domain)
+                w = classify_splitting_spectrum(s * s * c, s * C0, domain)
+                assert (w.consistent, w.violated_clause) == (v.consistent, v.violated_clause)
+                assert w.offending_eigenvalues == tuple(s * z for z in v.offending_eigenvalues)
+                assert w.admissible_interval == tuple(s * x for x in v.admissible_interval)
+        v = classify_splitting_spectrum(-s * s, s * np.diag([2.0, 0.5]), GeodesicDomain.ray())
+        assert (v.violated_clause, v.offending_eigenvalues) == (Clause.II, (2.0 * s,))
+        v = classify_splitting_spectrum(0.0, s * cases[1][1], GeodesicDomain.line())
+        assert v.violated_clause is Clause.II1
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_a_large_eigenvalue_does_not_widen_the_real_and_zero_tests(self, s):
+        # beside the pair +-1e6 i, the flat line's real eigenvalue 5e-5 is no
+        # zero: J = I - t C0 is singular at t = 2e4, and the clause agrees
+        # with the horizon
+        C0 = np.zeros((3, 3))
+        C0[0, 1], C0[1, 0], C0[2, 2] = 1e6, -1e6, 5e-5
+        v = classify_splitting_spectrum(0.0, s * C0, GeodesicDomain.line())
+        assert (v.violated_clause, v.offending_eigenvalues) == (Clause.II1, (5e-5 * s,))
+        assert max_invertible_time(0.0, s * C0) == 2e4 / s
+        # beside -1e6, the pair 2 +- 1e-5 i has no real eigenvalue, so c = -1
+        # on a ray has none above sqrt(-c)
+        C0 = np.zeros((3, 3))
+        C0[:2, :2] = [[2.0, 1e-5], [-1e-5, 2.0]]
+        C0[2, 2] = -1e6
+        assert real_eigenvalues(s * C0) == [-1e6 * s]
+        assert classify_splitting_spectrum(-s * s, s * C0, GeodesicDomain.ray()).consistent
 
 
 # (c, C0, A0, domain) of decay reports with every block behaviour
@@ -177,6 +225,18 @@ class TestDecayReport:
                 (b.multiplicity, b.behavior) for b in want.per_block
             ]
             assert got.global_alpha_limit is want.global_alpha_limit
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_block_values_scale_with_the_geometry(self, s):
+        # the block eigenvalues, rates and the spectral radius of
+        # (s^2 c, s C0) are those of (c, C0) times s, exactly
+        for c, C0, A0, domain in _DECAY_CASES:
+            want = decay_report(A0, c, C0, domain)
+            got = decay_report(A0, s * s * c, s * C0, domain)
+            assert [(b.eigenvalue, b.rate) for b in got.per_block] == [
+                (s * b.eigenvalue, s * b.rate) for b in want.per_block
+            ]
+            assert got.spectral_radius == s * want.spectral_radius
 
     def test_a_large_eigenvalue_does_not_widen_the_critical_test(self):
         # the critical distance is measured against sqrt(-c), not rho(C0):

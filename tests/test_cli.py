@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from nullgeo import cli
+from nullgeo.classify import classify_splitting_spectrum, decay_report
 from nullgeo.cli import DimensionMismatch, _fmt, _fmt_rows, main, parse_scenario
 from nullgeo.core import (
     NullityError,
+    _Evolution,
     jacobi_tensor,
     max_invertible_time,
     shape_operator_at,
@@ -20,7 +22,7 @@ from nullgeo.core import (
 )
 from nullgeo.sampling import random_compatible_pair
 
-from conftest import POWERS_OF_TWO
+from conftest import POWERS_OF_TWO, SCALES
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -599,6 +601,15 @@ class TestEvolveSpectrum:
         )
         assert got == want and any(map(any, want))
 
+    def test_conjugate_order_does_not_depend_on_the_scale_of_a0(self, tmp_path):
+        # a row's eigenvalues are ordered by keys relative to its spectral
+        # radius, so A0 = 1e-9 I writes the pair in the order A0 = I does
+        C0 = [[2.0, 1e-9], [-1e-9, 2.0]]
+        rows = _evolve_table(tmp_path, -1.0, C0, [1e-9 * np.eye(2)], 1.0, 11)
+        assert rows[5][4:] == [
+            "1.1704756293723e-08-7.1390744643971e-17j", "1.1704756293723e-08+7.1390744643971e-17j"
+        ]
+
     def test_incompatible_data_keep_complex_cells(self, tmp_path):
         # A0 C0 is skew: A0 J(t)^{-1} = J(t)^{-1} has eigenvalues 1/(1 -+ i t)
         rows = _evolve_table(tmp_path, 0.0, [[0.0, 1.0], [-1.0, 0.0]], [np.eye(2)], 1.0, 3)
@@ -713,6 +724,122 @@ class TestCatalogAndCheck:
         assert lines[2:] == golden[2:-1] + ["18 checks, 2 failed"]
         for line, name in zip(lines, ("riccati_oracle_equivalence", "shape_oracle_equivalence")):
             assert re.fullmatch(rf"FAIL {name}: max deviation \d\.\d{{3}}e[+-]\d{{2}}, bound 1e-06", line)
+
+
+# c = -1, C0 = diag(2, 1/2) at the scale 2**-40, whose J(t) is singular at
+# 0.549 * 2**40 ~ 6.04e11: an absolute slack of 1e-10 once took both
+# eigenvalues for at most sqrt(-c) = 2**-40
+_REPRO = {"c": -(2.0**-80), "C0": [[2.0**-39, 0.0], [0.0, 2.0**-41]],
+          "A0": [[[1.0, 0.0], [0.0, 1.0]]]}
+_RESCALED_EVOLVE = {
+    "evolve_branch_q8": json.loads((SCENARIOS / "evolve_branch_q8.json").read_text()),
+    "evolve_skew_hyperbolic": json.loads((SCENARIOS / "evolve_skew_hyperbolic.json").read_text()),
+    "repro": {"mode": "evolve", **_REPRO, "t_grid": {"t_end": 1.2e12, "samples": 5}},
+}
+_RESCALED_CLASSIFY = {
+    "classify_flat_line": json.loads((SCENARIOS / "classify_flat_line.json").read_text()),
+    "skew_ray": _CLASSIFY,
+    "critical_ray": {"mode": "classify", "c": -1.0, "C0": [[1.0, 0.0], [0.0, -0.5]],
+                     "A0": [[[0.0, 0.0], [0.0, 1.0]]], "domain": {"kind": "ray"}},
+    "repro": {"mode": "classify", **_REPRO, "domain": {"kind": "ray"}},
+}
+
+
+def _rescaled(payload, s):
+    """``payload`` on the geometry (s^2 c, s C0), with t_end / s and A0 kept:
+    the same J at the times t / s."""
+    out = {**payload, "c": s * s * payload["c"], "C0": (s * np.array(payload["C0"])).tolist()}
+    if "t_grid" in payload:
+        out["t_grid"] = {**payload["t_grid"], "t_end": payload["t_grid"]["t_end"] / s}
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestRescaledGeometry:
+    """(c, C0, t) -> (s^2 c, s C0, t / s) keeps J, so it keeps every answer
+    of the main theorem: exit codes, verdicts and the det J and shape cells
+    to the byte, with t, C and the eigenvalues of C0 scaled exactly."""
+
+    @pytest.mark.parametrize("s", SCALES)
+    @pytest.mark.parametrize("name", sorted(_RESCALED_EVOLVE))
+    def test_evolve(self, tmp_path, name, s):
+        base = _RESCALED_EVOLVE[name]
+        codes, tables = [], []
+        for k, payload in enumerate((base, _rescaled(base, s))):
+            out = tmp_path / str(k)
+            out.mkdir()
+            codes.append(run_scenario("evolve", payload, out))
+            csv = out / "s.trajectory.csv"
+            tables.append([line.split(",") for line in csv.read_text().splitlines()]
+                          if csv.exists() else None)
+        assert codes[0] == codes[1] == (4 if name == "repro" else 0)
+        if codes[0]:
+            assert tables == [None, None]
+            return
+        # the evaluator's arrays: t / s, det J and A to the bit, s C
+        scns = [parse_scenario(p) for p in (base, _rescaled(base, s))]
+        grids = [[x.t_end * k / (x.samples - 1) for k in range(x.samples)] for x in scns]
+        (head, A, norms), (head_s, A_s, norms_s) = (
+            cli._evolve_block(_Evolution(x.c, x.C0), x, g) for x, g in zip(scns, grids)
+        )
+        assert np.array_equal(_bits(head_s[0]), _bits(head[0] / s))
+        assert np.array_equal(_bits(head_s[1]), _bits(head[1]))
+        assert np.array_equal(_bits(head_s[2]), _bits(s * head[2]))
+        for a, a_s, n, n_s in zip(A, A_s, norms, norms_s, strict=True):
+            assert np.array_equal(_bits(a_s), _bits(a)) and np.array_equal(_bits(n_s), _bits(n))
+        # the files: t and C_norm rendered from those, every other cell kept
+        rows, rows_s = tables
+        assert rows_s[0] == rows[0] and len(rows_s) == len(rows)
+        for k, (row, row_s) in enumerate(zip(rows[1:], rows_s[1:])):
+            assert row_s[0] == _fmt(head[0][k] / s) and row_s[2] == _fmt(s * head[2][k])
+            assert row_s[1] == row[1] and row_s[3:] == row[3:]
+
+    @pytest.mark.parametrize("s", SCALES)
+    @pytest.mark.parametrize("name", sorted(_RESCALED_CLASSIFY))
+    def test_classify(self, tmp_path, name, s):
+        base = _RESCALED_CLASSIFY[name]
+        recs = []
+        for k, payload in enumerate((base, _rescaled(base, s))):
+            out = tmp_path / str(k)
+            out.mkdir()
+            assert run_scenario("classify", payload, out) == 0
+            recs.append(json.loads((out / "s.verdict.json").read_text()))
+        # the evaluator's values: the verdict, and x -> s x exactly
+        scn = parse_scenario(base)
+        v = classify_splitting_spectrum(scn.c, scn.C0, scn.domain)
+        v_s = classify_splitting_spectrum(s * s * scn.c, s * scn.C0, scn.domain)
+        assert (v_s.consistent, v_s.violated_clause) == (v.consistent, v.violated_clause)
+        assert v_s.offending_eigenvalues == tuple(s * z for z in v.offending_eigenvalues)
+        interval = tuple(s * x for x in v.admissible_interval)
+        assert v_s.admissible_interval == interval
+        rec, rec_s = recs
+        assert rec_s["verdict"] == {
+            **rec["verdict"],
+            "offending_eigenvalues": [_fmt(s * z.real) for z in v.offending_eigenvalues],
+            "admissible_interval": [float(_fmt(x)) for x in interval],
+        }
+        if name == "repro":
+            assert rec_s["verdict"]["violated_clause"] == "II"
+            assert v.offending_eigenvalues == (2.0**-39,)
+        assert ("decay" in rec_s) == ("decay" in rec) == v.consistent
+        if not v.consistent:
+            return
+        rep = decay_report(scn.A0, scn.c, scn.C0, scn.domain)
+        rep_s = decay_report(scn.A0, s * s * scn.c, s * scn.C0, scn.domain)
+        assert rep_s.spectral_radius == s * rep.spectral_radius
+        assert [(b.eigenvalue, b.multiplicity, b.behavior, b.rate) for b in rep_s.per_block] == [
+            (s * b.eigenvalue, b.multiplicity, b.behavior, s * b.rate) for b in rep.per_block
+        ]
+        # the decay samples sit at fixed times, which do not scale
+        assert rec_s["decay"]["global_alpha_limit"] == rec["decay"]["global_alpha_limit"]
+        assert rec_s["decay"]["blocks"] == [
+            {**b, "eigenvalue": cli._fmt_eig(s * blk.eigenvalue, s * rep.spectral_radius),
+             "rate": float(_fmt(s * blk.rate))}
+            for b, blk in zip(rec["decay"]["blocks"], rep.per_block, strict=True)
+        ]
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,10 +21,12 @@ from nullgeo.core import (
     _riccati_stack,
     _shape_stack,
     _Stack,
+    _spectrum,
     is_codazzi_compatible,
     jacobi_derivative,
     jacobi_tensor,
     max_invertible_time,
+    real_eigenvalues,
     riccati_path,
     shape_ode_path,
     shape_operator_at,
@@ -32,7 +35,9 @@ from nullgeo.core import (
 from nullgeo.checks import SKEW2, _batch, riccati_cases, riccati_deviation, shape_cases, shape_deviation
 from nullgeo.sampling import random_compatible_pair
 
-from conftest import POWERS_OF_TWO, det_sampling_bmax, rank_one_draws, rk4_path, rk4_second_order
+from conftest import (
+    POWERS_OF_TWO, SCALES, det_sampling_bmax, rank_one_draws, rk4_path, rk4_second_order,
+)
 
 
 class TestDomainTypes:
@@ -127,6 +132,27 @@ class TestJacobiDerivative:
             assert np.abs(fd - exact).max() <= 1e-6 * scale
 
 
+class TestSpectrum:
+    def test_scaling_by_a_power_of_two_is_exact(self, rng):
+        # eigvals of 2**k M is not 2**k eigvals(M) to the bit; the helper's
+        # eigenvalues and spectral radius are
+        for _ in range(100):
+            q = int(rng.integers(1, 6))
+            M = rng.normal(size=(q, q))
+            w, rho = _spectrum(M)
+            assert rho == np.abs(w).max()
+            for s in SCALES:
+                ws, rhos = _spectrum(s * M)
+                assert np.array_equal(ws, s * w) and rhos == s * rho
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_realness_is_relative_to_the_spectral_radius(self, s):
+        # 2 -+ 1e-9 i is complex at every scale, 2 -+ 1e-12 i real; below unit
+        # scale the first once counted as real
+        assert real_eigenvalues(s * np.array([[2.0, 1e-9], [-1e-9, 2.0]])) == []
+        assert real_eigenvalues(s * np.array([[2.0, 1e-12], [-1e-12, 2.0]])) == [2.0 * s] * 2
+
+
 class TestMaxInvertibleTime:
     def test_flat_diagonal(self):
         assert max_invertible_time(0.0, np.diag([2.0, -3.0])) == pytest.approx(0.5, abs=1e-15)
@@ -167,6 +193,17 @@ class TestMaxInvertibleTime:
         want = 2.0 * (1.0 + 4.0 * -c / 3.0)
         assert max_invertible_time(c, np.array([[0.5]])) == pytest.approx(want, rel=1e-12)
         assert np.isfinite(splitting_tensor_at(c, [[0.5]], 1.0).mat).all()
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_horizon_keeps_under_rescaled_geometry(self, s):
+        # (c, C0, t) -> (s^2 c, s C0, t / s) keeps J: the horizon is b / s
+        # exactly, with the eigenvalues and the slack of a measured at scale
+        rng = np.random.default_rng(1910)
+        for _ in range(300):
+            q = int(rng.integers(1, 6))
+            c = float(rng.choice([-1.0, 0.0, 1.0, -0.25, 4.0]))
+            C0 = rng.uniform(-2.0, 2.0, size=(q, q))
+            assert max_invertible_time(s * s * c, s * C0) == max_invertible_time(c, C0) / s
 
     def test_agrees_with_det_sampling(self, rng):
         for c in (-1.0, 0.0, 1.0):
@@ -312,6 +349,36 @@ class TestGridEvaluator:
             with pytest.raises(NullityError, match=lost.format(t)) as err:
                 call()
             assert type(err.value) is NullityError
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_fixed_point_keeps_its_splitting_tensor(self, a):
+        # C0 = a I is the unstable fixed point of c = -a^2, C(t) = C0 for
+        # every t: to an ulp (the solve multiplies by a reciprocal) at every
+        # time before the first one where rounding loses J(t), which raises
+        ev = _Evolution(-a * a, a * np.eye(3))
+        ts = np.linspace(-400.0 / a, 400.0 / a, 8001)
+        with pytest.raises(NullityError) as err:
+            ev.splitting(ts)
+        lost = float(re.fullmatch(r"J\(t\) cannot be inverted at t=(\S+)", str(err.value))[1])
+        assert 355.0 / a < lost < 356.0 / a
+        C = ev.splitting(ts[ts < lost])
+        assert np.abs(C - a * np.eye(3)).max() <= np.finfo(float).eps * a
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_near_fixed_point_matches_per_eigenvalue_closed_form(self, a):
+        # C0 = diag(a (1 + d)): each eigenvalue follows the scalar solution,
+        # for t >= 0 and E = e^{-2a|t|}  a (2E + d (1 + E)) / (2E - d (1 - E)),
+        # which shares no grouping with the evaluator; t < 0 is the
+        # eigenvalue -a (1 + d) forward, d -> -2 - d, with C negated.  a is
+        # a power of two, so d = lam / a - 1 is exact
+        lam = a * (1.0 + np.array([0.0, -1e-12, -1e-8, -1e-4, -0.5]))
+        ts = np.linspace(-60.0 / a, 60.0 / a, 2401)[:, None]
+        back = ts < 0.0
+        d = np.where(back, -1.0 - lam / a, lam / a - 1.0)
+        E = np.exp(-2.0 * a * np.abs(ts))
+        want = np.where(back, -a, a) * (2.0 * E + d * (1.0 + E)) / (2.0 * E - d * (1.0 - E))
+        C = _Evolution(-a * a, np.diag(lam)).splitting(ts[:, 0])
+        assert np.abs(np.einsum("kii->ki", C) - want).max() <= 8 * np.finfo(float).eps * a
 
     def test_check_raises_at_first_singular_time(self):
         ev = _Evolution(0.0, np.diag([2.0, -3.0]))
@@ -652,7 +719,7 @@ class TestStackedOracles:
         sgn = math.copysign(1.0, t)
         eps = math.exp(-2.0 * a * abs(t))
         M = (eye - (sgn / a) * C0) + eps * (eye + (sgn / a) * C0)
-        N = sgn * a * (eye - eps * eye) - (1.0 + eps) * C0
+        N = (sgn * a) * ((eye - (sgn / a) * C0) - eps * (eye + (sgn / a) * C0))
         return M, N, 2.0 * math.exp(-a * abs(t))
 
     def _scalar_det(self, c, C0, t):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ class TestTheorem1Pipeline:
             b.behavior is BlockBehavior.PARALLEL_CONSTANT for b in rep.per_block
         )
 
+    @pytest.mark.parametrize("s", POWERS_OF_TWO)
+    def test_critical_edge_warning_does_not_depend_on_scale(self, s):
+        # (s I / 2,) with c = -s^2 has lambda = -s / 2, half way to the edge
+        # -sqrt(-c) = -s: no warning, though s / 2 is below 1e-12 at 2**-60;
+        # the worked family times s sits on the edge and warns
+        A0 = ShapeOperatorSet((np.diag([1.0, -1.0]),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = theorem1_pipeline(SplittingFamily((0.5 * s * np.eye(2),), 2), A0, -s * s)
+        assert rep.global_alpha_limit is AlphaLimit.ZERO
+        fam = SplittingFamily(tuple(s * m for m in WORKED_FAMILY.basis), 2)
+        with pytest.warns(UserWarning, match="boundary case"):
+            theorem1_pipeline(fam, A0, -s * s)
+
     def test_full_rank_family_raises(self):
         fam = SplittingFamily(
             basis=(
@@ -275,6 +290,31 @@ class TestCurvatureBookkeeping:
         ]
         with pytest.raises(InconsistentInput):
             minimality_certificate(drifting, n)
+
+    @pytest.mark.parametrize("s", [*POWERS_OF_TWO, 2.0**-30])
+    def test_minimality_verdicts_do_not_depend_on_scale(self, s):
+        # steady samples stay inconclusive however small, decayed ones and
+        # zero ones are minimal, and a drift of 1e-6 of ||H|| is a drift
+        steady = ShapeOperatorSet((s * np.diag([1.0, 2.0, 3.0]),))
+        assert minimality_certificate([steady, steady], 3) is MinimalityVerdict.INCONCLUSIVE
+        decayed = [ShapeOperatorSet((s * np.diag([1.0, -1.0]),)),
+                   ShapeOperatorSet((1e-7 * s * np.diag([1.0, -1.0]),))]
+        assert minimality_certificate(decayed, 2) is MinimalityVerdict.MINIMAL
+        zero = ShapeOperatorSet((np.zeros((3, 3)),))
+        assert minimality_certificate([zero, zero], 3) is MinimalityVerdict.MINIMAL
+        drifting = [steady, ShapeOperatorSet(((1.0 + 1e-6) * steady.ops[0],))]
+        with pytest.raises(InconsistentInput):
+            minimality_certificate(drifting, 3)
+
+    @pytest.mark.parametrize("s", POWERS_OF_TWO)
+    def test_rounding_of_a_zero_trace_is_no_drift(self, s):
+        # the trace of diag(0.1, 0.2, -0.3) rounds to 5.55e-17, not 0: ||H||
+        # moves from rounding size to 0 as the samples decay, which is no
+        # drift against the size of the shape operators
+        D = s * np.diag([0.1, 0.2, -0.3])
+        decaying = [ShapeOperatorSet((D,)), ShapeOperatorSet((1e-7 * D,))]
+        assert mean_curvature_norm(decaying[0], 3) > 0.0
+        assert minimality_certificate(decaying, 3) is MinimalityVerdict.MINIMAL
 
     def test_alpha_operator_norm(self):
         A = ShapeOperatorSet((np.diag([3.0, 1.0]), np.diag([0.0, 4.0])))
