@@ -116,7 +116,9 @@ def radon_hurwitz_oracle(m: int) -> int:
 
 
 def riccati_cases(rng: np.random.Generator, count: int) -> list[tuple]:
-    """``count`` random Riccati oracle cases ``(c, C0, grid)``, q in 1..5."""
+    """``count`` random Riccati oracle cases ``(c, C0, grid)``, q in 1..5:
+    with :func:`shape_cases`, the one copy of the oracle draws, which the
+    tests and ``scripts/oracle_bits.py`` share."""
     C0s = [random_splitting_tensor(rng, int(rng.integers(1, 6))) for _ in range(count)]
     return [(c, C0, sample_grid(c, C0)) for c, C0 in zip(cycle(CURVATURES), C0s)]
 
@@ -144,7 +146,14 @@ def _batch(stack, cases, step: float) -> list[list[np.ndarray]]:
 
 def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
     """Largest entry gap between the closed-form C(t) and an RK4 solution of
-    C' = C^2 + c I with the given step, over ``riccati_cases(rng, count)``."""
+    C' = C^2 + c I with the given step, over ``riccati_cases(rng, count)``.
+
+    The cases are stepped in stacks of one shape (:func:`_batch`), and each
+    case's records are compared with the closed form on its whole grid in
+    one call, which gives each time the bits of :func:`splitting_tensor_at`;
+    :func:`sample_grid` keeps every time at or below 0.8 of the first
+    singular time.  The gap is a maximum, the same in any case order;
+    :func:`shape_deviation` is made the same way."""
     cases = riccati_cases(rng, count)
     worst = 0.0
     for (c, C0, ts), path in zip(cases, _batch(_riccati_stack, cases, step)):

@@ -154,12 +154,13 @@ def _eig_blocks(w: np.ndarray, unit: float):
     return [(sum(b) / len(b), len(b)) for b in blocks]
 
 
-def _null_space(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker M (columns); may be empty."""
+def _null_space(M: np.ndarray, rel: float = 1e-8) -> np.ndarray:
+    """Orthonormal basis of ker M (columns): the singular values at most
+    ``rel`` times the largest count as zero; may be empty."""
     u, s, vt = np.linalg.svd(M)
     if s.size == 0 or s[0] == 0.0:
         return np.eye(M.shape[1])
-    rank = int(np.sum(s > 1e-8 * s[0]))
+    rank = int(np.sum(s > rel * s[0]))
     return vt[rank:].T
 
 
@@ -195,18 +196,29 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
         )
 
     a = math.sqrt(-c)
-    scale = max((np.abs(m).max(initial=0.0) for m in A0.ops), default=0.0)
-    E = _null_space(C0 - a * np.eye(C0.shape[0]))  # the critical eigenspace
-    crit_image = max((np.abs(m @ E).max(initial=0.0) for m in A0.ops), default=0.0)
-    crit_nonzero = crit_image > 1e-10 * scale
-
     # the tolerances are relative to the geometry's own scale: sqrt(-c), or
     # rho(C0) in flat space, where sqrt(-c) = 0
     unit = a if c < 0.0 else radius
+    if c == 0.0:
+        # the critical eigenspace is ker C0 at C0's numerical rank, singular
+        # values within 4 q eps of the largest (the SVD's own rounding, for
+        # normal and non-normal C0 alike), and its critical eigenvalues are
+        # the dim ker C0 eigenvalues nearest 0: a large eigenvalue elsewhere
+        # makes no small one critical, and a computed zero of a non-normal
+        # C0, off by about eps ||C0|| times its condition, stays critical
+        E = _null_space(C0, _rounding(w, 1.0))
+        near = np.sort(np.abs(w))[E.shape[1] - 1] if E.shape[1] else -1.0
+    else:
+        E = _null_space(C0 - a * np.eye(C0.shape[0]))
+        near = EIG_CLUSTER_TOL * (unit + a)
+    scale = max((np.abs(m).max(initial=0.0) for m in A0.ops), default=0.0)
+    crit_image = max((np.abs(m @ E).max(initial=0.0) for m in A0.ops), default=0.0)
+    crit_nonzero = crit_image > 1e-10 * scale
+
     blocks = []
     for lam, mult in _eig_blocks(w, unit):
         is_real = abs(lam.imag) <= 1e-8 * (unit + abs(lam))
-        critical = is_real and abs(lam.real - a) <= EIG_CLUSTER_TOL * (unit + a)
+        critical = is_real and abs(lam.real - a) <= near
         if critical:
             if c == 0.0:
                 blocks.append(DecayBlock(lam, mult, BlockBehavior.PARALLEL_CONSTANT, 0.0))

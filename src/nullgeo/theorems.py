@@ -176,6 +176,10 @@ def find_special_nullity_direction(family: SplittingFamily) -> SpecialDirection 
     dimension q(q+1)/2 - 1, so a kernel vector exists whenever
     nu0 >= q(q+1)/2.  Returns None when the kernel is trivial.  Raises
     :class:`NullityError` when the sym-traceless parts overflow.
+
+    The matrix of the map has one column per member, its sym-traceless part
+    S - (tr S / q) I with S = (C + C^T)/2, built for the whole family in one
+    stacked pass with the bits of a loop over the members.
     """
     q = family.q
     nu0 = family.nu0

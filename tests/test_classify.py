@@ -253,6 +253,41 @@ class TestDecayReport:
         ]
         assert rep.global_alpha_limit is AlphaLimit.DIVERGENT
 
+    @pytest.mark.parametrize("s", [1.0, *POWERS_OF_TWO])
+    def test_a_large_eigenvalue_does_not_make_a_flat_block_critical(self, s):
+        # beside the pair +-1e6 i, the eigenvalue -5e-5 is no zero of flat
+        # space: J = I - t C0 grows like 1 + 5e-5 t on its block, so the
+        # shape image there decays, and no critical eigenspace is left
+        C0 = np.zeros((3, 3))
+        C0[0, 1], C0[1, 0], C0[2, 2] = 1e6, -1e6, -5e-5
+        rep = decay_report([np.diag([0.0, 0.0, 1.0])], 0.0, s * C0, GeodesicDomain.ray())
+        assert [(b.eigenvalue, b.behavior) for b in rep.per_block] == [
+            (-5e-5 * s, BlockBehavior.DECAYS_TO_ZERO),
+            (-1e6j * s, BlockBehavior.DECAYS_TO_ZERO),
+            (1e6j * s, BlockBehavior.DECAYS_TO_ZERO),
+        ]
+        assert rep.global_alpha_limit is AlphaLimit.ZERO
+        assert [crit for _, _, crit in rep.samples] == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("s", [1.0, *POWERS_OF_TWO])
+    def test_a_computed_zero_of_a_non_normal_flat_block_stays_critical(self, s):
+        # C0 = Q [[0, 1], [0, -1e-3]] Q^T has the eigenvalue 0, which eigvals
+        # returns as about -1.1e-14, far above 4 q eps rho(C0) = 1.8e-18, as
+        # C0 is not normal; ker C0 at C0's numerical rank still finds it, and
+        # the shape image keeps its part there: at s = 1 the samples grow
+        Q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(2, 2)))
+        C0 = Q @ np.array([[0.0, 1.0], [0.0, -1e-3]]) @ Q.T
+        A0 = Q @ np.array([[1e-3, 1.0], [1.0, 2.0]]) @ Q.T
+        rep = decay_report([A0], 0.0, s * C0, GeodesicDomain.ray())
+        assert [b.behavior for b in rep.per_block] == [
+            BlockBehavior.DECAYS_TO_ZERO,
+            BlockBehavior.PARALLEL_CONSTANT,
+        ]
+        assert rep.per_block[0].eigenvalue == pytest.approx(-1e-3 * s)
+        assert rep.global_alpha_limit is AlphaLimit.MIXED
+        if s == 1.0:  # the samples are taken at fixed t, not at t / s
+            assert [round(total, 2) for _, total, _ in rep.samples] == [4.33, 6.67, 11.3]
+
     @pytest.mark.parametrize("s", [25.0, 2.0**60])
     def test_no_sample_where_the_inverse_is_lost(self, s):
         # a = s: the scaled factor M = 2 e^{-2 a t} of J(t) on the critical

@@ -440,7 +440,8 @@ class TestRiccatiFlow:
             assert len(got) == len(ref) == 4
             assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, ref))
             calm.setdefault(step, []).append((c, C0, times, got))
-        # q = 1 stacks of K >= 2 keep the stacked path and the same bits
+        # q = 1 stacks of K >= 2 step on floats too, case by case, and give
+        # the same bits
         for step, cases in calm.items():
             cs, C0s, times, alone = zip(*cases)
             assert len(cases) >= 2
@@ -617,6 +618,36 @@ class TestStackedOracles:
                          [[0.3, 0.9], [1.0], [0.6]], 1e-3)
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value).endswith("near t=0.5")
+
+    def test_tripping_rank_one_stack_names_the_first_step_and_case(self):
+        # q = 1 stacks step on floats, case by case: the guard still names
+        # the first tripping step and, within it, the first tripping case,
+        # with the message of that case run through the textbook RK4.  Cases
+        # 3 and 4 trip at step 400 with different norms, case 2 past the
+        # first 512-step block, case 5 one step later and case 0 never
+        cases = [
+            (1.0, 0.1, [0.3, 1.0]), (-1.0, 2.5, [0.6]), (0.0, 1.5, [0.3, 0.9]),
+            (0.0, 2.5, [0.2, 0.45]), (0.0, 2.499, [0.45]), (0.0, 2.498, [0.5]),
+        ]
+        trips = []
+        for k, (c, y0, times) in enumerate(cases):
+            calls = []
+
+            def f(_t, C, c=c):
+                calls.append(None)
+                return C @ C + c * np.eye(1)
+
+            try:
+                rk4_path(f, np.array([[y0]]), times, 1e-3, RICCATI_BLOWUP)
+            except SingularJacobi as exc:  # after the four calls of its step
+                trips.append((len(calls) // 4 - 1, k, str(exc)))
+        assert [s for s, _, _ in sorted(trips)] == [400, 400, 401, 424, 667]
+        for order in (cases, cases[::-1]):
+            first = min((s, order.index(cases[k]), msg) for s, k, msg in trips)
+            cs, y0s, times = zip(*order)
+            with pytest.raises(SingularJacobi) as got:
+                _riccati_stack(cs, [np.array([[y0]]) for y0 in y0s], times, 1e-3)
+            assert str(got.value) == first[2]
 
     def test_steps_past_a_trip_raise_no_warning(self, rng):
         # each trip falls inside a block, which takes its later steps anyway:
