@@ -14,7 +14,6 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    INTERVAL_SLACK,
     DomainKind,
     GeodesicDomain,
     NullityError,
@@ -22,6 +21,7 @@ from .core import (
     _curv,
     _real_parts,
     _rounding,
+    _singular,
     _smat,
     _spectrum,
     _sset,
@@ -113,30 +113,30 @@ def classify_splitting_spectrum(c, C0, domain: GeodesicDomain) -> SpectrumVerdic
     c > 0 with the geodesic reaching pi/sqrt(c): no real eigenvalues at all.
     c <= 0 on a ray: real eigenvalues at most sqrt(-c).  On a line the
     two-sided constraint pins real eigenvalues to {0} (c = 0) or to
-    [-sqrt(-c), sqrt(-c)] (c < 0).  The slacks (sqrt(-c) INTERVAL_SLACK; the
-    rounding of eigvals about 0) scale with (c, C0) -> (s^2 c, s C0).
+    [-sqrt(-c), sqrt(-c)] (c < 0).  An eigenvalue fails exactly when it gives
+    :func:`max_invertible_time` a root, in the ray's direction or in either
+    of the line's, so the slacks are the horizon's, which scale with
+    (c, C0) -> (s^2 c, s C0).
     """
     return _clause(_curv(c), *_spectrum(_smat(C0)), domain)
 
 
 def _clause(c: float, w: np.ndarray, rho: float, domain: GeodesicDomain) -> SpectrumVerdict:
     """:func:`classify_splitting_spectrum` on the spectrum (w, rho) of C0."""
-    reals = _real_parts(w, rho)
     a = math.sqrt(abs(c))
-    if c > 0.0:
-        reaches = domain.kind is not DomainKind.SEGMENT or domain.b >= math.pi / a
-        clause, interval, bad = Clause.I, None, reals if reaches else []
-    elif domain.kind is DomainKind.SEGMENT:
+    if domain.kind is DomainKind.SEGMENT and not (c > 0.0 and domain.b >= math.pi / a):
         return SpectrumVerdict(True)
+    if c > 0.0:
+        clause, interval = Clause.I, None
     elif domain.kind is DomainKind.RAY:
         clause, interval = Clause.II, (-math.inf, a)
-        bad = [x for x in reals if x > a * (1.0 + INTERVAL_SLACK)]
     elif c == 0.0:  # flat line
         clause, interval = Clause.II1, (0.0, 0.0)
-        bad = [x for x in reals if abs(x) > _rounding(w, rho)]
     else:  # line
         clause, interval = Clause.II2, (-a, a)
-        bad = [x for x in reals if abs(x) > a * (1.0 + INTERVAL_SLACK)]
+    line = domain.kind is DomainKind.LINE
+    bad = [x for x in _real_parts(w, rho)
+           if _singular(c, x, w, rho) or (line and _singular(c, -x, w, rho))]
     if bad:
         return SpectrumVerdict(False, clause, tuple(complex(x) for x in bad), interval)
     return SpectrumVerdict(True, admissible_interval=interval)

@@ -291,26 +291,37 @@ def jacobi_derivative(c, C0, t: float) -> np.ndarray:
     return _jacobi_at(c, C0, t)[1]
 
 
+def _singular(c: float, lam: float, w: np.ndarray, rho: float) -> bool:
+    """Whether the factor u(t) - v(t) lam of det J, lam a real eigenvalue of
+    the spectrum ``(w, rho)`` of C0, vanishes at some t > 0: always for
+    c > 0; for c < 0 when lam > a (1 + INTERVAL_SLACK), a = sqrt(-c); for
+    c = 0 when lam exceeds the rounding :func:`_rounding`, below which it is
+    0.  The horizon, the clauses and the leaf bound all ask this."""
+    if c > 0.0:
+        return True
+    return lam > (math.sqrt(-c) * (1.0 + INTERVAL_SLACK) if c < 0.0 else _rounding(w, rho))
+
+
 def max_invertible_time(c, C0) -> float:
     """First positive time at which det J vanishes (inf if it never does).
 
     Only real eigenvalues of ``C0`` can produce a singular time: the scalar
     factor attached to a complex eigenvalue has real and imaginary parts that
-    cannot vanish simultaneously.
+    cannot vanish simultaneously, and :func:`_singular` says which real ones do.
     """
     c = _curv(c)
-    reals = real_eigenvalues(_smat(C0))
+    w, rho = _spectrum(_smat(C0))
+    lams = [lam for lam in _real_parts(w, rho) if _singular(c, lam, w, rho)]
     a = math.sqrt(abs(c))
     if c > 0.0:
         # first positive root of cot(a t) = lam / a, always in (0, pi/a]
-        roots = [(math.pi / 2.0 - math.atan(lam / a)) / a for lam in reals]
+        roots = [(math.pi / 2.0 - math.atan(lam / a)) / a for lam in lams]
     elif c < 0.0:
         # coth(a t) = lam / a; atanh keeps a / lam where (lam + a) / (lam - a)
-        # would round to 1.  An eigenvalue within the relative slack of a is
-        # a, which never makes J singular: the cut of the ray clause
-        roots = [math.atanh(a / lam) / a for lam in reals if lam > a * (1.0 + INTERVAL_SLACK)]
+        # would round to 1
+        roots = [math.atanh(a / lam) / a for lam in lams]
     else:
-        roots = [1.0 / lam for lam in reals if lam > 0.0]
+        roots = [1.0 / lam for lam in lams]
     return min(roots, default=math.inf)
 
 
@@ -587,7 +598,7 @@ class _Stack:
         the steps ``s0 .. s1 - 1`` of one block from the state ``H[0]``,
         writing each state into the history.  The steps past a trip are
         discarded, so they must not warn: the numpy steppers take them under
-        ``np.errstate(all="ignore")``."""
+        ``np.errstate(all="ignore")``, and float arithmetic never warns."""
         out = [[None] * len(ends) for ends in self.ends]
         H, done = self.H, 0
         for stop in sorted(self.due):
@@ -605,21 +616,16 @@ class _Stack:
         """Raise :class:`SingularJacobi` if an entry of the history
         ``H[1:n + 1]`` of the steps ``s0 .. s0 + n - 1`` reached
         ``RICCATI_BLOWUP`` in magnitude or is NaN, for the first such step
-        and its first such case.  ``max`` and ``min`` are exact, and a NaN
-        fails both comparisons."""
+        and its first such case, named at its own time as if run alone: the
+        guard of all three steppers.  ``max`` and ``min`` are exact, and a
+        NaN fails both comparisons."""
         B = self.H[1:n + 1]
         if B.max() < RICCATI_BLOWUP and -RICCATI_BLOWUP < B.min():
             return
         m = np.abs(B.reshape(n, B.shape[1], -1)).max(axis=2)
         i, k = np.argwhere(~(m < RICCATI_BLOWUP))[0]
-        raise self.blowup(m[i, k], k, s0 + i)
-
-    def blowup(self, m: float, k: int, s: int) -> SingularJacobi:
-        """The guard's error for case ``k``, whose max |y| after step ``s``
-        is ``m``: it names the case's own time, so a stack raises the
-        message of the case run alone."""
-        t = self.t0[k, s] + self.h[k, s]
-        return SingularJacobi(f"trajectory norm {m:.3g} exceeded blow-up guard near t={t:.6g}")
+        m, t = m[i, k], self.t0[k, s0 + i] + self.h[k, s0 + i]  # the case's own time
+        raise SingularJacobi(f"trajectory norm {m:.3g} exceeded blow-up guard near t={t:.6g}")
 
 
 def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
@@ -642,11 +648,10 @@ def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
 
     Cases with q = 1, alone or stacked, are the scalar ODE y' = y^2 + c,
     stepped on Python floats case by case; a 1x1 product is the plain
-    product, so the float steps give the same bits.  A float step costs
-    about half a microsecond per case, a numpy step about twenty calls of a
-    microsecond whatever the number of cases: floats are faster up to
-    about 30 stacked cases and slower beyond (about 1.3 times at the 41 of
-    acceptance criterion 01, 4 times at 1000; one Xeon core, numpy 2.4).
+    product, so the float steps give the same bits.  For 1000 steps of
+    K = 1, 3, 41 and 300 cases, floats took 0.4, 1.1, 15 and 140 ms and
+    numpy 22, 18, 18 and 32 ms (medians of three runs; one Xeon core, numpy
+    2.4): floats are faster up to about 40 stacked cases, slower beyond.
     """
     Y = np.array(C0s, dtype=float)
     stack = _Stack(times, step, Y)
@@ -694,20 +699,17 @@ def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
 def _scalar_advance(stack: _Stack, cs: list[float]):
     """The stepper of :func:`_riccati_stack` for cases of shape ``(1, 1)``:
     the same textbook RK4 arithmetic on Python floats, each case in turn
-    over the steps of a block.  It checks |y| < ``RICCATI_BLOWUP`` after
-    every step itself and raises the guard's error of :class:`_Stack` for
-    the first tripping step and, within it, the first tripping case, as the
-    block check of the numpy stepper does.  Each case's states go into the
-    history."""
+    over the steps of a block, every state written into the history.  Past
+    a trip, float arithmetic goes on to inf and NaN without raising or
+    warning, and the block check of :class:`_Stack` judges the history as
+    it does for the numpy steppers."""
     H = stack.H.reshape(len(stack.H), -1)
 
     def advance(s0: int, s1: int) -> None:
-        trip = None  # (step, case, |y|) of the first trip so far
         for k, (y, c, h) in enumerate(zip(H[0].tolist(), cs, stack.h[:, s0].tolist())):
             h2, h6 = 0.5 * h, h / 6.0
             ys = []
-            # a later case matters only up to the step before the first trip
-            for s in range(s0, s1 if trip is None else trip[0]):
+            for _ in range(s0, s1):
                 k1 = y * y + c
                 u = y + h2 * k1
                 k2 = u * u + c
@@ -716,14 +718,8 @@ def _scalar_advance(stack: _Stack, cs: list[float]):
                 u = y + h * k3
                 k4 = u * u + c
                 y = y + h6 * (((k1 + (k2 + k2)) + (k3 + k3)) + k4)
-                if not abs(y) < RICCATI_BLOWUP:
-                    trip = (s, k, abs(y))
-                    break
                 ys.append(y)
-            H[1:len(ys) + 1, k] = ys
-        if trip is not None:
-            s, k, m = trip
-            raise stack.blowup(m, k, s)
+            H[1:s1 - s0 + 1, k] = ys
 
     return advance
 

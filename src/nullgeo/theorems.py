@@ -11,16 +11,15 @@ from enum import Enum
 
 import numpy as np
 
-from .classify import AlphaLimit, DecayReport, decay_report
+from .classify import DecayReport, decay_report
 from .core import (
     GeodesicDomain,
     NullityError,
-    ShapeOperatorSet,
     SYM_TOL,
     _asymmetry,
     _curv,
+    _singular,
     _sset,
-    _smat,
 )
 
 __all__ = [
@@ -412,7 +411,8 @@ def integrable_conullity_classify(c, family: SplittingFamily) -> ConullityVerdic
     :class:`NotIntegrable` otherwise).  c > 0 forces a totally geodesic
     immersion; c = 0 forces a cylinder, which in turn requires the family to
     vanish; c < 0 bounds the leaf shape operators (= the C_{T_i} themselves)
-    by sqrt(-c) in eigenvalue.
+    by sqrt(-c) in eigenvalue, with the slack of the ray clause: a member
+    breaks it when an |eigenvalue| would give the ray a singular time.
     """
     c = _curv(c)
     for i, m in enumerate(family.basis):
@@ -424,10 +424,9 @@ def integrable_conullity_classify(c, family: SplittingFamily) -> ConullityVerdic
         # no reference scale: a member vanishes only when it is exactly zero
         bad = tuple(i for i, m in enumerate(family.basis) if m.any())
         return ConullityVerdict("MustBeCylinder", not bad, bad)
-    bound = math.sqrt(-c)
     bad = []
     for i, m in enumerate(family.basis):
-        w = np.linalg.eigvalsh(0.5 * (m + m.T))
-        if np.abs(w).max(initial=0.0) > bound * (1.0 + 1e-10):
+        w = np.abs(np.linalg.eigvalsh(0.5 * (m + m.T)))
+        if any(_singular(c, lam, w, w.max()) for lam in w):
             bad.append(i)
     return ConullityVerdict("LeafBound", not bad, tuple(bad))

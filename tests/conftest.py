@@ -13,6 +13,12 @@ POWERS_OF_TWO = (2.0, 0.5, 2.0**60, 2.0**-60)
 SCALES = (*POWERS_OF_TWO, 2.0**40, 2.0**-40)
 
 
+def bits(x) -> np.ndarray:
+    """The int64 view of ``x`` as floats: equal views are equal bits, and
+    tell -0.0 from 0.0, which array_equal does not."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -125,6 +125,23 @@ class TestClassifySpectrum:
         assert real_eigenvalues(s * C0) == [-1e6 * s]
         assert classify_splitting_spectrum(-s * s, s * C0, GeodesicDomain.ray()).consistent
 
+    def test_a_computed_zero_makes_no_flat_ray_singular(self):
+        # J = I - t C0 of C0 = Q diag(0, -1, -2) Q^T is never singular for
+        # t > 0, but eigvals returns its 0 as up to a few eps: the ray, the
+        # horizon and the decay report judge it with the flat line's zero
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            C0 = Q @ np.diag([0.0, -1.0, -2.0]) @ Q.T
+            for s in (1.0, *POWERS_OF_TWO):
+                assert classify_splitting_spectrum(0.0, s * C0, GeodesicDomain.ray()).consistent
+                assert max_invertible_time(0.0, s * C0) == math.inf
+            report = decay_report([np.eye(3)], 0.0, C0, GeodesicDomain.ray())
+            assert [b.behavior for b in report.per_block] == [
+                BlockBehavior.DECAYS_TO_ZERO, BlockBehavior.DECAYS_TO_ZERO,
+                BlockBehavior.PARALLEL_CONSTANT,
+            ]
+
 
 # (c, C0, A0, domain) of decay reports with every block behaviour
 _DECAY_CASES = [

@@ -22,7 +22,7 @@ from nullgeo.core import (
 )
 from nullgeo.sampling import random_compatible_pair
 
-from conftest import POWERS_OF_TWO, SCALES
+from conftest import POWERS_OF_TWO, SCALES, bits
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -754,10 +754,6 @@ def _rescaled(payload, s):
     return out
 
 
-def _bits(x):
-    return np.asarray(x, dtype=float).view(np.int64)
-
-
 class TestRescaledGeometry:
     """(c, C0, t) -> (s^2 c, s C0, t / s) keeps J, so it keeps every answer
     of the main theorem: exit codes, verdicts and the det J and shape cells
@@ -785,11 +781,11 @@ class TestRescaledGeometry:
         (head, A, norms), (head_s, A_s, norms_s) = (
             cli._evolve_block(_Evolution(x.c, x.C0), x, g) for x, g in zip(scns, grids)
         )
-        assert np.array_equal(_bits(head_s[0]), _bits(head[0] / s))
-        assert np.array_equal(_bits(head_s[1]), _bits(head[1]))
-        assert np.array_equal(_bits(head_s[2]), _bits(s * head[2]))
+        assert np.array_equal(bits(head_s[0]), bits(head[0] / s))
+        assert np.array_equal(bits(head_s[1]), bits(head[1]))
+        assert np.array_equal(bits(head_s[2]), bits(s * head[2]))
         for a, a_s, n, n_s in zip(A, A_s, norms, norms_s, strict=True):
-            assert np.array_equal(_bits(a_s), _bits(a)) and np.array_equal(_bits(n_s), _bits(n))
+            assert np.array_equal(bits(a_s), bits(a)) and np.array_equal(bits(n_s), bits(n))
         # the files: t and C_norm rendered from those, every other cell kept
         rows, rows_s = tables
         assert rows_s[0] == rows[0] and len(rows_s) == len(rows)

@@ -36,7 +36,8 @@ from nullgeo.checks import SKEW2, _batch, riccati_cases, riccati_deviation, shap
 from nullgeo.sampling import random_compatible_pair
 
 from conftest import (
-    POWERS_OF_TWO, SCALES, det_sampling_bmax, rank_one_draws, rk4_path, rk4_second_order,
+    POWERS_OF_TWO, SCALES, bits, det_sampling_bmax, rank_one_draws, rk4_path,
+    rk4_second_order,
 )
 
 
@@ -419,7 +420,7 @@ class TestRiccatiFlow:
             times = [span * k / 5 for k in range(1, 6)]
             ref = rk4_path(lambda _t, C: C @ C + c * np.eye(q), C0, times, 2e-2, RICCATI_BLOWUP)
             got = riccati_path(c, C0, times, step=2e-2)
-            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, ref))
+            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, ref))
 
     def test_lone_rank_one_case_is_textbook_rk4(self):
         # a lone q = 1 case steps on Python floats; records and guard
@@ -438,7 +439,7 @@ class TestRiccatiFlow:
                 continue
             got = riccati_path(c, C0, times, step)
             assert len(got) == len(ref) == 4
-            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, ref))
+            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, ref))
             calm.setdefault(step, []).append((c, C0, times, got))
         # q = 1 stacks of K >= 2 step on floats too, case by case, and give
         # the same bits
@@ -446,7 +447,7 @@ class TestRiccatiFlow:
             cs, C0s, times, alone = zip(*cases)
             assert len(cases) >= 2
             for path, ref in zip(_riccati_stack(cs, C0s, times, step), alone):
-                assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, ref))
+                assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(path, ref))
 
 
 class TestShapeOdeFlow:
@@ -528,11 +529,6 @@ class TestShapeOdeFlow:
             shape_ode_path(A0, 0.0, np.eye(2), [0.6])
 
 
-def _bits(x) -> np.ndarray:
-    # int64 views tell -0.0 from 0.0, which array_equal does not
-    return np.asarray(x, dtype=float).view(np.int64)
-
-
 # the generators of acceptance criteria 01 (seed 101, 200 cases) and 02
 # (seed 102), and of the `check` runs of seeds 0..7 (5 cases each)
 DEVIATION_DRAWS = pytest.mark.parametrize(
@@ -554,13 +550,13 @@ class TestStackedOracles:
         alone = [riccati_path(*case, STACK_STEP) for case in cases]
         for path, one in zip(_batch(_riccati_stack, cases, STACK_STEP), alone, strict=True):
             assert len(path) == len(one) == 5
-            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, one))
+            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(path, one))
         worst = 0.0
         for (c, C0, ts), path in zip(cases, alone):
             for t, Ct in zip(ts, path):
                 worst = max(worst, float(np.abs(splitting_tensor_at(c, C0, t).mat - Ct).max()))
         got = riccati_deviation(np.random.default_rng(ric_seed), count, STACK_STEP)
-        assert _bits(got) == _bits(worst)
+        assert bits(got) == bits(worst)
 
     @DEVIATION_DRAWS
     def test_shape_stacks_match_stacks_of_one(self, ric_seed, shape_seed, count):
@@ -569,14 +565,14 @@ class TestStackedOracles:
         for path, one in zip(_batch(_shape_stack, cases, STACK_STEP), alone, strict=True):
             assert len(path) == len(one) == 5
             for a, b in zip(path, one):
-                assert np.array_equal(_bits(a), _bits(np.stack(b.ops)))
+                assert np.array_equal(bits(a), bits(np.stack(b.ops)))
         worst = 0.0
         for (A0, c, C0, ts), path in zip(cases, alone):
             for t, At in zip(ts, path):
                 for x, y in zip(shape_operator_at(list(A0), c, C0, t).ops, At.ops):
                     worst = max(worst, float(np.abs(x - y).max()))
         got = shape_deviation(np.random.default_rng(shape_seed), count, STACK_STEP)
-        assert _bits(got) == _bits(worst)
+        assert bits(got) == bits(worst)
 
     def test_mixed_schedules_pad_only_after_the_last_record(self, rng):
         for cs, times, step in [
@@ -592,9 +588,9 @@ class TestStackedOracles:
             shaped = _shape_stack(A0s, cs, C0s, times, step)
             for c, C0, A0, ts, path, shape in zip(cs, C0s, A0s, times, stacked, shaped):
                 alone = riccati_path(c, C0, ts, step)
-                assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(path, alone))
+                assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(path, alone))
                 alone = [np.stack(b.ops) for b in shape_ode_path(list(A0), c, C0, ts, step)]
-                assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(shape, alone))
+                assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(shape, alone))
 
     def test_guard_in_a_stack_names_the_crossing_case_as_alone(self, rng):
         # C = diag(2, -3) / (1 - diag(2, -3) t) blows up at t = 0.5; the other
@@ -652,22 +648,29 @@ class TestStackedOracles:
     def test_steps_past_a_trip_raise_no_warning(self, rng):
         # each trip falls inside a block, which takes its later steps anyway:
         # only the guard of the case run alone is raised, although the
-        # Riccati state overflows to inf and NaN within a few steps
+        # Riccati state overflows to inf and NaN within a few steps, on
+        # numpy arrays and on the floats of q = 1
         blow = np.diag([2.0, -3.0])  # C blows up at t = 0.5: step 500 of [400, 512)
         calm = [0.1 * rng.uniform(-1.0, 1.0, size=(2, 2)) for _ in range(3)]
+        calm1 = [m[:1, :1] for m in calm]
         grow = 5.0001e7 * np.eye(2)  # A = grow / (1 - t): step 500 of [300, 512)
+        times = [[0.3, 1.0], [0.7], [0.2, 0.4, 0.9], [0.6]]
         runs = [
             (lambda: riccati_path(0.0, blow, [0.6]),
-             lambda: _riccati_stack([-1.0, 0.0, 1.0, 0.0], [*calm, blow],
-                                    [[0.3, 1.0], [0.7], [0.2, 0.4, 0.9], [0.6]], 1e-3)),
+             lambda: _riccati_stack([-1.0, 0.0, 1.0, 0.0], [*calm, blow], times, 1e-3),
+             r"trajectory norm 1\.01e\+14 .* near t=0\.501$"),
+            (lambda: riccati_path(0.0, [[2.0]], [0.6]),
+             lambda: _riccati_stack([-1.0, 0.0, 1.0, 0.0], [*calm1, [[2.0]]], times, 1e-3),
+             r"trajectory norm 1\.01e\+14 .* near t=0\.501$"),
             (lambda: shape_ode_path([grow], 0.0, np.eye(2), [0.6]),
              lambda: _shape_stack([np.stack([np.eye(2)]), grow[None]], [-1.0, 0.0],
-                                  [SKEW2, np.eye(2)], [[0.3, 1.0], [0.6]], 1e-3)),
+                                  [SKEW2, np.eye(2)], [[0.3, 1.0], [0.6]], 1e-3),
+             r"trajectory norm 1e\+08 .* near t=0\.5$"),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for alone, stacked in runs:
-                with pytest.raises(SingularJacobi) as one:
+            for alone, stacked, message in runs:
+                with pytest.raises(SingularJacobi, match=message) as one:
                     alone()
                 with pytest.raises(SingularJacobi) as many:
                     stacked()
@@ -724,7 +727,7 @@ class TestStackedOracles:
                 riccati_path(0.0, np.diag([value, 0.0]), [0.5])
         below = np.diag([np.nextafter(RICCATI_BLOWUP, 0.0), 0.0])
         (A,) = shape_ode_path([below], 0.0, np.zeros((2, 2)), [0.5])
-        assert np.array_equal(_bits(A.ops[0]), _bits(below))
+        assert np.array_equal(bits(A.ops[0]), bits(below))
 
     # the closed forms' arithmetic one time at a time, with Python floats
 
@@ -789,11 +792,11 @@ class TestStackedOracles:
             det = ev.evaluate([], grid)[0]
             for k, t in enumerate(grid):
                 p1, q1, r1 = self._scalar_factors(c, C0, t)
-                assert np.array_equal(_bits(P[k]), _bits(p1))
-                assert np.array_equal(_bits(Q[k]), _bits(q1))
-                assert _bits(r[k]) == _bits(r1)
-                assert _bits(det[k]) == _bits(self._scalar_det(c, C0, t))
-                assert _bits(det[k]) == _bits(ev.evaluate([], [t])[0][0])
+                assert np.array_equal(bits(P[k]), bits(p1))
+                assert np.array_equal(bits(Q[k]), bits(q1))
+                assert bits(r[k]) == bits(r1)
+                assert bits(det[k]) == bits(self._scalar_det(c, C0, t))
+                assert bits(det[k]) == bits(ev.evaluate([], [t])[0][0])
 
     @pytest.mark.parametrize("c", [-0.64, -1.0, 0.25, 0.0])
     def test_one_factor_stack_gives_det_splitting_and_shape(self, rng, c):
@@ -806,15 +809,15 @@ class TestStackedOracles:
         ev = _Evolution(c, C0)
         with np.errstate(over="ignore", invalid="ignore"):
             det, C, A = ev.evaluate(ops, grid)
-            assert np.array_equal(_bits(det), _bits([self._scalar_det(c, C0, t) for t in grid]))
-            assert np.array_equal(_bits(C), _bits(ev.splitting(grid)))
+            assert np.array_equal(bits(det), bits([self._scalar_det(c, C0, t) for t in grid]))
+            assert np.array_equal(bits(C), bits(ev.splitting(grid)))
             for got, want in zip(A, ev.shape(ops, grid), strict=True):
-                assert np.array_equal(_bits(got), _bits(want))
+                assert np.array_equal(bits(got), bits(want))
             for k, t in enumerate(grid):
                 det1, C1, A1 = ev.evaluate(ops, [t])
-                assert _bits(det1[0]) == _bits(det[k])
-                assert np.array_equal(_bits(C1[0]), _bits(C[k]))
-                assert all(np.array_equal(_bits(a1[0]), _bits(a[k])) for a1, a in zip(A1, A))
+                assert bits(det1[0]) == bits(det[k])
+                assert np.array_equal(bits(C1[0]), bits(C[k]))
+                assert all(np.array_equal(bits(a1[0]), bits(a[k])) for a1, a in zip(A1, A))
 
 
 class TestCodazziCompatibility:

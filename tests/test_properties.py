@@ -1,7 +1,5 @@
 """Property-based invariants over randomized inputs (hypothesis drives the
 seeds and curvature values; numpy generates the actual matrices)."""
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -35,12 +35,7 @@ from nullgeo.theorems import (
     theorem2_applicable,
 )
 
-from conftest import POWERS_OF_TWO
-
-
-def _bits(x) -> np.ndarray:
-    # int64 views tell -0.0 from 0.0, which array_equal does not
-    return np.asarray(x, dtype=float).view(np.int64)
+from conftest import POWERS_OF_TWO, bits
 
 
 class TestIntegerPredicates:
@@ -422,15 +417,15 @@ class TestCylinderSplit:
             Q0 = split.V
             P = Q0 @ Q0.T
             base = [x - P @ x for x, _ in pts]
-            assert np.array_equal(_bits(split.base_points), _bits(base))
-            assert np.array_equal(_bits(split.fiber_coords), _bits([Q0.T @ x for x, _ in pts]))
+            assert np.array_equal(bits(split.base_points), bits(base))
+            assert np.array_equal(bits(split.fiber_coords), bits([Q0.T @ x for x, _ in pts]))
             if leaf_ids is not None:
                 want = max(
                     [0.0] + [float(np.abs(a - b).max(initial=0.0))
                              for i, a in enumerate(base) for j, b in enumerate(base)
                              if i < j and leaf_ids[i] == leaf_ids[j]]
                 )
-                assert _bits(split.residual) == _bits(want)
+                assert bits(split.residual) == bits(want)
             compared += 1
             if compared == 204:
                 break
