@@ -6,18 +6,22 @@ baseline tree beside it, in one ``BENCH_<n>.json`` at the repository root.
 
 For every workload that ``BENCHMARK.json`` lists and every seed of
 ``SEEDS``, each tree runs ``python3 benchmark/run.py --workload W --seed S
---seconds SECONDS`` from its own root, as it is; then each tree runs Tier-1
-(see ``ROADMAP.md``) with ``--durations=5``, ``TIER1_RUNS`` times.  The
+--seconds SECONDS`` from its own root, as it is, and for the first seed
+also with ``--trace 1``, for the per-layer metrics; then each tree runs
+Tier-1 (see ``ROADMAP.md``) with ``--durations=5``, ``TIER1_RUNS`` times.  The
 settings are fixed, so that two ``BENCH_<n>.json`` files compare.  With ``--baseline`` (a checkout
 of another commit, e.g. the parent), the two trees take turns on every
-(workload, seed) and every Tier-1 run, the first tree alternating, so a
-drift of the host's speed falls on both.  The file holds, per tree:
+(workload, seed), every traced run and every Tier-1 run, the first tree
+alternating, so a drift of the host's speed falls on both.  The file holds,
+per tree:
 
 - ``commit``: ``git rev-parse HEAD`` and whether the tree has uncommitted
   changes
 - ``environment``: the environment that ``run.py`` prints, from its first run
 - ``runs``: every run's workload, seed, correctness, operation counts and
   end-to-end metrics
+- ``trace``: per workload, the traced run's record, its ``metrics`` the
+  per-layer ones
 - ``tier1``: the wall time of every Tier-1 run, their median, the pytest
   summary line and the ``--durations=5`` lines of each run
 
@@ -50,10 +54,10 @@ def commit(tree: Path) -> dict:
     return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
 
 
-def bench(tree: Path, workload: str, seed: int) -> tuple[dict, dict | None]:
+def bench(tree: Path, workload: str, seed: int, trace: int = 0) -> tuple[dict, dict | None]:
     """One ``run.py`` run: its record, and the environment it printed."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     rec = {"workload": workload, "seed": seed}
     lines = proc.stdout.strip().splitlines()
@@ -90,8 +94,8 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees["baseline"] = args.baseline.resolve()
-    out = {name: {"commit": commit(tree), "environment": None, "runs": [], "tier1": {"runs": []}}
-           for name, tree in trees.items()}
+    out = {name: {"commit": commit(tree), "environment": None, "runs": [], "trace": {},
+                  "tier1": {"runs": []}} for name, tree in trees.items()}
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     turn = 0
     for workload in workloads:
@@ -102,6 +106,11 @@ def main(argv=None) -> int:
                 out[name]["environment"] = out[name]["environment"] or environment
                 print(name, json.dumps(rec), flush=True)
             turn += 1
+        for name in sorted(trees, reverse=turn % 2 == 1):
+            rec, _ = bench(trees[name], workload, SEEDS[0], trace=1)
+            out[name]["trace"][workload] = rec
+            print(name, "trace", json.dumps(rec), flush=True)
+        turn += 1
     for _ in range(TIER1_RUNS):
         for name in sorted(trees, reverse=turn % 2 == 1):
             run = tier1(trees[name])

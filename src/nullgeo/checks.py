@@ -6,7 +6,11 @@ Identical (seed, step) inputs produce identical reports.  A bounded entry
 reports the bound when it passes and the measured worst case only when it
 fails: the worst case sits at roundoff level and its digits vary between
 numpy/LAPACK builds, the bound does not.  An exact entry reports a fixed
-statement.
+statement.  The entries evaluate the closed forms on the grid of their
+times (``_Evolution``, ``_jacobi``), which gives each time the bits of
+``splitting_tensor_at``, ``shape_operator_at`` and ``jacobi_tensor`` there;
+every such time lies before the first singular time (:func:`sample_grid`, or
+a ``C0`` that makes ``J`` singular nowhere), so no entry checks the horizon.
 """
 from __future__ import annotations
 
@@ -21,15 +25,12 @@ import numpy as np
 from . import catalog
 from .classify import AlphaLimit, sign_balance_check, signature_counts
 from .core import (
-    ShapeOperatorSet,
     _Evolution,
+    _asymmetry,
+    _jacobi,
     _riccati_stack,
     _shape_stack,
-    jacobi_derivative,
-    jacobi_tensor,
     max_invertible_time,
-    shape_operator_at,
-    splitting_tensor_at,
 )
 from .sampling import random_compatible_pair, random_splitting_tensor
 from .theorems import (
@@ -47,9 +48,8 @@ from .theorems import (
 )
 
 __all__ = [
-    "Check", "CHECKS", "run_checks", "report", "CURVATURES", "EXACT_HORIZONS",
-    "WORKED_FAMILY", "RH_TABLE_16", "sample_grid", "radon_hurwitz_oracle", "riccati_deviation",
-    "shape_deviation",
+    "Check", "CHECKS", "run_checks", "report", "CURVATURES", "WORKED_FAMILY",
+    "radon_hurwitz_oracle", "riccati_deviation", "shape_deviation",
 ]
 
 CURVATURES = (-1.0, 0.0, 1.0)
@@ -194,7 +194,7 @@ def _jacobi_residual(rng, count, step):
         c = float(rng.uniform(-3.0, 3.0))
         C0 = random_splitting_tensor(rng, int(rng.integers(1, 6)))
         t = float(rng.uniform(0.1, 2.0))
-        Jm, J0, Jp = (jacobi_tensor(c, C0, x) for x in (t - h, t, t + h))
+        Jm, J0, Jp = _jacobi(c, C0, (t - h, t, t + h), derivative=False)[0]
         resid = float(np.abs((Jp - 2.0 * J0 + Jm) / (h * h) + c * J0).max())
         worst = max(worst, resid / (1.0 + float(np.abs(J0).max())))
     return True, (worst,)
@@ -205,8 +205,9 @@ def _gauge_identity(rng, count, step):
     ok = True
     for _ in range(count):
         A0, C0 = random_compatible_pair(rng, 3)
-        ok = ok and np.array_equal(splitting_tensor_at(-1.0, C0, 0.0).mat, C0.mat)
-        ok = ok and np.array_equal(shape_operator_at(A0, -1.0, C0, 0.0).ops, A0.ops)
+        ev = _Evolution(-1.0, C0.mat)
+        ok = ok and np.array_equal(ev.splitting([0.0])[0], C0.mat)
+        ok = ok and np.array_equal(np.concatenate(ev.shape(A0.ops, [0.0])), A0.ops)
     return ok, ()
 
 
@@ -218,8 +219,8 @@ def _derivative(rng, count, step):
         c = CURVATURES[i % 3]
         C0 = random_splitting_tensor(rng, 2 + i % 3)
         t = rng.uniform(0.0, 2.0)
-        exact = jacobi_derivative(c, C0, t)
-        fd = (jacobi_tensor(c, C0, t + h) - jacobi_tensor(c, C0, t - h)) / (2 * h)
+        J, dJ = _jacobi(c, C0, (t - h, t, t + h))
+        exact, fd = dJ[1], (J[2] - J[0]) / (2 * h)
         worst = max(worst, float(np.abs(exact - fd).max()) / (1.0 + float(np.abs(exact).max())))
     return True, (worst,)
 
@@ -231,9 +232,8 @@ def _cocycle(rng, count, step):
         c = CURVATURES[i % 3]
         C0 = random_splitting_tensor(rng, 2 + i % 3)
         s, total = sample_grid(c, C0, n=2, frac=0.6)
-        lhs = splitting_tensor_at(c, C0, total).mat
-        mid = splitting_tensor_at(c, C0, s).mat
-        rhs = splitting_tensor_at(c, mid, total - s).mat
+        mid, lhs = _Evolution(c, C0).splitting([s, total])
+        rhs = _Evolution(c, mid).splitting([total - s])[0]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return True, (worst,)
 
@@ -282,8 +282,6 @@ def _catalog(rng, count, step):
     return all(all(catalog.verify_model(m).values()) for m in models), ()
 
 
-# _symmetry and _rank evaluate A on a whole grid in one call, which gives each
-# time the bits of shape_operator_at
 def _symmetry(rng, count, step):
     """Main theorem: A(t) stays symmetric for Codazzi-compatible (A0, C0); a
     control pair that is not compatible breaks symmetry."""
@@ -291,10 +289,9 @@ def _symmetry(rng, count, step):
     for _ in range(count):
         A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 5)))
         A = _Evolution(-1.0, C0.mat).shape(A0.ops, sample_grid(-1.0, C0.mat))
-        worst = max(worst, ShapeOperatorSet(tuple(np.concatenate(A))).asymmetry())
-    bad_A = ShapeOperatorSet((np.diag([1.0, 2.0]),))
-    bad_C = np.array([[0.0, 1.0], [0.0, 0.0]])
-    control = max(shape_operator_at(bad_A, 0.0, bad_C, t).asymmetry() for t in (0.25, 0.5, 1.0))
+        worst = max(worst, *map(_asymmetry, np.concatenate(A)))
+    bad_A, bad_C = np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
+    control = max(map(_asymmetry, _Evolution(0.0, bad_C).shape([bad_A], (0.25, 0.5, 1.0))[0]))
     return control > 1e-4, (worst, control)
 
 
@@ -321,12 +318,12 @@ def _sphere(rng, count, step):
         p, r = rng.uniform(-1.0, 1.0), rng.uniform(0.2, 1.5)
         C0 = p * np.eye(2) + r * SKEW2
         x, y = rng.uniform(-1.0, 1.0, size=2)
-        A0 = ShapeOperatorSet((np.array([[x, y], [y, -x]]),))
-        A = shape_operator_at(A0, 1.0, C0, math.pi)
-        w0 = np.sort(np.linalg.eigvalsh(A0.ops[0]))
-        w = np.sort(np.linalg.eigvalsh(A.ops[0]))
+        A0 = np.array([[x, y], [y, -x]])
+        A = _Evolution(1.0, C0).shape([A0], [math.pi])[0][0]
+        w0 = np.sort(np.linalg.eigvalsh(A0))
+        w = np.sort(np.linalg.eigvalsh(A))
         worst = max(worst, float(np.abs(w - np.sort(-w0)).max()))
-        ok = ok and sign_balance_check(A0, 1.0, C0)
+        ok = ok and sign_balance_check([A0], 1.0, C0)
     return ok, (worst,)
 
 
@@ -338,11 +335,11 @@ def _hyperbolic_decay(rng, count, step):
         lam, r = float(rng.uniform(-2.0, 0.0)), float(rng.uniform(0.2, 1.5))
         C0 = r * SKEW2 + lam * np.eye(2)
         x, y = rng.uniform(-1.0, 1.0, size=2)
-        A0 = ShapeOperatorSet((np.array([[x, y], [y, -x]]),))
-        A = shape_operator_at(A0, -1.0, C0, 20.0)
-        ratios.append(float(np.abs(A.ops[0]).max()) / (1e-300 + float(np.abs(A0.ops[0]).max())))
-    blowup = shape_operator_at(ShapeOperatorSet((np.eye(2),)), -1.0, np.eye(2), 10.0)
-    grown = float(np.linalg.norm(blowup.ops[0]))
+        A0 = np.array([[x, y], [y, -x]])
+        A = _Evolution(-1.0, C0).shape([A0], [20.0])[0][0]
+        ratios.append(float(np.abs(A).max()) / (1e-300 + float(np.abs(A0).max())))
+    blowup = _Evolution(-1.0, np.eye(2)).shape([np.eye(2)], [10.0])[0][0]
+    grown = float(np.linalg.norm(blowup))
     return grown >= 1e3, (float(np.max(ratios, initial=0.0)), grown)
 
 
@@ -353,7 +350,7 @@ def _theorem1(rng, count, step):
     d = find_special_nullity_direction(WORKED_FAMILY)
     ok = d is not None and np.abs(np.abs(d.coeffs) - [0.0, 0.0, 1.0]).max() <= 1e-10
     ok = ok and abs(d.lam + 1.0) <= 1e-10
-    A0 = ShapeOperatorSet((np.array([[1.0, 0.0], [0.0, -1.0]]),))
+    A0 = [np.array([[1.0, 0.0], [0.0, -1.0]])]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rep = theorem1_pipeline(WORKED_FAMILY, A0, -1.0)
@@ -386,12 +383,12 @@ def _cylinder_split(rng, count, step):
 def _gauss(rng, count, step):
     """Gauss equation: s = c when totally geodesic, and s <= c exactly when
     |alpha|^2 >= n^2 |H|^2."""
-    zero = ShapeOperatorSet((np.zeros((3, 3)),))
+    zero = [np.zeros((3, 3))]
     ok = all(scalar_curvature(zero, 3, c) == c for c in CURVATURES)
     for _ in range(count):
         n = int(rng.integers(2, 6))
         ms = [rng.uniform(-1.0, 1.0, size=(n, n)) for _ in range(int(rng.integers(1, 4)))]
-        A = ShapeOperatorSet(tuple(0.5 * (m + m.T) for m in ms))
+        A = [0.5 * (m + m.T) for m in ms]
         big_alpha = alpha_norm(A) ** 2 >= (n * mean_curvature_norm(A, n)) ** 2
         ok = ok and (scalar_curvature(A, n, -1.0) <= -1.0) == big_alpha
     return ok, ()

@@ -19,12 +19,12 @@ from .core import (
     NullityError,
     _Evolution,
     _curv,
+    _ops,
     _real_parts,
     _rounding,
     _singular,
     _smat,
     _spectrum,
-    _sset,
     is_codazzi_compatible,
     real_eigenvalues,
 )
@@ -180,7 +180,7 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     """
     c = _curv(c)
     C0 = _smat(C0)
-    A0 = _sset(A0)
+    A0 = _ops(A0)
     if domain.kind is DomainKind.SEGMENT:
         raise ValueError("decay report requires a ray or a line")
     if c > 0.0:
@@ -211,8 +211,8 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     else:
         E = _null_space(C0 - a * np.eye(C0.shape[0]))
         near = EIG_CLUSTER_TOL * (unit + a)
-    scale = max((np.abs(m).max(initial=0.0) for m in A0.ops), default=0.0)
-    crit_image = max((np.abs(m @ E).max(initial=0.0) for m in A0.ops), default=0.0)
+    scale = max((np.abs(m).max(initial=0.0) for m in A0), default=0.0)
+    crit_image = max((np.abs(m @ E).max(initial=0.0) for m in A0), default=0.0)
     crit_nonzero = crit_image > 1e-10 * scale
 
     blocks = []
@@ -237,7 +237,7 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     elif BlockBehavior.PARALLEL_CONSTANT in behaviors and crit_nonzero:
         # nonzero constant part; mixed when the complement also carries shape
         P = np.eye(C0.shape[0]) - E @ E.T
-        off = max(np.abs(m @ P).max(initial=0.0) for m in A0.ops)
+        off = max(np.abs(m @ P).max(initial=0.0) for m in A0)
         limit = AlphaLimit.MIXED if off > 1e-10 * scale else AlphaLimit.NONZERO
     else:
         limit = AlphaLimit.ZERO
@@ -252,7 +252,7 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     for t, Jinv in zip(DECAY_SAMPLE_TIMES, Jinvs):
         total = 0.0
         crit = 0.0
-        for m in A0.ops:
+        for m in A0:
             at = m @ Jinv
             total = max(total, np.abs(at).max(initial=0.0))
             if E.shape[1]:
@@ -278,7 +278,7 @@ def sign_balance_check(A0, c, C0) -> bool:
     each shape operator has equally many positive and negative eigenvalues."""
     c = _curv(c)
     C0 = _smat(C0)
-    A0 = _sset(A0)
+    A0 = _ops(A0)
     if c <= 0.0:
         raise PreconditionViolated("sign balance requires c > 0")
     reals = real_eigenvalues(C0)
@@ -287,7 +287,7 @@ def sign_balance_check(A0, c, C0) -> bool:
             f"splitting tensor has real eigenvalues {reals}; the geodesic "
             f"cannot reach pi/sqrt(c)"
         )
-    for m in A0.ops:
+    for m in A0:
         pos, neg = signature_counts(m)
         if pos != neg:
             return False

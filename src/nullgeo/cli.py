@@ -23,7 +23,6 @@ from .core import (
     DomainKind,
     GeodesicDomain,
     NullityError,
-    ShapeOperatorSet,
     SingularJacobi,
     _Evolution,
     is_codazzi_compatible,
@@ -419,7 +418,7 @@ def _verdict_record(scn: Scenario):
         and scn.c <= 0.0
         and scn.domain.kind in (DomainKind.RAY, DomainKind.LINE)
     ):
-        rep = decay_report(ShapeOperatorSet(scn.A0), scn.c, scn.C0, scn.domain)
+        rep = decay_report(scn.A0, scn.c, scn.C0, scn.domain)
         decay = {
             "global_alpha_limit": rep.global_alpha_limit.value,
             "blocks": [

@@ -93,14 +93,7 @@ class SplittingTensor:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"splitting tensor must be square, got {m.shape}")
-        object.__setattr__(self, "mat", m)
-
-    @property
-    def q(self) -> int:
-        return self.mat.shape[0]
+        object.__setattr__(self, "mat", _smat(self.mat))
 
 
 @dataclass(frozen=True)
@@ -113,21 +106,7 @@ class ShapeOperatorSet:
     ops: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(a, dtype=float) for a in self.ops)
-        if ops:
-            q = ops[0].shape[0]
-            for a in ops:
-                if a.shape != (q, q):
-                    raise ValueError("all shape operators must share one square shape")
-        object.__setattr__(self, "ops", ops)
-
-    @property
-    def p(self) -> int:
-        return len(self.ops)
-
-    @property
-    def q(self) -> int:
-        return self.ops[0].shape[0] if self.ops else 0
+        object.__setattr__(self, "ops", _ops(self.ops))
 
     def asymmetry(self) -> float:
         """Largest :func:`_asymmetry` over the operators."""
@@ -187,10 +166,17 @@ def _smat(C0) -> np.ndarray:
     return m
 
 
-def _sset(A0) -> ShapeOperatorSet:
+def _ops(A0) -> tuple:
+    """The shape operators of ``A0``, a :class:`ShapeOperatorSet` or a
+    sequence of square matrices of one shape (a ``(p, q, q)`` array too), as
+    float arrays."""
     if isinstance(A0, ShapeOperatorSet):
-        return A0
-    return ShapeOperatorSet(tuple(A0))
+        return A0.ops
+    ops = tuple(np.asarray(a, dtype=float) for a in A0)
+    shape = ops[0].shape[:1] * 2 if ops else ()
+    if any(a.ndim != 2 or a.shape != shape for a in ops):
+        raise ValueError("all shape operators must share one square shape")
+    return ops
 
 
 def _asymmetry(m: np.ndarray) -> float:
@@ -526,10 +512,10 @@ def shape_operator_at(A0, c, C0, t: float) -> ShapeOperatorSet:
     :func:`is_codazzi_compatible` when that matters.  At t = 0 the result is
     ``A0`` exactly.
     """
-    A0 = _sset(A0)
+    ops = _ops(A0)
     ev = _Evolution(_curv(c), _smat(C0))
     ev.check([t])
-    return ShapeOperatorSet(tuple(A[0] for A in ev.shape(A0.ops, [t])))
+    return ShapeOperatorSet(tuple(A[0] for A in ev.shape(ops, [t])))
 
 
 # ---------------------------------------------------------------------------
@@ -812,10 +798,10 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
     blow-up guard is checked once per block of steps as in
     :func:`riccati_path`.
     """
-    A0 = _sset(A0)
-    if A0.p == 0:
-        return [A0 for _ in times]
-    path = _shape_stack([np.stack(A0.ops)], [_curv(c)], [_smat(C0)], [times], step)[0]
+    ops = _ops(A0)
+    if not ops:
+        return [ShapeOperatorSet(()) for _ in times]
+    path = _shape_stack([np.stack(ops)], [_curv(c)], [_smat(C0)], [times], step)[0]
     return [ShapeOperatorSet(tuple(A)) for A in path]
 
 
@@ -834,7 +820,7 @@ def is_codazzi_compatible(A0, C0) -> bool:
     """
     C0 = _unit_scale(_smat(C0))
     q = C0.shape[0]
-    for m in _sset(A0).ops:
+    for m in _ops(A0):
         m = _unit_scale(m)
         for k in range(1, q + 1):
             if not _asymmetry(m) <= SYM_TOL:

@@ -18,8 +18,8 @@ from .core import (
     SYM_TOL,
     _asymmetry,
     _curv,
+    _ops,
     _singular,
-    _sset,
 )
 
 __all__ = [
@@ -246,25 +246,24 @@ def theorem1_pipeline(family: SplittingFamily, A0, c) -> DecayReport:
 
 def mean_curvature_norm(A, n: int) -> float:
     """||H|| = (1/n) sqrt(sum_xi (trace A_xi)^2) for full n x n operators."""
-    A = _sset(A)
+    A = _ops(A)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return math.sqrt(sum(float(np.trace(m)) ** 2 for m in A.ops)) / n
+    return math.sqrt(sum(float(np.trace(m)) ** 2 for m in A)) / n
 
 
 def alpha_norm(A) -> float:
     """Frobenius norm of the second fundamental form: sqrt(sum ||A_xi||_F^2)."""
-    A = _sset(A)
-    return math.sqrt(sum(float(np.sum(m * m)) for m in A.ops))
+    return math.sqrt(sum(float(np.sum(m * m)) for m in _ops(A)))
 
 
 def alpha_operator_norm(A) -> float:
     """sup over unit X of ||alpha(X, .)||, i.e. sqrt of the largest eigenvalue
     of sum_xi A_xi^T A_xi.  Used as the bounded-away-from-zero measure."""
-    A = _sset(A)
-    if A.p == 0:
+    A = _ops(A)
+    if not A:
         return 0.0
-    G = sum(m.T @ m for m in A.ops)
+    G = sum(m.T @ m for m in A)
     w = np.linalg.eigvalsh(G)
     return math.sqrt(max(float(w[-1]), 0.0))
 
@@ -293,7 +292,7 @@ def minimality_certificate(A_samples, n: int) -> MinimalityVerdict:
     the largest ``alpha_operator_norm``, the samples' size; decayed means a
     smallest ``alpha_operator_norm`` of at most 1e-6 of the largest.
     """
-    samples = [_sset(a) for a in A_samples]
+    samples = [_ops(a) for a in A_samples]
     if not samples:
         raise InconsistentInput("no samples")
     norms = [mean_curvature_norm(a, n) for a in samples]
@@ -332,14 +331,13 @@ def principal_angles(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(sv, -1.0, 1.0))
 
 
-def cylinder_split(points, k: int, leaf_ids=None) -> CylinderSplit:
+def cylinder_split(points, k: int, leaf_ids) -> CylinderSplit:
     """Split ambient samples (point, nullity-image basis) along a constant
     k-dimensional factor.
 
     All sampled subspaces must coincide up to principal angle ``ANGLE_TOL``;
     otherwise :class:`NotConstant` is raised (the data cannot come from a
-    Euclidean cylinder).  ``leaf_ids`` groups samples lying on one leaf; when
-    omitted, leaves are inferred by clustering the V-perp projections.
+    Euclidean cylinder).  ``leaf_ids`` groups samples lying on one leaf.
     """
     pts = [(np.asarray(x, dtype=float), np.asarray(b, dtype=float)) for x, b in points]
     if not pts:
@@ -363,19 +361,6 @@ def cylinder_split(points, k: int, leaf_ids=None) -> CylinderSplit:
     # stacked matrix-vector products, the bits of one P @ x per sample
     base = (X - (Q0 @ Q0.T) @ X)[:, :, 0]
     fiber = (Q0.T @ X)[:, :, 0]
-
-    if leaf_ids is None:
-        scale = 1.0 + max(float(np.abs(x).max(initial=0.0)) for x, _ in pts)
-        leaf_ids = []
-        reps: list[np.ndarray] = []
-        for bp in base:
-            for i, r in enumerate(reps):
-                if np.abs(bp - r).max(initial=0.0) <= 1e-6 * scale:
-                    leaf_ids.append(i)
-                    break
-            else:
-                leaf_ids.append(len(reps))
-                reps.append(bp)
     leaf_ids = list(leaf_ids)
     if len(leaf_ids) != len(pts):
         raise InconsistentInput("leaf_ids length must match the samples")

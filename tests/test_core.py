@@ -32,8 +32,15 @@ from nullgeo.core import (
     shape_operator_at,
     splitting_tensor_at,
 )
-from nullgeo.checks import SKEW2, _batch, riccati_cases, riccati_deviation, shape_cases, shape_deviation
+from nullgeo.checks import (
+    SKEW2, WORKED_FAMILY, _batch, riccati_cases, riccati_deviation, shape_cases, shape_deviation,
+)
+from nullgeo.classify import decay_report, sign_balance_check
 from nullgeo.sampling import random_compatible_pair
+from nullgeo.theorems import (
+    alpha_norm, alpha_operator_norm, mean_curvature_norm, minimality_certificate,
+    scalar_curvature, theorem1_pipeline,
+)
 
 from conftest import (
     POWERS_OF_TWO, SCALES, bits, det_sampling_bmax, rank_one_draws, rk4_path,
@@ -59,7 +66,7 @@ class TestDomainTypes:
         assert GeodesicDomain.segment(1.5).b == 1.5
 
     def test_splitting_tensor_must_be_square(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be square"):
             SplittingTensor(np.zeros((2, 3)))
 
 
@@ -901,3 +908,56 @@ class TestCodazziCompatibility:
             verdicts.append(unscaled(A0, C0))
             assert is_codazzi_compatible(A0, C0) == verdicts[-1]
         assert 50 < sum(verdicts) < 250
+
+
+class TestShapeOperatorInput:
+    """Every function that takes ``A0`` accepts a ``ShapeOperatorSet`` or a
+    sequence of square matrices of one shape, and raises ``ValueError``
+    otherwise."""
+
+    RAGGED = [np.eye(2), np.eye(3)]
+    C0 = np.diag([-1.0, -2.0])
+    TAKES_A0 = {
+        "ShapeOperatorSet": ShapeOperatorSet,
+        "shape_operator_at": lambda A: shape_operator_at(A, -1.0, TestShapeOperatorInput.C0, 0.5),
+        "shape_ode_path": lambda A: shape_ode_path(A, -1.0, TestShapeOperatorInput.C0, [0.1]),
+        "is_codazzi_compatible": lambda A: is_codazzi_compatible(A, TestShapeOperatorInput.C0),
+        "decay_report": lambda A: decay_report(
+            A, -1.0, TestShapeOperatorInput.C0, GeodesicDomain.ray()),
+        "sign_balance_check": lambda A: sign_balance_check(A, 1.0, SKEW2),
+        "theorem1_pipeline": lambda A: theorem1_pipeline(WORKED_FAMILY, A, -4.0),
+        "scalar_curvature": lambda A: scalar_curvature(A, 3, -1.0),
+        "mean_curvature_norm": lambda A: mean_curvature_norm(A, 3),
+        "alpha_norm": alpha_norm,
+        "alpha_operator_norm": alpha_operator_norm,
+        "minimality_certificate": lambda A: minimality_certificate([A], 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TAKES_A0))
+    def test_ragged_operators_are_rejected(self, name):
+        with pytest.raises(ValueError, match="^all shape operators must share one square shape$"):
+            self.TAKES_A0[name](self.RAGGED)
+
+    def test_every_form_gives_the_same_bits(self, rng):
+        # compatible pairs, shifted left of -1 so that a ray at c = -1 keeps
+        # its clause and decay_report has all its samples
+        for q in (2, 3, 4):
+            A0s, C0s = random_compatible_pair(rng, q, p=2)
+            C0 = C0s.mat - (1.0 + np.abs(C0s.mat).sum()) * np.eye(q)
+            ops = A0s.ops
+
+            def results(A):
+                rep = decay_report(A, -1.0, C0, GeodesicDomain.ray())
+                return (
+                    bits(shape_operator_at(A, -1.0, C0, 0.7).ops).tobytes(),
+                    [bits(At.ops).tobytes() for At in shape_ode_path(A, -1.0, C0, [0.1, 0.2], 1e-2)],
+                    repr(rep.per_block),
+                    bits(rep.samples).tobytes(),
+                    is_codazzi_compatible(A, C0),
+                    bits(alpha_operator_norm(A)).tobytes(),
+                )
+
+            want = results(ShapeOperatorSet(ops))
+            assert len(want[3]) == 3 * 3 * 8  # three samples
+            for A in (list(ops), tuple(ops), np.stack(ops)):
+                assert results(A) == want
