@@ -6,13 +6,14 @@ baseline tree beside it, in one ``BENCH_<n>.json`` at the repository root.
 
 For every workload that ``BENCHMARK.json`` lists and every seed of
 ``SEEDS``, each tree runs ``python3 benchmark/run.py --workload W --seed S
---seconds SECONDS`` from its own root, as it is, and for the first seed
-also with ``--trace 1``, for the per-layer metrics; then each tree runs
-Tier-1 (see ``ROADMAP.md``) with ``--durations=5``, ``TIER1_RUNS`` times.  The
-settings are fixed, so that two ``BENCH_<n>.json`` files compare.  With ``--baseline`` (a checkout
-of another commit, e.g. the parent), the two trees take turns on every
-(workload, seed), every traced run and every Tier-1 run, the first tree
-alternating, so a drift of the host's speed falls on both.  The file holds,
+--seconds SECONDS`` from its own root, as it is, and for the first three
+seeds also with ``--trace 1``, for the per-layer metrics; then each tree runs
+Tier-1 (see ``ROADMAP.md``) with ``--durations=5``, ``TIER1_RUNS`` times.
+The settings are fixed, so that two ``BENCH_<n>.json`` files compare.  With
+``--baseline`` (a checkout of another commit, e.g. the parent), the two
+trees take turns on every (workload, seed), traced or not, and every Tier-1
+run, the first tree alternating, so a drift of the host's speed falls on
+both.  The file holds,
 per tree:
 
 - ``commit``: ``git rev-parse HEAD`` and whether the tree has uncommitted
@@ -20,8 +21,9 @@ per tree:
 - ``environment``: the environment that ``run.py`` prints, from its first run
 - ``runs``: every run's workload, seed, correctness, operation counts and
   end-to-end metrics
-- ``trace``: per workload, the traced run's record, its ``metrics`` the
-  per-layer ones
+- ``trace``: per workload, the records of the traced runs (``runs``, their
+  ``metrics`` the per-layer ones) and the median of each metric over them
+  (``metrics``), so that one run's drift does not set a layer's timing
 - ``tier1``: the wall time of every Tier-1 run, their median, the pytest
   summary line and the ``--durations=5`` lines of each run
 
@@ -70,6 +72,15 @@ def bench(tree: Path, workload: str, seed: int, trace: int = 0) -> tuple[dict, d
             "load_avg": extra["environment"]["load_avg"]}, extra["environment"]
 
 
+def medians(recs: list[dict]) -> dict:
+    """The median of each metric over the runs that report it."""
+    values: dict[str, list] = {}
+    for rec in recs:
+        for name, value in rec.get("metrics", {}).items():
+            values.setdefault(name, []).append(value)
+    return {name: statistics.median(v) for name, v in values.items()}
+
+
 def tier1(tree: Path) -> dict:
     """One Tier-1 run: wall time, summary line and the slowest durations."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -106,11 +117,15 @@ def main(argv=None) -> int:
                 out[name]["environment"] = out[name]["environment"] or environment
                 print(name, json.dumps(rec), flush=True)
             turn += 1
-        for name in sorted(trees, reverse=turn % 2 == 1):
-            rec, _ = bench(trees[name], workload, SEEDS[0], trace=1)
-            out[name]["trace"][workload] = rec
-            print(name, "trace", json.dumps(rec), flush=True)
-        turn += 1
+        traced: dict[str, list] = {name: [] for name in trees}
+        for seed in SEEDS[:3]:
+            for name in sorted(trees, reverse=turn % 2 == 1):
+                rec, _ = bench(trees[name], workload, seed, trace=1)
+                traced[name].append(rec)
+                print(name, "trace", json.dumps(rec), flush=True)
+            turn += 1
+        for name, recs in traced.items():
+            out[name]["trace"][workload] = {"runs": recs, "metrics": medians(recs)}
     for _ in range(TIER1_RUNS):
         for name in sorted(trees, reverse=turn % 2 == 1):
             run = tier1(trees[name])

@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import classify, theorems
-from .core import (
-    GeodesicDomain,
-    NullityProfile,
-    ShapeOperatorSet,
-    _curv,
-    is_codazzi_compatible,
-)
+from .core import GeodesicDomain, NullityProfile, _curv, is_codazzi_compatible
 from .theorems import SplittingFamily
 
 __all__ = [
@@ -26,7 +20,6 @@ __all__ = [
     "cartan_veronese_polar",
     "euclidean_cylinder",
     "circle_line_samples",
-    "plane_samples",
     "cone_samples",
     "verify_model",
 ]
@@ -37,16 +30,16 @@ class ModelSubmanifold:
     name: str
     profile: NullityProfile
     c: float                             # curvature of the ambient space form
-    shape: ShapeOperatorSet              # full n x n, zero-padded on the nullity
+    shape: np.ndarray                    # (p, n, n) shape operators, zero on the nullity
     splitting_family: SplittingFamily    # on the conullity (q x q members)
     conullity_indices: tuple             # coordinates spanning the conullity
     expected_properties: tuple           # names understood by verify_model
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # what ``shape`` does not hold
 
-    def conullity_shape(self) -> ShapeOperatorSet:
-        """Shape operators restricted to the conullity block."""
+    def conullity_shape(self) -> np.ndarray:
+        """The (p, q, q) shape operators restricted to the conullity block."""
         idx = np.asarray(self.conullity_indices, dtype=int)
-        return ShapeOperatorSet(tuple(a[np.ix_(idx, idx)] for a in self.shape.ops))
+        return self.shape[:, idx[:, None], idx]
 
 
 def _finite_real(name: str, x) -> float:
@@ -67,11 +60,10 @@ def totally_geodesic(n: int, p: int, c: float) -> ModelSubmanifold:
         name="totally_geodesic",
         profile=NullityProfile(n=n, p=p, nu=n),
         c=_curv(c),
-        shape=ShapeOperatorSet(tuple(zero.copy() for _ in range(p))),
-        splitting_family=SplittingFamily(basis=tuple(np.zeros((0, 0)) for _ in range(n)), q=0),
+        shape=np.tile(zero, (len(range(p)), 1, 1)),  # range(p) rejects a non-integer p
+        splitting_family=SplittingFamily(basis=tuple(np.zeros((0, 0)) for _ in range(n))),
         conullity_indices=(),
         expected_properties=("kernel_dim", "scalar_curvature_is_c", "codazzi_compatible"),
-        params={"n": n, "p": p},
     )
 
 
@@ -97,8 +89,8 @@ def hyperbolic_cylinder(k: int, n: int, rho: float) -> ModelSubmanifold:
         name="hyperbolic_cylinder",
         profile=NullityProfile(n=n, p=1, nu=0),
         c=-1.0,
-        shape=ShapeOperatorSet((np.diag(diag),)),
-        splitting_family=SplittingFamily(basis=(), q=n),
+        shape=np.diag(diag)[None],
+        splitting_family=SplittingFamily(basis=()),
         conullity_indices=tuple(range(n)),
         expected_properties=(
             "kernel_dim",
@@ -109,7 +101,7 @@ def hyperbolic_cylinder(k: int, n: int, rho: float) -> ModelSubmanifold:
             "shape_bounded_away",
             "scalar_curvature_matches_gauss",
         ),
-        params={"k": k, "n": n, "rho": rho, "lam_s": lam_s, "lam_h": lam_h},
+        params={"rho": rho},
     )
 
 
@@ -125,14 +117,13 @@ def cartan_veronese_polar() -> ModelSubmanifold:
     with the nullity leaves being full circles.
     """
     r3 = math.sqrt(3.0)
-    shape = np.diag([r3, 0.0, -r3])
     C = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return ModelSubmanifold(
         name="cartan_veronese_polar",
         profile=NullityProfile(n=3, p=1, nu=1),
         c=1.0,
-        shape=ShapeOperatorSet((shape,)),
-        splitting_family=SplittingFamily(basis=(C,), q=2),
+        shape=np.diag([r3, 0.0, -r3])[None],
+        splitting_family=SplittingFamily(basis=(C,)),
         conullity_indices=(0, 2),
         expected_properties=(
             "kernel_dim",
@@ -142,7 +133,6 @@ def cartan_veronese_polar() -> ModelSubmanifold:
             "classify_full_circle",
             "sign_balance",
         ),
-        params={"principal_curvatures": (r3, 0.0, -r3)},
     )
 
 
@@ -160,10 +150,8 @@ def euclidean_cylinder(n: int, kappa: float) -> ModelSubmanifold:
         name="euclidean_cylinder",
         profile=NullityProfile(n=n, p=1, nu=n - 1),
         c=0.0,
-        shape=ShapeOperatorSet((np.diag(diag),)),
-        splitting_family=SplittingFamily(
-            basis=tuple(np.zeros((1, 1)) for _ in range(n - 1)), q=1
-        ),
+        shape=np.diag(diag)[None],
+        splitting_family=SplittingFamily(basis=tuple(np.zeros((1, 1)) for _ in range(n - 1))),
         conullity_indices=(0,),
         expected_properties=(
             "kernel_dim",
@@ -171,7 +159,6 @@ def euclidean_cylinder(n: int, kappa: float) -> ModelSubmanifold:
             "conullity_cylinder_verdict",
             "cylinder_split_ok",
         ),
-        params={"n": n, "kappa": kappa},
     )
 
 
@@ -196,15 +183,6 @@ def circle_line_samples(radius: float = 1.0, n_leaf: int = 6, n_axis: int = 4):
             samples.append((pt, axis.copy()))
             leaf_ids.append(i)
     return samples, leaf_ids
-
-
-def plane_samples(n_points: int = 5):
-    """Degenerate case: all points on a 2-plane, nullity = the plane itself."""
-    basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    samples = []
-    for i in range(n_points):
-        samples.append((np.array([float(i), float(2 * i - 1), 0.0]), basis.copy()))
-    return samples, [0] * n_points
 
 
 def cone_samples(n_points: int = 8):
@@ -232,45 +210,44 @@ def _kernel_dim(A: np.ndarray) -> int:
 
 def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
     """Evaluate every expected property of a catalog entry; returns a map
-    property name -> pass."""
+    property name -> pass.  The identities read the principal curvatures
+    from the diagonal of the first shape operator, and ``params`` only for
+    the radius ``rho`` of a hyperbolic cylinder."""
     out: dict[str, bool] = {}
     c = model.c
     cshape = model.conullity_shape()
+    lam = np.diag(model.shape[0]).tolist() if len(model.shape) else []
     for prop in model.expected_properties:
         if prop == "kernel_dim":
-            dims = {_kernel_dim(a) for a in model.shape.ops}
-            out[prop] = dims == {model.profile.nu} or not model.shape.ops
+            out[prop] = {_kernel_dim(a) for a in model.shape} <= {model.profile.nu}
         elif prop == "codazzi_compatible":
             out[prop] = all(
                 is_codazzi_compatible(cshape, C) for C in model.splitting_family.basis
             ) if model.splitting_family.basis else True
         elif prop == "trace_zero":
-            out[prop] = all(abs(np.trace(a)) <= 1e-12 for a in model.shape.ops)
+            out[prop] = all(abs(np.trace(a)) <= 1e-12 for a in model.shape)
         elif prop == "scalar_curvature_is_c":
             s = theorems.scalar_curvature(model.shape, model.profile.n, c)
             out[prop] = abs(s - c) <= 1e-12
         elif prop == "lambda_product_one":
-            out[prop] = abs(model.params["lam_s"] * model.params["lam_h"] - 1.0) <= 1e-15
+            out[prop] = abs(lam[0] * lam[-1] - 1.0) <= 1e-15
         elif prop == "gauss_factor_curvatures":
             rho = model.params["rho"]
-            ks = c + model.params["lam_s"] ** 2
-            kh = c + model.params["lam_h"] ** 2
+            ks = c + lam[0] ** 2
+            kh = c + lam[-1] ** 2
             out[prop] = (
                 abs(ks - 1.0 / rho**2) <= 1e-12
                 and abs(kh + 1.0 / (1.0 + rho**2)) <= 1e-12
             )
         elif prop == "positive_extrinsic":
-            lam = np.diag(model.shape.ops[0])
-            n = lam.size
+            n = len(lam)
             out[prop] = all(
                 lam[i] * lam[j] > 0.0 for i in range(n) for j in range(i + 1, n)
             )
         elif prop == "shape_bounded_away":
-            lam = np.diag(model.shape.ops[0])
-            out[prop] = float(np.abs(lam).min()) > 0.0
+            out[prop] = np.abs(lam).min() > 0.0
         elif prop == "scalar_curvature_matches_gauss":
-            lam = np.diag(model.shape.ops[0])
-            n = lam.size
+            n = len(lam)
             pair_sum = sum(
                 c + lam[i] * lam[j] for i in range(n) for j in range(i + 1, n)
             )
@@ -278,12 +255,11 @@ def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
             s = theorems.scalar_curvature(model.shape, n, c)
             out[prop] = abs(s - oracle) <= 1e-12
         elif prop == "cartan_identity":
-            lam = model.params["principal_curvatures"]
             worst = 0.0
-            for i in range(3):
+            for i in range(len(lam)):
                 total = sum(
                     (1.0 + lam[i] * lam[j]) / (lam[i] - lam[j])
-                    for j in range(3)
+                    for j in range(len(lam))
                     if j != i
                 )
                 worst = max(worst, abs(total))
@@ -305,7 +281,7 @@ def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
             v = theorems.integrable_conullity_classify(c, model.splitting_family)
             out[prop] = v.kind == "MustBeCylinder" and v.check_passed
         elif prop == "cylinder_split_ok":
-            samples, leaf_ids = circle_line_samples(radius=1.0 / abs(model.params["kappa"]))
+            samples, leaf_ids = circle_line_samples(radius=1.0 / abs(lam[0]))
             split = theorems.cylinder_split(samples, k=1, leaf_ids=leaf_ids)
             out[prop] = split.residual <= 1e-10
         else:

@@ -68,7 +68,6 @@ WORKED_FAMILY = SplittingFamily(
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         np.array([[1.0, 1.0], [-1.0, 1.0]]),
     ),
-    q=2,
 )
 SKEW2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -257,7 +256,7 @@ def _kernel(rng, count, step):
     for i in range(count):
         q = 2 + i % 2
         basis = tuple(random_splitting_tensor(rng, q) for _ in range(q * (q + 1) // 2))
-        fam = SplittingFamily(basis=basis, q=q)
+        fam = SplittingFamily(basis=basis)
         d = find_special_nullity_direction(fam)
         ok = ok and d is not None and d.lam <= 0.0
         ok = ok and np.abs(fam.evaluate(d.coeffs) + d.skew_part + d.lam * np.eye(q)).max() <= 1e-10
@@ -361,7 +360,7 @@ def _theorem1(rng, count, step):
         q = int(rng.integers(2, 5))
         nu0 = q * (q + 1) // 2 + int(rng.integers(0, 3))
         basis = tuple(rng.uniform(-1.0, 1.0, size=(q, q)) for _ in range(nu0))
-        found += find_special_nullity_direction(SplittingFamily(basis=basis, q=q)) is not None
+        found += find_special_nullity_direction(SplittingFamily(basis=basis)) is not None
     return ok and found == count, (found, count)
 
 

@@ -477,9 +477,7 @@ def run_search(scn: Scenario, out_dir: Path, stem: str) -> int:
     if not scn.family:
         raise DimensionMismatch("family must contain at least one matrix")
     from .theorems import SplittingFamily, find_special_nullity_direction
-    q = scn.family[0].shape[0]
-    fam = SplittingFamily(basis=scn.family, q=q)
-    d = find_special_nullity_direction(fam)
+    d = find_special_nullity_direction(SplittingFamily(basis=scn.family))
     if d is None:
         _json_dump({"result": "absent"}, out_dir / f"{stem}.direction.json")
     else:
@@ -523,7 +521,7 @@ def run_catalog(scn: Scenario, out_dir: Path, stem: str) -> int:
                 "q": model.profile.q,
             },
             "c": _num(model.c),
-            "shape": [_nums(a) for a in model.shape.ops],
+            "shape": [_nums(a) for a in model.shape],
             "splitting_family": [_nums(m) for m in model.splitting_family.basis],
             "conullity_indices": list(model.conullity_indices),
             "expected_properties": list(model.expected_properties),

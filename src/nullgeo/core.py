@@ -166,17 +166,23 @@ def _smat(C0) -> np.ndarray:
     return m
 
 
+def _squares(ms, what: str) -> tuple:
+    """The matrices ``ms`` as float arrays; ValueError naming ``what``
+    unless they are square matrices of one shape."""
+    ms = tuple(np.asarray(m, dtype=float) for m in ms)
+    shape = ms[0].shape[:1] * 2 if ms else ()
+    if any(m.ndim != 2 or m.shape != shape for m in ms):
+        raise ValueError(f"{what} must share one square shape")
+    return ms
+
+
 def _ops(A0) -> tuple:
     """The shape operators of ``A0``, a :class:`ShapeOperatorSet` or a
     sequence of square matrices of one shape (a ``(p, q, q)`` array too), as
     float arrays."""
     if isinstance(A0, ShapeOperatorSet):
         return A0.ops
-    ops = tuple(np.asarray(a, dtype=float) for a in A0)
-    shape = ops[0].shape[:1] * 2 if ops else ()
-    if any(a.ndim != 2 or a.shape != shape for a in ops):
-        raise ValueError("all shape operators must share one square shape")
-    return ops
+    return _squares(A0, "all shape operators")
 
 
 def _asymmetry(m: np.ndarray) -> float:
@@ -798,10 +804,11 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
     blow-up guard is checked once per block of steps as in
     :func:`riccati_path`.
     """
-    ops = _ops(A0)
+    ops, c, C0 = _ops(A0), _curv(c), _smat(C0)
     if not ops:
+        list(_rk4_segments(times, step))  # raises on unsorted or negative times
         return [ShapeOperatorSet(()) for _ in times]
-    path = _shape_stack([np.stack(ops)], [_curv(c)], [_smat(C0)], [times], step)[0]
+    path = _shape_stack([np.stack(ops)], [c], [C0], [times], step)[0]
     return [ShapeOperatorSet(tuple(A)) for A in path]
 
 

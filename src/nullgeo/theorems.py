@@ -20,6 +20,7 @@ from .core import (
     _curv,
     _ops,
     _singular,
+    _squares,
 )
 
 __all__ = [
@@ -130,18 +131,18 @@ def theorem2_applicable(n: int, p: int) -> bool:
 
 @dataclass(frozen=True)
 class SplittingFamily:
-    """Images C_{T_i} of an orthonormal basis of the nullity; the map
-    T -> C_T extends linearly."""
+    """Images C_{T_i} of an orthonormal basis of the nullity, square
+    matrices of one shape; the map T -> C_T extends linearly."""
 
     basis: tuple
-    q: int
 
     def __post_init__(self):
-        basis = tuple(np.asarray(m, dtype=float) for m in self.basis)
-        for m in basis:
-            if m.shape != (self.q, self.q):
-                raise ValueError(f"family members must be {self.q}x{self.q}")
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _squares(self.basis, "family members"))
+
+    @property
+    def q(self) -> int:
+        """The conullity index: the order of the members, 0 for no member."""
+        return len(self.basis[0]) if self.basis else 0
 
     @property
     def nu0(self) -> int:

@@ -26,23 +26,13 @@ def rng():
 
 def rk4_second_order(c, C0, t_end, n_steps=2000):
     """Independent RK4 integration of J'' + c J = 0 with J(0)=I, J'(0)=-C0,
-    as a first-order system.  Used as an oracle for the closed form."""
-    q = C0.shape[0]
-    J = np.eye(q)
-    dJ = -C0.copy()
-    h = t_end / n_steps
+    as the first-order system (J, J')' = (J', -cJ) in ``n_steps`` equal
+    steps.  Used as an oracle for the closed form."""
+    def f(t, y):
+        return np.stack((y[1], -c * y[0]))
 
-    def f(state):
-        J, dJ = state
-        return dJ, -c * J
-
-    for _ in range(n_steps):
-        k1 = f((J, dJ))
-        k2 = f((J + 0.5 * h * k1[0], dJ + 0.5 * h * k1[1]))
-        k3 = f((J + 0.5 * h * k2[0], dJ + 0.5 * h * k2[1]))
-        k4 = f((J + h * k3[0], dJ + h * k3[1]))
-        J = J + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        dJ = dJ + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    y0 = np.stack((np.eye(C0.shape[0]), -C0))
+    J, dJ = rk4_path(f, y0, [t_end], t_end / n_steps, math.inf)[0]
     return J, dJ
 
 
@@ -91,23 +81,27 @@ def rank_one_draws(count: int = 300, seed: int = 1111) -> list:
     return draws
 
 
+def jacobi_scalars(c, t):
+    """The coefficients u, v, u', v' of J(t) = u I - v C0, with ``math``
+    arithmetic one time at a time."""
+    a = math.sqrt(abs(c))
+    if c == 0.0:
+        return 1.0, t, 0.0, 1.0
+    if c > 0.0:
+        co, si = math.cos(a * t), math.sin(a * t)
+        return co, si / a, -a * si, co
+    co, si = math.cosh(a * t), math.sinh(a * t)
+    return co, si / a, a * si, co
+
+
 def det_sampling_bmax(c, C0, scan_to=10.0, step=1e-3, bisect_tol=1e-12):
     """Dense det-sampling of the closed-form Jacobi matrix with bisection
     refinement.  Independent of the eigenvalue route in the library."""
     q = C0.shape[0]
     eye = np.eye(q)
 
-    def scalars(t):
-        if c > 0:
-            a = math.sqrt(c)
-            return math.cos(a * t), math.sin(a * t) / a
-        if c < 0:
-            a = math.sqrt(-c)
-            return math.cosh(a * t), math.sinh(a * t) / a
-        return 1.0, t
-
     def det(t):
-        u, v = scalars(t)
+        u, v, _, _ = jacobi_scalars(c, t)
         return float(np.linalg.det(u * eye - v * C0))
 
     ts = np.arange(0.0, scan_to + step, step)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ def test_all_expected_properties_hold(model):
 class TestHyperbolicCylinder:
     def test_principal_curvatures(self):
         m = hyperbolic_cylinder(1, 3, 2.0)
-        lam = np.diag(m.shape.ops[0])
+        lam = np.diag(m.shape[0])
         assert lam[0] == pytest.approx(math.sqrt(5.0) / 2.0, abs=1e-15)
         assert lam[1] == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-15)
         assert lam[0] * lam[1] == pytest.approx(1.0, abs=1e-15)
@@ -43,7 +44,7 @@ class TestHyperbolicCylinder:
     def test_no_nullity(self):
         m = hyperbolic_cylinder(1, 2, 1.0)
         assert m.profile.nu == 0
-        w = np.linalg.eigvalsh(m.shape.ops[0])
+        w = np.linalg.eigvalsh(m.shape[0])
         assert np.abs(w).min() > 0.5
 
     def test_bad_parameters(self):
@@ -56,7 +57,7 @@ class TestHyperbolicCylinder:
 class TestCartanVeronese:
     def test_shape_spectrum(self):
         m = cartan_veronese_polar()
-        w = np.sort(np.linalg.eigvalsh(m.shape.ops[0]))
+        w = np.sort(np.linalg.eigvalsh(m.shape[0]))
         np.testing.assert_allclose(w, [-math.sqrt(3.0), 0.0, math.sqrt(3.0)], atol=1e-15)
 
     def test_splitting_never_singular(self):
@@ -88,7 +89,7 @@ class TestEuclideanCylinder:
 
     def test_kernel_dimension(self):
         m = euclidean_cylinder(5, 2.0)
-        s = np.linalg.svd(m.shape.ops[0], compute_uv=False)
+        s = np.linalg.svd(m.shape[0], compute_uv=False)
         assert int(np.sum(s <= 1e-10 * s[0])) == 4
 
     def test_rejects_flat_curve(self):
@@ -102,3 +103,19 @@ def test_totally_geodesic_scalar_curvature_is_ambient():
     for c in (-1.0, 0.0, 1.0):
         m = totally_geodesic(4, 1, c)
         assert scalar_curvature(m.shape, 4, c) == c
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: hyperbolic_cylinder(1, 2, 10**400),
+         r"^rho must be a finite real number, got 1000+$"),
+        (lambda: verify_model(dataclasses.replace(cartan_veronese_polar(),
+                                                  expected_properties=("flat",))),
+         r"^unknown expected property 'flat'$"),
+    ],
+    ids=["rho-int-huge", "unknown-property"],
+)
+def test_documented_argument_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

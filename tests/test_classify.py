@@ -377,3 +377,20 @@ class TestSignBalance:
         w0 = np.linalg.eigvalsh(A0.ops[0])
         w = np.linalg.eigvalsh(A.ops[0])
         np.testing.assert_allclose(np.sort(w), np.sort(-w0), atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: decay_report([np.eye(2)], 1.0, np.zeros((2, 2)), GeodesicDomain.ray()),
+         ValueError, "^decay report is defined for c <= 0 only$"),
+        (lambda: sign_balance_check([TRACELESS], 0.0, SKEW2),
+         PreconditionViolated, r"^sign balance requires c > 0$"),
+        (lambda: sign_balance_check([TRACELESS], -1.0, SKEW2),
+         PreconditionViolated, r"^sign balance requires c > 0$"),
+    ],
+    ids=["decay-sphere", "sign-balance-flat", "sign-balance-hyperbolic"],
+)
+def test_documented_argument_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -254,6 +254,20 @@ class TestParsing:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "command,payload,line",
+        [
+            ("classify", [], "error: scenario must be a JSON object"),
+            ("classify", {**_CLASSIFY, "domain": "ray"},
+             "error: domain must be an object with a 'kind'"),
+            ("catalog", {"mode": "catalog"}, "error: mode 'catalog' requires a catalog entry"),
+        ],
+        ids=["scenario-list", "domain-str", "catalog-missing"],
+    )
+    def test_documented_parse_errors(self, tmp_path, capsys, command, payload, line):
+        assert run_scenario(command, payload, tmp_path) == 2
+        assert capsys.readouterr().err == line + "\n"
+
 
 class TestCommandLine:
     def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch, capsys):

@@ -9,6 +9,7 @@ from nullgeo.core import (
     INTERVAL_SLACK,
     RICCATI_BLOWUP,
     SYM_TOL,
+    DomainKind,
     GeodesicDomain,
     NullityError,
     NullityProfile,
@@ -43,7 +44,7 @@ from nullgeo.theorems import (
 )
 
 from conftest import (
-    POWERS_OF_TWO, SCALES, bits, det_sampling_bmax, rank_one_draws, rk4_path,
+    POWERS_OF_TWO, SCALES, bits, det_sampling_bmax, jacobi_scalars, rank_one_draws, rk4_path,
     rk4_second_order,
 )
 
@@ -740,15 +741,7 @@ class TestStackedOracles:
 
     @staticmethod
     def _scalar_jacobi(c, C0, t):
-        a = math.sqrt(abs(c))
-        if c == 0.0:
-            u, v, du, dv = 1.0, t, 0.0, 1.0
-        elif c > 0.0:
-            co, si = math.cos(a * t), math.sin(a * t)
-            u, v, du, dv = co, si / a, -a * si, co
-        else:
-            co, si = math.cosh(a * t), math.sinh(a * t)
-            u, v, du, dv = co, si / a, a * si, co
+        u, v, du, dv = jacobi_scalars(c, t)
         eye = np.eye(len(C0))
         return u * eye - v * C0, du * eye - dv * C0
 
@@ -961,3 +954,38 @@ class TestShapeOperatorInput:
             assert len(want[3]) == 3 * 3 * 8  # three samples
             for A in (list(ops), tuple(ops), np.stack(ops)):
                 assert results(A) == want
+
+    @pytest.mark.parametrize(
+        "c,C0,times,match",
+        [
+            (math.nan, np.eye(2), [0.1], "^curvature must be finite, got nan$"),
+            (-1.0, [[1.0, 2.0]], [0.1], r"^splitting tensor must be square, got \(1, 2\)$"),
+            (-1.0, np.eye(2), [0.5, 0.1], "^record times must be sorted and nonnegative$"),
+        ],
+        ids=["curvature", "C0", "times"],
+    )
+    def test_no_operators_still_check_the_other_arguments(self, c, C0, times, match):
+        # the shape oracle checks c, C0 and the record times with or
+        # without operators: the empty A0 once returned empty sets unchecked
+        for A0 in ([np.eye(2)], []):
+            with pytest.raises(ValueError, match=match):
+                shape_ode_path(A0, c, C0, times)
+
+    def test_no_operators_give_one_empty_set_per_time(self):
+        path = shape_ode_path([], -1.0, self.C0, [0.1, 0.1, 0.4])
+        assert [A.ops for A in path] == [(), (), ()]
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: GeodesicDomain(DomainKind.RAY, 1.0), "^ray takes no endpoint$"),
+        (lambda: GeodesicDomain(DomainKind.LINE, 1.0), "^line takes no endpoint$"),
+        (lambda: riccati_path(0.0, [[1.0]], [0.5, 0.1]),
+         "^record times must be sorted and nonnegative$"),
+    ],
+    ids=["ray-endpoint", "line-endpoint", "unsorted-times"],
+)
+def test_documented_argument_errors(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -38,6 +38,13 @@ from nullgeo.theorems import (
 from conftest import POWERS_OF_TWO, bits
 
 
+def plane_samples(n_points: int = 5):
+    """Degenerate case: all points on a 2-plane, nullity = the plane itself."""
+    basis = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    samples = [(np.array([float(i), float(2 * i - 1), 0.0]), basis.copy()) for i in range(n_points)]
+    return samples, [0] * n_points
+
+
 class TestIntegerPredicates:
     @pytest.mark.parametrize("m,want", [(1, 1), (8, 8), (16, 9)])
     def test_radon_hurwitz_values(self, m, want):
@@ -86,7 +93,7 @@ class TestIntegerPredicates:
 class TestKernelSearch:
     def test_single_skew_member(self):
         K = np.array([[0.0, 2.0], [-2.0, 0.0]])
-        fam = SplittingFamily(basis=(K,), q=2)
+        fam = SplittingFamily(basis=(K,))
         d = find_special_nullity_direction(fam)
         assert d is not None
         np.testing.assert_allclose(np.abs(d.coeffs), [1.0], atol=1e-12)
@@ -108,7 +115,6 @@ class TestKernelSearch:
                 np.array([[1.0, 0.0], [0.0, -1.0]]),
                 np.array([[0.0, 1.0], [1.0, 0.0]]),
             ),
-            q=2,
         )
         assert find_special_nullity_direction(fam) is None
 
@@ -117,7 +123,7 @@ class TestKernelSearch:
             q = int(rng.integers(2, 5))
             nu0 = q * (q + 1) // 2
             fam = SplittingFamily(
-                basis=tuple(random_splitting_tensor(rng, q) for _ in range(nu0)), q=q
+                basis=tuple(random_splitting_tensor(rng, q) for _ in range(nu0))
             )
             d = find_special_nullity_direction(fam)
             assert d is not None
@@ -170,7 +176,7 @@ class TestStackedKernelSearch:
                     if planted:
                         K = rng.uniform(-1.0, 1.0, size=(q, q))
                         basis[0] = scale * (K - K.T - 0.5 * np.eye(q))
-                    fam = SplittingFamily(basis=tuple(basis), q=q)
+                    fam = SplittingFamily(basis=tuple(basis))
                     want = _direction_member_by_member(fam)
                     got = find_special_nullity_direction(fam)
                     assert (got is None) == (want is None), (q, nu0, planted)
@@ -197,7 +203,7 @@ class TestTheorem1Pipeline:
         assert total <= 1e-6
 
     def test_zero_family_flat(self):
-        fam = SplittingFamily(basis=(np.zeros((2, 2)),), q=2)
+        fam = SplittingFamily(basis=(np.zeros((2, 2)),))
         A0 = ShapeOperatorSet((np.diag([1.0, 2.0]),))
         rep = theorem1_pipeline(fam, A0, 0.0)
         assert all(
@@ -212,9 +218,9 @@ class TestTheorem1Pipeline:
         A0 = ShapeOperatorSet((np.diag([1.0, -1.0]),))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = theorem1_pipeline(SplittingFamily((0.5 * s * np.eye(2),), 2), A0, -s * s)
+            rep = theorem1_pipeline(SplittingFamily((0.5 * s * np.eye(2),)), A0, -s * s)
         assert rep.global_alpha_limit is AlphaLimit.ZERO
-        fam = SplittingFamily(tuple(s * m for m in WORKED_FAMILY.basis), 2)
+        fam = SplittingFamily(tuple(s * m for m in WORKED_FAMILY.basis))
         with pytest.warns(UserWarning, match="boundary case"):
             theorem1_pipeline(fam, A0, -s * s)
 
@@ -224,7 +230,6 @@ class TestTheorem1Pipeline:
                 np.array([[1.0, 0.0], [0.0, -1.0]]),
                 np.array([[0.0, 1.0], [1.0, 0.0]]),
             ),
-            q=2,
         )
         A0 = ShapeOperatorSet((np.zeros((2, 2)),))
         with pytest.raises(NoDirection):
@@ -331,8 +336,6 @@ class TestCylinderSplit:
             assert np.linalg.norm(bp) == pytest.approx(1.0, abs=1e-12)
 
     def test_plane_degenerates_to_single_base_point(self):
-        from nullgeo.catalog import plane_samples
-
         samples, leaf_ids = plane_samples()
         split = cylinder_split(samples, k=2, leaf_ids=leaf_ids)
         assert split.residual == 0.0
@@ -397,7 +400,7 @@ class TestCylinderSplit:
         # give the bits of P @ x and Q0.T @ x per sample and of the largest
         # |a - b| over pairs of a leaf: on the catalog samples and on 200
         # random draws that pass the angle check
-        from nullgeo.catalog import circle_line_samples, plane_samples
+        from nullgeo.catalog import circle_line_samples
 
         cases = [circle_line_samples(radius=r) + (1,) for r in (1.0, 1.0 / 3.0, 7.0)]
         cases.append(plane_samples() + (2,))
@@ -433,32 +436,32 @@ class TestCylinderSplit:
 
 class TestIntegrableConullity:
     def test_sphere_totally_geodesic(self):
-        fam = SplittingFamily(basis=(np.diag([0.2, -0.1]),), q=2)
+        fam = SplittingFamily(basis=(np.diag([0.2, -0.1]),))
         v = integrable_conullity_classify(1.0, fam)
         assert v.kind == "MustBeTotallyGeodesic"
         assert v.check_passed
 
     def test_flat_cylinder_requires_zero_family(self):
-        fam0 = SplittingFamily(basis=(np.zeros((2, 2)),), q=2)
+        fam0 = SplittingFamily(basis=(np.zeros((2, 2)),))
         v = integrable_conullity_classify(0.0, fam0)
         assert v.kind == "MustBeCylinder" and v.check_passed
 
-        fam1 = SplittingFamily(basis=(np.diag([0.5, 0.0]),), q=2)
+        fam1 = SplittingFamily(basis=(np.diag([0.5, 0.0]),))
         v = integrable_conullity_classify(0.0, fam1)
         assert v.kind == "MustBeCylinder" and not v.check_passed
 
     def test_hyperbolic_leaf_bound(self):
-        good = SplittingFamily(basis=(np.diag([0.5, -0.3]),), q=2)
+        good = SplittingFamily(basis=(np.diag([0.5, -0.3]),))
         v = integrable_conullity_classify(-1.0, good)
         assert v.kind == "LeafBound" and v.check_passed
 
-        bad = SplittingFamily(basis=(np.diag([1.5, 0.0]),), q=2)
+        bad = SplittingFamily(basis=(np.diag([1.5, 0.0]),))
         v = integrable_conullity_classify(-1.0, bad)
         assert v.kind == "LeafBound" and not v.check_passed
         assert v.offending == (0,)
 
     def test_asymmetric_family_rejected(self):
-        fam = SplittingFamily(basis=(np.array([[0.0, 1.0], [0.0, 0.0]]),), q=2)
+        fam = SplittingFamily(basis=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
         with pytest.raises(NotIntegrable):
             integrable_conullity_classify(0.0, fam)
 
@@ -466,7 +469,7 @@ class TestIntegrableConullity:
         # self-adjointness does not depend on scale: this member once passed
         # as self-adjoint, and c = -1 gave a passed LeafBound
         shear = np.array([[0.0, 1.0], [0.0, 0.0]])
-        fam = SplittingFamily(basis=(np.diag([0.5, -0.3]), 1e-9 * shear), q=2)
+        fam = SplittingFamily(basis=(np.diag([0.5, -0.3]), 1e-9 * shear))
         with pytest.raises(NotIntegrable, match="family member 1 "):
             integrable_conullity_classify(-1.0, fam)
 
@@ -485,8 +488,8 @@ class TestIntegrableConullity:
             (1.0, [np.diag([0.2, -0.1, 0.0])], ()),
         ]
         for c, basis, offending in cases:
-            v = integrable_conullity_classify(c, SplittingFamily(tuple(basis), 3))
-            scaled = SplittingFamily(tuple(s * m for m in basis), 3)
+            v = integrable_conullity_classify(c, SplittingFamily(tuple(basis)))
+            scaled = SplittingFamily(tuple(s * m for m in basis))
             w = integrable_conullity_classify(s * s * c, scaled)
             assert w == v
             assert offending is None or v.offending == offending
@@ -503,8 +506,58 @@ class TestIntegrableConullity:
                 outcomes = []
                 for fam in (member, s * member):
                     try:
-                        outcomes.append(integrable_conullity_classify(1.0, SplittingFamily((fam,), 3)))
+                        outcomes.append(integrable_conullity_classify(1.0, SplittingFamily((fam,))))
                     except NotIntegrable as e:
                         outcomes.append(str(e))
                 assert outcomes[0] == outcomes[1]
                 assert isinstance(outcomes[0], str) == (eps == 1e-6)
+
+
+def _circle():
+    from nullgeo.catalog import circle_line_samples
+
+    return circle_line_samples()[0]
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: radon_hurwitz(0), ValueError, "^m must be a positive integer$"),
+        (lambda: nu_n(1), ValueError, "^n must be >= 2$"),
+        (lambda: sphere_rigidity_threshold(3, 0), ValueError, "^q must be >= 1$"),
+        (lambda: florit_bound(3, 0), ValueError, "^p must be >= 1$"),
+        (lambda: theorem2_applicable(5, 0), ValueError, "^p must be >= 1$"),
+        (lambda: SplittingFamily((np.eye(2), np.eye(3))), ValueError,
+         "^family members must share one square shape$"),
+        (lambda: WORKED_FAMILY.evaluate([1.0, 0.0]), ValueError,
+         "^coefficient vector length must match the basis$"),
+        (lambda: theorem1_pipeline(WORKED_FAMILY, [np.eye(2)], 1.0), ValueError,
+         r"^pipeline requires c <= 0$"),
+        (lambda: mean_curvature_norm([np.eye(2)], 0), ValueError, "^n must be >= 1$"),
+        (lambda: scalar_curvature([np.eye(2)], 1, 0.0), ValueError, "^n must be >= 2$"),
+        (lambda: minimality_certificate([], 3), InconsistentInput, "^no samples$"),
+        (lambda: cylinder_split([], 1, []), InconsistentInput, "^no sample points$"),
+        (lambda: cylinder_split([(np.zeros(3), np.zeros((3, 1))), (np.zeros(2), np.zeros((2, 1)))],
+                                1, [0, 0]),
+         InconsistentInput, r"^expected points in R\^3 with 3x1 basis matrices$"),
+        (lambda: cylinder_split(_circle(), 1, [0]), InconsistentInput,
+         "^leaf_ids length must match the samples$"),
+    ],
+    ids=[
+        "radon-hurwitz-0", "nu-n-1", "sphere-rigidity-q0", "florit-p0", "theorem2-p0",
+        "ragged-family", "evaluate-length", "pipeline-sphere", "mean-curvature-n0",
+        "scalar-curvature-n1", "minimality-no-samples", "split-no-samples",
+        "split-mixed-shapes", "split-leaf-ids-length",
+    ],
+)
+def test_documented_argument_errors(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_documented_empty_results():
+    # an empty family has no direction; no operator has operator norm 0
+    empty = SplittingFamily(())
+    assert (empty.q, empty.nu0) == (0, 0)
+    assert find_special_nullity_direction(empty) is None
+    assert alpha_operator_norm([]) == 0.0
