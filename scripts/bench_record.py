@@ -16,8 +16,9 @@ run, the first tree alternating, so a drift of the host's speed falls on
 both.  The file holds,
 per tree:
 
-- ``commit``: ``git rev-parse HEAD`` and whether the tree has uncommitted
-  changes
+- ``commit``: ``git rev-parse HEAD``, whether the tree has uncommitted
+  changes, and ``tree``, the git tree sha of the tracked files as measured
+  (see :func:`commit`)
 - ``environment``: the environment that ``run.py`` prints, from its first run
 - ``runs``: every run's workload, seed, correctness, operation counts and
   end-to-end metrics
@@ -50,10 +51,18 @@ TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collecti
 
 
 def commit(tree: Path) -> dict:
+    """``HEAD``, whether the checkout differs from it, and the tree sha of
+    its tracked files as they are: that of the commit ``git stash create``
+    writes for uncommitted changes (touching neither the files nor the
+    stash list), else that of ``HEAD``.  A commit of exactly the measured
+    files has this tree, so a record made before the commit still names
+    what it measured."""
     def git(*args):
         return subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
                               text=True).stdout.strip()
-    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain"))}
+    state = git("stash", "create") or "HEAD"
+    return {"sha": git("rev-parse", "HEAD"), "dirty": bool(git("status", "--porcelain")),
+            "tree": git("rev-parse", f"{state}^{{tree}}")}
 
 
 def bench(tree: Path, workload: str, seed: int, trace: int = 0) -> tuple[dict, dict | None]:

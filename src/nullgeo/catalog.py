@@ -223,7 +223,7 @@ def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
         elif prop == "codazzi_compatible":
             out[prop] = all(
                 is_codazzi_compatible(cshape, C) for C in model.splitting_family.basis
-            ) if model.splitting_family.basis else True
+            )
         elif prop == "trace_zero":
             out[prop] = all(abs(np.trace(a)) <= 1e-12 for a in model.shape)
         elif prop == "scalar_curvature_is_c":

@@ -29,7 +29,7 @@ from .core import (
     _asymmetry,
     _jacobi,
     _riccati_stack,
-    _shape_stack,
+    _shape_path,
     max_invertible_time,
 )
 from .sampling import random_compatible_pair, random_splitting_tensor
@@ -131,9 +131,9 @@ def shape_cases(rng: np.random.Generator, count: int) -> list[tuple]:
 
 
 def _batch(stack, cases, step: float) -> list[list[np.ndarray]]:
-    """The records of ``stack(*arguments, step)`` for each case, in case
-    order.  The cases whose arguments share their shapes are stepped
-    together, the groups in order of first appearance."""
+    """The records of ``stack(*arguments, step)``, the Riccati stepper, for
+    each case, in case order.  The cases whose arguments share their shapes
+    are stepped together, the groups in order of first appearance."""
     groups: dict = {}
     for i, case in enumerate(cases):
         groups.setdefault(tuple(map(np.shape, case)), []).append(i)
@@ -147,12 +147,12 @@ def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) 
     """Largest entry gap between the closed-form C(t) and an RK4 solution of
     C' = C^2 + c I with the given step, over ``riccati_cases(rng, count)``.
 
-    The cases are stepped in stacks of one shape (:func:`_batch`), and each
-    case's records are compared with the closed form on its whole grid in
-    one call, which gives each time the bits of :func:`splitting_tensor_at`;
-    :func:`sample_grid` keeps every time at or below 0.8 of the first
-    singular time.  The gap is a maximum, the same in any case order;
-    :func:`shape_deviation` is made the same way."""
+    The Riccati cases are stepped in stacks of one shape (:func:`_batch`),
+    and each case's records are compared with the closed form on its whole
+    grid in one call, which gives each time the bits of
+    :func:`splitting_tensor_at`; :func:`sample_grid` keeps every time at or
+    below 0.8 of the first singular time.  The gap is a maximum, the same in
+    any case order."""
     cases = riccati_cases(rng, count)
     worst = 0.0
     for (c, C0, ts), path in zip(cases, _batch(_riccati_stack, cases, step)):
@@ -163,12 +163,12 @@ def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) 
 def shape_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
     """Largest entry gap between the closed-form A(t) = A0 J(t)^{-1} and an
     RK4 solution of A' = A C(t) with the given step, over
-    ``shape_cases(rng, count)``."""
-    cases = shape_cases(rng, count)
+    ``shape_cases(rng, count)``: each case is stepped alone, with the bits of
+    :func:`shape_ode_path`, and compared as in :func:`riccati_deviation`."""
     worst = 0.0
-    for (A0, c, C0, ts), path in zip(cases, _batch(_shape_stack, cases, step)):
+    for A0, c, C0, ts in shape_cases(rng, count):
         closed = np.stack(_Evolution(c, C0).shape(A0, ts), axis=1)
-        worst = max(worst, float(np.abs(closed - path).max()))
+        worst = max(worst, float(np.abs(closed - _shape_path(A0, c, C0, ts, step)).max()))
     return worst
 
 

@@ -588,9 +588,12 @@ class _Stack:
     def run(self, advance) -> list[list[np.ndarray]]:
         """Record each case at its record times.  ``advance(s0, s1)`` takes
         the steps ``s0 .. s1 - 1`` of one block from the state ``H[0]``,
-        writing each state into the history.  The steps past a trip are
-        discarded, so they must not warn: the numpy steppers take them under
-        ``np.errstate(all="ignore")``, and float arithmetic never warns."""
+        writing each state into the history.  Blocks end at every record
+        count, so one case takes the steps of a block in one segment, all of
+        size ``h[0, s0]``: :func:`_shape_path` relies on this.  The steps
+        past a trip are discarded, so they must not warn: the numpy steppers
+        take them under ``np.errstate(all="ignore")``, and float arithmetic
+        never warns."""
         out = [[None] * len(ends) for ends in self.ends]
         H, done = self.H, 0
         for stop in sorted(self.due):
@@ -742,49 +745,26 @@ def _step_matrices(ev: _Evolution, t0: np.ndarray, h: float) -> np.ndarray:
     return ev.eye + (h / 6.0) * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def _shape_stack(A0s, cs, C0s, times, step: float) -> list[list[np.ndarray]]:
-    """RK4 paths of A' = A C(t) for cases with ``p >= 1`` shape operators of
-    one size, each recorded at its own ``times[k]`` and advanced together
-    by their step matrices (see :func:`shape_ode_path`).  Each record is the
-    ``(p, q, q)`` stack of that case.
-
-    The step matrices of every case come from its own :class:`_Evolution`,
-    for the ``_STAGE_CHUNK`` steps of the stack from each multiple of it
-    (fewer when no case takes that many): one evaluation of C per segment
-    of a case within them, and the identity for ``h = 0`` steps.  Each
-    product of a state and a step matrix is written into the next row of
-    the history of :class:`_Stack`, which checks the blow-up guard once per
-    block.  One case with ``p = 1`` is stepped on 2-D arrays with
-    ``ndarray.dot``, anything else with ``np.matmul``.
-    """
-    A = np.array(A0s, dtype=float)
-    stack = _Stack(times, step, A)
-    K, q = len(A), A.shape[-1]
-    evs = [_Evolution(c, C0) for c, C0 in zip(cs, C0s)]
-    R = np.empty((len(stack.H) - 1, K, q, q))
-    if K == 1 and A.shape[1] == 1:  # one case, one operator: (q, q) @ (q, q)
-        rows, mm, Rs = list(stack.H[:, 0, 0]), np.ndarray.dot, list(R[:, 0])
-    else:  # (K, p, q, q) @ (K, 1, q, q)
-        rows, mm, Rs = list(stack.H), np.matmul, list(R[:, :, None])
-
-    def fill(b0: int) -> None:
-        """R[i] for step ``b0 + i`` of every case, one call per segment."""
-        b1 = min(b0 + _STAGE_CHUNK, stack.steps)
-        for k, (ev, ends) in enumerate(zip(evs, stack.ends)):
-            cuts = [b0, *sorted({e for e in ends if b0 < e < b1}), b1]
-            for s0, s1 in zip(cuts, cuts[1:]):
-                h = stack.h[k, s0]
-                R[s0 - b0:s1 - b0, k] = _step_matrices(ev, stack.t0[k, s0:s1], h) if h else ev.eye
+def _shape_path(A0, c: float, C0: np.ndarray, times, step: float) -> list[np.ndarray]:
+    """:func:`shape_ode_path` of the ``(p, q, q)`` stack ``A0``, p >= 1, one
+    stack per record.  A block of :meth:`_Stack.run` lies in one segment of
+    this lone case, so its step matrices are one :func:`_step_matrices`
+    call.  One operator steps on 2-D arrays with ``ndarray.dot``, more
+    with ``np.matmul``."""
+    stack = _Stack([times], step, A0[None])
+    ev = _Evolution(c, C0)
+    if len(A0) == 1:  # (q, q) @ (q, q)
+        rows, mm = list(stack.H[:, 0, 0]), np.ndarray.dot
+    else:  # (p, q, q) @ (q, q)
+        rows, mm = list(stack.H[:, 0]), np.matmul
 
     def advance(s0: int, s1: int) -> None:
-        i = s0 % _STAGE_CHUNK
-        if i == 0:
-            fill(s0)
         with np.errstate(all="ignore"):
-            for Y, Ri, nxt in zip(rows, Rs[i:], rows[1:s1 - s0 + 1]):
+            R = _step_matrices(ev, stack.t0[0, s0:s1], stack.h[0, s0])
+            for Y, Ri, nxt in zip(rows, R, rows[1:]):
                 mm(Y, Ri, nxt)
 
-    return stack.run(advance)
+    return stack.run(advance)[0]
 
 
 def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSet]:
@@ -799,17 +779,16 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
         K3 = C(t + h/2) + (h/2) K2 C(t + h/2),  K4 = C(t + h) + h K3 C(t + h),
         R = I + (h/6) (K1 + 2 K2 + 2 K3 + K4).
 
-    The step matrices R of a batch of steps are formed together from C on
-    the batch's stage times; A is then advanced one step at a time, and the
-    blow-up guard is checked once per block of steps as in
+    The step matrices R of a block of steps are formed together, from one
+    evaluation of C on the block's stage times; A is then advanced one
+    step at a time, and the blow-up guard is checked once per block as in
     :func:`riccati_path`.
     """
     ops, c, C0 = _ops(A0), _curv(c), _smat(C0)
     if not ops:
         list(_rk4_segments(times, step))  # raises on unsorted or negative times
         return [ShapeOperatorSet(()) for _ in times]
-    path = _shape_stack([np.stack(ops)], [c], [C0], [times], step)[0]
-    return [ShapeOperatorSet(tuple(A)) for A in path]
+    return [ShapeOperatorSet(tuple(A)) for A in _shape_path(np.stack(ops), c, C0, times, step)]
 
 
 # ---------------------------------------------------------------------------

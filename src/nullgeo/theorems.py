@@ -175,7 +175,7 @@ def find_special_nullity_direction(family: SplittingFamily) -> SpecialDirection 
     The obstruction T -> sym-traceless part of C_T is linear with codomain of
     dimension q(q+1)/2 - 1, so a kernel vector exists whenever
     nu0 >= q(q+1)/2.  Returns None when the kernel is trivial.  Raises
-    :class:`NullityError` when the sym-traceless parts overflow.
+    :class:`NullityError` when the sym-traceless parts overflow or q = 0.
 
     The matrix of the map has one column per member, its sym-traceless part
     S - (tr S / q) I with S = (C + C^T)/2, built for the whole family in one
@@ -185,6 +185,8 @@ def find_special_nullity_direction(family: SplittingFamily) -> SpecialDirection 
     nu0 = family.nu0
     if nu0 == 0:
         return None
+    if q == 0:
+        raise NullityError("members of order q = 0 have no lambda = -tr C / q")
     F = np.array(family.basis)
     with np.errstate(over="ignore", invalid="ignore"):  # sym-traceless parts
         S = 0.5 * (F + F.transpose(0, 2, 1))
@@ -245,28 +247,44 @@ def theorem1_pipeline(family: SplittingFamily, A0, c) -> DecayReport:
 # curvature bookkeeping
 # ---------------------------------------------------------------------------
 
+def _unit_ops(A) -> tuple[np.ndarray, int]:
+    """The stack of the shape operators ``A`` times the 2**-e that brings its
+    largest entry into [1/2, 1), and e.  The norms below are of degree one:
+    taken on it and scaled back (:func:`_scale_back`), they keep finite
+    squares on finite data, their bits where no square leaves the float
+    range, and 2**k A gives 2**k times each of them bit for bit."""
+    A = np.array(_ops(A))
+    e = math.frexp(np.abs(A).max(initial=0.0))[1]
+    return np.ldexp(A, -e), e
+
+
+def _scale_back(x: float, e: int) -> float:
+    with np.errstate(over="ignore"):  # x 2**e, inf past the float range
+        return float(np.ldexp(x, e))
+
+
 def mean_curvature_norm(A, n: int) -> float:
     """||H|| = (1/n) sqrt(sum_xi (trace A_xi)^2) for full n x n operators."""
-    A = _ops(A)
+    A, e = _unit_ops(A)
     if n < 1:
         raise ValueError("n must be >= 1")
-    return math.sqrt(sum(float(np.trace(m)) ** 2 for m in A)) / n
+    return _scale_back(math.sqrt(sum(float(np.trace(m)) ** 2 for m in A)) / n, e)
 
 
 def alpha_norm(A) -> float:
     """Frobenius norm of the second fundamental form: sqrt(sum ||A_xi||_F^2)."""
-    return math.sqrt(sum(float(np.sum(m * m)) for m in _ops(A)))
+    A, e = _unit_ops(A)
+    return _scale_back(math.sqrt(sum(float(np.sum(m * m)) for m in A)), e)
 
 
 def alpha_operator_norm(A) -> float:
     """sup over unit X of ||alpha(X, .)||, i.e. sqrt of the largest eigenvalue
     of sum_xi A_xi^T A_xi.  Used as the bounded-away-from-zero measure."""
-    A = _ops(A)
-    if not A:
+    A, e = _unit_ops(A)
+    if not A.size:  # no operator, or operators of order 0
         return 0.0
-    G = sum(m.T @ m for m in A)
-    w = np.linalg.eigvalsh(G)
-    return math.sqrt(max(float(w[-1]), 0.0))
+    w = np.linalg.eigvalsh(sum(m.T @ m for m in A))
+    return _scale_back(math.sqrt(max(float(w[-1]), 0.0)), e)
 
 
 def scalar_curvature(A, n: int, c) -> float:

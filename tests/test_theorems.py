@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from nullgeo.catalog import totally_geodesic
 from nullgeo.checks import WORKED_FAMILY, radon_hurwitz_oracle
 from nullgeo.classify import AlphaLimit, BlockBehavior
-from nullgeo.core import ShapeOperatorSet
+from nullgeo.core import NullityError, ShapeOperatorSet
 from nullgeo.sampling import random_splitting_tensor
 from nullgeo.theorems import (
     ANGLE_TOL,
@@ -117,6 +118,14 @@ class TestKernelSearch:
             ),
         )
         assert find_special_nullity_direction(fam) is None
+
+    def test_members_of_order_zero_raise(self):
+        # a totally geodesic model has 0 x 0 splitting tensors, for which
+        # lambda = -tr C / q is undefined
+        family = totally_geodesic(3, 1, 0.0).splitting_family
+        assert (family.q, family.nu0) == (0, 3)
+        with pytest.raises(NullityError, match=r"^members of order q = 0 have no lambda"):
+            find_special_nullity_direction(family)
 
     def test_decomposition_residual_and_sign(self, rng):
         for _ in range(100):
@@ -320,6 +329,25 @@ class TestCurvatureBookkeeping:
         A = ShapeOperatorSet((np.diag([3.0, 1.0]), np.diag([0.0, 4.0])))
         # sum A^2 = diag(9, 17)
         assert alpha_operator_norm(A) == pytest.approx(math.sqrt(17.0), abs=1e-12)
+
+    def test_finite_data_near_the_float_range(self):
+        # the squares of -1e300 overflow the float range, the norms do not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mean_curvature_norm([[[-1e300]]], 1) == 1e300
+            assert alpha_norm([[[-1e300]]]) == 1e300
+            assert alpha_operator_norm([[[-1e300]]]) == 1e300
+            verdict = minimality_certificate([[[[-1e300]]]] * 2, 1)
+        assert verdict is MinimalityVerdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("s", POWERS_OF_TWO)
+    def test_norms_scale_with_the_operators_bit_for_bit(self, rng, s):
+        # entries from 1e-200 to 1e200, whose squares leave the float range
+        for _ in range(60):
+            q, p = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            A = 10.0 ** rng.uniform(-200.0, 200.0) * rng.uniform(-1.0, 1.0, size=(p, q, q))
+            for norm in (lambda A: mean_curvature_norm(A, q), alpha_norm, alpha_operator_norm):
+                assert bits(norm(s * A)) == bits(s * norm(A))
 
 
 class TestCylinderSplit:
@@ -556,8 +584,9 @@ def test_documented_argument_errors(call, error, match):
 
 
 def test_documented_empty_results():
-    # an empty family has no direction; no operator has operator norm 0
+    # an empty family has no direction; no operator, or operators of order
+    # 0, have operator norm 0
     empty = SplittingFamily(())
     assert (empty.q, empty.nu0) == (0, 0)
     assert find_special_nullity_direction(empty) is None
-    assert alpha_operator_norm([]) == 0.0
+    assert alpha_operator_norm([]) == alpha_operator_norm([np.zeros((0, 0))]) == 0.0
