@@ -4,22 +4,17 @@
 Prints one line per draw set: the case count, the count of raised blow-up
 guards and a sha256 over the bytes of every record (its int64 view) and the
 text of every guard message.  Each case of ``checks.riccati_cases`` and
-``checks.shape_cases`` runs alone (``riccati_path``, ``shape_ode_path``);
-then the Riccati cases run in the stacks that ``checks._batch`` builds for
-the ``check`` runs, and the shape cases, which the oracle steps one at a
-time, run again as one loop over the lone cases that stops at the first
-guard; both record in case order.  The next line gives the int64 view, in
+``checks.shape_cases`` runs through the public oracle, ``riccati_path`` or
+``shape_ode_path``, in case order.  The next line gives the int64 view, in
 hex, of ``riccati_deviation`` and ``shape_deviation`` on the same set, so a
 change to the closed-form side of the comparison shows there.  The sets are
 the draws of acceptance criteria 01 and 02 at step 2e-2, the ``check`` runs
 of seeds 0-7 at their default step 1e-3, a tripping set of q = 2..5 draws
 of both oracles at step 1e-3 whose every other case is scaled up (``C0``
 doubled, ``A0`` to a largest entry of ``2**26``), so that about a third of
-them reach the blow-up guard, and the lone q = 1 draws of
-``tests/conftest.py::rank_one_draws``.  The tripping set runs each case
-alone and, per q, the cases of that q together as above; it and the q = 1
-set, which runs alone only, have no deviation line.  The shape oracle is
-called through its public functions only.
+them reach the blow-up guard, and the q = 1 draws of
+``tests/conftest.py::rank_one_draws``; these two sets have no deviation
+line.
 
 Two source trees give the same oracle bits when the outputs diff clean:
 
@@ -45,8 +40,8 @@ class Fingerprint:
         self.guards = 0
 
     def run(self, oracle, *args) -> None:
-        """Hash the records of ``oracle(*args)``, a list of arrays or of
-        lists of arrays, or the message of the guard it raises."""
+        """Hash the records of ``oracle(*args)``, a list of arrays, or the
+        message of the guard it raises."""
         try:
             out = oracle(*args)
         except core.SingularJacobi as exc:
@@ -54,26 +49,17 @@ class Fingerprint:
             self.sha.update(str(exc).encode())
             return
         for rec in out:
-            for a in rec if isinstance(rec, list) else [rec]:
-                self.sha.update(np.ascontiguousarray(a, dtype=float).view(np.int64).tobytes())
+            self.sha.update(np.ascontiguousarray(rec, dtype=float).view(np.int64).tobytes())
 
 
-def shape_alone(A0, *case) -> list[np.ndarray]:
+def shape_path(A0, *case) -> list[np.ndarray]:
     return [np.stack(r.ops) for r in core.shape_ode_path(list(A0), *case)]
 
 
-def riccati_together(cases, step) -> list[list[np.ndarray]]:
-    return checks._batch(core._riccati_stack, cases, step)
-
-
-def shape_together(cases, step) -> list[list[np.ndarray]]:
-    return [shape_alone(*case, step) for case in cases]
-
-
-# (draws, one case alone, the cases together, the deviation) per oracle
+# (draws, the oracle of one case, the deviation) per oracle
 ORACLES = (
-    (checks.riccati_cases, core.riccati_path, riccati_together, checks.riccati_deviation),
-    (checks.shape_cases, shape_alone, shape_together, checks.shape_deviation),
+    (checks.riccati_cases, core.riccati_path, checks.riccati_deviation),
+    (checks.shape_cases, shape_path, checks.shape_deviation),
 )
 # (name, Riccati seed, shape seed, cases per oracle, step); None skips an oracle
 SETS = [
@@ -102,29 +88,25 @@ def line(name: str, cases: int, fp: Fingerprint) -> str:
 def main() -> int:
     for name, *seeds, count, step in SETS:
         fp, devs = Fingerprint(), []
-        for seed, (draw, alone, together, deviation) in zip(seeds, ORACLES):
+        for seed, (draw, oracle, deviation) in zip(seeds, ORACLES):
             if seed is not None:
-                cases = draw(np.random.default_rng(seed), count)
-                for case in cases:
-                    fp.run(alone, *case, step)
-                fp.run(together, cases, step)
+                for case in draw(np.random.default_rng(seed), count):
+                    fp.run(oracle, *case, step)
                 worst = np.float64(deviation(np.random.default_rng(seed), count, step))
                 devs.append(f"{deviation.__name__}={int(worst.view(np.int64)):#018x}")
         print(line(name, count * len(devs), fp))
         print("  " + " ".join(devs))
     fp, total = Fingerprint(), 0
-    for cases, (_, alone, together, _) in zip(tripping_cases(), ORACLES):
+    for cases, (_, oracle, _) in zip(tripping_cases(), ORACLES):
         total += len(cases)
         for case in cases:
-            fp.run(alone, *case, 1e-3)
-        for q in range(2, 6):
-            fp.run(together, [case for case in cases if case[-2].shape[0] == q], 1e-3)
+            fp.run(oracle, *case, 1e-3)
     print(line("tripping riccati+shape step=1e-3", total, fp))
     draws = rank_one_draws()
     fp = Fingerprint()
     for case in draws:
         fp.run(core.riccati_path, *case)
-    print(line("rank-one riccati alone", len(draws), fp))
+    print(line("rank-one riccati", len(draws), fp))
     return 0
 
 

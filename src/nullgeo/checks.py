@@ -28,9 +28,9 @@ from .core import (
     _Evolution,
     _asymmetry,
     _jacobi,
-    _riccati_stack,
     _shape_path,
     max_invertible_time,
+    riccati_path,
 )
 from .sampling import random_compatible_pair, random_splitting_tensor
 from .theorems import (
@@ -130,32 +130,16 @@ def shape_cases(rng: np.random.Generator, count: int) -> list[tuple]:
             for c, (A0, C0) in zip(cycle(CURVATURES), pairs)]
 
 
-def _batch(stack, cases, step: float) -> list[list[np.ndarray]]:
-    """The records of ``stack(*arguments, step)``, the Riccati stepper, for
-    each case, in case order.  The cases whose arguments share their shapes
-    are stepped together, the groups in order of first appearance."""
-    groups: dict = {}
-    for i, case in enumerate(cases):
-        groups.setdefault(tuple(map(np.shape, case)), []).append(i)
-    paths = {}
-    for group in groups.values():
-        paths.update(zip(group, stack(*zip(*(cases[i] for i in group)), step)))
-    return [paths[i] for i in range(len(cases))]
-
-
 def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
     """Largest entry gap between the closed-form C(t) and an RK4 solution of
-    C' = C^2 + c I with the given step, over ``riccati_cases(rng, count)``.
-
-    The Riccati cases are stepped in stacks of one shape (:func:`_batch`),
-    and each case's records are compared with the closed form on its whole
-    grid in one call, which gives each time the bits of
-    :func:`splitting_tensor_at`; :func:`sample_grid` keeps every time at or
-    below 0.8 of the first singular time.  The gap is a maximum, the same in
-    any case order."""
-    cases = riccati_cases(rng, count)
+    C' = C^2 + c I with the given step, over ``riccati_cases(rng, count)``:
+    each case is stepped alone by :func:`riccati_path`, and compared with
+    the closed form on its whole grid in one call, which gives each time the
+    bits of :func:`splitting_tensor_at`; :func:`sample_grid` keeps every
+    time at or below 0.8 of the first singular time."""
     worst = 0.0
-    for (c, C0, ts), path in zip(cases, _batch(_riccati_stack, cases, step)):
+    for c, C0, ts in riccati_cases(rng, count):
+        path = riccati_path(c, C0, ts, step)
         worst = max(worst, float(np.abs(_Evolution(c, C0).splitting(ts) - path).max()))
     return worst
 

@@ -163,6 +163,8 @@ def _smat(C0) -> np.ndarray:
     m = np.asarray(C0, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"splitting tensor must be square, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("splitting tensor entries must be finite")
     return m
 
 
@@ -192,17 +194,18 @@ def _asymmetry(m: np.ndarray) -> float:
     return d / np.maximum.reduce(np.abs(m), None) if d else d
 
 
-def _unit_scale(m: np.ndarray) -> np.ndarray:
-    """m times the power of two that brings its largest entry into [1/2, 1)."""
-    return np.ldexp(m, -math.frexp(np.maximum.reduce(np.abs(m), None, initial=0.0))[1])
+def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """m times the 2**-e that brings its largest entry into [1/2, 1), and e."""
+    e = math.frexp(np.maximum.reduce(np.abs(m), None, initial=0.0))[1]
+    return np.ldexp(m, -e), e
 
 
 def _spectrum(M: np.ndarray) -> tuple[np.ndarray, float]:
     """The eigenvalues of M and its spectral radius, taken on M's unit
     scaling (:func:`_unit_scale`) and scaled back: exact, so 2**k M gives
     2**k times both bit for bit, as eigvals of 2**k M does not."""
-    e = math.frexp(np.maximum.reduce(np.abs(M), None, initial=0.0))[1]
-    w = np.linalg.eigvals(np.ldexp(M, -e))
+    M, e = _unit_scale(M)
+    w = np.linalg.eigvals(M)
     return np.ldexp(w.view(float), e).view(w.dtype), math.ldexp(np.abs(w).max(initial=0.0), e)
 
 
@@ -220,7 +223,7 @@ def _real_parts(w: np.ndarray, rho: float) -> list[float]:
 
 def real_eigenvalues(M: np.ndarray) -> list[float]:
     """Real part of the eigenvalues whose imaginary part is negligible."""
-    return _real_parts(*_spectrum(np.asarray(M, dtype=float)))
+    return _real_parts(*_spectrum(_smat(M)))
 
 
 # ---------------------------------------------------------------------------
@@ -544,88 +547,70 @@ def _rk4_segments(times, step: float):
 
 
 class _Stack:
-    """The step schedule of cases that are stepped together, built once,
-    and the block driver of their RK4 steppers.
+    """The step schedule of one case, built once, and the block driver of
+    its RK4 stepper.
 
-    Each case keeps its own :func:`_rk4_segments` schedule, laid out over
-    the steps of the stack: ``h[k, s]`` is the size of step ``s`` of case
-    ``k`` and ``t0[k, s]`` its start, ``t += h`` from the start of its
-    segment (``np.add.accumulate`` adds in order), so ``t0 + h`` is the
-    integrator's time at the end of the step bit for bit.  ``ends[k]`` holds
-    the step count at each record of case ``k``: its segment bounds.  A
-    case's step size changes only at its own records, so between two
-    consecutive record counts of the stack every case takes steps of one
-    size; a case with fewer steps than the longest one takes ``h = 0``
-    steps after its last record (``t0 = 0`` there), which leave a finite
-    state unchanged.
+    ``h[s]`` is the size of step ``s`` and ``t0[s]`` its start, ``t += h``
+    from the start of its :func:`_rk4_segments` segment (``np.add.accumulate``
+    adds in order), so ``t0 + h`` is the integrator's time at the end of the
+    step bit for bit.  ``ends`` holds the step count at each record.
 
-    :meth:`run` takes the steps in blocks that end at every record count of
-    the stack and at every multiple of ``_STAGE_CHUNK``.  ``H`` is the
-    history of a block: ``H[0]`` holds the stacked state ``Y`` at its start,
-    and the stepper writes the state after the block's ``i``-th step into
-    ``H[i]``.  The blow-up guard is one :meth:`check` of the history per
-    block.
+    :meth:`run` takes the steps in blocks that end at every record count
+    and at every multiple of ``_STAGE_CHUNK``, so all the steps of a block
+    have the size ``h[s0]`` of its first.  ``H`` is the history of a block:
+    ``H[0]`` holds the state ``Y`` at its start, and the stepper writes the
+    state after the block's ``i``-th step into ``H[i]``.  The blow-up guard
+    is one :meth:`check` of the history per block.
     """
 
     def __init__(self, times, step: float, Y: np.ndarray):
-        segs = [list(_rk4_segments(list(ts), step)) for ts in times]
-        self.ends = [list(accumulate(n for _, n, _ in seg)) for seg in segs]
-        self.steps = max([0, *(ends[-1] for ends in self.ends if ends)])
-        self.h = np.zeros((len(segs), self.steps))
-        self.t0 = np.zeros((len(segs), self.steps))
-        self.due: dict[int, list[tuple[int, int]]] = {}
-        for k, (seg, ends) in enumerate(zip(segs, self.ends)):
-            for j, ((t, n, h), s1) in enumerate(zip(seg, ends)):
-                self.due.setdefault(s1, []).append((k, j))
-                if n:
-                    starts = np.full(n, h)
-                    starts[0] = t
-                    self.h[k, s1 - n:s1] = h
-                    self.t0[k, s1 - n:s1] = np.add.accumulate(starts)
-        self.H = np.empty((min(_STAGE_CHUNK, max(1, self.steps)) + 1, *Y.shape))
+        seg = list(_rk4_segments(times, step))
+        self.ends = list(accumulate(n for _, n, _ in seg))
+        self.h = np.empty(self.ends[-1] if self.ends else 0)
+        self.t0 = np.empty_like(self.h)
+        for (t, n, h), s1 in zip(seg, self.ends):  # n = 0 assigns nothing
+            self.h[s1 - n:s1] = h
+            self.t0[s1 - n:s1] = np.add.accumulate([t, *[h] * (n - 1)])
+        self.H = np.empty((min(_STAGE_CHUNK, max(1, len(self.h))) + 1, *Y.shape))
         self.H[0] = Y
 
-    def run(self, advance) -> list[list[np.ndarray]]:
-        """Record each case at its record times.  ``advance(s0, s1)`` takes
-        the steps ``s0 .. s1 - 1`` of one block from the state ``H[0]``,
-        writing each state into the history.  Blocks end at every record
-        count, so one case takes the steps of a block in one segment, all of
-        size ``h[0, s0]``: :func:`_shape_path` relies on this.  The steps
-        past a trip are discarded, so they must not warn: the numpy steppers
-        take them under ``np.errstate(all="ignore")``, and float arithmetic
-        never warns."""
-        out = [[None] * len(ends) for ends in self.ends]
-        H, done = self.H, 0
-        for stop in sorted(self.due):
+    def run(self, advance) -> list[np.ndarray]:
+        """The state at each record time.  ``advance(s0, s1)`` takes the
+        steps ``s0 .. s1 - 1`` of one block from the state ``H[0]``, writing
+        each state into the history.  The steps past a trip are discarded,
+        so they must not warn: the numpy steppers take them under
+        ``np.errstate(all="ignore")``, and float arithmetic never warns."""
+        out, H, done = [], self.H, 0
+        for stop in self.ends:
             while done < stop:
                 end = min(stop, done - done % _STAGE_CHUNK + _STAGE_CHUNK)
                 advance(done, end)
                 self.check(done, end - done)
                 H[0] = H[end - done]
                 done = end
-            for k, j in self.due[stop]:
-                out[k][j] = H[0, k].copy()
+            out.append(H[0].copy())
         return out
 
     def check(self, s0: int, n: int) -> None:
         """Raise :class:`SingularJacobi` if an entry of the history
         ``H[1:n + 1]`` of the steps ``s0 .. s0 + n - 1`` reached
-        ``RICCATI_BLOWUP`` in magnitude or is NaN, for the first such step
-        and its first such case, named at its own time as if run alone: the
-        guard of all three steppers.  ``max`` and ``min`` are exact, and a
-        NaN fails both comparisons."""
+        ``RICCATI_BLOWUP`` in magnitude or is NaN, for the first such step:
+        the guard of all three steppers.  ``max`` and ``min`` are exact, and
+        a NaN fails both comparisons."""
         B = self.H[1:n + 1]
         if B.max() < RICCATI_BLOWUP and -RICCATI_BLOWUP < B.min():
             return
-        m = np.abs(B.reshape(n, B.shape[1], -1)).max(axis=2)
-        i, k = np.argwhere(~(m < RICCATI_BLOWUP))[0]
-        m, t = m[i, k], self.t0[k, s0 + i] + self.h[k, s0 + i]  # the case's own time
-        raise SingularJacobi(f"trajectory norm {m:.3g} exceeded blow-up guard near t={t:.6g}")
+        m = np.abs(B.reshape(n, -1)).max(axis=1)
+        i = np.flatnonzero(~(m < RICCATI_BLOWUP))[0]
+        t = self.t0[s0 + i] + self.h[s0 + i]
+        raise SingularJacobi(f"trajectory norm {m[i]:.3g} exceeded blow-up guard near t={t:.6g}")
 
 
-def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
-    """RK4 paths of C' = C^2 + c I for cases ``(cs[k], C0s[k])`` of one size,
-    each recorded at its own ``times[k]`` and advanced together.
+def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
+    """RK4 integration of the Riccati equation C' = C^2 + c I, recorded at
+    the given times.  Independent oracle for :func:`splitting_tensor_at`.
+    Raises :class:`SingularJacobi` once an entry of C reaches
+    ``RICCATI_BLOWUP``.
 
     The step arithmetic is the textbook
 
@@ -633,38 +618,25 @@ def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
         k4 = f(y + h k3),  y <- y + (h/6) (k1 + 2 k2 + 2 k3 + k4),
 
     term by term in this order, with 2 k2 and 2 k3 computed in one call as
-    k + k (the same bits), so a case gives the same bits alone as in any
-    stack, and those of the textbook loop ``rk4_path`` of
+    k + k (the same bits): the bits of ``rk4_path`` of
     ``tests/conftest.py``.  For q >= 2 the terms are written into buffers
-    held across steps, and the final add writes the new state into the next
-    row of the history of :class:`_Stack`, which checks the blow-up guard
-    once per block.  One case runs on 2-D arrays with ``ndarray.dot`` and
-    0-d step factors, a stack with ``np.matmul`` and one factor per case.
-
-    Cases with q = 1, alone or stacked, are the scalar ODE y' = y^2 + c,
-    stepped on Python floats case by case; a 1x1 product is the plain
-    product, so the float steps give the same bits.  For 1000 steps of
-    K = 1, 3, 41 and 300 cases, floats took 0.4, 1.1, 15 and 140 ms and
-    numpy 22, 18, 18 and 32 ms (medians of three runs; one Xeon core, numpy
-    2.4): floats are faster up to about 40 stacked cases, slower beyond.
+    held across steps, with ``ndarray.dot`` and 0-d step factors, the new
+    state into the next row of the history of :class:`_Stack`.  For q = 1
+    the scalar ODE y' = y^2 + c steps on Python floats
+    (:func:`_scalar_advance`), as a 1x1 product is the plain product.
     """
-    Y = np.array(C0s, dtype=float)
+    c, Y = _curv(c), _smat(C0)
     stack = _Stack(times, step, Y)
-    if Y.shape[1] == 1:
-        return stack.run(_scalar_advance(stack, [float(c) for c in cs]))
-    ce = np.array(cs, dtype=float)[:, None, None] * np.eye(Y.shape[1])
-    one = len(Y) == 1
-    lead, fshape = (0, ()) if one else (slice(None), (-1, 1, 1))  # one case: no case axis
-    rows, ce, mm = list(stack.H[:, lead]), ce[lead], np.ndarray.dot if one else np.matmul
-    ks = np.empty((4, *ce.shape))
-    k1, k2, k3, k4 = ks
+    if Y.shape[0] == 1:
+        return stack.run(_scalar_advance(stack, c))
+    rows, ce, u = list(stack.H), c * np.eye(len(Y)), np.empty_like(Y)
+    k1, k2, k3, k4 = ks = np.empty((4, *Y.shape))
     k23 = ks[1:3]
-    u = np.empty_like(ce)
-    add, mul = np.add, np.multiply
+    add, mul, mm = np.add, np.multiply, np.ndarray.dot
 
     def advance(s0: int, s1: int) -> None:
-        h = stack.h[:, s0]
-        h1, h2, h6 = (x.reshape(fshape) for x in (h, 0.5 * h, h / 6.0))
+        h = stack.h[s0]
+        h1, h2, h6 = np.array(h), np.array(0.5 * h), np.array(h / 6.0)
         with np.errstate(all="ignore"):
             for y, nxt in zip(rows, rows[1:s1 - s0 + 1]):
                 mm(y, y, k1)
@@ -691,40 +663,31 @@ def _riccati_stack(cs, C0s, times, step: float) -> list[list[np.ndarray]]:
     return stack.run(advance)
 
 
-def _scalar_advance(stack: _Stack, cs: list[float]):
-    """The stepper of :func:`_riccati_stack` for cases of shape ``(1, 1)``:
-    the same textbook RK4 arithmetic on Python floats, each case in turn
-    over the steps of a block, every state written into the history.  Past
-    a trip, float arithmetic goes on to inf and NaN without raising or
-    warning, and the block check of :class:`_Stack` judges the history as
-    it does for the numpy steppers."""
-    H = stack.H.reshape(len(stack.H), -1)
+def _scalar_advance(stack: _Stack, c: float):
+    """The stepper of :func:`riccati_path` for a ``(1, 1)`` case: the same
+    textbook RK4 arithmetic on Python floats, every state of a block written
+    into the history.  Past a trip, float arithmetic goes on to inf and NaN
+    without raising or warning, and :meth:`_Stack.check` judges the history
+    as it does for the numpy steppers."""
+    H = stack.H.reshape(-1)
 
     def advance(s0: int, s1: int) -> None:
-        for k, (y, c, h) in enumerate(zip(H[0].tolist(), cs, stack.h[:, s0].tolist())):
-            h2, h6 = 0.5 * h, h / 6.0
-            ys = []
-            for _ in range(s0, s1):
-                k1 = y * y + c
-                u = y + h2 * k1
-                k2 = u * u + c
-                u = y + h2 * k2
-                k3 = u * u + c
-                u = y + h * k3
-                k4 = u * u + c
-                y = y + h6 * (((k1 + (k2 + k2)) + (k3 + k3)) + k4)
-                ys.append(y)
-            H[1:s1 - s0 + 1, k] = ys
+        y, h = float(H[0]), float(stack.h[s0])
+        h2, h6 = 0.5 * h, h / 6.0
+        ys = []
+        for _ in range(s0, s1):
+            k1 = y * y + c
+            u = y + h2 * k1
+            k2 = u * u + c
+            u = y + h2 * k2
+            k3 = u * u + c
+            u = y + h * k3
+            k4 = u * u + c
+            y = y + h6 * (((k1 + (k2 + k2)) + (k3 + k3)) + k4)
+            ys.append(y)
+        H[1:s1 - s0 + 1] = ys
 
     return advance
-
-
-def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
-    """RK4 integration of the Riccati equation C' = C^2 + c I, recorded at
-    the given times.  Independent oracle for :func:`splitting_tensor_at`.
-    Raises :class:`SingularJacobi` once an entry of C reaches
-    ``RICCATI_BLOWUP``."""
-    return _riccati_stack([_curv(c)], [_smat(C0)], [times], step)[0]
 
 
 def _step_matrices(ev: _Evolution, t0: np.ndarray, h: float) -> np.ndarray:
@@ -747,24 +710,23 @@ def _step_matrices(ev: _Evolution, t0: np.ndarray, h: float) -> np.ndarray:
 
 def _shape_path(A0, c: float, C0: np.ndarray, times, step: float) -> list[np.ndarray]:
     """:func:`shape_ode_path` of the ``(p, q, q)`` stack ``A0``, p >= 1, one
-    stack per record.  A block of :meth:`_Stack.run` lies in one segment of
-    this lone case, so its step matrices are one :func:`_step_matrices`
-    call.  One operator steps on 2-D arrays with ``ndarray.dot``, more
-    with ``np.matmul``."""
-    stack = _Stack([times], step, A0[None])
+    stack per record.  A block of :meth:`_Stack.run` lies in one segment,
+    so its step matrices are one :func:`_step_matrices` call.  One operator
+    steps on 2-D arrays with ``ndarray.dot``, more with ``np.matmul``."""
+    stack = _Stack(times, step, A0)
     ev = _Evolution(c, C0)
     if len(A0) == 1:  # (q, q) @ (q, q)
-        rows, mm = list(stack.H[:, 0, 0]), np.ndarray.dot
+        rows, mm = list(stack.H[:, 0]), np.ndarray.dot
     else:  # (p, q, q) @ (q, q)
-        rows, mm = list(stack.H[:, 0]), np.matmul
+        rows, mm = list(stack.H), np.matmul
 
     def advance(s0: int, s1: int) -> None:
         with np.errstate(all="ignore"):
-            R = _step_matrices(ev, stack.t0[0, s0:s1], stack.h[0, s0])
+            R = _step_matrices(ev, stack.t0[s0:s1], stack.h[s0])
             for Y, Ri, nxt in zip(rows, R, rows[1:]):
                 mm(Y, Ri, nxt)
 
-    return stack.run(advance)[0]
+    return stack.run(advance)
 
 
 def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSet]:
@@ -804,13 +766,13 @@ def is_codazzi_compatible(A0, C0) -> bool:
     C0, A_xi and each product multiplied again are scaled by a power of two
     to a largest entry in [1/2, 1): exact, and every product stays in range.
     """
-    C0 = _unit_scale(_smat(C0))
+    C0 = _unit_scale(_smat(C0))[0]
     q = C0.shape[0]
     for m in _ops(A0):
-        m = _unit_scale(m)
+        m = _unit_scale(m)[0]
         for k in range(1, q + 1):
             if not _asymmetry(m) <= SYM_TOL:
                 return False
             if k < q:
-                m = m @ C0 if k + 1 == q else _unit_scale(m @ C0)
+                m = m @ C0 if k + 1 == q else _unit_scale(m @ C0)[0]
     return True

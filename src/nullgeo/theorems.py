@@ -21,6 +21,7 @@ from .core import (
     _ops,
     _singular,
     _squares,
+    _unit_scale,
 )
 
 __all__ = [
@@ -247,25 +248,18 @@ def theorem1_pipeline(family: SplittingFamily, A0, c) -> DecayReport:
 # curvature bookkeeping
 # ---------------------------------------------------------------------------
 
-def _unit_ops(A) -> tuple[np.ndarray, int]:
-    """The stack of the shape operators ``A`` times the 2**-e that brings its
-    largest entry into [1/2, 1), and e.  The norms below are of degree one:
-    taken on it and scaled back (:func:`_scale_back`), they keep finite
-    squares on finite data, their bits where no square leaves the float
-    range, and 2**k A gives 2**k times each of them bit for bit."""
-    A = np.array(_ops(A))
-    e = math.frexp(np.abs(A).max(initial=0.0))[1]
-    return np.ldexp(A, -e), e
-
-
 def _scale_back(x: float, e: int) -> float:
-    with np.errstate(over="ignore"):  # x 2**e, inf past the float range
+    """x 2**e, inf past the float range.  The norms below, of degree one,
+    are taken on the :func:`_unit_scale` of the operators and scaled back:
+    finite squares on finite data, their bits where no square leaves the
+    float range, and 2**k times each of them for 2**k A, bit for bit."""
+    with np.errstate(over="ignore"):
         return float(np.ldexp(x, e))
 
 
 def mean_curvature_norm(A, n: int) -> float:
     """||H|| = (1/n) sqrt(sum_xi (trace A_xi)^2) for full n x n operators."""
-    A, e = _unit_ops(A)
+    A, e = _unit_scale(np.array(_ops(A)))
     if n < 1:
         raise ValueError("n must be >= 1")
     return _scale_back(math.sqrt(sum(float(np.trace(m)) ** 2 for m in A)) / n, e)
@@ -273,14 +267,14 @@ def mean_curvature_norm(A, n: int) -> float:
 
 def alpha_norm(A) -> float:
     """Frobenius norm of the second fundamental form: sqrt(sum ||A_xi||_F^2)."""
-    A, e = _unit_ops(A)
+    A, e = _unit_scale(np.array(_ops(A)))
     return _scale_back(math.sqrt(sum(float(np.sum(m * m)) for m in A)), e)
 
 
 def alpha_operator_norm(A) -> float:
     """sup over unit X of ||alpha(X, .)||, i.e. sqrt of the largest eigenvalue
     of sum_xi A_xi^T A_xi.  Used as the bounded-away-from-zero measure."""
-    A, e = _unit_ops(A)
+    A, e = _unit_scale(np.array(_ops(A)))
     if not A.size:  # no operator, or operators of order 0
         return 0.0
     w = np.linalg.eigvalsh(sum(m.T @ m for m in A))
@@ -289,13 +283,30 @@ def alpha_operator_norm(A) -> float:
 
 def scalar_curvature(A, n: int, c) -> float:
     """Scalar curvature via the traced Gauss equation:
-    s = c + n/(n-1) ||H||^2 - ||alpha||^2 / (n(n-1))."""
+    s = c + n/(n-1) ||H||^2 - ||alpha||^2 / (n(n-1)).
+
+    Where a term leaves the float range, the Gauss part n/(n-1) ||H||^2 -
+    ||alpha||^2 / (n(n-1)) is taken on the :func:`_unit_scale` of the
+    operators and scaled back, so finite data give a finite value or
+    +-inf."""
     if n < 2:
         raise ValueError("n must be >= 2")
     c = _curv(c)
-    h = mean_curvature_norm(A, n)
-    a2 = alpha_norm(A) ** 2
-    return c + (n / (n - 1)) * h * h - a2 / (n * (n - 1))
+
+    def terms(A):
+        h = mean_curvature_norm(A, n)
+        return (n / (n - 1)) * h * h, alpha_norm(A) ** 2 / (n * (n - 1))
+
+    try:
+        x, y = terms(A)
+    except OverflowError:  # ||alpha||^2 past the float range
+        x = y = math.inf
+    s = c + x - y
+    if math.isfinite(s):
+        return s
+    A, e = _unit_scale(np.array(_ops(A)))
+    x, y = terms(A)
+    return c + _scale_back(x - y, 2 * e)
 
 
 class MinimalityVerdict(str, Enum):

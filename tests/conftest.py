@@ -38,7 +38,7 @@ def rk4_second_order(c, C0, t_end, n_steps=2000):
 
 def rk4_path(f, y0, times, step, guard_norm):
     """Textbook RK4 integration of y' = f(t, y) from t = 0, recording y at
-    each of the sorted ``times``: the reference for the library's stacked
+    each of the sorted ``times``: the reference for the library's
     steppers, which must give its bits.  Steps never exceed ``step`` and land
     exactly on every record time; the run stops with ``SingularJacobi`` once
     max |y| reaches ``guard_norm`` (or is NaN)."""

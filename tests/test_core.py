@@ -19,7 +19,6 @@ from nullgeo.core import (
     _COSH_MAX,
     _STAGE_CHUNK,
     _Evolution,
-    _riccati_stack,
     _Stack,
     _spectrum,
     is_codazzi_compatible,
@@ -33,9 +32,9 @@ from nullgeo.core import (
     splitting_tensor_at,
 )
 from nullgeo.checks import (
-    SKEW2, WORKED_FAMILY, _batch, riccati_cases, riccati_deviation, shape_cases, shape_deviation,
+    SKEW2, WORKED_FAMILY, riccati_cases, riccati_deviation, shape_cases, shape_deviation,
 )
-from nullgeo.classify import decay_report, sign_balance_check
+from nullgeo.classify import classify_splitting_spectrum, decay_report, sign_balance_check
 from nullgeo.sampling import random_compatible_pair
 from nullgeo.theorems import (
     alpha_norm, alpha_operator_norm, mean_curvature_norm, minimality_certificate,
@@ -397,6 +396,28 @@ class TestGridEvaluator:
             ev.check([-0.4])
 
 
+def textbook_trip(c, C0, times, step):
+    """Assert that ``riccati_path`` gives the records, or the guard message,
+    of the textbook RK4; return the step at which the guard trips, or None."""
+    C0, calls = np.asarray(C0, dtype=float), []
+
+    def f(_t, C):
+        calls.append(None)
+        return C @ C + c * np.eye(len(C))
+
+    try:
+        ref = rk4_path(f, C0, times, step, RICCATI_BLOWUP)
+    except SingularJacobi as exc:  # after the four calls of its step
+        with pytest.raises(SingularJacobi) as got:
+            riccati_path(c, C0, times, step)
+        assert str(got.value) == str(exc)
+        return len(calls) // 4 - 1
+    got = riccati_path(c, C0, times, step)
+    assert len(got) == len(ref) == len(times)
+    assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, ref))
+    return None
+
+
 class TestRiccatiFlow:
     def test_zero_fixed_point(self):
         C = riccati_path(0.0, np.zeros((2, 2)), [3.0])[-1]
@@ -425,36 +446,13 @@ class TestRiccatiFlow:
             C0 = rng.uniform(-1.0, 1.0, size=(q, q))
             span = min(0.8 * max_invertible_time(c, C0), 5.0)
             times = [span * k / 5 for k in range(1, 6)]
-            ref = rk4_path(lambda _t, C: C @ C + c * np.eye(q), C0, times, 2e-2, RICCATI_BLOWUP)
-            got = riccati_path(c, C0, times, step=2e-2)
-            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, ref))
+            assert textbook_trip(c, C0, times, 2e-2) is None
 
     def test_lone_rank_one_case_is_textbook_rk4(self):
-        # a lone q = 1 case steps on Python floats; records and guard
-        # messages are those of the textbook RK4 on 1x1 arrays
-        calm = {}
-        for c, C0, times, step in rank_one_draws():
-            def f(_t, C, c=c):
-                return C @ C + c * np.eye(1)
-
-            try:
-                ref = rk4_path(f, C0, times, step, RICCATI_BLOWUP)
-            except SingularJacobi as exc:
-                with pytest.raises(SingularJacobi) as got:
-                    riccati_path(c, C0, times, step)
-                assert str(got.value) == str(exc)
-                continue
-            got = riccati_path(c, C0, times, step)
-            assert len(got) == len(ref) == 4
-            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(got, ref))
-            calm.setdefault(step, []).append((c, C0, times, got))
-        # q = 1 stacks of K >= 2 step on floats too, case by case, and give
-        # the same bits
-        for step, cases in calm.items():
-            cs, C0s, times, alone = zip(*cases)
-            assert len(cases) >= 2
-            for path, ref in zip(_riccati_stack(cs, C0s, times, step), alone):
-                assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(path, ref))
+        # a q = 1 case steps on Python floats; records and guard messages
+        # are those of the textbook RK4 on 1x1 arrays
+        for case in rank_one_draws():
+            textbook_trip(*case)
 
 
 class TestShapeOdeFlow:
@@ -483,9 +481,8 @@ class TestShapeOdeFlow:
         times = [0.3, 0.3, 1.25, 2.0]
         seen = []
         rk4_path(lambda t, y: seen.append(t) or 0.0 * y, np.zeros(1), times, 1e-3, 1.0)
-        stack = _Stack([times], 1e-3, np.zeros(1))
-        live = stack.h[0] > 0.0
-        t0, h = stack.t0[0][live], stack.h[0][live]
+        stack = _Stack(times, 1e-3, np.zeros(1))
+        t0, h = stack.t0, stack.h
         assert set(seen) == {*t0, *(t0 + 0.5 * h), *(t0 + h)}
         grids, splitting = [], _Evolution.splitting
         monkeypatch.setattr(
@@ -554,42 +551,40 @@ DEVIATION_DRAWS = pytest.mark.parametrize(
     [(101, 102, 200)] + [([s, 100], [s, 200], 5) for s in range(8)],
     ids=["criteria-01-02"] + [f"check-seed-{s}" for s in range(8)],
 )
-STACK_STEP = 2e-2  # the arithmetic of a step does not depend on its size
+COARSE_STEP = 2e-2  # the arithmetic of a step does not depend on its size
 
 
 class TestStackedOracles:
-    """Riccati cases stepped together as one stack give the bits of each
-    case stepped alone, and both deviations are those of the case-by-case
-    loop."""
+    """Both deviations are those of the case-by-case, time-by-time loop;
+    the oracles' records and guard messages are those of the textbook RK4;
+    the closed forms evaluated on stacked grids give the bits of the
+    per-time arithmetic."""
 
     @DEVIATION_DRAWS
-    def test_riccati_stacks_match_stacks_of_one(self, ric_seed, shape_seed, count):
+    def test_riccati_deviation_is_the_per_time_loop(self, ric_seed, shape_seed, count):
         cases = riccati_cases(np.random.default_rng(ric_seed), count)
-        alone = [riccati_path(*case, STACK_STEP) for case in cases]
-        for path, one in zip(_batch(_riccati_stack, cases, STACK_STEP), alone, strict=True):
-            assert len(path) == len(one) == 5
-            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(path, one))
         worst = 0.0
-        for (c, C0, ts), path in zip(cases, alone):
+        for c, C0, ts in cases:
+            path = riccati_path(c, C0, ts, COARSE_STEP)
+            assert len(path) == 5
             for t, Ct in zip(ts, path):
                 worst = max(worst, float(np.abs(splitting_tensor_at(c, C0, t).mat - Ct).max()))
-        got = riccati_deviation(np.random.default_rng(ric_seed), count, STACK_STEP)
+        got = riccati_deviation(np.random.default_rng(ric_seed), count, COARSE_STEP)
         assert bits(got) == bits(worst)
 
     @DEVIATION_DRAWS
     def test_shape_deviation_is_the_per_time_loop(self, ric_seed, shape_seed, count):
-        # the shape oracle steps each case alone
         cases = shape_cases(np.random.default_rng(shape_seed), count)
-        alone = [shape_ode_path(list(A0), *case, STACK_STEP) for A0, *case in cases]
+        alone = [shape_ode_path(list(A0), *case, COARSE_STEP) for A0, *case in cases]
         worst = 0.0
         for (A0, c, C0, ts), path in zip(cases, alone):
             for t, At in zip(ts, path):
                 for x, y in zip(shape_operator_at(list(A0), c, C0, t).ops, At.ops):
                     worst = max(worst, float(np.abs(x - y).max()))
-        got = shape_deviation(np.random.default_rng(shape_seed), count, STACK_STEP)
+        got = shape_deviation(np.random.default_rng(shape_seed), count, COARSE_STEP)
         assert bits(got) == bits(worst)
 
-    def test_mixed_schedules_pad_only_after_the_last_record(self, rng):
+    def test_mixed_schedules_are_textbook_rk4(self, rng):
         for cs, times, step in [
             # a repeated time, a record at 0 and schedules of different lengths
             ([1.0, -1.0, 0.0], [[0.0, 0.3, 0.3, 0.9], [0.05], [0.2, 1.7]], 1e-2),
@@ -597,112 +592,65 @@ class TestStackedOracles:
             # |eigenvalues of C0| < 1 = sqrt(-c) keeps J invertible
             ([-1.0, -1.0], [[0.3, 0.3, 1.25, 2.0], [0.7, 3.1]], 1e-3),
         ]:
-            C0s = [0.3 * rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in cs]
-            stacked = _riccati_stack(cs, C0s, times, step)
-            for c, C0, ts, path in zip(cs, C0s, times, stacked):
-                alone = riccati_path(c, C0, ts, step)
-                assert all(np.array_equal(bits(a), bits(b)) for a, b in zip(path, alone))
+            for c, ts in zip(cs, times):
+                assert textbook_trip(c, 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3)), ts, step) is None
 
-    def test_guard_in_a_stack_names_the_crossing_case_as_alone(self, rng):
-        # C = diag(2, -3) / (1 - diag(2, -3) t) blows up at t = 0.5; the other
-        # cases of the stack run longer and stay bounded
-        blow = np.diag([2.0, -3.0])
-        with pytest.raises(SingularJacobi) as alone:
-            riccati_path(0.0, blow, [0.6])
-        calm = [0.1 * rng.uniform(-1.0, 1.0, size=(2, 2)) for _ in range(3)]
-        with pytest.raises(SingularJacobi) as stacked:
-            _riccati_stack([-1.0, 0.0, 1.0, 0.0], [*calm, blow],
-                           [[0.3, 1.0], [0.7], [0.2, 0.4, 0.9], [0.6]], 1e-3)
-        assert str(stacked.value) == str(alone.value)
-        assert "near t=0.5" in str(alone.value)
-
-    def test_tripping_rank_one_stack_names_the_first_step_and_case(self):
-        # q = 1 stacks step on floats, case by case: the guard still names
-        # the first tripping step and, within it, the first tripping case,
-        # with the message of that case run through the textbook RK4.  Cases
-        # 3 and 4 trip at step 400 with different norms, case 2 past the
-        # first 512-step block, case 5 one step later and case 0 never
+    def test_tripping_rank_one_cases_name_their_textbook_step(self):
+        # q = 1 cases step on Python floats, and a tripping one names the
+        # step of the textbook RK4 with its message.  Cases 3 and 4 trip at
+        # step 400 with different norms, case 2 past the first 512-step
+        # block, case 5 one step later and case 0 never
         cases = [
             (1.0, 0.1, [0.3, 1.0]), (-1.0, 2.5, [0.6]), (0.0, 1.5, [0.3, 0.9]),
             (0.0, 2.5, [0.2, 0.45]), (0.0, 2.499, [0.45]), (0.0, 2.498, [0.5]),
         ]
-        trips = []
-        for k, (c, y0, times) in enumerate(cases):
-            calls = []
+        trips = [textbook_trip(c, [[y0]], times, 1e-3) for c, y0, times in cases]
+        assert trips == [None, 424, 667, 400, 400, 401]
 
-            def f(_t, C, c=c):
-                calls.append(None)
-                return C @ C + c * np.eye(1)
-
-            try:
-                rk4_path(f, np.array([[y0]]), times, 1e-3, RICCATI_BLOWUP)
-            except SingularJacobi as exc:  # after the four calls of its step
-                trips.append((len(calls) // 4 - 1, k, str(exc)))
-        assert [s for s, _, _ in sorted(trips)] == [400, 400, 401, 424, 667]
-        for order in (cases, cases[::-1]):
-            first = min((s, order.index(cases[k]), msg) for s, k, msg in trips)
-            cs, y0s, times = zip(*order)
-            with pytest.raises(SingularJacobi) as got:
-                _riccati_stack(cs, [np.array([[y0]]) for y0 in y0s], times, 1e-3)
-            assert str(got.value) == first[2]
-
-    def test_steps_past_a_trip_raise_no_warning(self, rng):
+    def test_steps_past_a_trip_raise_no_warning(self):
         # each trip falls inside a block, which takes its later steps anyway:
-        # only the guard of the case run alone is raised, although the
-        # Riccati state overflows to inf and NaN within a few steps, on
-        # numpy arrays and on the floats of q = 1
-        blow = np.diag([2.0, -3.0])  # C blows up at t = 0.5: step 500 of [400, 512)
-        calm = [0.1 * rng.uniform(-1.0, 1.0, size=(2, 2)) for _ in range(3)]
-        calm1 = [m[:1, :1] for m in calm]
-        grow = 5.0001e7 * np.eye(2)  # A = grow / (1 - t): step 500 of [0, 512)
-        times = [[0.3, 1.0], [0.7], [0.2, 0.4, 0.9], [0.6]]
+        # only the guard is raised, although the Riccati state overflows to
+        # inf and NaN within a few steps, on numpy arrays and on the floats
+        # of q = 1.  C blows up at t = 0.5 and A = 5.0001e7 I / (1 - t)
+        # reaches the bound there: step 500 of [0, 512)
         runs = [
-            (lambda: riccati_path(0.0, blow, [0.6]),
-             lambda: _riccati_stack([-1.0, 0.0, 1.0, 0.0], [*calm, blow], times, 1e-3),
+            (lambda: riccati_path(0.0, np.diag([2.0, -3.0]), [0.6]),
              r"trajectory norm 1\.01e\+14 .* near t=0\.501$"),
             (lambda: riccati_path(0.0, [[2.0]], [0.6]),
-             lambda: _riccati_stack([-1.0, 0.0, 1.0, 0.0], [*calm1, [[2.0]]], times, 1e-3),
              r"trajectory norm 1\.01e\+14 .* near t=0\.501$"),
+            (lambda: shape_ode_path([5.0001e7 * np.eye(2)], 0.0, np.eye(2), [0.6]),
+             r"trajectory norm 1e\+08 .* near t=0\.5$"),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for alone, stacked, message in runs:
-                with pytest.raises(SingularJacobi, match=message) as one:
-                    alone()
-                with pytest.raises(SingularJacobi) as many:
-                    stacked()
-                assert str(many.value) == str(one.value)
-            with pytest.raises(SingularJacobi, match=r"trajectory norm 1e\+08 .* near t=0\.5$"):
-                shape_ode_path([grow], 0.0, np.eye(2), [0.6])
+            for run, message in runs:
+                with pytest.raises(SingularJacobi, match=message):
+                    run()
 
     @staticmethod
     def _tripping_history(rng, shape):
-        # eight steps of cases with their own step sizes, every entry of the
-        # history below the bound in magnitude
-        K = shape[0]
-        stack = _Stack([[1.0 - 0.002 * k] for k in range(K)], 0.125, np.zeros(shape))
-        assert stack.steps == 8 and np.all(stack.h > 0.0)
+        # eight steps of one case, every entry of the history below the
+        # bound in magnitude
+        stack = _Stack([1.0], 0.125, np.zeros(shape))
+        assert len(stack.h) == 8
         stack.H[1:] = 0.999 * RICCATI_BLOWUP * rng.uniform(-1.0, 1.0, size=(8, *shape))
-        return stack, stack.H.reshape(9, K, -1)
+        return stack, stack.H.reshape(9, -1)
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, RICCATI_BLOWUP, -RICCATI_BLOWUP]
     )
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 3), (7, 2, 2), (60, 2, 5, 5)])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 2), (2, 5, 5)])
     def test_guard_screen_never_clears_a_tripping_entry(self, rng, bad, shape):
         # max and min screen a block's history; the entry trips at the first
-        # step, at the last step, case and entry, or at a middle step that
-        # later steps bring back below the bound, and the first tripping step
-        # and case are named
-        K = shape[0]
-        for s, k, e in [(0, K // 2, 0), (7, K - 1, -1), (3, K // 2, math.prod(shape[1:]) // 2)]:
+        # step, at the last step and entry, or at a middle step that later
+        # steps bring back below the bound, and the first tripping step is
+        # named
+        for s, e in [(0, 0), (7, -1), (3, math.prod(shape) // 2)]:
             stack, H = self._tripping_history(rng, shape)
-            H[s + 1, k, e] = bad
-            if s == 0:  # the first case trips at the next step, the last case now
-                H[2, 0, 0] = 2.0 * RICCATI_BLOWUP
-                if k < K - 1:
-                    H[1, K - 1, -1] = 2.0 * RICCATI_BLOWUP
-            t = stack.t0[k, s] + stack.h[k, s]
+            H[s + 1, e] = bad
+            if s == 0:  # the next step trips too
+                H[2, -1] = 2.0 * RICCATI_BLOWUP
+            t = stack.t0[s] + stack.h[s]
             message = f"trajectory norm {abs(bad):.3g} exceeded blow-up guard near t={t:.6g}"
             with pytest.raises(SingularJacobi) as got:
                 stack.check(0, 8)
@@ -711,18 +659,19 @@ class TestStackedOracles:
     def test_block_check_passes_just_below_the_bound(self, rng):
         stack, H = self._tripping_history(rng, (3, 2, 2))
         H[1:] = np.nextafter(RICCATI_BLOWUP, 0.0)
-        H[1:, :, ::2] *= -1.0
+        H[1:, ::2] *= -1.0
         stack.check(0, 8)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, RICCATI_BLOWUP])
     def test_oracles_trip_on_nan_inf_and_the_bound_itself(self, value):
-        # C = 0 makes every step matrix I, so A keeps its entries exactly
+        # C = 0 makes every step matrix I, so A keeps its entries exactly;
+        # a NaN or inf C0 is a malformed argument of the Riccati oracle
         A0 = np.diag([value, 0.0])
         late = "near t=0.001$"  # the end of the first step
         with np.errstate(invalid="ignore"), pytest.raises(SingularJacobi, match=late):
             shape_ode_path([A0], 0.0, np.zeros((2, 2)), [0.5])
         if value != RICCATI_BLOWUP:
-            with np.errstate(invalid="ignore"), pytest.raises(SingularJacobi, match=late):
+            with pytest.raises(ValueError, match="^splitting tensor entries must be finite$"):
                 riccati_path(0.0, np.diag([value, 0.0]), [0.5])
         below = np.diag([np.nextafter(RICCATI_BLOWUP, 0.0), 0.0])
         (A,) = shape_ode_path([below], 0.0, np.zeros((2, 2)), [0.5])
@@ -965,6 +914,37 @@ class TestShapeOperatorInput:
     def test_no_operators_give_one_empty_set_per_time(self):
         path = shape_ode_path([], -1.0, self.C0, [0.1, 0.1, 0.4])
         assert [A.ops for A in path] == [(), (), ()]
+
+
+RAY = GeodesicDomain.ray()
+
+
+class TestSplittingTensorInput:
+    """Every function that takes ``C0`` raises ``ValueError`` for a NaN or
+    infinite entry, as for a non-finite ``c``: the LAPACK calls once raised
+    a bare ``LinAlgError``, and ``jacobi_tensor`` returned ``-inf``."""
+
+    TAKES_C0 = {
+        "SplittingTensor": SplittingTensor,
+        "jacobi_tensor": lambda C0: jacobi_tensor(0.0, C0, 1.0),
+        "jacobi_derivative": lambda C0: jacobi_derivative(0.0, C0, 1.0),
+        "max_invertible_time": lambda C0: max_invertible_time(0.0, C0),
+        "splitting_tensor_at": lambda C0: splitting_tensor_at(0.0, C0, 0.5),
+        "shape_operator_at": lambda C0: shape_operator_at([np.eye(2)], 0.0, C0, 0.5),
+        "riccati_path": lambda C0: riccati_path(0.0, C0, [0.5]),
+        "shape_ode_path": lambda C0: shape_ode_path([np.eye(2)], 0.0, C0, [0.5]),
+        "is_codazzi_compatible": lambda C0: is_codazzi_compatible([np.eye(2)], C0),
+        "real_eigenvalues": real_eigenvalues,
+        "classify_splitting_spectrum": lambda C0: classify_splitting_spectrum(0.0, C0, RAY),
+        "decay_report": lambda C0: decay_report([np.eye(2)], -1.0, C0, RAY),
+        "sign_balance_check": lambda C0: sign_balance_check([np.eye(2)], 1.0, C0),
+    }
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", sorted(TAKES_C0))
+    def test_non_finite_entries_are_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="^splitting tensor entries must be finite$"):
+            self.TAKES_C0[name]([[bad, 0.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize(

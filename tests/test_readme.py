@@ -9,7 +9,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def private_names(text: str) -> list[str]:
     """Names with exactly one leading underscore (``_spectrum``,
-    ``checks._batch``) inside backticks, fenced blocks included.  A name
+    ``core._smat``) inside backticks, fenced blocks included.  A name
     starts a span or follows a space, a dot or an opening bracket, and a
     letter follows its underscore: dunders such as ``__version__`` are
     public, and ``A<i>_norm`` is a column, not a name."""

@@ -340,6 +340,21 @@ class TestCurvatureBookkeeping:
             verdict = minimality_certificate([[[[-1e300]]]] * 2, 1)
         assert verdict is MinimalityVerdict.INCONCLUSIVE
 
+    def test_scalar_curvature_past_the_float_range(self, rng):
+        # Gauss terms past the float range: a 1 x 1 operator reads 0 at
+        # n = 2, 1e160 I reads +inf, and at c = 0 scaling A by 2**k scales s
+        # by 4**k bit for bit (inf past the float range)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scalar_curvature([[[-1e300]]], 2, 0.0) == 0.0
+            assert scalar_curvature([[[1e160, 0.0], [0.0, 1e160]]], 2, 0.0) == math.inf
+            for _ in range(200):
+                n, p = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+                A = 10.0 ** rng.uniform(150.0, 300.0) * rng.uniform(-1.0, 1.0, size=(p, n, n))
+                s, small = (scalar_curvature(B, n, 0.0) for B in (A, np.ldexp(A, -600)))
+                with np.errstate(over="ignore"):
+                    assert bits(s) == bits(np.ldexp(small, 1200))
+
     @pytest.mark.parametrize("s", POWERS_OF_TWO)
     def test_norms_scale_with_the_operators_bit_for_bit(self, rng, s):
         # entries from 1e-200 to 1e200, whose squares leave the float range
