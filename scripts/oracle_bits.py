@@ -12,9 +12,10 @@ the draws of acceptance criteria 01 and 02 at step 2e-2, the ``check`` runs
 of seeds 0-7 at their default step 1e-3, a tripping set of q = 2..5 draws
 of both oracles at step 1e-3 whose every other case is scaled up (``C0``
 doubled, ``A0`` to a largest entry of ``2**26``), so that about a third of
-them reach the blow-up guard, and the q = 1 draws of
-``tests/conftest.py::rank_one_draws``; these two sets have no deviation
-line.
+them reach the blow-up guard, the q = 1 draws of
+``tests/conftest.py::rank_one_draws``, and p = 2 shape draws of
+``random_compatible_pair(rng, q, 2)``, q = 2..5, at step 2e-2, whose
+operators step as one stack; these three sets have no deviation line.
 
 Two source trees give the same oracle bits when the outputs diff clean:
 
@@ -24,6 +25,7 @@ Two source trees give the same oracle bits when the outputs diff clean:
 """
 import hashlib
 import sys
+from itertools import cycle
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from conftest import rank_one_draws  # noqa: E402
 from nullgeo import checks, core  # noqa: E402
+from nullgeo.sampling import random_compatible_pair  # noqa: E402
 
 
 class Fingerprint:
@@ -81,6 +84,15 @@ def tripping_cases() -> tuple[list, list]:
     )
 
 
+def pair_cases(count: int) -> list:
+    """``count`` p = 2 shape cases ``(A0, c, C0, grid)``, as
+    ``checks.shape_cases`` draws its p = 1 cases."""
+    rng = np.random.default_rng(2802)
+    pairs = [random_compatible_pair(rng, int(rng.integers(2, 6)), 2) for _ in range(count)]
+    return [(np.stack(A0.ops), c, C0.mat, checks.sample_grid(c, C0.mat))
+            for c, (A0, C0) in zip(cycle(checks.CURVATURES), pairs)]
+
+
 def line(name: str, cases: int, fp: Fingerprint) -> str:
     return f"{name}: cases={cases} guards={fp.guards} sha256={fp.sha.hexdigest()}"
 
@@ -107,6 +119,10 @@ def main() -> int:
     for case in draws:
         fp.run(core.riccati_path, *case)
     print(line("rank-one riccati", len(draws), fp))
+    cases, fp = pair_cases(60), Fingerprint()
+    for case in cases:
+        fp.run(shape_path, *case, 2e-2)
+    print(line("p=2 shape step=2e-2", len(cases), fp))
     return 0
 
 

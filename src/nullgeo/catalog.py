@@ -201,13 +201,6 @@ def cone_samples(n_points: int = 8):
 # machine checks for the expected properties
 # ---------------------------------------------------------------------------
 
-def _kernel_dim(A: np.ndarray) -> int:
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return A.shape[0]
-    return int(np.sum(s <= 1e-10 * s[0]))
-
-
 def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
     """Evaluate every expected property of a catalog entry; returns a map
     property name -> pass.  The identities read the principal curvatures
@@ -219,7 +212,8 @@ def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
     lam = np.diag(model.shape[0]).tolist() if len(model.shape) else []
     for prop in model.expected_properties:
         if prop == "kernel_dim":
-            out[prop] = {_kernel_dim(a) for a in model.shape} <= {model.profile.nu}
+            dims = {classify._null_space(a, 1e-10).shape[1] for a in model.shape}
+            out[prop] = dims <= {model.profile.nu}
         elif prop == "codazzi_compatible":
             out[prop] = all(
                 is_codazzi_compatible(cshape, C) for C in model.splitting_family.basis

@@ -28,9 +28,9 @@ from .core import (
     _Evolution,
     _asymmetry,
     _jacobi,
-    _shape_path,
     max_invertible_time,
     riccati_path,
+    shape_ode_path,
 )
 from .sampling import random_compatible_pair, random_splitting_tensor
 from .theorems import (
@@ -147,12 +147,13 @@ def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) 
 def shape_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
     """Largest entry gap between the closed-form A(t) = A0 J(t)^{-1} and an
     RK4 solution of A' = A C(t) with the given step, over
-    ``shape_cases(rng, count)``: each case is stepped alone, with the bits of
+    ``shape_cases(rng, count)``: each case is stepped alone by
     :func:`shape_ode_path`, and compared as in :func:`riccati_deviation`."""
     worst = 0.0
     for A0, c, C0, ts in shape_cases(rng, count):
         closed = np.stack(_Evolution(c, C0).shape(A0, ts), axis=1)
-        worst = max(worst, float(np.abs(closed - _shape_path(A0, c, C0, ts, step)).max()))
+        path = np.array([r.ops for r in shape_ode_path(A0, c, C0, ts, step)])
+        worst = max(worst, float(np.abs(closed - path).max()))
     return worst
 
 

@@ -102,7 +102,7 @@ class DecayReport:
     global_alpha_limit: AlphaLimit
     # numeric confirmation: (t, max shape-operator norm, norm restricted to
     # the critical eigenspace) at a few large times; none where J(t) cannot
-    # be inverted at one of them
+    # be inverted or A(t) leaves the float range at one of them
     samples: tuple = ()
     spectral_radius: float = 0.0   # of C0, the scale of the block eigenvalues
 
@@ -244,19 +244,17 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
 
     # the scaled form of J keeps the critical eigenspace accurate at large t,
     # until its factor M underflows there
+    times = DECAY_SAMPLE_TIMES
     try:
-        Jinvs = _Evolution(c, C0).inverse(DECAY_SAMPLE_TIMES)
+        As = _Evolution(c, C0).shape(A0, times)
     except NullityError:
-        Jinvs = ()
+        As, times = [], ()
     samples = []
-    for t, Jinv in zip(DECAY_SAMPLE_TIMES, Jinvs):
-        total = 0.0
-        crit = 0.0
-        for m in A0:
-            at = m @ Jinv
-            total = max(total, np.abs(at).max(initial=0.0))
-            if E.shape[1]:
-                crit = max(crit, np.abs(at @ (E @ E.T)).max(initial=0.0))
+    for k, t in enumerate(times):
+        total = crit = 0.0
+        for A in As:
+            total = max(total, np.abs(A[k]).max(initial=0.0))
+            crit = max(crit, np.abs(A[k] @ (E @ E.T)).max(initial=0.0))
         samples.append((t, total, crit))
 
     return DecayReport(tuple(blocks), limit, tuple(samples), radius)

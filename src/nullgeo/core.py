@@ -416,12 +416,17 @@ class _Evolution:
         return inv if (r == 1.0).all() else r[:, None, None] * inv
 
     @staticmethod
-    def _shape(ops, Jinv) -> list[np.ndarray]:
+    def _shape(ops, Jinv, ts) -> list[np.ndarray]:
         # (J^{-T} A0^T)^T on transposed views: BLAS rounds a C-ordered
         # operand differently at large q, and the golden outputs were made
         # with this layout
         Jinv_T = Jinv.transpose(0, 2, 1)
-        return [np.matmul(Jinv_T, a.T).transpose(0, 2, 1) for a in ops]
+        with np.errstate(all="ignore"):
+            A = [np.matmul(Jinv_T, a.T).transpose(0, 2, 1) for a in ops]
+        finite = np.logical_and.reduce([np.isfinite(X).all(axis=(1, 2)) for X in A], initial=True)
+        if not finite.all():
+            raise NullityError(f"A(t) leaves the float range at t={_times(ts)[finite.argmin()]}")
+        return A
 
     def _det(self, ts: np.ndarray, P: np.ndarray, r: np.ndarray) -> np.ndarray:
         """det J(t) for each t, given the factors ``P``, ``r`` of ``ts``.
@@ -457,22 +462,18 @@ class _Evolution:
         ts = _times(ts)
         P, Q, r = self._factors(ts)
         C = _guarded(self._splitting, ts, P, Q)
-        return self._det(ts, P, r), C, self._shape(ops, _guarded(self._inverse, ts, P, r))
+        return self._det(ts, P, r), C, self._shape(ops, _guarded(self._inverse, ts, P, r), ts)
 
     def splitting(self, ts) -> np.ndarray:
         """C(t) for each t, stacked."""
         P, Q, _ = self._factors(ts)
         return _guarded(self._splitting, ts, P, Q)
 
-    def inverse(self, ts) -> np.ndarray:
-        """J(t)^{-1} for each t, stacked."""
-        P, _, r = self._factors(ts)
-        return _guarded(self._inverse, ts, P, r)
-
     def shape(self, ops, ts) -> list[np.ndarray]:
         """A_xi(t) = A_xi(0) J(t)^{-1} for each shape operator, each stacked
         over the grid."""
-        return self._shape(ops, self.inverse(ts))
+        P, _, r = self._factors(ts)
+        return self._shape(ops, _guarded(self._inverse, ts, P, r), ts)
 
 
 def _guarded(fn, ts, *stacks) -> np.ndarray:
@@ -595,10 +596,10 @@ class _Stack:
         """Raise :class:`SingularJacobi` if an entry of the history
         ``H[1:n + 1]`` of the steps ``s0 .. s0 + n - 1`` reached
         ``RICCATI_BLOWUP`` in magnitude or is NaN, for the first such step:
-        the guard of all three steppers.  ``max`` and ``min`` are exact, and
-        a NaN fails both comparisons."""
+        the guard of all three steppers.  ``max`` and ``min`` are exact, a
+        NaN fails both comparisons, and the empty history of q = 0 passes."""
         B = self.H[1:n + 1]
-        if B.max() < RICCATI_BLOWUP and -RICCATI_BLOWUP < B.min():
+        if B.max(initial=0.0) < RICCATI_BLOWUP and -RICCATI_BLOWUP < B.min(initial=0.0):
             return
         m = np.abs(B.reshape(n, -1)).max(axis=1)
         i = np.flatnonzero(~(m < RICCATI_BLOWUP))[0]
@@ -708,27 +709,6 @@ def _step_matrices(ev: _Evolution, t0: np.ndarray, h: float) -> np.ndarray:
     return ev.eye + (h / 6.0) * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def _shape_path(A0, c: float, C0: np.ndarray, times, step: float) -> list[np.ndarray]:
-    """:func:`shape_ode_path` of the ``(p, q, q)`` stack ``A0``, p >= 1, one
-    stack per record.  A block of :meth:`_Stack.run` lies in one segment,
-    so its step matrices are one :func:`_step_matrices` call.  One operator
-    steps on 2-D arrays with ``ndarray.dot``, more with ``np.matmul``."""
-    stack = _Stack(times, step, A0)
-    ev = _Evolution(c, C0)
-    if len(A0) == 1:  # (q, q) @ (q, q)
-        rows, mm = list(stack.H[:, 0]), np.ndarray.dot
-    else:  # (p, q, q) @ (q, q)
-        rows, mm = list(stack.H), np.matmul
-
-    def advance(s0: int, s1: int) -> None:
-        with np.errstate(all="ignore"):
-            R = _step_matrices(ev, stack.t0[s0:s1], stack.h[s0])
-            for Y, Ri, nxt in zip(rows, R, rows[1:]):
-                mm(Y, Ri, nxt)
-
-    return stack.run(advance)
-
-
 def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSet]:
     """RK4 integration of A' = A C(t), with C(t) taken from the closed form.
 
@@ -741,16 +721,28 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
         K3 = C(t + h/2) + (h/2) K2 C(t + h/2),  K4 = C(t + h) + h K3 C(t + h),
         R = I + (h/6) (K1 + 2 K2 + 2 K3 + K4).
 
-    The step matrices R of a block of steps are formed together, from one
-    evaluation of C on the block's stage times; A is then advanced one
-    step at a time, and the blow-up guard is checked once per block as in
+    R groups the products otherwise than the textbook RK4, so the records
+    match ``tests/conftest.py::rk4_path`` to rounding only.  A block of
+    steps takes its R from one :func:`_step_matrices` call and one
+    ``ndarray.dot`` per step of the ``(p q, q)`` rows of A, which gives
+    each operator the bits of its lone run; the blow-up guard is that of
     :func:`riccati_path`.
     """
     ops, c, C0 = _ops(A0), _curv(c), _smat(C0)
     if not ops:
         list(_rk4_segments(times, step))  # raises on unsorted or negative times
         return [ShapeOperatorSet(()) for _ in times]
-    return [ShapeOperatorSet(tuple(A)) for A in _shape_path(np.stack(ops), c, C0, times, step)]
+    stack = _Stack(times, step, np.stack(ops))
+    ev = _Evolution(c, C0)
+    rows = list(stack.H.reshape(len(stack.H), len(ops) * len(C0), len(C0)))
+
+    def advance(s0: int, s1: int) -> None:
+        with np.errstate(all="ignore"):
+            R = _step_matrices(ev, stack.t0[s0:s1], stack.h[s0])
+            for Y, Ri, nxt in zip(rows, R, rows[1:]):
+                Y.dot(Ri, nxt)
+
+    return [ShapeOperatorSet(tuple(A)) for A in stack.run(advance)]
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,9 @@ class TestParsing:
             # t_end * k overflows before the division by samples - 1
             ("evolve", {"mode": "evolve", "c": 0.0, "C0": [[-1.0]], "A0": [[[1.0]]],
                         "t_grid": {"t_end": 1e308, "samples": 3}}),
+            # finite data whose A(t) = A0 / (1 - t) leaves the float range at t = 0.5
+            ("evolve", {"mode": "evolve", "c": 0.0, "C0": [[1.0]], "A0": [[[1e308]]],
+                        "t_grid": {"t_end": 0.5, "samples": 3}}),
             # JSON integers beyond the float range
             ("classify", {**_CLASSIFY, "c": -(10**400)}),
             ("classify", {**_CLASSIFY, "C0": [[10**400, 1.0], [-1.0, 0.0]]}),
@@ -190,7 +193,7 @@ class TestParsing:
             "catalog-n-huge", "catalog-p-huge", "cylinder-n-huge", "catalog-k-huge",
             "C0-q-over", "catalog-npp-over", "decay-incompatible",
             "kappa-nan", "kappa-str", "kappa-tiny", "rho-inf", "rho-tiny", "rho-huge",
-            "search-overflow", "t_end-grid-overflow",
+            "search-overflow", "t_end-grid-overflow", "A-overflow",
             "c-int-huge", "C0-int-huge", "family-int-huge", "b-int-huge", "t_end-int-huge",
         ],
     )

@@ -32,7 +32,8 @@ from nullgeo.core import (
     splitting_tensor_at,
 )
 from nullgeo.checks import (
-    SKEW2, WORKED_FAMILY, riccati_cases, riccati_deviation, shape_cases, shape_deviation,
+    SKEW2, WORKED_FAMILY, riccati_cases, riccati_deviation, sample_grid, shape_cases,
+    shape_deviation,
 )
 from nullgeo.classify import classify_splitting_spectrum, decay_report, sign_balance_check
 from nullgeo.sampling import random_compatible_pair
@@ -313,7 +314,7 @@ class TestGridEvaluator:
         ev = _Evolution(c, C0)
         C = ev.splitting(grid)
         A = ev.shape(A0, grid)
-        Jinv = ev.inverse(grid)
+        Jinv = ev.shape([np.eye(q)], grid)[0]  # I J^{-1}
         dets = ev.evaluate([], grid)[0]
         for k, t in enumerate(grid):
             assert np.array_equal(C[k], splitting_tensor_at(c, C0, t).mat)
@@ -356,6 +357,26 @@ class TestGridEvaluator:
             with pytest.raises(NullityError, match=lost.format(t)) as err:
                 call()
             assert type(err.value) is NullityError
+
+    def test_shape_past_the_float_range_is_a_nullity_error(self):
+        # c = 0, C0 = 1: A(t) = A0 / (1 - t) leaves the float range past
+        # t = 0.44 for A0 = 1e308 and past t = 0.67 for 0.6e308.  The
+        # product raises no warning, and the first such t of the grid over
+        # all operators is named
+        big, lost = np.array([[1e308]]), r"^A\(t\) leaves the float range at t=0\.5$"
+        ev = _Evolution(0.0, np.eye(1))
+        calls = [
+            lambda: shape_operator_at([big], 0.0, [[1.0]], 0.5),
+            lambda: ev.shape([0.6 * big, big], [0.25, 0.5, 0.75]),
+            lambda: ev.evaluate([0.6 * big, big], [0.0, 0.25, 0.5, 0.75]),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(NullityError, match=lost) as err:
+                    call()
+                assert type(err.value) is NullityError
+            assert ev.shape([0.6 * big], [0.5])[0][0, 0, 0] == pytest.approx(1.2e308)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_fixed_point_keeps_its_splitting_tensor(self, a):
@@ -583,6 +604,27 @@ class TestStackedOracles:
                     worst = max(worst, float(np.abs(x - y).max()))
         got = shape_deviation(np.random.default_rng(shape_seed), count, COARSE_STEP)
         assert bits(got) == bits(worst)
+
+    def test_rows_of_a_stack_step_independently(self, rng):
+        # every p steps the (p q, q) rows of its stack with one ndarray.dot
+        # per step, so each operator of a p = 2 stack gets the bits of that
+        # operator stepped alone
+        for c in (-1.0, 0.0, 1.0):
+            for q in range(1, 6):
+                A0, C0 = random_compatible_pair(rng, q, 2)
+                ts = sample_grid(c, C0.mat)
+                both = shape_ode_path(A0, c, C0, ts, COARSE_STEP)
+                alone = [shape_ode_path([a], c, C0, ts, COARSE_STEP) for a in A0.ops]
+                for k, At in enumerate(both):
+                    lone = np.concatenate([path[k].ops for path in alone])
+                    assert np.array_equal(bits(At.ops), bits(lone))
+
+    def test_empty_conullity_gives_one_empty_record_per_time(self):
+        # q = 0: the blow-up guard once reduced an empty history with max
+        Z, times = np.zeros((0, 0)), [0.5, 0.5, 2.0]
+        for c in (-1.0, 0.0, 1.0):
+            assert [C.shape for C in riccati_path(c, Z, times)] == [(0, 0)] * 3
+            assert [np.shape(A.ops) for A in shape_ode_path([Z, Z], c, Z, times)] == [(2, 0, 0)] * 3
 
     def test_mixed_schedules_are_textbook_rk4(self, rng):
         for cs, times, step in [
