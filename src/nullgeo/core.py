@@ -170,11 +170,13 @@ def _smat(C0) -> np.ndarray:
 
 def _squares(ms, what: str) -> tuple:
     """The matrices ``ms`` as float arrays; ValueError naming ``what``
-    unless they are square matrices of one shape."""
+    unless they are square matrices of one shape with finite entries."""
     ms = tuple(np.asarray(m, dtype=float) for m in ms)
     shape = ms[0].shape[:1] * 2 if ms else ()
     if any(m.ndim != 2 or m.shape != shape for m in ms):
         raise ValueError(f"{what} must share one square shape")
+    if not all(np.isfinite(m).all() for m in ms):
+        raise ValueError(f"{what} must have finite entries")
     return ms
 
 
@@ -618,12 +620,21 @@ def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
         k1 = f(y),  k2 = f(y + (h/2) k1),  k3 = f(y + (h/2) k2),
         k4 = f(y + h k3),  y <- y + (h/6) (k1 + 2 k2 + 2 k3 + k4),
 
-    term by term in this order, with 2 k2 and 2 k3 computed in one call as
-    k + k (the same bits): the bits of ``rk4_path`` of
+    term by term in this order: the bits of ``rk4_path`` of
     ``tests/conftest.py``.  For q >= 2 the terms are written into buffers
     held across steps, with ``ndarray.dot`` and 0-d step factors, the new
-    state into the next row of the history of :class:`_Stack`.  For q = 1
-    the scalar ODE y' = y^2 + c steps on Python floats
+    state into the next row of the history of :class:`_Stack`.  Two
+    premises keep those bits with fewer calls:
+
+    - k1 + 2 k2 + 2 k3 + k4 is one dgemv of the weights (1, 2, 2, 1) with
+      the ``(4, q^2)`` view of the k buffer.  OpenBLAS's dgemv sums the four
+      rows in order (for 4 or more columns), and products by 1 and 2 are
+      exact, so each add rounds as the textbook's does.
+    - At c = 0 the four adds of c I are skipped.  c I is then all +0.0 or
+      all -0.0, and x + (+-0.0) == x for every x but -0.0, which no product
+      gives: dgemm's accumulator starts at +0.0.
+
+    For q = 1 the scalar ODE y' = y^2 + c steps on Python floats
     (:func:`_scalar_advance`), as a 1x1 product is the plain product.
     """
     c, Y = _curv(c), _smat(C0)
@@ -632,7 +643,8 @@ def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
         return stack.run(_scalar_advance(stack, c))
     rows, ce, u = list(stack.H), c * np.eye(len(Y)), np.empty_like(Y)
     k1, k2, k3, k4 = ks = np.empty((4, *Y.shape))
-    k23 = ks[1:3]
+    K, w, s = ks.reshape(4, -1), np.array([1.0, 2.0, 2.0, 1.0]), np.empty(Y.size)
+    S = s.reshape(Y.shape)
     add, mul, mm = np.add, np.multiply, np.ndarray.dot
 
     def advance(s0: int, s1: int) -> None:
@@ -641,25 +653,26 @@ def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
         with np.errstate(all="ignore"):
             for y, nxt in zip(rows, rows[1:s1 - s0 + 1]):
                 mm(y, y, k1)
-                add(k1, ce, k1)
+                if c:
+                    add(k1, ce, k1)
                 mul(k1, h2, u)
                 add(y, u, u)
                 mm(u, u, k2)
-                add(k2, ce, k2)
+                if c:
+                    add(k2, ce, k2)
                 mul(k2, h2, u)
                 add(y, u, u)
                 mm(u, u, k3)
-                add(k3, ce, k3)
+                if c:
+                    add(k3, ce, k3)
                 mul(k3, h1, u)
                 add(y, u, u)
                 mm(u, u, k4)
-                add(k4, ce, k4)
-                add(k23, k23, k23)
-                add(k1, k2, k1)
-                add(k1, k3, k1)
-                add(k1, k4, k1)
-                mul(k1, h6, k1)
-                add(y, k1, nxt)
+                if c:
+                    add(k4, ce, k4)
+                mm(w, K, s)
+                mul(S, h6, S)
+                add(y, S, nxt)
 
     return stack.run(advance)
 

@@ -469,6 +469,21 @@ class TestRiccatiFlow:
             times = [span * k / 5 for k in range(1, 6)]
             assert textbook_trip(c, C0, times, 2e-2) is None
 
+    def test_bitwise_textbook_rk4_at_larger_q_signed_zero_c_and_zero_rows(self):
+        # the premises of the step: the weighted sum k1 + 2 k2 + 2 k3 + k4 in
+        # one dgemv over q^2 >= 36 entries adds in order, and skipping c I at
+        # c = +-0.0 keeps the bits, as no product entry is -0.0 even where C0
+        # has a zero row and a -0.0 column
+        rng = np.random.default_rng(2901)
+        for i in range(60):
+            c, q = (-1.0, 0.0, -0.0, 1.0)[i % 4], 6 + i % 11
+            C0 = rng.uniform(-1.0, 1.0, size=(q, q))
+            C0[rng.integers(q)] = 0.0
+            C0[:, rng.integers(q)] = -0.0
+            span = min(0.8 * max_invertible_time(c, C0), 1.0)
+            times = [span * k / 5 for k in range(1, 6)]
+            assert textbook_trip(c, C0, times, 2e-2) is None
+
     def test_lone_rank_one_case_is_textbook_rk4(self):
         # a q = 1 case steps on Python floats; records and guard messages
         # are those of the textbook RK4 on 1x1 arrays
@@ -707,14 +722,19 @@ class TestStackedOracles:
     @pytest.mark.parametrize("value", [math.nan, math.inf, RICCATI_BLOWUP])
     def test_oracles_trip_on_nan_inf_and_the_bound_itself(self, value):
         # C = 0 makes every step matrix I, so A keeps its entries exactly;
-        # a NaN or inf C0 is a malformed argument of the Riccati oracle
+        # a NaN or inf A0 or C0 is a malformed argument of either oracle,
+        # and NaN and inf in a history meet the guard screen in
+        # test_guard_screen_never_clears_a_tripping_entry
         A0 = np.diag([value, 0.0])
-        late = "near t=0.001$"  # the end of the first step
-        with np.errstate(invalid="ignore"), pytest.raises(SingularJacobi, match=late):
-            shape_ode_path([A0], 0.0, np.zeros((2, 2)), [0.5])
-        if value != RICCATI_BLOWUP:
+        if value == RICCATI_BLOWUP:
+            late = "near t=0.001$"  # the end of the first step
+            with pytest.raises(SingularJacobi, match=late):
+                shape_ode_path([A0], 0.0, np.zeros((2, 2)), [0.5])
+        else:
+            with pytest.raises(ValueError, match="^all shape operators must have finite entries$"):
+                shape_ode_path([A0], 0.0, np.zeros((2, 2)), [0.5])
             with pytest.raises(ValueError, match="^splitting tensor entries must be finite$"):
-                riccati_path(0.0, np.diag([value, 0.0]), [0.5])
+                riccati_path(0.0, A0, [0.5])
         below = np.diag([np.nextafter(RICCATI_BLOWUP, 0.0), 0.0])
         (A,) = shape_ode_path([below], 0.0, np.zeros((2, 2)), [0.5])
         assert np.array_equal(bits(A.ops[0]), bits(below))
@@ -887,8 +907,8 @@ class TestCodazziCompatibility:
 
 class TestShapeOperatorInput:
     """Every function that takes ``A0`` accepts a ``ShapeOperatorSet`` or a
-    sequence of square matrices of one shape, and raises ``ValueError``
-    otherwise."""
+    sequence of square matrices of one shape with finite entries, and raises
+    ``ValueError`` otherwise."""
 
     RAGGED = [np.eye(2), np.eye(3)]
     C0 = np.diag([-1.0, -2.0])
@@ -912,6 +932,14 @@ class TestShapeOperatorInput:
     def test_ragged_operators_are_rejected(self, name):
         with pytest.raises(ValueError, match="^all shape operators must share one square shape$"):
             self.TAKES_A0[name](self.RAGGED)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", sorted(TAKES_A0))
+    def test_non_finite_entries_are_rejected(self, name, bad):
+        # as for C0: a NaN operator once read as an overflow of A(t), tripped
+        # the oracle's blow-up guard, or made is_codazzi_compatible False
+        with pytest.raises(ValueError, match="^all shape operators must have finite entries$"):
+            self.TAKES_A0[name]([np.eye(2), [[1.0, 0.0], [0.0, bad]]])
 
     def test_every_form_gives_the_same_bits(self, rng):
         # compatible pairs, shifted left of -1 so that a ray at c = -1 keeps

@@ -572,6 +572,10 @@ def _circle():
         (lambda: theorem2_applicable(5, 0), ValueError, "^p must be >= 1$"),
         (lambda: SplittingFamily((np.eye(2), np.eye(3))), ValueError,
          "^family members must share one square shape$"),
+        (lambda: SplittingFamily((np.eye(2), np.diag([math.nan, 1.0]))), ValueError,
+         "^family members must have finite entries$"),
+        (lambda: SplittingFamily((np.eye(2), np.diag([math.inf, 1.0]))), ValueError,
+         "^family members must have finite entries$"),
         (lambda: WORKED_FAMILY.evaluate([1.0, 0.0]), ValueError,
          "^coefficient vector length must match the basis$"),
         (lambda: theorem1_pipeline(WORKED_FAMILY, [np.eye(2)], 1.0), ValueError,
@@ -588,7 +592,7 @@ def _circle():
     ],
     ids=[
         "radon-hurwitz-0", "nu-n-1", "sphere-rigidity-q0", "florit-p0", "theorem2-p0",
-        "ragged-family", "evaluate-length", "pipeline-sphere", "mean-curvature-n0",
+        "ragged-family", "nan-family", "inf-family", "evaluate-length", "pipeline-sphere", "mean-curvature-n0",
         "scalar-curvature-n1", "minimality-no-samples", "split-no-samples",
         "split-mixed-shapes", "split-leaf-ids-length",
     ],
