@@ -54,7 +54,10 @@ def _finite_real(name: str, x) -> float:
 
 
 def totally_geodesic(n: int, p: int, c: float) -> ModelSubmanifold:
-    """Zero second fundamental form; the nullity is everything."""
+    """Zero second fundamental form; the nullity is everything.  ValueError
+    for n < 2, where the scalar curvature it is checked for is undefined."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     zero = np.zeros((n, n))
     return ModelSubmanifold(
         name="totally_geodesic",

@@ -13,7 +13,6 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
@@ -538,75 +537,67 @@ def _rk4_segments(times, step: float):
     """For each record time: the start ``t``, number ``n`` and size ``h`` of
     the equal steps, none longer than ``step``, that reach it from the
     previous record time (from 0 for the first).  ``n`` is 0 for a repeated
-    record time."""
+    record time.  ValueError for a step that is not positive, for times that
+    are not sorted and nonnegative, and for a span that would take a
+    non-finite number of steps."""
+    if not step > 0.0:  # false for nan
+        raise ValueError(f"step must be positive, got {step}")
     t = 0.0
     for tk in times:
-        if tk < t:
+        if not tk >= t:  # false for nan
             raise ValueError("record times must be sorted and nonnegative")
         span = tk - t
-        n = max(1, math.ceil(span / step - 1e-12)) if span > 0.0 else 0
+        steps = span / step
+        if not math.isfinite(steps):
+            raise ValueError(f"step {step} takes a non-finite number of steps to t={tk}")
+        n = max(1, math.ceil(steps - 1e-12)) if span > 0.0 else 0
         yield t, n, (span / n if n else 0.0)
         t = tk
 
 
-class _Stack:
-    """The step schedule of one case, built once, and the block driver of
-    its RK4 stepper.
+def _rk4_run(times, step: float, Y: np.ndarray, advance) -> list[np.ndarray]:
+    """The state at each record time of an RK4 run from ``Y``: the driver of
+    all three steppers.
 
-    ``h[s]`` is the size of step ``s`` and ``t0[s]`` its start, ``t += h``
-    from the start of its :func:`_rk4_segments` segment (``np.add.accumulate``
-    adds in order), so ``t0 + h`` is the integrator's time at the end of the
-    step bit for bit.  ``ends`` holds the step count at each record.
-
-    :meth:`run` takes the steps in blocks that end at every record count
-    and at every multiple of ``_STAGE_CHUNK``, so all the steps of a block
-    have the size ``h[s0]`` of its first.  ``H`` is the history of a block:
-    ``H[0]`` holds the state ``Y`` at its start, and the stepper writes the
-    state after the block's ``i``-th step into ``H[i]``.  The blow-up guard
-    is one :meth:`check` of the history per block.
+    The :func:`_rk4_segments` of the run are checked before any step, and
+    each segment is taken in blocks of at most ``_STAGE_CHUNK`` steps of its
+    size ``h``.  ``H`` is the history of a block: ``H[0]`` holds the state at
+    its start, and ``advance(H, t0, h)`` takes the block's steps from the
+    starts ``t0``, writing the state after the ``i``-th into ``H[i]``.  The
+    starts are ``t += h`` from the start of the segment (``np.add.accumulate``
+    adds in order), so ``t0 + h`` is the integrator's time at the end of a
+    step bit for bit.  The blow-up guard is one :func:`_guard` per block.
+    The steps past a trip are discarded, so they must not warn: the numpy
+    steppers take them under ``np.errstate(all="ignore")``, and float
+    arithmetic never warns.
     """
+    seg = list(_rk4_segments(times, step))
+    H = np.empty((min(_STAGE_CHUNK, max((n for _, n, _ in seg), default=0)) + 1, *Y.shape))
+    H[0] = Y
+    out = []
+    for t, n, h in seg:
+        while n:
+            m = min(n, _STAGE_CHUNK)
+            ts = np.add.accumulate([t, *[h] * m])
+            advance(H, ts[:-1], h)
+            _guard(H[1:m + 1], ts[1:])
+            H[0] = H[m]
+            t, n = ts[-1], n - m
+        out.append(H[0].copy())
+    return out
 
-    def __init__(self, times, step: float, Y: np.ndarray):
-        seg = list(_rk4_segments(times, step))
-        self.ends = list(accumulate(n for _, n, _ in seg))
-        self.h = np.empty(self.ends[-1] if self.ends else 0)
-        self.t0 = np.empty_like(self.h)
-        for (t, n, h), s1 in zip(seg, self.ends):  # n = 0 assigns nothing
-            self.h[s1 - n:s1] = h
-            self.t0[s1 - n:s1] = np.add.accumulate([t, *[h] * (n - 1)])
-        self.H = np.empty((min(_STAGE_CHUNK, max(1, len(self.h))) + 1, *Y.shape))
-        self.H[0] = Y
 
-    def run(self, advance) -> list[np.ndarray]:
-        """The state at each record time.  ``advance(s0, s1)`` takes the
-        steps ``s0 .. s1 - 1`` of one block from the state ``H[0]``, writing
-        each state into the history.  The steps past a trip are discarded,
-        so they must not warn: the numpy steppers take them under
-        ``np.errstate(all="ignore")``, and float arithmetic never warns."""
-        out, H, done = [], self.H, 0
-        for stop in self.ends:
-            while done < stop:
-                end = min(stop, done - done % _STAGE_CHUNK + _STAGE_CHUNK)
-                advance(done, end)
-                self.check(done, end - done)
-                H[0] = H[end - done]
-                done = end
-            out.append(H[0].copy())
-        return out
-
-    def check(self, s0: int, n: int) -> None:
-        """Raise :class:`SingularJacobi` if an entry of the history
-        ``H[1:n + 1]`` of the steps ``s0 .. s0 + n - 1`` reached
-        ``RICCATI_BLOWUP`` in magnitude or is NaN, for the first such step:
-        the guard of all three steppers.  ``max`` and ``min`` are exact, a
-        NaN fails both comparisons, and the empty history of q = 0 passes."""
-        B = self.H[1:n + 1]
-        if B.max(initial=0.0) < RICCATI_BLOWUP and -RICCATI_BLOWUP < B.min(initial=0.0):
-            return
-        m = np.abs(B.reshape(n, -1)).max(axis=1)
-        i = np.flatnonzero(~(m < RICCATI_BLOWUP))[0]
-        t = self.t0[s0 + i] + self.h[s0 + i]
-        raise SingularJacobi(f"trajectory norm {m[i]:.3g} exceeded blow-up guard near t={t:.6g}")
+def _guard(B: np.ndarray, t_end: np.ndarray) -> None:
+    """Raise :class:`SingularJacobi` if an entry of the history ``B`` of
+    consecutive steps, which end at the times ``t_end``, reached
+    ``RICCATI_BLOWUP`` in magnitude or is NaN, for the first such step: the
+    guard of all three steppers.  ``max`` and ``min`` are exact, a NaN fails
+    both comparisons, and the empty history of q = 0 passes."""
+    if B.max(initial=0.0) < RICCATI_BLOWUP and -RICCATI_BLOWUP < B.min(initial=0.0):
+        return
+    m = np.abs(B.reshape(len(B), -1)).max(axis=1)
+    i = np.flatnonzero(~(m < RICCATI_BLOWUP))[0]
+    raise SingularJacobi(f"trajectory norm {m[i]:.3g} exceeded blow-up guard near t={t_end[i]:.6g}")
 
 
 def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
@@ -623,7 +614,7 @@ def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
     term by term in this order: the bits of ``rk4_path`` of
     ``tests/conftest.py``.  For q >= 2 the terms are written into buffers
     held across steps, with ``ndarray.dot`` and 0-d step factors, the new
-    state into the next row of the history of :class:`_Stack`.  Two
+    state into the next row of the history of :func:`_rk4_run`.  Two
     premises keep those bits with fewer calls:
 
     - k1 + 2 k2 + 2 k3 + k4 is one dgemv of the weights (1, 2, 2, 1) with
@@ -638,20 +629,19 @@ def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
     (:func:`_scalar_advance`), as a 1x1 product is the plain product.
     """
     c, Y = _curv(c), _smat(C0)
-    stack = _Stack(times, step, Y)
     if Y.shape[0] == 1:
-        return stack.run(_scalar_advance(stack, c))
-    rows, ce, u = list(stack.H), c * np.eye(len(Y)), np.empty_like(Y)
+        return _rk4_run(times, step, Y, _scalar_advance(c))
+    ce, u = c * np.eye(len(Y)), np.empty_like(Y)
     k1, k2, k3, k4 = ks = np.empty((4, *Y.shape))
     K, w, s = ks.reshape(4, -1), np.array([1.0, 2.0, 2.0, 1.0]), np.empty(Y.size)
     S = s.reshape(Y.shape)
     add, mul, mm = np.add, np.multiply, np.ndarray.dot
 
-    def advance(s0: int, s1: int) -> None:
-        h = stack.h[s0]
+    def advance(H: np.ndarray, t0: np.ndarray, h: float) -> None:
         h1, h2, h6 = np.array(h), np.array(0.5 * h), np.array(h / 6.0)
+        rows = list(H[:t0.size + 1])
         with np.errstate(all="ignore"):
-            for y, nxt in zip(rows, rows[1:s1 - s0 + 1]):
+            for y, nxt in zip(rows, rows[1:]):
                 mm(y, y, k1)
                 if c:
                     add(k1, ce, k1)
@@ -674,22 +664,22 @@ def riccati_path(c, C0, times, step: float = 1e-3) -> list[np.ndarray]:
                 mul(S, h6, S)
                 add(y, S, nxt)
 
-    return stack.run(advance)
+    return _rk4_run(times, step, Y, advance)
 
 
-def _scalar_advance(stack: _Stack, c: float):
+def _scalar_advance(c: float):
     """The stepper of :func:`riccati_path` for a ``(1, 1)`` case: the same
     textbook RK4 arithmetic on Python floats, every state of a block written
     into the history.  Past a trip, float arithmetic goes on to inf and NaN
-    without raising or warning, and :meth:`_Stack.check` judges the history
-    as it does for the numpy steppers."""
-    H = stack.H.reshape(-1)
+    without raising or warning, and :func:`_guard` judges the history as it
+    does for the numpy steppers."""
 
-    def advance(s0: int, s1: int) -> None:
-        y, h = float(H[0]), float(stack.h[s0])
+    def advance(H: np.ndarray, t0: np.ndarray, h: float) -> None:
+        H = H.reshape(-1)
+        y, h = float(H[0]), float(h)
         h2, h6 = 0.5 * h, h / 6.0
         ys = []
-        for _ in range(s0, s1):
+        for _ in range(t0.size):
             k1 = y * y + c
             u = y + h2 * k1
             k2 = u * u + c
@@ -699,7 +689,7 @@ def _scalar_advance(stack: _Stack, c: float):
             k4 = u * u + c
             y = y + h6 * (((k1 + (k2 + k2)) + (k3 + k3)) + k4)
             ys.append(y)
-        H[1:s1 - s0 + 1] = ys
+        H[1:t0.size + 1] = ys
 
     return advance
 
@@ -743,19 +733,18 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
     """
     ops, c, C0 = _ops(A0), _curv(c), _smat(C0)
     if not ops:
-        list(_rk4_segments(times, step))  # raises on unsorted or negative times
+        list(_rk4_segments(times, step))  # raises on a bad step or bad times
         return [ShapeOperatorSet(()) for _ in times]
-    stack = _Stack(times, step, np.stack(ops))
     ev = _Evolution(c, C0)
-    rows = list(stack.H.reshape(len(stack.H), len(ops) * len(C0), len(C0)))
 
-    def advance(s0: int, s1: int) -> None:
+    def advance(H: np.ndarray, t0: np.ndarray, h: float) -> None:
+        rows = list(H[:t0.size + 1].reshape(t0.size + 1, len(ops) * len(C0), len(C0)))
         with np.errstate(all="ignore"):
-            R = _step_matrices(ev, stack.t0[s0:s1], stack.h[s0])
+            R = _step_matrices(ev, t0, h)
             for Y, Ri, nxt in zip(rows, R, rows[1:]):
                 Y.dot(Ri, nxt)
 
-    return [ShapeOperatorSet(tuple(A)) for A in stack.run(advance)]
+    return [ShapeOperatorSet(tuple(A)) for A in _rk4_run(times, step, np.stack(ops), advance)]
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,8 @@ class TestParsing:
             ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=-0.5)),
             ("catalog", _catalog("euclidean_cylinder", n=3, kappa=0.0)),
             ("catalog", _catalog("totally_geodesic", n=0, p=1, c=1.0)),
+            # n = 1 builds, but its scalar curvature is undefined
+            ("catalog", _catalog("totally_geodesic", n=1, p=1, c=0)),
             ("catalog", {"mode": "catalog", "catalog": {"entry": "totally_geodesic", "params": [1, 2]}}),
             ("catalog", {"mode": "catalog", "catalog": {"entry": "totally_geodesic", "params": "ab"}}),
             ("catalog", {"mode": "catalog", "catalog": {"entry": ["x"]}}),
@@ -187,7 +189,7 @@ class TestParsing:
             "nan-c", "inf-c", "nan-C0", "inf-C0", "nan-A0", "inf-family",
             "inf-t_end", "nan-t_end", "nan-b", "seed-str", "inf-seed",
             "check-seed-float", "check-seed-digits", "check-seed-bool", "check-seed-1e3",
-            "rho-nonpos", "kappa-zero", "n-zero", "params-list", "params-str",
+            "rho-nonpos", "kappa-zero", "n-zero", "n-one", "params-list", "params-str",
             "entry-list", "check-seed-negative", "catalog-nan-c",
             "samples-float", "samples-1e9", "samples-int-1e9", "samples-over", "samples-bool",
             "catalog-n-huge", "catalog-p-huge", "cylinder-n-huge", "catalog-k-huge",

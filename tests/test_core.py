@@ -19,7 +19,7 @@ from nullgeo.core import (
     _COSH_MAX,
     _STAGE_CHUNK,
     _Evolution,
-    _Stack,
+    _guard,
     _spectrum,
     is_codazzi_compatible,
     jacobi_derivative,
@@ -517,9 +517,6 @@ class TestShapeOdeFlow:
         times = [0.3, 0.3, 1.25, 2.0]
         seen = []
         rk4_path(lambda t, y: seen.append(t) or 0.0 * y, np.zeros(1), times, 1e-3, 1.0)
-        stack = _Stack(times, 1e-3, np.zeros(1))
-        t0, h = stack.t0, stack.h
-        assert set(seen) == {*t0, *(t0 + 0.5 * h), *(t0 + h)}
         grids, splitting = [], _Evolution.splitting
         monkeypatch.setattr(
             _Evolution, "splitting", lambda ev, ts: grids.append(ts.copy()) or splitting(ev, ts)
@@ -590,11 +587,11 @@ DEVIATION_DRAWS = pytest.mark.parametrize(
 COARSE_STEP = 2e-2  # the arithmetic of a step does not depend on its size
 
 
-class TestStackedOracles:
-    """Both deviations are those of the case-by-case, time-by-time loop;
-    the oracles' records and guard messages are those of the textbook RK4;
-    the closed forms evaluated on stacked grids give the bits of the
-    per-time arithmetic."""
+class TestOracleRuns:
+    """Both deviations are those of the case-by-case, time-by-time loop,
+    as the closed forms give each time of a grid the bits of that time
+    alone; the oracles' records and guard messages are those of the
+    textbook RK4, wherever the blocks of a run begin and end."""
 
     @DEVIATION_DRAWS
     def test_riccati_deviation_is_the_per_time_loop(self, ric_seed, shape_seed, count):
@@ -652,6 +649,21 @@ class TestStackedOracles:
             for c, ts in zip(cs, times):
                 assert textbook_trip(c, 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3)), ts, step) is None
 
+    def test_block_edges_are_textbook_rk4(self, rng):
+        # segments of 511, 512, 513, 1024 and 1025 steps of 2**-10, so every
+        # time is exact: each ends before, on or past a 512-step block edge.
+        # |eigenvalues of C0| < 1 = sqrt(-c) keeps J invertible; C0 with the
+        # eigenvalue 0.6672 at c = 0 trips on step 1535, the 513th of the
+        # third segment and the one step of its second block
+        times = [k / 1024 for k in (511, 1023, 1536, 2560, 3585)]
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        cases = [
+            (-1.0, [[0.3]]), (-1.0, 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3))),
+            (0.0, [[0.6672]]), (0.0, Q @ np.diag([0.6672, 0.3, -0.5]) @ Q.T),
+        ]
+        trips = [textbook_trip(c, C0, times, 2**-10) for c, C0 in cases]
+        assert trips == [None, None, 1535, 1535]
+
     def test_tripping_rank_one_cases_name_their_textbook_step(self):
         # q = 1 cases step on Python floats, and a tripping one names the
         # step of the textbook RK4 with its message.  Cases 3 and 4 trip at
@@ -684,14 +696,14 @@ class TestStackedOracles:
                 with pytest.raises(SingularJacobi, match=message):
                     run()
 
+    T_END = 0.125 * np.arange(1.0, 9.0)  # the end times of eight steps
+
     @staticmethod
     def _tripping_history(rng, shape):
-        # eight steps of one case, every entry of the history below the
-        # bound in magnitude
-        stack = _Stack([1.0], 0.125, np.zeros(shape))
-        assert len(stack.h) == 8
-        stack.H[1:] = 0.999 * RICCATI_BLOWUP * rng.uniform(-1.0, 1.0, size=(8, *shape))
-        return stack, stack.H.reshape(9, -1)
+        # the history of eight steps, every entry below the bound in
+        # magnitude, and its view with one row per step
+        B = 0.999 * RICCATI_BLOWUP * rng.uniform(-1.0, 1.0, size=(8, *shape))
+        return B, B.reshape(8, -1)
 
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, RICCATI_BLOWUP, -RICCATI_BLOWUP]
@@ -703,21 +715,21 @@ class TestStackedOracles:
         # steps bring back below the bound, and the first tripping step is
         # named
         for s, e in [(0, 0), (7, -1), (3, math.prod(shape) // 2)]:
-            stack, H = self._tripping_history(rng, shape)
-            H[s + 1, e] = bad
+            B, rows = self._tripping_history(rng, shape)
+            rows[s, e] = bad
             if s == 0:  # the next step trips too
-                H[2, -1] = 2.0 * RICCATI_BLOWUP
-            t = stack.t0[s] + stack.h[s]
+                rows[1, -1] = 2.0 * RICCATI_BLOWUP
+            t = self.T_END[s]
             message = f"trajectory norm {abs(bad):.3g} exceeded blow-up guard near t={t:.6g}"
             with pytest.raises(SingularJacobi) as got:
-                stack.check(0, 8)
+                _guard(B, self.T_END)
             assert str(got.value) == message
 
     def test_block_check_passes_just_below_the_bound(self, rng):
-        stack, H = self._tripping_history(rng, (3, 2, 2))
-        H[1:] = np.nextafter(RICCATI_BLOWUP, 0.0)
-        H[1:, ::2] *= -1.0
-        stack.check(0, 8)
+        B, rows = self._tripping_history(rng, (3, 2, 2))
+        rows[:] = np.nextafter(RICCATI_BLOWUP, 0.0)
+        rows[:, ::2] *= -1.0
+        _guard(B, self.T_END)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, RICCATI_BLOWUP])
     def test_oracles_trip_on_nan_inf_and_the_bound_itself(self, value):
@@ -1024,9 +1036,30 @@ class TestSplittingTensorInput:
         (lambda: GeodesicDomain(DomainKind.LINE, 1.0), "^line takes no endpoint$"),
         (lambda: riccati_path(0.0, [[1.0]], [0.5, 0.1]),
          "^record times must be sorted and nonnegative$"),
+        (lambda: riccati_path(0.0, [[1.0]], [0.5, math.nan]),
+         "^record times must be sorted and nonnegative$"),
     ],
-    ids=["ray-endpoint", "line-endpoint", "unsorted-times"],
+    ids=["ray-endpoint", "line-endpoint", "unsorted-times", "nan-time"],
 )
 def test_documented_argument_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+STEPPED = {
+    "riccati_path-q1": lambda step: riccati_path(0.0, [[1.0]], [0.1], step),
+    "riccati_path-q2": lambda step: riccati_path(0.0, np.eye(2), [0.1], step),
+    "shape_ode_path": lambda step: shape_ode_path([np.eye(2)], 0.0, np.eye(2), [0.1], step),
+    "shape_ode_path-p0": lambda step: shape_ode_path([], 0.0, np.eye(2), [0.1], step),
+    "riccati_deviation": lambda step: riccati_deviation(np.random.default_rng(0), 2, step),
+    "shape_deviation": lambda step: shape_deviation(np.random.default_rng(0), 2, step),
+}
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, -1e-3, -math.inf, math.nan, 1e-320])
+@pytest.mark.parametrize("call", STEPPED.values(), ids=STEPPED)
+def test_oracles_reject_a_bad_step(call, step):
+    # a step that is not positive once divided by zero or took one step
+    # over the whole span, and 1e-320 overflowed the step count
+    with pytest.raises(ValueError, match=r"^step (must be positive|.* non-finite number of steps)"):
+        call(step)
