@@ -20,6 +20,9 @@ per tree:
   changes, and ``tree``, the git tree sha of the tracked files as measured
   (see :func:`commit`)
 - ``environment``: the environment that ``run.py`` prints, from its first run
+- ``blas_kernel``: the OpenBLAS kernel a new process runs (see
+  :func:`blas_kernel`), which ``environment`` does not name: its BLAS build
+  string lists every kernel of the library
 - ``runs``: every run's workload, seed, correctness, operation counts and
   end-to-end metrics
 - ``trace``: per workload, the records of the traced runs (``runs``, their
@@ -48,6 +51,26 @@ SECONDS = 30.0
 TIER1_RUNS = 3
 TIER1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
          "--durations=5"]
+# prints the kernel that numpy's bundled OpenBLAS chose when it loaded, by
+# the CPU or by OPENBLAS_CORETYPE, and nothing where the library or the
+# symbol is missing
+KERNEL_PROBE = """
+import ctypes, pathlib, numpy
+libs = pathlib.Path(numpy.__file__).parents[1] / "numpy.libs"
+lib = next(libs.glob("libscipy_openblas*"), None)
+name = lib and getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+if name:
+    name.argtypes, name.restype = [], ctypes.c_char_p
+    print(name().decode())
+"""
+
+
+def blas_kernel(env: dict | None = None) -> str | None:
+    """The OpenBLAS kernel of a new process under ``env`` (the current
+    environment by default), as ``KERNEL_PROBE`` prints it, or None."""
+    proc = subprocess.run([sys.executable, "-c", KERNEL_PROBE], env=env, capture_output=True,
+                          text=True)
+    return proc.stdout.strip() or None
 
 
 def commit(tree: Path) -> dict:
@@ -90,10 +113,16 @@ def medians(recs: list[dict]) -> dict:
     return {name: statistics.median(v) for name, v in values.items()}
 
 
+def tree_env(tree: Path, **extra: str) -> dict:
+    """The current environment and ``extra``, with ``tree``'s ``src`` first
+    on ``PYTHONPATH``."""
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def tier1(tree: Path) -> dict:
     """One Tier-1 run: wall time, summary line and the slowest durations."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")]))}
+    env = tree_env(tree)
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True,
                           text=True)
@@ -114,8 +143,8 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees["baseline"] = args.baseline.resolve()
-    out = {name: {"commit": commit(tree), "environment": None, "runs": [], "trace": {},
-                  "tier1": {"runs": []}} for name, tree in trees.items()}
+    out = {name: {"commit": commit(tree), "environment": None, "blas_kernel": blas_kernel(),
+                  "runs": [], "trace": {}, "tier1": {"runs": []}} for name, tree in trees.items()}
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     turn = 0
     for workload in workloads:

@@ -45,6 +45,9 @@ REAL_EIG_TOL = 1e-10     # |Im| <= REAL_EIG_TOL * |lam| (+ rounding) counts as r
 INTERVAL_SLACK = 1e-10   # relative closed-interval membership slack
 RICCATI_BLOWUP = 1e8     # abort integration once a tensor norm exceeds this
 _STAGE_CHUNK = 512       # RK4 steps per block of the oracles: history, guard check, stage C
+# RK4 steps one oracle run may take in all: 200 times the 5e4 of `check --step
+# 1e-4`, and about a minute of q = 4 Riccati steps (5.6 us each on a Xeon core)
+_RK4_MAX_STEPS = 10**7
 _COSH_MAX = math.log(sys.float_info.max)  # cosh(x) < e^x is finite for x up to here
 
 
@@ -106,10 +109,6 @@ class ShapeOperatorSet:
 
     def __post_init__(self):
         object.__setattr__(self, "ops", _ops(self.ops))
-
-    def asymmetry(self) -> float:
-        """Largest :func:`_asymmetry` over the operators."""
-        return max((_asymmetry(a) for a in self.ops), default=0.0)
 
 
 class DomainKind(str, Enum):
@@ -252,6 +251,7 @@ def _jacobi(c: float, C0: np.ndarray, ts, derivative: bool = True):
     and J' from here where a|t| < 1, and J alone for det J where
     1 <= a|t| <= ln(DBL_MAX).
     """
+    # no J' where det J reads J alone: a c < 0, q = 32 grid in 74 ms, not 77
     ts = _times(ts)
     eye = np.eye(C0.shape[0])
     if c == 0.0:
@@ -325,14 +325,12 @@ class _Evolution:
     """J, C = -J' J^{-1}, A = A0 J^{-1} and det J of one (c, C0) on a whole
     time grid.
 
-    Built once per (c, C0): the first singular time in each direction is
-    computed on first use and kept.  :meth:`evaluate` gives det J, C and the
-    A stacks of a grid from one stack of factors (see :meth:`_factors`),
-    with one stacked LAPACK call per quantity: a solve for C, an inverse for
-    A and a det (slogdet past ln(DBL_MAX)) for det J.  The scalar
-    coefficients come from ``math`` one time at a time, and every stacked
-    call works matrix by matrix, so every grid gives the same bits for a
-    time as the grid of that time alone.
+    :meth:`evaluate` gives det J, C and the A stacks of a grid from one
+    stack of factors (see :meth:`_factors`), with one stacked LAPACK call
+    per quantity: a solve for C, an inverse for A and a det (slogdet past
+    ln(DBL_MAX)) for det J.  The scalar coefficients come from ``math`` one
+    time at a time, and every stacked call works matrix by matrix, so every
+    grid gives the same bits for a time as the grid of that time alone.
 
     For c < 0 and a|t| >= 1 the factors come from the scaled form
     J(t) = (e^{a|t|}/2) M and J'(t) = (e^{a|t|}/2) N with
@@ -349,9 +347,9 @@ class _Evolution:
     for a = 1, and C0 = a diag(1 + delta) keeps C(t) within a few ulps of a
     of its closed form however small delta is.
 
-    Grids are not checked against the singular times; callers that must not
-    reach them call :meth:`check` first; where J(t) cannot be inverted,
-    :func:`_guarded` raises.
+    Grids are not checked against the singular times, which only
+    :func:`max_invertible_time` computes (see :func:`_before_horizon`);
+    where J(t) cannot be inverted, :func:`_guarded` raises.
     """
 
     def __init__(self, c: float, C0: np.ndarray):
@@ -359,22 +357,6 @@ class _Evolution:
         self.C0 = C0
         self.eye = np.eye(C0.shape[0])
         self.a = math.sqrt(-c) if c < 0.0 else 0.0
-        self._horizon: dict[bool, float] = {}
-
-    def horizon(self, forward: bool = True) -> float:
-        """First singular time |t| for t > 0 (``forward``) or for t < 0."""
-        if forward not in self._horizon:
-            self._horizon[forward] = max_invertible_time(
-                self.c, self.C0 if forward else -self.C0
-            )
-        return self._horizon[forward]
-
-    def check(self, ts) -> None:
-        """Raise :class:`SingularJacobi` for the first t at or beyond the
-        singular time of its direction."""
-        for t in ts:
-            if t != 0.0 and abs(t) >= self.horizon(t > 0):
-                raise SingularJacobi(f"Jacobi tensor singular before t={t}")
 
     def _factors(self, ts):
         """Stacks P, Q and scales r with J = P / r and J' = Q / r: (J, J')
@@ -383,6 +365,7 @@ class _Evolution:
         ts = _times(ts)
         far = self.a * np.abs(ts) >= 1.0  # a = 0 for c >= 0
         n_far = np.count_nonzero(far)
+        # a grid on one branch takes no mask copies: c < 0, q = 32 in 74 ms, not 86
         if n_far == 0:
             return (*_jacobi(self.c, self.C0, ts), np.ones(ts.size))
         if n_far == ts.size:
@@ -412,9 +395,7 @@ class _Evolution:
 
     @staticmethod
     def _inverse(P, r) -> np.ndarray:
-        # x * 1.0 == x for every float, so a grid without scaled rows skips it
-        inv = np.linalg.inv(P)
-        return inv if (r == 1.0).all() else r[:, None, None] * inv
+        return r[:, None, None] * np.linalg.inv(P)
 
     @staticmethod
     def _shape(ops, Jinv, ts) -> list[np.ndarray]:
@@ -439,13 +420,10 @@ class _Evolution:
         range.
         """
         unit = r == 1.0
-        if unit.all():
-            with np.errstate(over="ignore"):  # inf is the honest value
-                return np.linalg.det(P)
         out = np.empty(ts.size)
         over = self.a * np.abs(ts) > _COSH_MAX
         mid = ~(unit | over)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # inf is the honest value
             if unit.any():
                 out[unit] = np.linalg.det(P[unit])
             if mid.any():
@@ -504,15 +482,22 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _before_horizon(c: float, C0: np.ndarray, t: float) -> None:
+    """Raise :class:`SingularJacobi` if t != 0 reaches the first singular
+    time of its direction, that of C0 for t > 0 and of -C0 for t < 0."""
+    if t != 0.0 and abs(t) >= max_invertible_time(c, C0 if t > 0 else -C0):
+        raise SingularJacobi(f"Jacobi tensor singular before t={t}")
+
+
 def splitting_tensor_at(c, C0, t: float) -> SplittingTensor:
     """Splitting tensor C(t) = -J'(t) J(t)^{-1} along the geodesic.
 
     Raises :class:`SingularJacobi` for t at or beyond the first singular time
     of J.  At t = 0, J = I and the result is ``C0`` exactly.
     """
-    ev = _Evolution(_curv(c), _smat(C0))
-    ev.check([t])
-    return SplittingTensor(ev.splitting([t])[0])
+    c, C0 = _curv(c), _smat(C0)
+    _before_horizon(c, C0, t)
+    return SplittingTensor(_Evolution(c, C0).splitting([t])[0])
 
 
 def shape_operator_at(A0, c, C0, t: float) -> ShapeOperatorSet:
@@ -523,10 +508,9 @@ def shape_operator_at(A0, c, C0, t: float) -> ShapeOperatorSet:
     :func:`is_codazzi_compatible` when that matters.  At t = 0 the result is
     ``A0`` exactly.
     """
-    ops = _ops(A0)
-    ev = _Evolution(_curv(c), _smat(C0))
-    ev.check([t])
-    return ShapeOperatorSet(tuple(A[0] for A in ev.shape(ops, [t])))
+    ops, c, C0 = _ops(A0), _curv(c), _smat(C0)
+    _before_horizon(c, C0, t)
+    return ShapeOperatorSet(tuple(A[0] for A in _Evolution(c, C0).shape(ops, [t])))
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +522,11 @@ def _rk4_segments(times, step: float):
     the equal steps, none longer than ``step``, that reach it from the
     previous record time (from 0 for the first).  ``n`` is 0 for a repeated
     record time.  ValueError for a step that is not positive, for times that
-    are not sorted and nonnegative, and for a span that would take a
-    non-finite number of steps."""
+    are not sorted and nonnegative, for a span that would take a non-finite
+    number of steps, and once the steps so far exceed ``_RK4_MAX_STEPS``."""
     if not step > 0.0:  # false for nan
         raise ValueError(f"step must be positive, got {step}")
-    t = 0.0
+    t, total = 0.0, 0
     for tk in times:
         if not tk >= t:  # false for nan
             raise ValueError("record times must be sorted and nonnegative")
@@ -551,6 +535,9 @@ def _rk4_segments(times, step: float):
         if not math.isfinite(steps):
             raise ValueError(f"step {step} takes a non-finite number of steps to t={tk}")
         n = max(1, math.ceil(steps - 1e-12)) if span > 0.0 else 0
+        total += n
+        if total > _RK4_MAX_STEPS:
+            raise ValueError(f"step {step} takes more than {_RK4_MAX_STEPS} steps to t={tk}")
         yield t, n, (span / n if n else 0.0)
         t = tk
 

@@ -19,6 +19,7 @@ from nullgeo.core import (
     _COSH_MAX,
     _STAGE_CHUNK,
     _Evolution,
+    _asymmetry,
     _guard,
     _spectrum,
     is_codazzi_compatible,
@@ -409,12 +410,18 @@ class TestGridEvaluator:
         assert np.abs(np.einsum("kii->ki", C) - want).max() <= 8 * np.finfo(float).eps * a
 
     def test_check_raises_at_first_singular_time(self):
-        ev = _Evolution(0.0, np.diag([2.0, -3.0]))
-        ev.check([0.0, 0.25, -0.3])
-        with pytest.raises(SingularJacobi, match="t=0.5"):
-            ev.check([0.25, 0.5, 0.8])
-        with pytest.raises(SingularJacobi, match="t=-0.4"):
-            ev.check([-0.4])
+        # the singular times are 1/2 forward and 1/3 backward: both one-time
+        # evaluators pass before them and raise at or past them
+        C0, A0 = np.diag([2.0, -3.0]), [np.eye(2)]
+        singular = r"^Jacobi tensor singular before t={}$"
+        calls = [lambda t: splitting_tensor_at(0.0, C0, t),
+                 lambda t: shape_operator_at(A0, 0.0, C0, t)]
+        for call in calls:
+            for t in (0.0, 0.25, -0.3):
+                call(t)
+            for t in (0.5, 0.8, -0.4):
+                with pytest.raises(SingularJacobi, match=singular.format(t)):
+                    call(t)
 
 
 def textbook_trip(c, C0, times, step):
@@ -889,8 +896,8 @@ class TestCodazziCompatibility:
             verdicts.append(is_codazzi_compatible([A0], C0))
             for pair in (([s * A0], C0), ([A0], s * C0), ([s * A0], s * C0)):
                 assert is_codazzi_compatible(*pair) == verdicts[-1]
-            a = ShapeOperatorSet((A0,)).asymmetry()
-            assert ShapeOperatorSet((s * A0,)).asymmetry() == a
+            a = _asymmetry(A0)
+            assert _asymmetry(s * A0) == a
         assert 10 < sum(verdicts) < 90
 
     def test_finite_verdicts_are_the_unscaled_loops(self):
@@ -1056,10 +1063,12 @@ STEPPED = {
 }
 
 
-@pytest.mark.parametrize("step", [0.0, -0.0, -1e-3, -math.inf, math.nan, 1e-320])
+@pytest.mark.parametrize("step", [0.0, -0.0, -1e-3, -math.inf, math.nan, 1e-320, 1e-300])
 @pytest.mark.parametrize("call", STEPPED.values(), ids=STEPPED)
 def test_oracles_reject_a_bad_step(call, step):
     # a step that is not positive once divided by zero or took one step
-    # over the whole span, and 1e-320 overflowed the step count
-    with pytest.raises(ValueError, match=r"^step (must be positive|.* non-finite number of steps)"):
+    # over the whole span, 1e-320 overflowed the step count, and 1e-300
+    # stepped on for 1e299 steps, all before the first step
+    bad = r"^step (must be positive|.* (non-finite number of steps|more than \d+ steps))"
+    with pytest.raises(ValueError, match=bad):
         call(step)
