@@ -14,8 +14,8 @@ of both oracles at step 1e-3 whose every other case is scaled up (``C0``
 doubled, ``A0`` to a largest entry of ``2**26``), so that about a third of
 them reach the blow-up guard, the q = 1 draws of
 ``tests/conftest.py::rank_one_draws``, and p = 2 shape draws of
-``random_compatible_pair(rng, q, 2)``, q = 2..5, at step 2e-2, whose
-operators step as one stack; these three sets have no deviation line.
+``random_compatible_pair(rng, q, 2)``, q = 2..5, at step 2e-2, whose two
+operators share one run; these three sets have no deviation line.
 
 Two source trees give the same oracle bits when the outputs diff clean:
 

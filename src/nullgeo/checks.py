@@ -7,10 +7,11 @@ reports the bound when it passes and the measured worst case only when it
 fails: the worst case sits at roundoff level and its digits vary between
 numpy/LAPACK builds, the bound does not.  An exact entry reports a fixed
 statement.  The entries evaluate the closed forms on the grid of their
-times (``_Evolution``, ``_jacobi``), which gives each time the bits of
-``splitting_tensor_at``, ``shape_operator_at`` and ``jacobi_tensor`` there;
-every such time lies before the first singular time (:func:`sample_grid`, or
-a ``C0`` that makes ``J`` singular nowhere), so no entry checks the horizon.
+times (``_splitting_grid``, ``_shape_grid``, ``_jacobi``), which gives
+each time the bits of ``splitting_tensor_at``, ``shape_operator_at`` and
+``jacobi_tensor`` there; every such time lies before the first singular
+time (:func:`sample_grid`, or a ``C0`` that makes ``J`` singular nowhere),
+so no entry checks the horizon.
 """
 from __future__ import annotations
 
@@ -25,9 +26,10 @@ import numpy as np
 from . import catalog
 from .classify import AlphaLimit, sign_balance_check, signature_counts
 from .core import (
-    _Evolution,
     _asymmetry,
     _jacobi,
+    _shape_grid,
+    _splitting_grid,
     max_invertible_time,
     riccati_path,
     shape_ode_path,
@@ -140,7 +142,7 @@ def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) 
     worst = 0.0
     for c, C0, ts in riccati_cases(rng, count):
         path = riccati_path(c, C0, ts, step)
-        worst = max(worst, float(np.abs(_Evolution(c, C0).splitting(ts) - path).max()))
+        worst = max(worst, float(np.abs(_splitting_grid(c, C0, ts) - path).max()))
     return worst
 
 
@@ -151,7 +153,7 @@ def shape_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) ->
     :func:`shape_ode_path`, and compared as in :func:`riccati_deviation`."""
     worst = 0.0
     for A0, c, C0, ts in shape_cases(rng, count):
-        closed = np.stack(_Evolution(c, C0).shape(A0, ts), axis=1)
+        closed = np.stack(_shape_grid(c, C0, A0, ts), axis=1)
         path = np.array([r.ops for r in shape_ode_path(A0, c, C0, ts, step)])
         worst = max(worst, float(np.abs(closed - path).max()))
     return worst
@@ -189,9 +191,8 @@ def _gauge_identity(rng, count, step):
     ok = True
     for _ in range(count):
         A0, C0 = random_compatible_pair(rng, 3)
-        ev = _Evolution(-1.0, C0.mat)
-        ok = ok and np.array_equal(ev.splitting([0.0])[0], C0.mat)
-        ok = ok and np.array_equal(np.concatenate(ev.shape(A0.ops, [0.0])), A0.ops)
+        ok = ok and np.array_equal(_splitting_grid(-1.0, C0.mat, [0.0])[0], C0.mat)
+        ok = ok and np.array_equal(np.concatenate(_shape_grid(-1.0, C0.mat, A0.ops, [0.0])), A0.ops)
     return ok, ()
 
 
@@ -216,8 +217,8 @@ def _cocycle(rng, count, step):
         c = CURVATURES[i % 3]
         C0 = random_splitting_tensor(rng, 2 + i % 3)
         s, total = sample_grid(c, C0, n=2, frac=0.6)
-        mid, lhs = _Evolution(c, C0).splitting([s, total])
-        rhs = _Evolution(c, mid).splitting([total - s])[0]
+        mid, lhs = _splitting_grid(c, C0, [s, total])
+        rhs = _splitting_grid(c, mid, [total - s])[0]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return True, (worst,)
 
@@ -272,10 +273,10 @@ def _symmetry(rng, count, step):
     worst = 0.0
     for _ in range(count):
         A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 5)))
-        A = _Evolution(-1.0, C0.mat).shape(A0.ops, sample_grid(-1.0, C0.mat))
+        A = _shape_grid(-1.0, C0.mat, A0.ops, sample_grid(-1.0, C0.mat))
         worst = max(worst, *map(_asymmetry, np.concatenate(A)))
     bad_A, bad_C = np.diag([1.0, 2.0]), np.array([[0.0, 1.0], [0.0, 0.0]])
-    control = max(map(_asymmetry, _Evolution(0.0, bad_C).shape([bad_A], (0.25, 0.5, 1.0))[0]))
+    control = max(map(_asymmetry, _shape_grid(0.0, bad_C, [bad_A], (0.25, 0.5, 1.0))[0]))
     return control > 1e-4, (worst, control)
 
 
@@ -286,7 +287,7 @@ def _rank(rng, count, step):
         c = CURVATURES[i % 3]
         A0, C0 = random_compatible_pair(rng, int(rng.integers(2, 5)))
         grid = sample_grid(c, C0.mat, 20)
-        for a0, a in zip(A0.ops, _Evolution(c, C0.mat).shape(A0.ops, grid)):
+        for a0, a in zip(A0.ops, _shape_grid(c, C0.mat, A0.ops, grid)):
             ranks = np.linalg.matrix_rank(np.concatenate([[a0], a]), tol=1e-10)
             ok = ok and (ranks == ranks[0]).all()
             sig0 = signature_counts(a0)
@@ -303,7 +304,7 @@ def _sphere(rng, count, step):
         C0 = p * np.eye(2) + r * SKEW2
         x, y = rng.uniform(-1.0, 1.0, size=2)
         A0 = np.array([[x, y], [y, -x]])
-        A = _Evolution(1.0, C0).shape([A0], [math.pi])[0][0]
+        A = _shape_grid(1.0, C0, [A0], [math.pi])[0][0]
         w0 = np.sort(np.linalg.eigvalsh(A0))
         w = np.sort(np.linalg.eigvalsh(A))
         worst = max(worst, float(np.abs(w - np.sort(-w0)).max()))
@@ -320,9 +321,9 @@ def _hyperbolic_decay(rng, count, step):
         C0 = r * SKEW2 + lam * np.eye(2)
         x, y = rng.uniform(-1.0, 1.0, size=2)
         A0 = np.array([[x, y], [y, -x]])
-        A = _Evolution(-1.0, C0).shape([A0], [20.0])[0][0]
+        A = _shape_grid(-1.0, C0, [A0], [20.0])[0][0]
         ratios.append(float(np.abs(A).max()) / (1e-300 + float(np.abs(A0).max())))
-    blowup = _Evolution(-1.0, np.eye(2)).shape([np.eye(2)], [10.0])[0][0]
+    blowup = _shape_grid(-1.0, np.eye(2), [np.eye(2)], [10.0])[0][0]
     grown = float(np.linalg.norm(blowup))
     return grown >= 1e3, (float(np.max(ratios, initial=0.0)), grown)
 

@@ -17,14 +17,15 @@ from .core import (
     DomainKind,
     GeodesicDomain,
     NullityError,
-    _Evolution,
     _curv,
     _ops,
     _real_parts,
     _rounding,
+    _shape_grid,
     _singular,
     _smat,
     _spectrum,
+    _sym,
     is_codazzi_compatible,
     real_eigenvalues,
 )
@@ -246,7 +247,7 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
     # until its factor M underflows there
     times = DECAY_SAMPLE_TIMES
     try:
-        As = _Evolution(c, C0).shape(A0, times)
+        As = _shape_grid(c, C0, A0, times)
     except NullityError:
         As, times = [], ()
     samples = []
@@ -263,8 +264,7 @@ def decay_report(A0, c, C0, domain: GeodesicDomain) -> DecayReport:
 def signature_counts(A: np.ndarray):
     """(positive, negative) eigenvalue counts of a symmetric operator,
     excluding eigenvalues w within 1e-8 max|w| of zero, so scale-free."""
-    A = np.asarray(A, dtype=float)
-    w = np.linalg.eigvalsh(0.5 * (A + A.T))
+    w = np.linalg.eigvalsh(_sym(np.asarray(A, dtype=float)))
     cutoff = 1e-8 * np.abs(w).max(initial=0.0)
     pos = int(np.sum(w > cutoff))
     neg = int(np.sum(w < -cutoff))

@@ -24,7 +24,7 @@ from .core import (
     GeodesicDomain,
     NullityError,
     SingularJacobi,
-    _Evolution,
+    _evaluate_grid,
     is_codazzi_compatible,
     max_invertible_time,
 )
@@ -275,8 +275,8 @@ def _require(scn: Scenario, *fields: str) -> None:
 
 
 def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each matrix of a stack from :class:`_Evolution`,
-    bit for bit, with one stacked inner product.
+    """``np.linalg.norm`` of each matrix of a stack from
+    :func:`_evaluate_grid`, bit for bit, with one stacked inner product.
 
     The stacks are transposed views of C-ordered arrays, and ``norm`` sums
     each matrix in memory order, so the flattening follows memory order too.
@@ -317,10 +317,10 @@ def _real_spectrum(stack: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     return skew <= 1e-12 * np.abs(eigs).max(axis=1)
 
 
-def _evolve_block(ev: _Evolution, scn: Scenario, grid: list[float]):
+def _evolve_block(scn: Scenario, grid: list[float]):
     """The columns t, det J, |C| and the stacks A of one block of ``evolve``
     samples, with the norms of the A."""
-    det, C, A = ev.evaluate(scn.A0, grid)
+    det, C, A = _evaluate_grid(scn.c, scn.C0, scn.A0, grid)
     head = [np.array(grid), det, _frobenius(C)]
     norms = [_frobenius(a) for a in A]
     if grid[0] == 0.0:
@@ -363,7 +363,6 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
     70 MB (``ru_maxrss`` of the process).
     """
     _require(scn, "c", "C0", "A0", "t_end")
-    ev = _Evolution(scn.c, scn.C0)
     b_max = max_invertible_time(scn.c, scn.C0)
     if not scn.t_end < b_max:
         raise SingularJacobi(
@@ -382,7 +381,7 @@ def run_evolve(scn: Scenario, out_dir: Path, stem: str) -> int:
     text = [",".join(header) + "\r\n"]  # csv's line ends; no cell holds a comma or a quote
     block = max(1, _EVOLVE_BLOCK_ENTRIES // (q * q))
     for lo in range(0, len(ts), block):
-        head, A, norms = _evolve_block(ev, scn, ts[lo:lo + block])
+        head, A, norms = _evolve_block(scn, ts[lo:lo + block])
         real = np.full(len(head[0]), symmetric)
         if symmetric:
             # halves first: A/2 + A^T/2 cannot overflow, and it is

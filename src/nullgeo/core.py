@@ -188,8 +188,10 @@ def _ops(A0) -> tuple:
 
 
 def _asymmetry(m: np.ndarray) -> float:
-    """max |m - m^T| / max |m|, 0 for a symmetric m, unchanged by scaling m;
+    """max |m - m^T| / max |m|, 0 for a symmetric m, unchanged by scaling m.
+    It is taken on m's :func:`_unit_scale`, where m - m^T cannot overflow;
     m - m^T is antisymmetric to the bit, so its largest entry is its modulus."""
+    m = _unit_scale(m)[0]
     d = np.maximum.reduce(m - m.T, None, initial=0.0)
     return d / np.maximum.reduce(np.abs(m), None) if d else d
 
@@ -200,13 +202,31 @@ def _unit_scale(m: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(m, -e), e
 
 
+def _sym(m: np.ndarray) -> np.ndarray:
+    """The symmetric part (m + m^T) / 2, taken on m's :func:`_unit_scale`
+    and scaled back: it cannot overflow, and it is (m + m^T) / 2 bit for bit
+    wherever that does not overflow, subnormal entries included, unless an
+    entry lies below 2**-1021 times the largest."""
+    u, e = _unit_scale(m)
+    return np.ldexp(0.5 * (u + u.T), e)
+
+
 def _spectrum(M: np.ndarray) -> tuple[np.ndarray, float]:
     """The eigenvalues of M and its spectral radius, taken on M's unit
     scaling (:func:`_unit_scale`) and scaled back: exact, so 2**k M gives
-    2**k times both bit for bit, as eigvals of 2**k M does not."""
+    2**k times both bit for bit, as eigvals of 2**k M does not.
+    :class:`NullityError` if an eigenvalue lies past the float range."""
     M, e = _unit_scale(M)
     w = np.linalg.eigvals(M)
-    return np.ldexp(w.view(float), e).view(w.dtype), math.ldexp(np.abs(w).max(initial=0.0), e)
+    r = np.abs(w).max(initial=0.0)
+    try:
+        rho = math.ldexp(r, e)
+    except OverflowError:
+        x = math.log10(r) + e * math.log10(2.0)
+        raise NullityError(
+            f"an eigenvalue of modulus {10.0 ** (x % 1.0):.2g}e+{int(x)} lies past the float range"
+        ) from None
+    return np.ldexp(w.view(float), e).view(w.dtype), rho
 
 
 def _rounding(w: np.ndarray, rho: float) -> float:
@@ -247,8 +267,8 @@ def _jacobi(c: float, C0: np.ndarray, ts, derivative: bool = True):
     The coefficients take one ``math`` cos and sin (cosh and sinh for c < 0)
     per time, so each time gets the bits of a grid of that time alone, with
     or without J'.  For c < 0, ``math.cosh`` raises OverflowError where
-    cosh(a|t|) is not representable.  :meth:`_Evolution.evaluate` takes J
-    and J' from here where a|t| < 1, and J alone for det J where
+    cosh(a|t|) is not representable.  :func:`_factors` takes J and J' from
+    here where a|t| < 1, and :func:`_det` J alone where
     1 <= a|t| <= ln(DBL_MAX).
     """
     # no J' where det J reads J alone: a c < 0, q = 32 grid in 74 ms, not 77
@@ -321,19 +341,21 @@ def max_invertible_time(c, C0) -> float:
     return min(roots, default=math.inf)
 
 
-class _Evolution:
-    """J, C = -J' J^{-1}, A = A0 J^{-1} and det J of one (c, C0) on a whole
-    time grid.
+def _factors(c: float, C0: np.ndarray, ts):
+    """Stacks P, Q and scales r with J = P / r and J' = Q / r on the grid
+    ``ts``: (J, J') itself with r = 1, or (M, N) with r = 2 e^{-a|t|} < 1 on
+    the scaled branch.
 
-    :meth:`evaluate` gives det J, C and the A stacks of a grid from one
-    stack of factors (see :meth:`_factors`), with one stacked LAPACK call
-    per quantity: a solve for C, an inverse for A and a det (slogdet past
-    ln(DBL_MAX)) for det J.  The scalar coefficients come from ``math`` one
-    time at a time, and every stacked call works matrix by matrix, so every
-    grid gives the same bits for a time as the grid of that time alone.
+    The grid functions of one (c, C0) share this one stack of factors.
+    :func:`_evaluate_grid` gives det J, C = -J' J^{-1} and A = A0 J^{-1}
+    from it, with one stacked LAPACK call per quantity: a solve for C, an
+    inverse for A and a det (slogdet past ln(DBL_MAX)) for det J.  The
+    scalar coefficients come from ``math`` one time at a time, and every
+    stacked call works matrix by matrix, so every grid gives the same bits
+    for a time as the grid of that time alone.
 
-    For c < 0 and a|t| >= 1 the factors come from the scaled form
-    J(t) = (e^{a|t|}/2) M and J'(t) = (e^{a|t|}/2) N with
+    For c < 0 and a|t| >= 1, a = sqrt(-c), the factors come from the scaled
+    form J(t) = (e^{a|t|}/2) M and J'(t) = (e^{a|t|}/2) N with
 
         M = (I -+ C0 / a) + eps (I +- C0 / a),
         N = +-a ((I -+ C0 / a) - eps (I +- C0 / a)),    eps = e^{-2 a |t|},
@@ -351,108 +373,103 @@ class _Evolution:
     :func:`max_invertible_time` computes (see :func:`_before_horizon`);
     where J(t) cannot be inverted, :func:`_guarded` raises.
     """
+    ts = _times(ts)
+    far = (math.sqrt(-c) if c < 0.0 else 0.0) * np.abs(ts) >= 1.0
+    n_far = np.count_nonzero(far)
+    # a grid on one branch takes no mask copies: c < 0, q = 32 in 74 ms, not 86
+    if n_far == 0:
+        return (*_jacobi(c, C0, ts), np.ones(ts.size))
+    if n_far == ts.size:
+        return _scaled(c, C0, ts)
+    k, q = ts.size, C0.shape[0]
+    P, Q, r = np.empty((k, q, q)), np.empty((k, q, q)), np.ones(k)
+    near = ~far
+    P[near], Q[near] = _jacobi(c, C0, ts[near])
+    P[far], Q[far], r[far] = _scaled(c, C0, ts[far])
+    return P, Q, r
 
-    def __init__(self, c: float, C0: np.ndarray):
-        self.c = c
-        self.C0 = C0
-        self.eye = np.eye(C0.shape[0])
-        self.a = math.sqrt(-c) if c < 0.0 else 0.0
 
-    def _factors(self, ts):
-        """Stacks P, Q and scales r with J = P / r and J' = Q / r: (J, J')
-        itself with r = 1, or (M, N) with r = 2 e^{-a|t|} < 1 on the scaled
-        branch."""
-        ts = _times(ts)
-        far = self.a * np.abs(ts) >= 1.0  # a = 0 for c >= 0
-        n_far = np.count_nonzero(far)
-        # a grid on one branch takes no mask copies: c < 0, q = 32 in 74 ms, not 86
-        if n_far == 0:
-            return (*_jacobi(self.c, self.C0, ts), np.ones(ts.size))
-        if n_far == ts.size:
-            return self._scaled(ts)
-        k, q = ts.size, self.eye.shape[0]
-        P, Q, r = np.empty((k, q, q)), np.empty((k, q, q)), np.ones(k)
-        near = ~far
-        P[near], Q[near] = _jacobi(self.c, self.C0, ts[near])
-        P[far], Q[far], r[far] = self._scaled(ts[far])
-        return P, Q, r
+def _scaled(c: float, C0: np.ndarray, ts: np.ndarray):
+    """:func:`_factors` on the scaled branch, c < 0 and a|t| >= 1."""
+    a, at = math.sqrt(-c), np.abs(ts)
+    sgn = np.copysign(1.0, ts)[:, None, None]
+    eps = _libm(math.exp, (-2.0 * a * at).tolist())[:, None, None]
+    sC = (sgn / a) * C0
+    eye = np.eye(C0.shape[0])
+    D, S = eye - sC, eye + sC
+    M = D + eps * S
+    N = (sgn * a) * (D - eps * S)
+    return M, N, 2.0 * _libm(math.exp, (-a * at).tolist())
 
-    def _scaled(self, ts: np.ndarray):
-        """:meth:`_factors` on the scaled branch, a|t| >= 1."""
-        a, at = self.a, np.abs(ts)
-        sgn = np.copysign(1.0, ts)[:, None, None]
-        eps = _libm(math.exp, (-2.0 * a * at).tolist())[:, None, None]
-        sC = (sgn / a) * self.C0
-        D, S = self.eye - sC, self.eye + sC
-        M = D + eps * S
-        N = (sgn * a) * (D - eps * S)
-        return M, N, 2.0 * _libm(math.exp, (-a * at).tolist())
 
-    @staticmethod
-    def _splitting(P, Q) -> np.ndarray:
-        # -J' J^{-1} via a solve on the transposed systems
-        return -np.linalg.solve(P.transpose(0, 2, 1), Q.transpose(0, 2, 1)).transpose(0, 2, 1)
+def _splitting(P, Q) -> np.ndarray:
+    # -J' J^{-1} via a solve on the transposed systems
+    return -np.linalg.solve(P.transpose(0, 2, 1), Q.transpose(0, 2, 1)).transpose(0, 2, 1)
 
-    @staticmethod
-    def _inverse(P, r) -> np.ndarray:
-        return r[:, None, None] * np.linalg.inv(P)
 
-    @staticmethod
-    def _shape(ops, Jinv, ts) -> list[np.ndarray]:
-        # (J^{-T} A0^T)^T on transposed views: BLAS rounds a C-ordered
-        # operand differently at large q, and the golden outputs were made
-        # with this layout
-        Jinv_T = Jinv.transpose(0, 2, 1)
-        with np.errstate(all="ignore"):
-            A = [np.matmul(Jinv_T, a.T).transpose(0, 2, 1) for a in ops]
-        finite = np.logical_and.reduce([np.isfinite(X).all(axis=(1, 2)) for X in A], initial=True)
-        if not finite.all():
-            raise NullityError(f"A(t) leaves the float range at t={_times(ts)[finite.argmin()]}")
-        return A
+def _inverse(P, r) -> np.ndarray:
+    return r[:, None, None] * np.linalg.inv(P)
 
-    def _det(self, ts: np.ndarray, P: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """det J(t) for each t, given the factors ``P``, ``r`` of ``ts``.
 
-        det(u I - v C0) for a|t| up to ln(DBL_MAX), where cosh(a|t|) is
-        surely representable: ``P`` itself where r = 1, J built again (without
-        J') on the scaled rows.  Beyond that, sign(det M) exp(q (a|t| - ln 2)
-        + log|det M|) from ``P = M``, which is inf where it exceeds the float
-        range.
-        """
-        unit = r == 1.0
-        out = np.empty(ts.size)
-        over = self.a * np.abs(ts) > _COSH_MAX
-        mid = ~(unit | over)
-        with np.errstate(over="ignore"):  # inf is the honest value
-            if unit.any():
-                out[unit] = np.linalg.det(P[unit])
-            if mid.any():
-                out[mid] = np.linalg.det(_jacobi(self.c, self.C0, ts[mid], derivative=False)[0])
-        if over.any():
-            sign, logdet = np.linalg.slogdet(P[over])
-            q = self.eye.shape[0]
-            x = q * (self.a * np.abs(ts[over]) - math.log(2.0)) + logdet
-            out[over] = sign * _libm(_exp_or_inf, x.tolist())
-        return out
+def _shape(ops, Jinv, ts) -> list[np.ndarray]:
+    # (J^{-T} A0^T)^T on transposed views: BLAS rounds a C-ordered
+    # operand differently at large q, and the golden outputs were made
+    # with this layout
+    Jinv_T = Jinv.transpose(0, 2, 1)
+    with np.errstate(all="ignore"):
+        A = [np.matmul(Jinv_T, a.T).transpose(0, 2, 1) for a in ops]
+    finite = np.logical_and.reduce([np.isfinite(X).all(axis=(1, 2)) for X in A], initial=True)
+    if not finite.all():
+        raise NullityError(f"A(t) leaves the float range at t={_times(ts)[finite.argmin()]}")
+    return A
 
-    def evaluate(self, ops, ts) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        """det J(t), C(t) and A_xi(t) = A_xi(0) J(t)^{-1} for each t, stacked
-        over the grid, from one stack of factors."""
-        ts = _times(ts)
-        P, Q, r = self._factors(ts)
-        C = _guarded(self._splitting, ts, P, Q)
-        return self._det(ts, P, r), C, self._shape(ops, _guarded(self._inverse, ts, P, r), ts)
 
-    def splitting(self, ts) -> np.ndarray:
-        """C(t) for each t, stacked."""
-        P, Q, _ = self._factors(ts)
-        return _guarded(self._splitting, ts, P, Q)
+def _det(c: float, C0: np.ndarray, ts: np.ndarray, P: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """det J(t) for each t, given the factors ``P``, ``r`` of ``ts``.
 
-    def shape(self, ops, ts) -> list[np.ndarray]:
-        """A_xi(t) = A_xi(0) J(t)^{-1} for each shape operator, each stacked
-        over the grid."""
-        P, _, r = self._factors(ts)
-        return self._shape(ops, _guarded(self._inverse, ts, P, r), ts)
+    det(u I - v C0) for a|t| up to ln(DBL_MAX), where cosh(a|t|) is
+    surely representable: ``P`` itself where r = 1, J built again (without
+    J') on the scaled rows.  Beyond that, sign(det M) exp(q (a|t| - ln 2)
+    + log|det M|) from ``P = M``, which is inf where it exceeds the float
+    range.
+    """
+    a = math.sqrt(-c) if c < 0.0 else 0.0
+    unit = r == 1.0
+    out = np.empty(ts.size)
+    over = a * np.abs(ts) > _COSH_MAX
+    mid = ~(unit | over)
+    with np.errstate(over="ignore"):  # inf is the honest value
+        if unit.any():
+            out[unit] = np.linalg.det(P[unit])
+        if mid.any():
+            out[mid] = np.linalg.det(_jacobi(c, C0, ts[mid], derivative=False)[0])
+    if over.any():
+        sign, logdet = np.linalg.slogdet(P[over])
+        x = C0.shape[0] * (a * np.abs(ts[over]) - math.log(2.0)) + logdet
+        out[over] = sign * _libm(_exp_or_inf, x.tolist())
+    return out
+
+
+def _evaluate_grid(c: float, C0: np.ndarray, ops, ts):
+    """det J(t), C(t) and A_xi(t) = A_xi(0) J(t)^{-1} for each t, stacked
+    over the grid, from one stack of factors."""
+    ts = _times(ts)
+    P, Q, r = _factors(c, C0, ts)
+    C = _guarded(_splitting, ts, P, Q)
+    return _det(c, C0, ts, P, r), C, _shape(ops, _guarded(_inverse, ts, P, r), ts)
+
+
+def _splitting_grid(c: float, C0: np.ndarray, ts) -> np.ndarray:
+    """C(t) for each t, stacked."""
+    P, Q, _ = _factors(c, C0, ts)
+    return _guarded(_splitting, ts, P, Q)
+
+
+def _shape_grid(c: float, C0: np.ndarray, ops, ts) -> list[np.ndarray]:
+    """A_xi(t) = A_xi(0) J(t)^{-1} for each shape operator, each stacked
+    over the grid."""
+    P, _, r = _factors(c, C0, ts)
+    return _shape(ops, _guarded(_inverse, ts, P, r), ts)
 
 
 def _guarded(fn, ts, *stacks) -> np.ndarray:
@@ -497,7 +514,7 @@ def splitting_tensor_at(c, C0, t: float) -> SplittingTensor:
     """
     c, C0 = _curv(c), _smat(C0)
     _before_horizon(c, C0, t)
-    return SplittingTensor(_Evolution(c, C0).splitting([t])[0])
+    return SplittingTensor(_splitting_grid(c, C0, [t])[0])
 
 
 def shape_operator_at(A0, c, C0, t: float) -> ShapeOperatorSet:
@@ -510,7 +527,7 @@ def shape_operator_at(A0, c, C0, t: float) -> ShapeOperatorSet:
     """
     ops, c, C0 = _ops(A0), _curv(c), _smat(C0)
     _before_horizon(c, C0, t)
-    return ShapeOperatorSet(tuple(A[0] for A in _Evolution(c, C0).shape(ops, [t])))
+    return ShapeOperatorSet(tuple(A[0] for A in _shape_grid(c, C0, ops, [t])))
 
 
 # ---------------------------------------------------------------------------
@@ -681,24 +698,6 @@ def _scalar_advance(c: float):
     return advance
 
 
-def _step_matrices(ev: _Evolution, t0: np.ndarray, h: float) -> np.ndarray:
-    """The RK4 step matrices R of steps of size ``h`` from the times ``t0``,
-    consecutive steps of one segment: C is evaluated once at every start,
-    midpoint and end, the end of each step but the last being the start of
-    the next."""
-    h2 = 0.5 * h
-    grid = np.empty(2 * t0.size + 1)
-    grid[:-1:2] = t0
-    grid[1::2] = t0 + h2
-    grid[-1] = t0[-1] + h
-    C = ev.splitting(grid)
-    C1, C2, C4 = C[:-1:2], C[1::2], C[2::2]
-    K2 = C2 + h2 * (C1 @ C2)
-    K3 = C2 + h2 * (K2 @ C2)
-    K4 = C4 + h * (K3 @ C4)
-    return ev.eye + (h / 6.0) * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
-
-
 def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSet]:
     """RK4 integration of A' = A C(t), with C(t) taken from the closed form.
 
@@ -713,23 +712,35 @@ def shape_ode_path(A0, c, C0, times, step: float = 1e-3) -> list[ShapeOperatorSe
 
     R groups the products otherwise than the textbook RK4, so the records
     match ``tests/conftest.py::rk4_path`` to rounding only.  A block of
-    steps takes its R from one :func:`_step_matrices` call and one
-    ``ndarray.dot`` per step of the ``(p q, q)`` rows of A, which gives
-    each operator the bits of its lone run; the blow-up guard is that of
-    :func:`riccati_path`.
+    steps takes its R from one :func:`_splitting_grid` call at every start,
+    midpoint and end, the end of each step but the last being the start of
+    the next.  Each operator then steps its own ``(q, q)`` rows, one
+    ``ndarray.dot`` per step, so each operator gets the bits of its lone
+    run; the blow-up guard is that of :func:`riccati_path`.
     """
     ops, c, C0 = _ops(A0), _curv(c), _smat(C0)
     if not ops:
         list(_rk4_segments(times, step))  # raises on a bad step or bad times
         return [ShapeOperatorSet(()) for _ in times]
-    ev = _Evolution(c, C0)
+    eye = np.eye(len(C0))
 
     def advance(H: np.ndarray, t0: np.ndarray, h: float) -> None:
-        rows = list(H[:t0.size + 1].reshape(t0.size + 1, len(ops) * len(C0), len(C0)))
+        h2 = 0.5 * h
         with np.errstate(all="ignore"):
-            R = _step_matrices(ev, t0, h)
-            for Y, Ri, nxt in zip(rows, R, rows[1:]):
-                Y.dot(Ri, nxt)
+            grid = np.empty(2 * t0.size + 1)
+            grid[:-1:2] = t0
+            grid[1::2] = t0 + h2
+            grid[-1] = t0[-1] + h
+            C = _splitting_grid(c, C0, grid)
+            C1, C2, C4 = C[:-1:2], C[1::2], C[2::2]
+            K2 = C2 + h2 * (C1 @ C2)
+            K3 = C2 + h2 * (K2 @ C2)
+            K4 = C4 + h * (K3 @ C4)
+            R = eye + (h / 6.0) * (C1 + 2.0 * K2 + 2.0 * K3 + K4)
+            for i in range(len(ops)):
+                rows = list(H[:t0.size + 1, i])
+                for Y, Ri, nxt in zip(rows, R, rows[1:]):
+                    Y.dot(Ri, nxt)
 
     return [ShapeOperatorSet(tuple(A)) for A in _rk4_run(times, step, np.stack(ops), advance)]
 

@@ -21,6 +21,7 @@ from .core import (
     _ops,
     _singular,
     _squares,
+    _sym,
     _unit_scale,
 )
 
@@ -441,7 +442,7 @@ def integrable_conullity_classify(c, family: SplittingFamily) -> ConullityVerdic
         return ConullityVerdict("MustBeCylinder", not bad, bad)
     bad = []
     for i, m in enumerate(family.basis):
-        w = np.abs(np.linalg.eigvalsh(0.5 * (m + m.T)))
+        w = np.abs(np.linalg.eigvalsh(_sym(m)))
         if any(_singular(c, lam, w, w.max()) for lam in w):
             bad.append(i)
     return ConullityVerdict("LeafBound", not bad, tuple(bad))

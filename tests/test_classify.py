@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,15 @@ class TestSignBalance:
     def test_signature_cutoff_is_relative(self):
         assert signature_counts(1e-10 * TRACELESS) == (1, 1)
         assert signature_counts(np.zeros((2, 2))) == (0, 0)
+
+    def test_signature_at_both_ends_of_the_float_range(self):
+        # the symmetric part of diag(+-1e308) once overflowed to (0, 0) with a
+        # warning; halving first would flush diag(+-5e-324) to (0, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert signature_counts(np.diag([1e308, -1e308])) == (1, 1)
+            assert signature_counts(np.array([[1e308, 1e308], [1e308, -1e308]])) == (1, 1)
+            assert signature_counts(np.diag([5e-324, -5e-324])) == (1, 1)
 
     @pytest.mark.parametrize("s", POWERS_OF_TWO)
     def test_signature_does_not_depend_on_scale(self, rng, s):

@@ -14,7 +14,6 @@ from nullgeo.classify import classify_splitting_spectrum, decay_report
 from nullgeo.cli import DimensionMismatch, _fmt, _fmt_rows, main, parse_scenario
 from nullgeo.core import (
     NullityError,
-    _Evolution,
     jacobi_tensor,
     max_invertible_time,
     shape_operator_at,
@@ -178,6 +177,9 @@ class TestParsing:
             # finite data whose A(t) = A0 / (1 - t) leaves the float range at t = 0.5
             ("evolve", {"mode": "evolve", "c": 0.0, "C0": [[1.0]], "A0": [[[1e308]]],
                         "t_grid": {"t_end": 0.5, "samples": 3}}),
+            # finite C0 with the eigenvalue 3.4e308, past the float range
+            ("classify", {**_CLASSIFY, "C0": np.full((2, 2), 1.7e308).tolist()}),
+            ("evolve", {**_EVOLVE, "C0": np.full((2, 2), 1.7e308).tolist()}),
             # JSON integers beyond the float range
             ("classify", {**_CLASSIFY, "c": -(10**400)}),
             ("classify", {**_CLASSIFY, "C0": [[10**400, 1.0], [-1.0, 0.0]]}),
@@ -196,6 +198,7 @@ class TestParsing:
             "C0-q-over", "catalog-npp-over", "decay-incompatible",
             "kappa-nan", "kappa-str", "kappa-tiny", "rho-inf", "rho-tiny", "rho-huge",
             "search-overflow", "t_end-grid-overflow", "A-overflow",
+            "classify-eigenvalue-overflow", "evolve-eigenvalue-overflow",
             "c-int-huge", "C0-int-huge", "family-int-huge", "b-int-huge", "t_end-int-huge",
         ],
     )
@@ -798,7 +801,7 @@ class TestRescaledGeometry:
         scns = [parse_scenario(p) for p in (base, _rescaled(base, s))]
         grids = [[x.t_end * k / (x.samples - 1) for k in range(x.samples)] for x in scns]
         (head, A, norms), (head_s, A_s, norms_s) = (
-            cli._evolve_block(_Evolution(x.c, x.C0), x, g) for x, g in zip(scns, grids)
+            cli._evolve_block(x, g) for x, g in zip(scns, grids)
         )
         assert np.array_equal(bits(head_s[0]), bits(head[0] / s))
         assert np.array_equal(bits(head_s[1]), bits(head[1]))

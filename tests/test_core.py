@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nullgeo import core
 from nullgeo.core import (
     INTERVAL_SLACK,
     RICCATI_BLOWUP,
@@ -18,10 +19,13 @@ from nullgeo.core import (
     SplittingTensor,
     _COSH_MAX,
     _STAGE_CHUNK,
-    _Evolution,
     _asymmetry,
+    _evaluate_grid,
+    _factors,
     _guard,
+    _shape_grid,
     _spectrum,
+    _splitting_grid,
     is_codazzi_compatible,
     jacobi_derivative,
     jacobi_tensor,
@@ -36,7 +40,9 @@ from nullgeo.checks import (
     SKEW2, WORKED_FAMILY, riccati_cases, riccati_deviation, sample_grid, shape_cases,
     shape_deviation,
 )
-from nullgeo.classify import classify_splitting_spectrum, decay_report, sign_balance_check
+from nullgeo.classify import (
+    PreconditionViolated, classify_splitting_spectrum, decay_report, sign_balance_check,
+)
 from nullgeo.sampling import random_compatible_pair
 from nullgeo.theorems import (
     alpha_norm, alpha_operator_norm, mean_curvature_norm, minimality_certificate,
@@ -160,6 +166,32 @@ class TestSpectrum:
         # scale the first once counted as real
         assert real_eigenvalues(s * np.array([[2.0, 1e-9], [-1e-9, 2.0]])) == []
         assert real_eigenvalues(s * np.array([[2.0, 1e-12], [-1e-12, 2.0]])) == [2.0 * s] * 2
+
+    def test_an_eigenvalue_past_the_float_range_is_a_nullity_error(self):
+        # full(1.7e308) has the eigenvalue 3.4e308 > DBL_MAX: every entry
+        # point that takes the spectrum raises the base error, with no
+        # warning; full(8e307), of spectral radius 1.6e308, keeps its results
+        big, fits = np.full((2, 2), 1.7e308), np.full((2, 2), 8e307)
+        calls = [
+            lambda M: real_eigenvalues(M),
+            lambda M: max_invertible_time(-1.0, M),
+            lambda M: splitting_tensor_at(-1.0, M, 1e-309),
+            lambda M: classify_splitting_spectrum(-1.0, M, GeodesicDomain.ray()),
+            lambda M: sign_balance_check([np.eye(2)], 1.0, M),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(NullityError, match=r"^an eigenvalue of modulus 3\.4e\+308 "):
+                    call(big)
+            assert real_eigenvalues(fits) == [1.6e308, 0.0]
+            assert max_invertible_time(-1.0, fits) == 6.25e-309
+            C = splitting_tensor_at(-1.0, fits, 1e-309).mat
+            assert C[0, 0] == pytest.approx(9.52380952e307)
+            verdict = classify_splitting_spectrum(-1.0, fits, GeodesicDomain.ray())
+            assert verdict.offending_eigenvalues == (1.6e308,)
+            with pytest.raises(PreconditionViolated, match="real eigenvalues"):
+                sign_balance_check([np.eye(2)], 1.0, fits)
 
 
 class TestMaxInvertibleTime:
@@ -312,11 +344,10 @@ class TestGridEvaluator:
         fwd = min(0.9 * max_invertible_time(c, C0), reach)
         bwd = min(0.9 * max_invertible_time(c, -C0), reach)
         grid = [*np.linspace(fwd, 0.05, 12), *np.linspace(-0.05, -bwd, 12)]
-        ev = _Evolution(c, C0)
-        C = ev.splitting(grid)
-        A = ev.shape(A0, grid)
-        Jinv = ev.shape([np.eye(q)], grid)[0]  # I J^{-1}
-        dets = ev.evaluate([], grid)[0]
+        C = _splitting_grid(c, C0, grid)
+        A = _shape_grid(c, C0, A0, grid)
+        Jinv = _shape_grid(c, C0, [np.eye(q)], grid)[0]  # I J^{-1}
+        dets = _evaluate_grid(c, C0, [], grid)[0]
         for k, t in enumerate(grid):
             assert np.array_equal(C[k], splitting_tensor_at(c, C0, t).mat)
             J = jacobi_tensor(c, C0, t)
@@ -333,8 +364,7 @@ class TestGridEvaluator:
     def test_det_beyond_cosh_overflow_uses_scaled_form(self):
         # J = cosh t - sinh t / 2 ~ e^t / 4 is representable past the point
         # where cosh t is not; det J = inf only where the value itself is
-        ev = _Evolution(-1.0, np.array([[0.5]]))
-        near, beyond, far = ev.evaluate([], [700.0, 711.0, 712.0])[0]
+        near, beyond, far = _evaluate_grid(-1.0, np.array([[0.5]]), [], [700.0, 711.0, 712.0])[0]
         assert near == pytest.approx(math.cosh(700.0) - 0.5 * math.sinh(700.0), rel=1e-12)
         assert beyond == pytest.approx(math.exp(711.0 - math.log(4.0)), rel=1e-12)
         assert far == math.inf
@@ -365,11 +395,11 @@ class TestGridEvaluator:
         # product raises no warning, and the first such t of the grid over
         # all operators is named
         big, lost = np.array([[1e308]]), r"^A\(t\) leaves the float range at t=0\.5$"
-        ev = _Evolution(0.0, np.eye(1))
+        I1 = np.eye(1)
         calls = [
             lambda: shape_operator_at([big], 0.0, [[1.0]], 0.5),
-            lambda: ev.shape([0.6 * big, big], [0.25, 0.5, 0.75]),
-            lambda: ev.evaluate([0.6 * big, big], [0.0, 0.25, 0.5, 0.75]),
+            lambda: _shape_grid(0.0, I1, [0.6 * big, big], [0.25, 0.5, 0.75]),
+            lambda: _evaluate_grid(0.0, I1, [0.6 * big, big], [0.0, 0.25, 0.5, 0.75]),
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -377,20 +407,20 @@ class TestGridEvaluator:
                 with pytest.raises(NullityError, match=lost) as err:
                     call()
                 assert type(err.value) is NullityError
-            assert ev.shape([0.6 * big], [0.5])[0][0, 0, 0] == pytest.approx(1.2e308)
+            assert _shape_grid(0.0, I1, [0.6 * big], [0.5])[0][0, 0, 0] == pytest.approx(1.2e308)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_fixed_point_keeps_its_splitting_tensor(self, a):
         # C0 = a I is the unstable fixed point of c = -a^2, C(t) = C0 for
         # every t: to an ulp (the solve multiplies by a reciprocal) at every
         # time before the first one where rounding loses J(t), which raises
-        ev = _Evolution(-a * a, a * np.eye(3))
+        c, C0 = -a * a, a * np.eye(3)
         ts = np.linspace(-400.0 / a, 400.0 / a, 8001)
         with pytest.raises(NullityError) as err:
-            ev.splitting(ts)
+            _splitting_grid(c, C0, ts)
         lost = float(re.fullmatch(r"J\(t\) cannot be inverted at t=(\S+)", str(err.value))[1])
         assert 355.0 / a < lost < 356.0 / a
-        C = ev.splitting(ts[ts < lost])
+        C = _splitting_grid(c, C0, ts[ts < lost])
         assert np.abs(C - a * np.eye(3)).max() <= np.finfo(float).eps * a
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -406,7 +436,7 @@ class TestGridEvaluator:
         d = np.where(back, -1.0 - lam / a, lam / a - 1.0)
         E = np.exp(-2.0 * a * np.abs(ts))
         want = np.where(back, -a, a) * (2.0 * E + d * (1.0 + E)) / (2.0 * E - d * (1.0 - E))
-        C = _Evolution(-a * a, np.diag(lam)).splitting(ts[:, 0])
+        C = _splitting_grid(-a * a, np.diag(lam), ts[:, 0])
         assert np.abs(np.einsum("kii->ki", C) - want).max() <= 8 * np.finfo(float).eps * a
 
     def test_check_raises_at_first_singular_time(self):
@@ -524,10 +554,9 @@ class TestShapeOdeFlow:
         times = [0.3, 0.3, 1.25, 2.0]
         seen = []
         rk4_path(lambda t, y: seen.append(t) or 0.0 * y, np.zeros(1), times, 1e-3, 1.0)
-        grids, splitting = [], _Evolution.splitting
-        monkeypatch.setattr(
-            _Evolution, "splitting", lambda ev, ts: grids.append(ts.copy()) or splitting(ev, ts)
-        )
+        grids, splitting = [], core._splitting_grid
+        monkeypatch.setattr(core, "_splitting_grid",
+                            lambda c, C0, ts: grids.append(ts.copy()) or splitting(c, C0, ts))
         shape_ode_path([np.eye(2)], 0.0, np.zeros((2, 2)), times, 1e-3)
         assert set(seen) == {t for g in grids for t in g}
         assert max(len(g) for g in grids) == 2 * _STAGE_CHUNK + 1
@@ -625,7 +654,7 @@ class TestOracleRuns:
         assert bits(got) == bits(worst)
 
     def test_rows_of_a_stack_step_independently(self, rng):
-        # every p steps the (p q, q) rows of its stack with one ndarray.dot
+        # each operator of a stack steps its own (q, q) rows, one ndarray.dot
         # per step, so each operator of a p = 2 stack gets the bits of that
         # operator stepped alone
         for c in (-1.0, 0.0, 1.0):
@@ -807,17 +836,16 @@ class TestOracleRuns:
         # the grids give the bits of the per-time arithmetic they replaced
         C0 = 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3))
         grid = self._straddling_grid(c)
-        ev = _Evolution(c, C0)
-        P, Q, r = ev._factors(grid)
+        P, Q, r = _factors(c, C0, grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            det = ev.evaluate([], grid)[0]
+            det = _evaluate_grid(c, C0, [], grid)[0]
             for k, t in enumerate(grid):
                 p1, q1, r1 = self._scalar_factors(c, C0, t)
                 assert np.array_equal(bits(P[k]), bits(p1))
                 assert np.array_equal(bits(Q[k]), bits(q1))
                 assert bits(r[k]) == bits(r1)
                 assert bits(det[k]) == bits(self._scalar_det(c, C0, t))
-                assert bits(det[k]) == bits(ev.evaluate([], [t])[0][0])
+                assert bits(det[k]) == bits(_evaluate_grid(c, C0, [], [t])[0][0])
 
     @pytest.mark.parametrize("c", [-0.64, -1.0, 0.25, 0.0])
     def test_one_factor_stack_gives_det_splitting_and_shape(self, rng, c):
@@ -827,15 +855,14 @@ class TestOracleRuns:
         C0 = 0.3 * rng.uniform(-1.0, 1.0, size=(3, 3))
         ops = [rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(2)]
         grid = self._straddling_grid(c)
-        ev = _Evolution(c, C0)
         with np.errstate(over="ignore", invalid="ignore"):
-            det, C, A = ev.evaluate(ops, grid)
+            det, C, A = _evaluate_grid(c, C0, ops, grid)
             assert np.array_equal(bits(det), bits([self._scalar_det(c, C0, t) for t in grid]))
-            assert np.array_equal(bits(C), bits(ev.splitting(grid)))
-            for got, want in zip(A, ev.shape(ops, grid), strict=True):
+            assert np.array_equal(bits(C), bits(_splitting_grid(c, C0, grid)))
+            for got, want in zip(A, _shape_grid(c, C0, ops, grid), strict=True):
                 assert np.array_equal(bits(got), bits(want))
             for k, t in enumerate(grid):
-                det1, C1, A1 = ev.evaluate(ops, [t])
+                det1, C1, A1 = _evaluate_grid(c, C0, ops, [t])
                 assert bits(det1[0]) == bits(det[k])
                 assert np.array_equal(bits(C1[0]), bits(C[k]))
                 assert all(np.array_equal(bits(a1[0]), bits(a[k])) for a1, a in zip(A1, A))

@@ -7,11 +7,12 @@ import pytest
 from nullgeo.catalog import totally_geodesic
 from nullgeo.checks import WORKED_FAMILY, radon_hurwitz_oracle
 from nullgeo.classify import AlphaLimit, BlockBehavior
-from nullgeo.core import NullityError, ShapeOperatorSet
+from nullgeo.core import NullityError, ShapeOperatorSet, _asymmetry
 from nullgeo.sampling import random_splitting_tensor
 from nullgeo.theorems import (
     ANGLE_TOL,
     KERNEL_SV_TOL,
+    ConullityVerdict,
     InconsistentInput,
     MinimalityVerdict,
     NoDirection,
@@ -502,6 +503,18 @@ class TestIntegrableConullity:
         v = integrable_conullity_classify(-1.0, bad)
         assert v.kind == "LeafBound" and not v.check_passed
         assert v.offending == (0,)
+
+    def test_leaf_bound_at_the_ends_of_the_float_range(self):
+        # eigenvalues +-1e308 break the bound sqrt(-c) = 1: the symmetric
+        # part once overflowed and passed the member, with a warning; the
+        # skew part of [[0, 1e308], [-1e308, 0]] is taken without one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = integrable_conullity_classify(-1.0, SplittingFamily((np.diag([1e308, -1e308]),)))
+            assert v == ConullityVerdict("LeafBound", False, (0,))
+            v = integrable_conullity_classify(-1.0, SplittingFamily((np.diag([5e-324, -5e-324]),)))
+            assert v == ConullityVerdict("LeafBound", True, ())
+            assert _asymmetry(np.array([[0.0, 1e308], [-1e308, 0.0]])) == 2.0
 
     def test_asymmetric_family_rejected(self):
         fam = SplittingFamily(basis=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
