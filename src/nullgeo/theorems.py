@@ -214,8 +214,8 @@ def find_special_nullity_direction(family: SplittingFamily) -> SpecialDirection 
         coeffs = -coeffs
         C = -C
         lam = -lam
-    S = -0.5 * (C - C.T)
-    return SpecialDirection(coeffs=coeffs, skew_part=S, lam=lam)
+    u, e = _unit_scale(C)  # where C - C^T cannot overflow
+    return SpecialDirection(coeffs=coeffs, skew_part=np.ldexp(-0.5 * (u - u.T), e), lam=lam)
 
 
 def theorem1_pipeline(family: SplittingFamily, A0, c) -> DecayReport:

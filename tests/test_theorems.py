@@ -102,6 +102,16 @@ class TestKernelSearch:
         assert d.lam == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(d.coeffs[0] * K + d.skew_part, 0.0, atol=1e-12)
 
+    def test_skew_member_near_the_float_range(self):
+        # C - C^T of this member is +-2e308: its skew part once came out
+        # +-inf, with a warning
+        K = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = find_special_nullity_direction(SplittingFamily(basis=(K,)))
+        assert d.lam == 0.0
+        np.testing.assert_allclose(d.skew_part, -d.coeffs[0] * K, rtol=1e-15)
+
     def test_worked_family(self):
         d = find_special_nullity_direction(WORKED_FAMILY)
         assert d is not None
