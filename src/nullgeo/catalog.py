@@ -169,35 +169,35 @@ def euclidean_cylinder(n: int, kappa: float) -> ModelSubmanifold:
 # synthetic ambient samples for cylinder_split
 # ---------------------------------------------------------------------------
 
-def circle_line_samples(radius: float = 1.0, n_leaf: int = 6, n_axis: int = 4):
-    """Exact samples from a round cylinder (circle x line) in 3-space.
+def circle_line_samples(radius: float = 1.0):
+    """Exact samples from a round cylinder (circle x line) in 3-space: 6
+    leaves, each a fixed angle on the circle, of 4 points along the axis.
 
-    Returns (samples, leaf_ids); each sample is (point, axis basis) and a
-    leaf is a fixed angle on the circle.
+    Returns (samples, leaf_ids); each sample is (point, axis basis).
     """
     samples = []
     leaf_ids = []
     axis = np.array([[0.0], [0.0], [1.0]])
-    for i in range(n_leaf):
-        theta = 2.0 * math.pi * i / n_leaf
-        for j in range(n_axis):
-            z = -1.0 + 2.0 * j / max(n_axis - 1, 1)
+    for i in range(6):
+        theta = 2.0 * math.pi * i / 6
+        for j in range(4):
+            z = -1.0 + 2.0 * j / 3
             pt = np.array([radius * math.cos(theta), radius * math.sin(theta), z])
             samples.append((pt, axis.copy()))
             leaf_ids.append(i)
     return samples, leaf_ids
 
 
-def cone_samples(n_points: int = 8):
-    """Samples from a cone: the ruling direction rotates, so no constant
+def cone_samples():
+    """8 samples from a cone: the ruling direction rotates, so no constant
     factor exists."""
     samples = []
-    for i in range(n_points):
-        theta = 2.0 * math.pi * i / n_points
+    for i in range(8):
+        theta = 2.0 * math.pi * i / 8
         ruling = np.array([[math.cos(theta)], [math.sin(theta)], [1.0]]) / math.sqrt(2.0)
         pt = np.array([math.cos(theta), math.sin(theta), 1.0])
         samples.append((pt, ruling))
-    return samples, list(range(n_points))
+    return samples, list(range(8))
 
 
 # ---------------------------------------------------------------------------

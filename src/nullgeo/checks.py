@@ -2,16 +2,17 @@
 CLI subcommand at small case counts and by the acceptance gate in
 ``tests/test_acceptance.py`` at its pinned seeds and counts.
 
-Identical (seed, step) inputs produce identical reports.  A bounded entry
-reports the bound when it passes and the measured worst case only when it
-fails: the worst case sits at roundoff level and its digits vary between
-numpy/LAPACK builds, the bound does not.  An exact entry reports a fixed
-statement.  The entries evaluate the closed forms on the grid of their
-times (``_splitting_grid``, ``_shape_grid``, ``_jacobi``), which gives
-each time the bits of ``splitting_tensor_at``, ``shape_operator_at`` and
-``jacobi_tensor`` there; every such time lies before the first singular
-time (:func:`sample_grid`, or a ``C0`` that makes ``J`` singular nowhere),
-so no entry checks the horizon.
+Identical seeds produce identical reports; the RK4 oracles run at the one
+step :data:`ORACLE_STEP`.  A bounded entry reports the bound when it passes
+and the measured worst case only when it fails: the worst case sits at
+roundoff level and its digits vary between numpy/LAPACK builds, the bound
+does not.  An exact entry reports a fixed statement.  The entries evaluate
+the closed forms on the grid of their times (``_splitting_grid``,
+``_shape_grid``, ``_jacobi``), which gives each time the bits of
+``splitting_tensor_at``, ``shape_operator_at`` and ``jacobi_tensor`` there;
+every such time lies before the first singular time (:func:`sample_grid`,
+or a ``C0`` that makes ``J`` singular nowhere), so no entry checks the
+horizon.
 """
 from __future__ import annotations
 
@@ -50,11 +51,13 @@ from .theorems import (
 )
 
 __all__ = [
-    "Check", "CHECKS", "run_checks", "report", "CURVATURES", "WORKED_FAMILY",
+    "Check", "CHECKS", "run_checks", "report", "CURVATURES", "ORACLE_STEP", "WORKED_FAMILY",
     "radon_hurwitz_oracle", "riccati_deviation", "shape_deviation",
 ]
 
 CURVATURES = (-1.0, 0.0, 1.0)
+# the RK4 step of the two oracle entries
+ORACLE_STEP = 1e-3
 RH_TABLE_16 = (1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1, 9)
 # (c, C0, first singular time) known in closed form
 EXACT_HORIZONS = (
@@ -76,23 +79,22 @@ SKEW2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 @dataclass(frozen=True)
 class Check:
-    """One invariant.  ``run(rng, count, step)``, whose docstring names the
+    """One invariant.  ``run(rng, count)``, whose docstring names the
     statement of arXiv:1910.04050 or the identity it checks, draws ``count``
-    cases from ``rng`` (only the RK4 oracles read ``step``) and returns
-    ``(ok, values)``.  A bounded entry passes when ``ok`` holds and
-    ``values[0]``, its worst case, is at most ``bound``.  ``detail`` is the
-    report text: the measured quantity, or an exact entry's statement;
-    ``count`` and ``salt`` are those of ``check``."""
+    cases from ``rng`` and returns ``(ok, values)``.  A bounded entry passes
+    when ``ok`` holds and ``values[0]``, its worst case, is at most
+    ``bound``.  ``detail`` is the report text: the measured quantity, or an
+    exact entry's statement; ``count`` and ``salt`` are those of ``check``."""
 
     name: str
-    run: Callable[[np.random.Generator, int, float], tuple[bool, tuple]]
+    run: Callable[[np.random.Generator, int], tuple[bool, tuple]]
     detail: str
     count: int
     salt: int
     bound: float | None = None
 
-    def evaluate(self, rng: np.random.Generator, count: int, step: float) -> tuple[bool, tuple]:
-        ok, values = self.run(rng, count, step)
+    def evaluate(self, rng: np.random.Generator, count: int) -> tuple[bool, tuple]:
+        ok, values = self.run(rng, count)
         if self.bound is not None:
             ok = ok and values[0] <= self.bound
         return ok, values
@@ -132,7 +134,7 @@ def shape_cases(rng: np.random.Generator, count: int) -> list[tuple]:
             for c, (A0, C0) in zip(cycle(CURVATURES), pairs)]
 
 
-def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
+def riccati_deviation(rng: np.random.Generator, count: int, step: float = ORACLE_STEP) -> float:
     """Largest entry gap between the closed-form C(t) and an RK4 solution of
     C' = C^2 + c I with the given step, over ``riccati_cases(rng, count)``:
     each case is stepped alone by :func:`riccati_path`, and compared with
@@ -146,7 +148,7 @@ def riccati_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) 
     return worst
 
 
-def shape_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) -> float:
+def shape_deviation(rng: np.random.Generator, count: int, step: float = ORACLE_STEP) -> float:
     """Largest entry gap between the closed-form A(t) = A0 J(t)^{-1} and an
     RK4 solution of A' = A C(t) with the given step, over
     ``shape_cases(rng, count)``: each case is stepped alone by
@@ -159,19 +161,19 @@ def shape_deviation(rng: np.random.Generator, count: int, step: float = 1e-3) ->
     return worst
 
 
-def _riccati_oracle(rng, count, step):
+def _riccati_oracle(rng, count):
     """Main theorem: the closed-form splitting tensor C(t) solves the
     Riccati equation C' = C^2 + cI (against RK4)."""
-    return True, (riccati_deviation(rng, count, step),)
+    return True, (riccati_deviation(rng, count),)
 
 
-def _shape_oracle(rng, count, step):
+def _shape_oracle(rng, count):
     """Main theorem: the Codazzi equation along the nullity, A' = A C(t),
     integrates to A(t) = A0 J(t)^{-1} (against RK4)."""
-    return True, (shape_deviation(rng, count, step),)
+    return True, (shape_deviation(rng, count),)
 
 
-def _jacobi_residual(rng, count, step):
+def _jacobi_residual(rng, count):
     """Main theorem: J solves the Jacobi equation J'' + cJ = 0; its residual
     by a second difference of step 1e-4, relative to 1 + max |J|."""
     h = 1e-4
@@ -186,7 +188,7 @@ def _jacobi_residual(rng, count, step):
     return True, (worst,)
 
 
-def _gauge_identity(rng, count, step):
+def _gauge_identity(rng, count):
     """Initial values of the main theorem: C(0) = C0 and A(0) = A0 exactly."""
     ok = True
     for _ in range(count):
@@ -196,7 +198,7 @@ def _gauge_identity(rng, count, step):
     return ok, ()
 
 
-def _derivative(rng, count, step):
+def _derivative(rng, count):
     """The closed-form J'(t) against a central difference of J, relative."""
     h = 1e-6
     worst = 0.0
@@ -210,7 +212,7 @@ def _derivative(rng, count, step):
     return True, (worst,)
 
 
-def _cocycle(rng, count, step):
+def _cocycle(rng, count):
     """The Riccati flow is autonomous: C(t) from C0 is C(t - s) from C(s)."""
     worst = 0.0
     for i in range(count):
@@ -223,19 +225,19 @@ def _cocycle(rng, count, step):
     return True, (worst,)
 
 
-def _radon_hurwitz(rng, count, step):
+def _radon_hurwitz(rng, count):
     """The Radon-Hurwitz numbers behind the nullity thresholds: the table
     rho(1..16), and rho(1..count) against the periodicity oracle."""
     ok = tuple(radon_hurwitz(m) for m in range(1, 17)) == RH_TABLE_16
     return ok and all(radon_hurwitz(m) == radon_hurwitz_oracle(m) for m in range(1, count + 1)), ()
 
 
-def _nu_n(rng, count, step):
+def _nu_n(rng, count):
     """The nullity threshold nu_n at n = 2, 9 and 17."""
     return [nu_n(n) for n in (2, 9, 17)] == [0, 1, 1], ()
 
 
-def _kernel(rng, count, step):
+def _kernel(rng, count):
     """Kernel-search theorem: a family of nu0 = q(q+1)/2 splitting tensors
     has a member C = -S - lambda I, S skew and lambda <= 0."""
     ok = True
@@ -249,12 +251,12 @@ def _kernel(rng, count, step):
     return ok, ()
 
 
-def _max_invertible_exact(rng, count, step):
+def _max_invertible_exact(rng, count):
     """The first singular time of J against the cases known in closed form."""
     return True, (max(abs(max_invertible_time(c, C0) - want) for c, C0, want in EXACT_HORIZONS),)
 
 
-def _catalog(rng, count, step):
+def _catalog(rng, count):
     """The exact models' expected properties, among them Cartan's identity,
     lam_s lam_h = 1 and the Gauss curvatures of the hyperbolic cylinders."""
     models = [
@@ -267,7 +269,7 @@ def _catalog(rng, count, step):
     return all(all(catalog.verify_model(m).values()) for m in models), ()
 
 
-def _symmetry(rng, count, step):
+def _symmetry(rng, count):
     """Main theorem: A(t) stays symmetric for Codazzi-compatible (A0, C0); a
     control pair that is not compatible breaks symmetry."""
     worst = 0.0
@@ -280,7 +282,7 @@ def _symmetry(rng, count, step):
     return control > 1e-4, (worst, control)
 
 
-def _rank(rng, count, step):
+def _rank(rng, count):
     """Main theorem: A(t) = A0 J(t)^{-1} keeps the rank and signature of A0."""
     ok = True
     for i in range(count):
@@ -295,7 +297,7 @@ def _rank(rng, count, step):
     return ok, ()
 
 
-def _sphere(rng, count, step):
+def _sphere(rng, count):
     """Sphere continuation (c = 1): without real eigenvalues of C0, A(pi)
     has the negated eigenvalues of A0, whose signs then balance."""
     ok, worst = True, 0.0
@@ -312,7 +314,7 @@ def _sphere(rng, count, step):
     return ok, (worst,)
 
 
-def _hyperbolic_decay(rng, count, step):
+def _hyperbolic_decay(rng, count):
     """Hyperbolic space (c = -1): A(t) decays along a ray for C0 = rS + lambda I,
     S skew, lambda <= 0 (max |A(20)| / max |A0|), and blows up for C0 = I."""
     ratios = []
@@ -328,7 +330,7 @@ def _hyperbolic_decay(rng, count, step):
     return grown >= 1e3, (float(np.max(ratios, initial=0.0)), grown)
 
 
-def _theorem1(rng, count, step):
+def _theorem1(rng, count):
     """Theorem 1: the worked family's direction and vanishing decay limit (with
     the critical-edge warning), and a direction in every family of
     nu0 >= q(q+1)/2 members."""
@@ -350,7 +352,7 @@ def _theorem1(rng, count, step):
     return ok and found == count, (found, count)
 
 
-def _cylinder_split(rng, count, step):
+def _cylinder_split(rng, count):
     """Integrable conullity in Euclidean space: a round cylinder splits off its
     axis (angle, residual), and a cone has no constant factor."""
     samples, leaf_ids = catalog.circle_line_samples()
@@ -365,7 +367,7 @@ def _cylinder_split(rng, count, step):
     return ok, (angle, split.residual)
 
 
-def _gauss(rng, count, step):
+def _gauss(rng, count):
     """Gauss equation: s = c when totally geodesic, and s <= c exactly when
     |alpha|^2 >= n^2 |H|^2."""
     zero = [np.zeros((3, 3))]
@@ -402,10 +404,10 @@ CHECKS = (
 )
 
 
-def run_checks(seed: int = 0, step: float = 1e-3) -> list[tuple[Check, bool, tuple]]:
+def run_checks(seed: int = 0) -> list[tuple[Check, bool, tuple]]:
     """``(check, passed, values)`` of every entry of :data:`CHECKS` at its
-    small count, on ``default_rng([seed, salt])``, with the oracle step."""
-    return [(check, *check.evaluate(np.random.default_rng([seed, check.salt]), check.count, step))
+    small count, on ``default_rng([seed, salt])``."""
+    return [(check, *check.evaluate(np.random.default_rng([seed, check.salt]), check.count))
             for check in CHECKS]
 
 

@@ -43,8 +43,6 @@ MODES = ("evolve", "classify", "search", "catalog", "check")
 # entries per stack, 512 KiB, so that the stacks of one block stay in a
 # core's cache from one call to the next
 _EVOLVE_BLOCK_ENTRIES = 2**16
-# oracle steps `check` accepts; the floor bounds the RK4 work of one run
-CHECK_STEP_RANGE = (1e-4, 0.1)
 # sizes a scenario may request: evolve grid samples, and the catalog
 # dimensions n, k
 SAMPLES_RANGE = (2, 100_000)
@@ -533,16 +531,15 @@ def run_catalog(scn: Scenario, out_dir: Path, stem: str) -> int:
     return EXIT_OK
 
 
-def run_check(scn: Scenario | None, out_dir: Path, stem: str, step: float, seed: int) -> int:
+def run_check(scn: Scenario | None, out_dir: Path, stem: str, seed: int) -> int:
+    """Run the check suite on the seed of ``scn``, or on ``seed`` without a
+    scenario (the parser takes one or the other)."""
     if scn is not None:
         seed = scn.seed
     if seed < 0:
         raise ScenarioParseError(f"seed must be a non-negative integer, got {seed}")
-    lo, hi = CHECK_STEP_RANGE
-    if not lo <= step <= hi:  # false for nan
-        raise ScenarioParseError(f"--step must lie in [{lo:g}, {hi:g}], got {step}")
     from .checks import report, run_checks
-    text, code = report(run_checks(seed=seed, step=step))
+    text, code = report(run_checks(seed=seed))
     (out_dir / f"{stem}.report.txt").write_text(text)
     sys.stdout.write(text)
     return EXIT_OK if code == 0 else EXIT_CHECK_FAILED
@@ -569,20 +566,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in MODES:
         p = sub.add_parser(name)
-        p.add_argument(
+        # check takes its seed from a scenario or from --seed, not both
+        source = p.add_mutually_exclusive_group() if name == "check" else p
+        source.add_argument(
             "--scenario",
             required=(name != "check"),
             help="path to a scenario JSON file",
         )
+        if name == "check":
+            # no default: argparse lets a default value through the group,
+            # and an explicit --seed 0 must conflict too
+            source.add_argument("--seed", type=int, help="default 0")
         p.add_argument("--out", default=".", help="output directory")
-    check = sub.choices["check"]
-    check.add_argument("--seed", type=int, default=0)
-    check.add_argument(
-        "--step",
-        type=float,
-        default=1e-3,
-        help="oracle integrator step for check, in [%g, %g]" % CHECK_STEP_RANGE,
-    )
     return parser
 
 
@@ -617,7 +612,7 @@ def main(argv=None) -> int:
             return run_search(scn, out_dir, stem)
         if args.command == "catalog":
             return run_catalog(scn, out_dir, stem)
-        return run_check(scn, out_dir, stem, args.step, args.seed)
+        return run_check(scn, out_dir, stem, args.seed or 0)
     except NullityError as e:
         print(f"error: {e}", file=sys.stderr)
         if isinstance(e, DimensionMismatch):

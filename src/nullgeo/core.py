@@ -45,8 +45,9 @@ REAL_EIG_TOL = 1e-10     # |Im| <= REAL_EIG_TOL * |lam| (+ rounding) counts as r
 INTERVAL_SLACK = 1e-10   # relative closed-interval membership slack
 RICCATI_BLOWUP = 1e8     # abort integration once a tensor norm exceeds this
 _STAGE_CHUNK = 512       # RK4 steps per block of the oracles: history, guard check, stage C
-# RK4 steps one oracle run may take in all: 200 times the 5e4 of `check --step
-# 1e-4`, and about a minute of q = 4 Riccati steps (5.6 us each on a Xeon core)
+# RK4 steps one oracle run may take in all: 2000 times the 5e3 of the longest
+# run in use (the last time 5 of `checks.sample_grid` at the oracle step 1e-3),
+# and about a minute of q = 4 Riccati steps (5.6 us each on a Xeon core)
 _RK4_MAX_STEPS = 10**7
 _COSH_MAX = math.log(sys.float_info.max)  # cosh(x) < e^x is finite for x up to here
 

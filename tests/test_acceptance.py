@@ -2,7 +2,8 @@
 
 Each row of ``CRITERIA`` runs entries of ``nullgeo.checks.CHECKS`` in order
 on ``default_rng(seed)`` at the pinned count, after asserting that each
-entry's bound is the pinned one; the last values fill in the PASS line.
+entry's bound, and the oracle entries' RK4 step, are the pinned ones; the
+last values fill in the PASS line.
 Criterion 09 adds the det-sampling oracle of ``conftest``, and criterion 14
 (CLI determinism) is a test of its own.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to see the lines.  Seeds, counts
@@ -14,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from nullgeo.checks import CHECKS, CURVATURES
+from nullgeo.checks import CHECKS, CURVATURES, ORACLE_STEP
 from nullgeo.cli import main as cli_main
 from nullgeo.core import max_invertible_time
 
 from conftest import det_sampling_bmax
 
 ROOT = Path(__file__).resolve().parents[1]
-ORACLE_STEP = 1e-3
+PINNED_STEP = 1e-3
 ENTRIES = {check.name: check for check in CHECKS}
 
 
@@ -32,7 +33,7 @@ def _verdict(n: int, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {n}{suffix}"
 
 
-def _det_sampling(rng, count, step):
+def _det_sampling(rng, count):
     """``max_invertible_time`` against dense det-sampling of the closed-form
     J with bisection, over ``count`` random C0 with q in 1..5."""
     ok, worst = True, 0.0
@@ -79,13 +80,14 @@ CRITERIA = (
 
 def _criterion(number, entries, seed, count, bound, detail):
     def test():
+        assert ORACLE_STEP == PINNED_STEP, f"oracle step is not the pinned {PINNED_STEP}"
         rng = np.random.default_rng(seed)
         ok = True
         for entry in entries:
             if isinstance(entry, str):
                 assert ENTRIES[entry].bound == bound, f"{entry}: bound is not the pinned {bound}"
                 entry = ENTRIES[entry].evaluate
-            passed, values = entry(rng, count, ORACLE_STEP)
+            passed, values = entry(rng, count)
             ok = ok and passed
         _verdict(number, ok, detail(*values) if detail else "")
 

@@ -4,12 +4,13 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nullgeo import cli
+from nullgeo import checks, cli
 from nullgeo.classify import classify_splitting_spectrum, decay_report
 from nullgeo.cli import DimensionMismatch, _fmt, _fmt_rows, main, parse_scenario
 from nullgeo.core import (
@@ -294,9 +295,18 @@ class TestCommandLine:
         assert main(["check", "--seed", "-1", "--out", str(tmp_path)]) == 2
         assert len(built) == 1
 
-    def test_no_option_carries_to_the_next_call(self, tmp_path, capsys):
-        # a coarse step fails the Riccati oracle's bound: exit 1
-        assert main(["check", "--seed", "3", "--step", "0.05", "--out", str(tmp_path)]) == 1
+    def test_no_option_carries_to_the_next_call(self, tmp_path, monkeypatch, capsys):
+        # an unmeetable bound fails the first entry alone: exit 1, a FAIL line
+        # with the measured worst case, and every other line golden
+        first = replace(checks.CHECKS[0], bound=0.0)
+        monkeypatch.setattr(checks, "CHECKS", (first, *checks.CHECKS[1:]))
+        assert main(["check", "--seed", "3", "--out", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        golden = (GOLDEN / "check_default.report.txt").read_text().splitlines()
+        assert re.fullmatch(r"FAIL riccati_oracle_equivalence: max deviation "
+                            r"\d\.\d{3}e[+-]\d{2}, bound 0", lines[0])
+        assert lines[1:] == golden[1:-1] + ["18 checks, 1 failed"]
+        monkeypatch.undo()
         assert run_shipped("check", "check_default.json", tmp_path) == 0
         name = "check_default.report.txt"
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
@@ -308,11 +318,15 @@ class TestCommandLine:
             ["evolve", "--scenario", str(SCENARIOS / "evolve_skew_hyperbolic.json"), "--step", "nan"],
             ["classify", "--scenario", str(SCENARIOS / "classify_flat_line.json"), "--seed", "1"],
             ["check", "--seed", "abc"],
+            ["check", "--step", "1e-3"],
+            ["check", "--scenario", str(SCENARIOS / "check_default.json"), "--seed", "5"],
+            ["check", "--seed", "0", "--scenario", str(SCENARIOS / "check_default.json")],
             ["evolve"],
             ["simulate"],
         ],
-        ids=["evolve-step", "evolve-step-nan", "classify-seed", "check-seed-str",
-             "no-scenario", "unknown-command"],
+        ids=["evolve-step", "evolve-step-nan", "classify-seed", "check-seed-str", "check-step",
+             "check-scenario-and-seed", "check-seed-0-and-scenario", "no-scenario",
+             "unknown-command"],
     )
     def test_rejected_command_line_is_one_error_line(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as stop:
@@ -383,7 +397,7 @@ class TestCommandLine:
             main(["check", "--help"])
         assert stop.value.code == 0
         out, err = capsys.readouterr()
-        assert out.startswith("usage: nullgeo check") and "--step STEP" in out and err == ""
+        assert out.startswith("usage: nullgeo check") and "--step" not in out and err == ""
 
 
 class TestEvolve:
@@ -736,16 +750,6 @@ class TestCatalogAndCheck:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert (tmp_path / "check.report.txt").exists()
-
-    def test_coarse_step_fails_the_oracle_checks_alone(self, tmp_path, capsys):
-        # the RK4 oracles, the first two entries, miss their bound at step
-        # 0.1; no other entry reads the step, so every other line is golden
-        assert main(["check", "--step", "0.1", "--seed", "0", "--out", str(tmp_path)]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        golden = (GOLDEN / "check_default.report.txt").read_text().splitlines()
-        assert lines[2:] == golden[2:-1] + ["18 checks, 2 failed"]
-        for line, name in zip(lines, ("riccati_oracle_equivalence", "shape_oracle_equivalence")):
-            assert re.fullmatch(rf"FAIL {name}: max deviation \d\.\d{{3}}e[+-]\d{{2}}, bound 1e-06", line)
 
 
 # c = -1, C0 = diag(2, 1/2) at the scale 2**-40, whose J(t) is singular at
