@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,21 @@ class ModelSubmanifold:
         return self.shape[:, idx[:, None], idx]
 
 
+# kernel_dim counts a singular value at most this share of the largest as zero
+_KERNEL_REL = 1e-10
+# the hyperbolic cylinder radii rho whose models verify: from the floor,
+# where lam_h / lam_s = rho^2 / (1 + rho^2) is 1e-8, 100 times _KERNEL_REL,
+# to the largest rho whose rho^2 is finite
+_RHO_RANGE = (1e-4, math.sqrt(sys.float_info.max))
+
+
+def _dim(name: str, x) -> int:
+    """``x`` as an int; ValueError unless it is an integer (a bool is not)."""
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def _finite_real(name: str, x) -> float:
     """``x`` as a float; ValueError unless it is a finite real number."""
     try:
@@ -56,6 +72,7 @@ def _finite_real(name: str, x) -> float:
 def totally_geodesic(n: int, p: int, c: float) -> ModelSubmanifold:
     """Zero second fundamental form; the nullity is everything.  ValueError
     for n < 2, where the scalar curvature it is checked for is undefined."""
+    n, p = _dim("n", n), _dim("p", p)
     if n < 2:
         raise ValueError("n must be >= 2")
     zero = np.zeros((n, n))
@@ -63,7 +80,7 @@ def totally_geodesic(n: int, p: int, c: float) -> ModelSubmanifold:
         name="totally_geodesic",
         profile=NullityProfile(n=n, p=p, nu=n),
         c=_curv(c),
-        shape=np.tile(zero, (len(range(p)), 1, 1)),  # range(p) rejects a non-integer p
+        shape=np.tile(zero, (p, 1, 1)),
         splitting_family=SplittingFamily(basis=tuple(np.zeros((0, 0)) for _ in range(n))),
         conullity_indices=(),
         expected_properties=("kernel_dim", "scalar_curvature_is_c", "codazzi_compatible"),
@@ -76,17 +93,18 @@ def hyperbolic_cylinder(k: int, n: int, rho: float) -> ModelSubmanifold:
     lam_s = sqrt(1+rho^2)/rho (multiplicity k) and lam_h = rho/sqrt(1+rho^2).
 
     Umbilic-free, shape operator bounded away from zero, strictly positive
-    extrinsic curvature, and no relative nullity at all (nu = 0).
+    extrinsic curvature, and no relative nullity at all (nu = 0).  ValueError
+    for rho outside [1e-4, sqrt(DBL_MAX)], where ``verify_model`` would fail.
     """
+    k, n = _dim("k", k), _dim("n", n)
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     rho = _finite_real("rho", rho)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    lo, hi = _RHO_RANGE
+    if not lo <= rho <= hi:
+        raise ValueError(f"rho must lie in [{lo:g}, {hi:.6g}], got {rho!r}")
     lam_s = math.sqrt(1.0 + rho * rho) / rho
     lam_h = rho / math.sqrt(1.0 + rho * rho)
-    if not (math.isfinite(lam_s * lam_s) and 0.0 < rho * rho and 1.0 / (rho * rho) < math.inf):
-        raise ValueError(f"rho = {rho!r} is out of range: lam_s^2 or 1/rho^2 is not finite")
     diag = [lam_s] * k + [lam_h] * (n - k)
     return ModelSubmanifold(
         name="hyperbolic_cylinder",
@@ -143,6 +161,7 @@ def euclidean_cylinder(n: int, kappa: float) -> ModelSubmanifold:
     """Cylinder over a plane curve of curvature kappa in Euclidean space:
     one nonzero principal curvature, nullity index n - 1, vanishing
     splitting family."""
+    n = _dim("n", n)
     kappa = _finite_real("kappa", kappa)
     if kappa == 0.0:
         raise ValueError("kappa must be nonzero")
@@ -208,14 +227,19 @@ def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
     """Evaluate every expected property of a catalog entry; returns a map
     property name -> pass.  The identities read the principal curvatures
     from the diagonal of the first shape operator, and ``params`` only for
-    the radius ``rho`` of a hyperbolic cylinder."""
+    the radius ``rho`` of a hyperbolic cylinder.  An identity holds to
+    1e-12 times its largest term, or 1e-12 where no term exceeds 1."""
+
+    def tol(*terms: float) -> float:
+        return 1e-12 * max(1.0, *map(abs, terms))
+
     out: dict[str, bool] = {}
     c = model.c
     cshape = model.conullity_shape()
     lam = np.diag(model.shape[0]).tolist() if len(model.shape) else []
     for prop in model.expected_properties:
         if prop == "kernel_dim":
-            dims = {classify._null_space(a, 1e-10).shape[1] for a in model.shape}
+            dims = {classify._null_space(a, _KERNEL_REL).shape[1] for a in model.shape}
             out[prop] = dims <= {model.profile.nu}
         elif prop == "codazzi_compatible":
             out[prop] = all(
@@ -233,8 +257,8 @@ def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
             ks = c + lam[0] ** 2
             kh = c + lam[-1] ** 2
             out[prop] = (
-                abs(ks - 1.0 / rho**2) <= 1e-12
-                and abs(kh + 1.0 / (1.0 + rho**2)) <= 1e-12
+                abs(ks - 1.0 / rho**2) <= tol(c, lam[0] ** 2)
+                and abs(kh + 1.0 / (1.0 + rho**2)) <= tol(c, lam[-1] ** 2)
             )
         elif prop == "positive_extrinsic":
             n = len(lam)
@@ -250,7 +274,7 @@ def verify_model(model: ModelSubmanifold) -> dict[str, bool]:
             )
             oracle = 2.0 * pair_sum / (n * (n - 1))
             s = theorems.scalar_curvature(model.shape, n, c)
-            out[prop] = abs(s - oracle) <= 1e-12
+            out[prop] = abs(s - oracle) <= tol(c, *(x * x for x in lam))
         elif prop == "cartan_identity":
             worst = 0.0
             for i in range(len(lam)):

@@ -22,7 +22,7 @@ from .core import (
     _real_parts,
     _rounding,
     _shape_grid,
-    _singular,
+    _singular_time,
     _smat,
     _spectrum,
     _sym,
@@ -136,8 +136,8 @@ def _clause(c: float, w: np.ndarray, rho: float, domain: GeodesicDomain) -> Spec
     else:  # line
         clause, interval = Clause.II2, (-a, a)
     line = domain.kind is DomainKind.LINE
-    bad = [x for x in _real_parts(w, rho)
-           if _singular(c, x, w, rho) or (line and _singular(c, -x, w, rho))]
+    bad = [x for x in _real_parts(w, rho) if _singular_time(c, x, w, rho) is not None
+           or (line and _singular_time(c, -x, w, rho) is not None)]
     if bad:
         return SpectrumVerdict(False, clause, tuple(complex(x) for x in bad), interval)
     return SpectrumVerdict(True, admissible_interval=interval)

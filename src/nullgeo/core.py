@@ -150,7 +150,10 @@ class GeodesicDomain:
 # ---------------------------------------------------------------------------
 
 def _curv(c) -> float:
-    c = float(c)
+    try:
+        c = float(c)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("curvature must be finite, got an integer beyond the float range") from None
     if not math.isfinite(c):
         raise ValueError(f"curvature must be finite, got {c}")
     return c
@@ -308,15 +311,28 @@ def jacobi_derivative(c, C0, t: float) -> np.ndarray:
     return _jacobi_at(c, C0, t)[1]
 
 
-def _singular(c: float, lam: float, w: np.ndarray, rho: float) -> bool:
-    """Whether the factor u(t) - v(t) lam of det J, lam a real eigenvalue of
-    the spectrum ``(w, rho)`` of C0, vanishes at some t > 0: always for
-    c > 0; for c < 0 when lam > a (1 + INTERVAL_SLACK), a = sqrt(-c); for
-    c = 0 when lam exceeds the rounding :func:`_rounding`, below which it is
-    0.  The horizon, the clauses and the leaf bound all ask this."""
+def _singular_time(c: float, lam: float, w: np.ndarray, rho: float) -> float | None:
+    """The first t > 0 at which the factor u(t) - v(t) lam of det J vanishes,
+    lam a real eigenvalue of the spectrum ``(w, rho)`` of C0, or None where
+    none does.  One does for c > 0 always; for c < 0 when
+    lam > a (1 + INTERVAL_SLACK), a = sqrt(|c|); for c = 0 when lam exceeds
+    the rounding :func:`_rounding`, below which it is 0.  The horizon, the
+    clauses and the leaf bound all ask this.  A root past the float range is
+    inf, which is not None: J is singular there all the same."""
+    a = math.sqrt(abs(c))
+    if not (c > 0.0 or lam > (a * (1.0 + INTERVAL_SLACK) if c < 0.0 else _rounding(w, rho))):
+        return None
+    if c == 0.0 or 0.0 < lam and a / lam < sys.float_info.min:
+        # J = 1 - t lam at c = 0; below the normal range a / lam loses its
+        # digits, but atan and atanh are the identity there: 1 / lam too
+        return 1.0 / lam
     if c > 0.0:
-        return True
-    return lam > (math.sqrt(-c) * (1.0 + INTERVAL_SLACK) if c < 0.0 else _rounding(w, rho))
+        # cot(a t) = lam / a, first root in (0, pi/a]; atan2 keeps the digits
+        # of a / lam that pi/2 - atan(lam / a) cancels where lam >> a
+        return math.atan2(a, lam) / a
+    # coth(a t) = lam / a; atanh keeps a / lam where (lam + a) / (lam - a)
+    # would round to 1
+    return math.atanh(a / lam) / a
 
 
 def max_invertible_time(c, C0) -> float:
@@ -324,22 +340,13 @@ def max_invertible_time(c, C0) -> float:
 
     Only real eigenvalues of ``C0`` can produce a singular time: the scalar
     factor attached to a complex eigenvalue has real and imaginary parts that
-    cannot vanish simultaneously, and :func:`_singular` says which real ones do.
+    cannot vanish simultaneously, and :func:`_singular_time` gives the root
+    of each real one.
     """
     c = _curv(c)
     w, rho = _spectrum(_smat(C0))
-    lams = [lam for lam in _real_parts(w, rho) if _singular(c, lam, w, rho)]
-    a = math.sqrt(abs(c))
-    if c > 0.0:
-        # first positive root of cot(a t) = lam / a, always in (0, pi/a]
-        roots = [(math.pi / 2.0 - math.atan(lam / a)) / a for lam in lams]
-    elif c < 0.0:
-        # coth(a t) = lam / a; atanh keeps a / lam where (lam + a) / (lam - a)
-        # would round to 1
-        roots = [math.atanh(a / lam) / a for lam in lams]
-    else:
-        roots = [1.0 / lam for lam in lams]
-    return min(roots, default=math.inf)
+    roots = (_singular_time(c, lam, w, rho) for lam in _real_parts(w, rho))
+    return min((t for t in roots if t is not None), default=math.inf)
 
 
 def _factors(c: float, C0: np.ndarray, ts):

@@ -19,7 +19,7 @@ from .core import (
     _asymmetry,
     _curv,
     _ops,
-    _singular,
+    _singular_time,
     _squares,
     _sym,
     _unit_scale,
@@ -443,6 +443,6 @@ def integrable_conullity_classify(c, family: SplittingFamily) -> ConullityVerdic
     bad = []
     for i, m in enumerate(family.basis):
         w = np.abs(np.linalg.eigvalsh(_sym(m)))
-        if any(_singular(c, lam, w, w.max()) for lam in w):
+        if any(_singular_time(c, lam, w, w.max()) is not None for lam in w):
             bad.append(i)
     return ConullityVerdict("LeafBound", not bad, tuple(bad))

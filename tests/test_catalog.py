@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nullgeo import catalog
 from nullgeo.catalog import (
     cartan_veronese_polar,
     euclidean_cylinder,
@@ -119,3 +122,72 @@ def test_totally_geodesic_scalar_curvature_is_ambient():
 def test_documented_argument_errors(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: totally_geodesic(3, 1.5, 1.0),
+        lambda: totally_geodesic(3.5, 1, 1.0),
+        lambda: totally_geodesic(3, True, 1.0),
+        lambda: hyperbolic_cylinder(1, 3.5, 1.0),
+        lambda: hyperbolic_cylinder(1.0, 3, 1.0),
+        lambda: euclidean_cylinder(2.5, 1.0),
+        lambda: euclidean_cylinder(False, 1.0),
+    ],
+    ids=["tg-p-float", "tg-n-float", "tg-p-bool", "hc-n-float", "hc-k-float", "ec-n-float",
+         "ec-n-bool"],
+)
+def test_non_integer_dimension_is_a_value_error(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("rho", [1e-4, 1e-3, 0.01, 1e50, math.sqrt(sys.float_info.max)])
+def test_hyperbolic_cylinder_verifies_across_its_range(rho):
+    # the Gauss identities hold relative to their terms, of size 1/rho^2
+    # for small rho, where an absolute 1e-12 failed from rho = 0.01 down
+    for k, n in ((1, 2), (1, 3), (2, 5)):
+        assert all(verify_model(hyperbolic_cylinder(k, n, rho)).values())
+
+
+@pytest.mark.parametrize("rho", [9.99e-5, 1e-5, 1e-300, math.nextafter(math.sqrt(sys.float_info.max), math.inf)])
+def test_hyperbolic_cylinder_rejects_radii_that_would_not_verify(rho):
+    with pytest.raises(ValueError, match=r"^rho must lie in \[0\.0001, "):
+        hyperbolic_cylinder(1, 3, rho)
+
+
+def _mostly(valid, other):
+    """Draws of ``valid`` three times in four, of ``other`` otherwise."""
+    return st.sampled_from((valid, valid, valid, other)).flatmap(lambda s: s)
+
+
+# dimensions stay small: a model holds n x n arrays, and the CLI caps n at 256
+dims = _mostly(st.integers(1, 8), st.integers(-2, 0) | st.sampled_from((1.5, 3.0, True, False)))
+# every sign and magnitude: a mantissa in [1, 10) times a power of ten, from
+# below the subnormals to the largest float
+def _magnitudes(lo: int, hi: int):
+    return st.tuples(st.floats(1.0, 10.0, exclude_max=True), st.integers(lo, hi)).map(
+        lambda m_e: min(m_e[0] * 10.0**m_e[1], sys.float_info.max))
+
+
+reals = _mostly(_magnitudes(-324, 308) | _magnitudes(-324, 308).map(lambda x: -x),
+                st.floats() | st.booleans() | st.integers(-(10**400), 10**400))
+# radii mostly about the accepted range [1e-4, 1.3e154], often near its floor
+radii = _mostly(_magnitudes(-6, 2) | _magnitudes(-6, 155), reals)
+PARAMS = {
+    "totally_geodesic": (dims, dims, reals),
+    "hyperbolic_cylinder": (dims, dims, radii),
+    "euclidean_cylinder": (dims, reals),
+}
+
+
+@given(name=st.sampled_from(sorted(PARAMS)), data=st.data())
+@settings(derandomize=True, max_examples=400, deadline=500)
+def test_every_accepted_model_verifies(name, data):
+    args = [data.draw(s) for s in PARAMS[name]]
+    try:
+        model = getattr(catalog, name)(*args)
+    except ValueError:
+        return
+    assert all(verify_model(model).values()), (name, args)

@@ -169,6 +169,12 @@ class TestParsing:
             ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=math.inf)),
             ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=1e-300)),
             ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=1e200)),
+            # below the radius at which kernel_dim would count lam_h as zero
+            ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3, rho=1e-5)),
+            # dimensions that are no integer
+            ("catalog", _catalog("totally_geodesic", n=3, p=1.5, c=1.0)),
+            ("catalog", _catalog("hyperbolic_cylinder", k=1, n=3.5, rho=1.0)),
+            ("catalog", _catalog("euclidean_cylinder", n=True, kappa=1.0)),
             # finite input whose sym-traceless parts overflow
             ("search", {**_SEARCH, "family": [[[1e308, 0.0], [0.0, -1e308]], [[1e308, 1e308], [0.0, 1e308]],
                                               [[1.0, 2.0], [3.0, 4.0]], [[0.0, 1.0], [1.0, 0.0]]]}),
@@ -183,6 +189,7 @@ class TestParsing:
             ("evolve", {**_EVOLVE, "C0": np.full((2, 2), 1.7e308).tolist()}),
             # JSON integers beyond the float range
             ("classify", {**_CLASSIFY, "c": -(10**400)}),
+            ("catalog", _catalog("totally_geodesic", n=2, p=1, c=10**400)),
             ("classify", {**_CLASSIFY, "C0": [[10**400, 1.0], [-1.0, 0.0]]}),
             ("search", {**_SEARCH, "family": [[[10**400, 0.0], [0.0, 1.0]]]}),
             ("classify", {**_CLASSIFY, "domain": {"kind": "segment", "b": 10**400}}),
@@ -198,9 +205,10 @@ class TestParsing:
             "catalog-n-huge", "catalog-p-huge", "cylinder-n-huge", "catalog-k-huge",
             "C0-q-over", "catalog-npp-over", "decay-incompatible",
             "kappa-nan", "kappa-str", "kappa-tiny", "rho-inf", "rho-tiny", "rho-huge",
+            "rho-below-floor", "p-float", "n-float", "n-bool",
             "search-overflow", "t_end-grid-overflow", "A-overflow",
             "classify-eigenvalue-overflow", "evolve-eigenvalue-overflow",
-            "c-int-huge", "C0-int-huge", "family-int-huge", "b-int-huge", "t_end-int-huge",
+            "c-int-huge", "catalog-c-int-huge", "C0-int-huge", "family-int-huge", "b-int-huge", "t_end-int-huge",
         ],
     )
     def test_rejected_input_is_one_error_line(self, tmp_path, capsys, command, payload):
@@ -547,6 +555,19 @@ class TestEvolve:
         assert capsys.readouterr().err == ""
         assert [row[:2] for row in rows] == [["0", "1"], ["0.5", "0.75"], ["1", "0.5"]]
 
+    @pytest.mark.parametrize(
+        "c, C0, t_end, det",
+        [(5e-324, [[1.0]], 0.5, ["1", "0.75", "0.5"]), (1.0, [[1e17]], 1e-18, ["1", "0.95", "0.9"])],
+        ids=["c-subnormal", "lam-1e17"],
+    )
+    def test_positive_curvature_far_below_the_eigenvalue_keeps_its_horizon(
+            self, tmp_path, capsys, c, C0, t_end, det):
+        # a = sqrt(c) << lam: b_max = atan2(a, lam) / a, about 1 and 1e-17,
+        # where (pi/2 - atan(lam / a)) / a cancelled and once gave b_max = 0
+        rows = _evolve_table(tmp_path, c, C0, [[[1.0]]], t_end, 3)
+        assert capsys.readouterr().err == ""
+        assert [row[1] for row in rows] == det
+
     def test_singular_horizon_exit_code(self, tmp_path, capsys):
         payload = {"mode": "evolve", "c": 0.0, "C0": [[2.0, 0.0], [0.0, -3.0]],
                    "A0": [[[1.0, 0.0], [0.0, 1.0]]], "t_grid": {"t_end": 1.0, "samples": 5}}
@@ -740,6 +761,12 @@ class TestCatalogAndCheck:
         rec = json.loads((tmp_path / "catalog_hyperbolic_cylinder.model.json").read_text())
         assert rec["name"] == "hyperbolic_cylinder"
         assert all(rec["verified"].values())
+
+    def test_small_radius_verifies(self, tmp_path):
+        # the Gauss identities hold relative to their terms of size 1/rho^2
+        payload = _catalog("hyperbolic_cylinder", k=1, n=3, rho=0.01)
+        assert run_scenario("catalog", payload, tmp_path) == 0
+        assert all(json.loads((tmp_path / "s.model.json").read_text())["verified"].values())
 
     def test_unknown_catalog_entry(self, tmp_path):
         payload = {"mode": "catalog", "catalog": {"entry": "nope"}}

@@ -235,6 +235,25 @@ class TestMaxInvertibleTime:
         assert max_invertible_time(c, np.array([[0.5]])) == pytest.approx(want, rel=1e-12)
         assert np.isfinite(splitting_tensor_at(c, [[0.5]], 1.0).mat).all()
 
+    @pytest.mark.parametrize("c, lam", [(1.0, 1e17), (5e-324, 1.0), (1.0, 1e9), (1e-20, 1.0)])
+    def test_sphere_root_for_an_eigenvalue_far_above_a(self, c, lam):
+        # cot(a b) = lam / a with x = a / lam << 1: b = atan(x) / a, which is
+        # (1 - x^2 / 3) / lam by the series; (pi/2 - atan(lam / a)) / a
+        # cancelled, and gave b = 0 for the first two
+        x = math.sqrt(c) / lam
+        want = (1.0 - x * x / 3.0) / lam
+        assert max_invertible_time(c, np.array([[lam]])) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize("c", [5e-324, -1e-300])
+    def test_root_where_a_over_the_eigenvalue_underflows(self, c):
+        # a / lam = 1e-362 or 1e-350 rounds to 0, and a / lam / a once gave
+        # b = 0; atan and atanh are the identity there, so b = 1 / lam
+        assert max_invertible_time(c, np.array([[1e200]])) == pytest.approx(1e-200, rel=1e-15)
+
+    def test_tiny_positive_curvature_is_nearly_flat(self):
+        # c = 5e-324 is c = 0 to float precision: J = 1 - t C0, C(t) = C0 / (1 - t C0)
+        assert np.array_equal(splitting_tensor_at(5e-324, np.eye(1), 0.5).mat, [[2.0]])
+
     @pytest.mark.parametrize("s", SCALES)
     def test_horizon_keeps_under_rescaled_geometry(self, s):
         # (c, C0, t) -> (s^2 c, s C0, t / s) keeps J: the horizon is b / s
