@@ -153,7 +153,8 @@ def _curv(c) -> float:
     try:
         c = float(c)
     except OverflowError:  # an int beyond the float range
-        raise ValueError("curvature must be finite, got an integer beyond the float range") from None
+        raise ValueError(
+            "curvature must be finite, got an integer beyond the float range") from None
     if not math.isfinite(c):
         raise ValueError(f"curvature must be finite, got {c}")
     return c

@@ -113,33 +113,29 @@ def test_totally_geodesic_scalar_curvature_is_ambient():
     [
         (lambda: hyperbolic_cylinder(1, 2, 10**400),
          r"^rho must be a finite real number, got 1000+$"),
+        (lambda: hyperbolic_cylinder(1, 3, 1e-5),
+         r"^rho must lie in \[0\.0001, 1\.34078e\+154\], got 1e-05$"),
+        (lambda: hyperbolic_cylinder(1, 3, math.nextafter(math.sqrt(sys.float_info.max), math.inf)),
+         r"^rho must lie in \[0\.0001, 1\.34078e\+154\], got 1\.3407807929942597e\+154$"),
+        (lambda: totally_geodesic(3, 1.5, 1.0), r"^p must be an integer, got 1\.5$"),
+        (lambda: totally_geodesic(3.5, 1, 1.0), r"^n must be an integer, got 3\.5$"),
+        (lambda: totally_geodesic(3, True, 1.0), r"^p must be an integer, got True$"),
+        (lambda: totally_geodesic(3, 1, 10**400),
+         r"^curvature must be finite, got an integer beyond the float range$"),
+        (lambda: hyperbolic_cylinder(1, 3.5, 1.0), r"^n must be an integer, got 3\.5$"),
+        (lambda: hyperbolic_cylinder(1.0, 3, 1.0), r"^k must be an integer, got 1\.0$"),
+        (lambda: euclidean_cylinder(2.5, 1.0), r"^n must be an integer, got 2\.5$"),
+        (lambda: euclidean_cylinder(False, 1.0), r"^n must be an integer, got False$"),
         (lambda: verify_model(dataclasses.replace(cartan_veronese_polar(),
                                                   expected_properties=("flat",))),
          r"^unknown expected property 'flat'$"),
     ],
-    ids=["rho-int-huge", "unknown-property"],
+    ids=["rho-int-huge", "rho-below-floor", "rho-square-overflows", "tg-p-float", "tg-n-float",
+         "tg-p-bool", "tg-c-int-huge", "hc-n-float", "hc-k-float", "ec-n-float", "ec-n-bool",
+         "unknown-property"],
 )
 def test_documented_argument_errors(call, match):
     with pytest.raises(ValueError, match=match):
-        call()
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: totally_geodesic(3, 1.5, 1.0),
-        lambda: totally_geodesic(3.5, 1, 1.0),
-        lambda: totally_geodesic(3, True, 1.0),
-        lambda: hyperbolic_cylinder(1, 3.5, 1.0),
-        lambda: hyperbolic_cylinder(1.0, 3, 1.0),
-        lambda: euclidean_cylinder(2.5, 1.0),
-        lambda: euclidean_cylinder(False, 1.0),
-    ],
-    ids=["tg-p-float", "tg-n-float", "tg-p-bool", "hc-n-float", "hc-k-float", "ec-n-float",
-         "ec-n-bool"],
-)
-def test_non_integer_dimension_is_a_value_error(call):
-    with pytest.raises(ValueError, match="must be an integer"):
         call()
 
 
@@ -151,26 +147,20 @@ def test_hyperbolic_cylinder_verifies_across_its_range(rho):
         assert all(verify_model(hyperbolic_cylinder(k, n, rho)).values())
 
 
-@pytest.mark.parametrize("rho", [9.99e-5, 1e-5, 1e-300, math.nextafter(math.sqrt(sys.float_info.max), math.inf)])
-def test_hyperbolic_cylinder_rejects_radii_that_would_not_verify(rho):
-    with pytest.raises(ValueError, match=r"^rho must lie in \[0\.0001, "):
-        hyperbolic_cylinder(1, 3, rho)
-
-
 def _mostly(valid, other):
     """Draws of ``valid`` three times in four, of ``other`` otherwise."""
     return st.sampled_from((valid, valid, valid, other)).flatmap(lambda s: s)
 
 
-# dimensions stay small: a model holds n x n arrays, and the CLI caps n at 256
-dims = _mostly(st.integers(1, 8), st.integers(-2, 0) | st.sampled_from((1.5, 3.0, True, False)))
-# every sign and magnitude: a mantissa in [1, 10) times a power of ten, from
-# below the subnormals to the largest float
 def _magnitudes(lo: int, hi: int):
+    """A mantissa in [1, 10) times 10**e, e in [lo, hi], capped at the
+    largest float: every magnitude, from 0 and the subnormals up."""
     return st.tuples(st.floats(1.0, 10.0, exclude_max=True), st.integers(lo, hi)).map(
         lambda m_e: min(m_e[0] * 10.0**m_e[1], sys.float_info.max))
 
 
+# dimensions stay small: a model holds n x n arrays, and the CLI caps n at 256
+dims = _mostly(st.integers(1, 8), st.integers(-2, 0) | st.sampled_from((1.5, 3.0, True, False)))
 reals = _mostly(_magnitudes(-324, 308) | _magnitudes(-324, 308).map(lambda x: -x),
                 st.floats() | st.booleans() | st.integers(-(10**400), 10**400))
 # radii mostly about the accepted range [1e-4, 1.3e154], often near its floor
@@ -185,6 +175,7 @@ PARAMS = {
 @given(name=st.sampled_from(sorted(PARAMS)), data=st.data())
 @settings(derandomize=True, max_examples=400, deadline=500)
 def test_every_accepted_model_verifies(name, data):
+    # each draw builds a model that verifies, or raises ValueError
     args = [data.draw(s) for s in PARAMS[name]]
     try:
         model = getattr(catalog, name)(*args)

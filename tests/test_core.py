@@ -250,10 +250,6 @@ class TestMaxInvertibleTime:
         # b = 0; atan and atanh are the identity there, so b = 1 / lam
         assert max_invertible_time(c, np.array([[1e200]])) == pytest.approx(1e-200, rel=1e-15)
 
-    def test_tiny_positive_curvature_is_nearly_flat(self):
-        # c = 5e-324 is c = 0 to float precision: J = 1 - t C0, C(t) = C0 / (1 - t C0)
-        assert np.array_equal(splitting_tensor_at(5e-324, np.eye(1), 0.5).mat, [[2.0]])
-
     @pytest.mark.parametrize("s", SCALES)
     def test_horizon_keeps_under_rescaled_geometry(self, s):
         # (c, C0, t) -> (s^2 c, s C0, t / s) keeps J: the horizon is b / s
