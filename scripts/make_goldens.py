@@ -3,6 +3,7 @@
 scenarios.  Run from the repository root after a verified change."""
 import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from nullgeo.cli import main
@@ -20,23 +21,31 @@ SCENARIOS = [
 
 
 def run() -> int:
+    """Build every golden file in a temporary directory beside
+    tests/golden, and replace tests/golden with it only when every command
+    exits 0; otherwise tests/golden stays as it was."""
     golden = ROOT / "tests" / "golden"
-    if golden.exists():
-        shutil.rmtree(golden)
-    golden.mkdir(parents=True)
-    for command, name in SCENARIOS:
-        code = main(
-            [
-                command,
-                "--scenario",
-                str(ROOT / "scenarios" / name),
-                "--out",
-                str(golden),
-            ]
-        )
-        if code != 0:
-            print(f"{command} exited with {code}", file=sys.stderr)
-            return code
+    build = Path(tempfile.mkdtemp(prefix=".golden-", dir=golden.parent))
+    try:
+        for command, name in SCENARIOS:
+            code = main(
+                [
+                    command,
+                    "--scenario",
+                    str(ROOT / "scenarios" / name),
+                    "--out",
+                    str(build),
+                ]
+            )
+            if code != 0:
+                print(f"{command} exited with {code}; {golden} is unchanged", file=sys.stderr)
+                return code
+        build.chmod(0o755)
+        if golden.exists():
+            shutil.rmtree(golden)
+        build.rename(golden)
+    finally:
+        shutil.rmtree(build, ignore_errors=True)
     print(f"golden files written to {golden}")
     return 0
 

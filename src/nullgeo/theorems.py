@@ -5,6 +5,7 @@ integrable-conullity structure checks.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -353,12 +354,24 @@ class CylinderSplit:
     residual: float
 
 
+def _orthonormal(B: np.ndarray) -> np.ndarray:
+    """The Q of B's QR, or of each basis of a stack, taken on each basis's
+    :func:`_unit_scale`: the same span, and no norm past the float range."""
+    e = np.frexp(np.abs(B).max(axis=(-2, -1), initial=0.0))[1]
+    return np.linalg.qr(np.ldexp(B, -e[..., None, None]))[0]
+
+
 def principal_angles(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
     """Principal angles between the column spans of two basis matrices, or
-    one row of them per basis of a stack ``B2`` (one stacked QR and SVD)."""
-    Q1, _ = np.linalg.qr(np.asarray(B1, dtype=float))
-    Q2, _ = np.linalg.qr(np.asarray(B2, dtype=float))
-    sv = np.linalg.svd(Q1.T @ Q2, compute_uv=False)
+    one row of them per basis of a stack ``B2`` (one stacked QR and SVD).
+    ``ValueError`` for a basis that is not 2-d (a stack of them for ``B2``)
+    or not finite."""
+    B1, B2 = np.asarray(B1, dtype=float), np.asarray(B2, dtype=float)
+    if B1.ndim != 2 or B2.ndim not in (2, 3):
+        raise ValueError("bases must be 2-d arrays, or a stack of them for B2")
+    if not (np.isfinite(B1).all() and np.isfinite(B2).all()):
+        raise ValueError("bases must have finite entries")
+    sv = np.linalg.svd(_orthonormal(B1).T @ _orthonormal(B2), compute_uv=False)
     return np.arccos(np.clip(sv, -1.0, 1.0))
 
 
@@ -369,42 +382,58 @@ def cylinder_split(points, k: int, leaf_ids) -> CylinderSplit:
     All sampled subspaces must coincide up to principal angle ``ANGLE_TOL``;
     otherwise :class:`NotConstant` is raised (the data cannot come from a
     Euclidean cylinder).  ``leaf_ids`` groups samples lying on one leaf.
+    The base point x - P x and fiber coordinates Q0^T x of a sample are one
+    lone product each on its own array; :class:`InconsistentInput` names the
+    first sample where they leave the float range.
     """
     pts = [(np.asarray(x, dtype=float), np.asarray(b, dtype=float)) for x, b in points]
     if not pts:
         raise InconsistentInput("no sample points")
+    if any(x.ndim != 1 for x, _ in pts):
+        raise InconsistentInput("points must be 1-d arrays")
     m = pts[0][0].shape[0]
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or not 1 <= k <= m:
+        raise InconsistentInput(f"k must be an integer from 1 to {m}, got {k!r}")
     for x, b in pts:
         if x.shape != (m,) or b.shape != (m, k):
             raise InconsistentInput(
                 f"expected points in R^{m} with {m}x{k} basis matrices"
             )
-    X = np.array([x for x, _ in pts])[:, :, None]
+    X = np.array([x for x, _ in pts])
     B = np.array([b for _, b in pts])
-    bad = np.flatnonzero(~(np.isfinite(X).all(axis=(1, 2)) & np.isfinite(B).all(axis=(1, 2))))
+    bad = np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(B).all(axis=(1, 2))))
     if bad.size:
         raise InconsistentInput(f"sample {bad[0]} has a non-finite point or basis entry")
-    Q0, _ = np.linalg.qr(B[0])
+    try:
+        leaf_ids = list(leaf_ids)
+        groups: dict = {}
+        for i, lid in enumerate(leaf_ids):
+            groups.setdefault(lid, []).append(i)
+    except TypeError:
+        raise InconsistentInput("leaf_ids must be an iterable of hashable ids") from None
+    if len(leaf_ids) != len(pts):
+        raise InconsistentInput("leaf_ids length must match the samples")
+    Q0 = _orthonormal(B[0])
     worst = principal_angles(Q0, B[1:]).max(axis=1, initial=0.0)
     bad = worst[worst > ANGLE_TOL]
     if bad.size:
         raise NotConstant(f"nullity image varies by principal angle {bad[0]:.3g}")
-    # stacked matrix-vector products, the bits of one P @ x per sample
-    base = (X - (Q0 @ Q0.T) @ X)[:, :, 0]
-    fiber = (Q0.T @ X)[:, :, 0]
-    leaf_ids = list(leaf_ids)
-    if len(leaf_ids) != len(pts):
-        raise InconsistentInput("leaf_ids length must match the samples")
-
-    # the largest |a - b| over pairs of a leaf's base points is its largest
-    # column spread max - min, bit for bit: rounding a difference is monotone
-    residual = 0.0
-    groups: dict = {}
-    for i, lid in enumerate(leaf_ids):
-        groups.setdefault(lid, []).append(i)
-    for members in groups.values():
-        b = base[members]
-        residual = max(residual, float((b.max(axis=0) - b.min(axis=0)).max(initial=0.0)))
+    P = Q0 @ Q0.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.array([x - P @ x for x, _ in pts])
+        fiber = np.array([Q0.T @ x for x, _ in pts])
+        bad = np.flatnonzero(~(np.isfinite(base).all(axis=1) & np.isfinite(fiber).all(axis=1)))
+        if bad.size:
+            raise InconsistentInput(
+                f"sample {bad[0]} has a base point or fiber coordinates past the float range"
+            )
+        # the largest |a - b| over pairs of a leaf's base points is its largest
+        # column spread max - min, bit for bit: rounding a difference is
+        # monotone; inf where a spread leaves the float range
+        residual = 0.0
+        for members in groups.values():
+            b = base[members]
+            residual = max(residual, float((b.max(axis=0) - b.min(axis=0)).max(initial=0.0)))
     return CylinderSplit(
         V=Q0,
         base_points=tuple(base),

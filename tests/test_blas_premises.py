@@ -1,16 +1,13 @@
 """The BLAS premises that the library's bit contracts rest on, one test each.
 
-Several results are promised bit for bit: ``riccati_path`` against the
-textbook RK4 of ``tests/conftest.py::rk4_path``, and stacked evaluations
-against lone ones.  Each such promise rests on how numpy's bundled OpenBLAS
-rounds a product, which its kernels do not all agree on (see
+``riccati_path`` is promised bit for bit against the textbook RK4 of
+``tests/conftest.py::rk4_path``.  That promise rests on how numpy's bundled
+OpenBLAS rounds a product, which its kernels do not all agree on (see
 ``scripts/kernel_matrix.py``).  Each test below checks one premise on random
 draws and names, in its docstring, the code that relies on it, so that a
 host where a bitwise test fails says which premise broke there.
 """
 import numpy as np
-
-from nullgeo.theorems import principal_angles
 
 from conftest import bits
 
@@ -55,35 +52,3 @@ def test_dot_into_out_equals_matmul():
         out = np.empty((q, q))
         a.dot(b, out)
         assert np.array_equal(bits(out), bits(a @ b))
-
-
-def test_stacked_principal_angles_rows_equal_lone_calls():
-    """``cylinder_split`` takes the principal angles of every sample in one
-    stacked call (one stacked SVD), and names the first angle past
-    ``ANGLE_TOL`` as a lone ``principal_angles`` call gives it."""
-    rng = np.random.default_rng(4)
-    for _ in range(300):
-        m = int(rng.integers(2, 9))
-        k = int(rng.integers(1, m))
-        Q0, _ = np.linalg.qr(rng.normal(size=(m, k)))
-        B = rng.normal(size=(int(rng.integers(2, 30)), m, k))
-        stacked = principal_angles(Q0, B)
-        assert all(np.array_equal(bits(row), bits(principal_angles(Q0, b)))
-                   for row, b in zip(stacked, B))
-
-
-def test_stacked_matrix_vector_rows_equal_lone_products():
-    """``cylinder_split`` takes the base points ``x - P x`` and the fiber
-    coordinates ``Q0^T x`` of every sample in one stacked product, with the
-    bits of one product per sample, each sample its own array."""
-    rng = np.random.default_rng(5)
-    for _ in range(300):
-        m = int(rng.integers(2, 9))
-        Q0, _ = np.linalg.qr(rng.normal(size=(m, int(rng.integers(1, m)))))
-        P = Q0 @ Q0.T
-        xs = [rng.normal(size=m) * 10.0 ** rng.uniform(-3.0, 3.0)
-              for _ in range(int(rng.integers(1, 30)))]
-        X = np.array(xs)[:, :, None]
-        base, fiber = (X - P @ X)[:, :, 0], (Q0.T @ X)[:, :, 0]
-        assert np.array_equal(bits(base), bits([x - P @ x for x in xs]))
-        assert np.array_equal(bits(fiber), bits([Q0.T @ x for x in xs]))

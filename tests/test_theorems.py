@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nullgeo.catalog import totally_geodesic
 from nullgeo.checks import WORKED_FAMILY, radon_hurwitz_oracle
@@ -419,11 +420,12 @@ class TestCylinderSplit:
         from nullgeo.catalog import cone_samples
 
         samples, leaf_ids = cone_samples()
-        Q0, _ = np.linalg.qr(samples[0][1])
-        angles = [float(principal_angles(Q0, b).max()) for _, b in samples[1:]]
-        first = next(a for a in angles if a > ANGLE_TOL)
+        bases = np.array([b for _, b in samples])
+        Q0, _ = np.linalg.qr(bases[0])
+        angles = principal_angles(Q0, bases[1:]).max(axis=1)  # the one stacked call
+        first = angles[angles > ANGLE_TOL][0]
         # the first offender is not the largest angle, so the message tells them apart
-        assert f"{first:.3g}" != f"{max(angles):.3g}"
+        assert f"{first:.3g}" != f"{angles.max():.3g}"
         with pytest.raises(NotConstant) as err:
             cylinder_split(samples, k=1, leaf_ids=leaf_ids)
         assert str(err.value) == f"nullity image varies by principal angle {first:.3g}"
@@ -441,6 +443,29 @@ class TestCylinderSplit:
         with pytest.raises(InconsistentInput, match=r"^sample 7 has a non-finite point or basis"):
             cylinder_split(samples, k=1, leaf_ids=leaf_ids)
 
+    def test_bases_past_the_float_range(self):
+        # the QR of each basis is taken on its unit scale: a finite basis
+        # whose norm overflows once stalled the SVD
+        e1 = np.eye(3)[:, :1]
+        assert principal_angles(e1, 1e308 * np.ones((3, 1))) == pytest.approx([math.acos(3 ** -0.5)])
+        huge = np.array([[1.5e308], [1e308], [0.0]])
+        assert principal_angles(huge, 2.0**-1000 * huge) == [0.0]
+        split = cylinder_split([(np.array([1.0, 2.0, 3.0]), huge)] * 2, k=1, leaf_ids=[0, 0])
+        assert split.V[:, 0] == pytest.approx(-np.array([3.0, 2.0, 0.0]) / math.sqrt(13.0))
+        assert split.residual == 0.0
+
+    def test_products_past_the_float_range_are_named(self):
+        axis, e3 = np.ones((3, 1)) / math.sqrt(3.0), np.eye(3)[:, 2:]
+        samples = [(np.array([1.0, 2.0, 3.0]), axis), (1.7e308 * np.ones(3), axis)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InconsistentInput, match=(
+                    "^sample 1 has a base point or fiber coordinates past the float range$")):
+                cylinder_split(samples, k=1, leaf_ids=[0, 0])
+            # finite base points whose spread on a leaf leaves the float range
+            wide = [(np.array([1.5e308, 0.0, 0.0]), e3), (np.array([-1.5e308, 0.0, 0.0]), e3)]
+            assert cylinder_split(wide, k=1, leaf_ids=[0, 0]).residual == math.inf
+
     def test_criterion_12_figures(self):
         from nullgeo.catalog import circle_line_samples
 
@@ -449,11 +474,11 @@ class TestCylinderSplit:
         angle = float(principal_angles(split.V, np.array([[0.0], [0.0], [1.0]])).max())
         assert (angle, split.residual) == (0.0, 0.0)
 
-    def test_stacked_split_keeps_the_per_sample_bits(self, rng):
-        # one stacked product for all samples and a per-leaf column spread
-        # give the bits of P @ x and Q0.T @ x per sample and of the largest
-        # |a - b| over pairs of a leaf: on the catalog samples and on 200
-        # random draws that pass the angle check
+    def test_split_keeps_the_lone_product_bits(self, rng):
+        # the base points and fiber coordinates have the bits of P @ x and
+        # Q0.T @ x per sample, and the per-leaf column spread those of the
+        # largest |a - b| over pairs of a leaf: on the catalog samples and
+        # on 200 random draws that pass the angle check
         from nullgeo.catalog import circle_line_samples
 
         cases = [circle_line_samples(radius=r) + (1,) for r in (1.0, 1.0 / 3.0, 7.0)]
@@ -612,17 +637,85 @@ def _circle():
          InconsistentInput, r"^expected points in R\^3 with 3x1 basis matrices$"),
         (lambda: cylinder_split(_circle(), 1, [0]), InconsistentInput,
          "^leaf_ids length must match the samples$"),
+        (lambda: cylinder_split([(np.array(1.0), np.ones((1, 1)))], 1, [0]), InconsistentInput,
+         "^points must be 1-d arrays$"),
+        (lambda: cylinder_split(_circle(), 1, None), InconsistentInput,
+         "^leaf_ids must be an iterable of hashable ids$"),
+        (lambda: cylinder_split(_circle(), 1, [[0]] * 24), InconsistentInput,
+         "^leaf_ids must be an iterable of hashable ids$"),
+        (lambda: cylinder_split(_circle(), True, [0] * 24), InconsistentInput,
+         r"^k must be an integer from 1 to 3, got True$"),
+        (lambda: cylinder_split(_circle(), 0, [0] * 24), InconsistentInput,
+         r"^k must be an integer from 1 to 3, got 0$"),
+        (lambda: cylinder_split(_circle(), 4, [0] * 24), InconsistentInput,
+         r"^k must be an integer from 1 to 3, got 4$"),
+        (lambda: principal_angles(np.ones(3), np.eye(3)), ValueError,
+         "^bases must be 2-d arrays, or a stack of them for B2$"),
+        (lambda: principal_angles(np.eye(3), np.ones(3)), ValueError,
+         "^bases must be 2-d arrays, or a stack of them for B2$"),
+        (lambda: principal_angles(np.eye(3), np.diag([1.0, math.nan, 1.0])), ValueError,
+         "^bases must have finite entries$"),
+        (lambda: principal_angles(np.diag([1.0, math.inf, 1.0]), np.eye(3)), ValueError,
+         "^bases must have finite entries$"),
     ],
     ids=[
         "radon-hurwitz-0", "nu-n-1", "sphere-rigidity-q0", "florit-p0", "theorem2-p0",
         "ragged-family", "nan-family", "inf-family", "evaluate-length", "pipeline-sphere", "mean-curvature-n0",
         "scalar-curvature-n1", "minimality-no-samples", "split-no-samples",
-        "split-mixed-shapes", "split-leaf-ids-length",
+        "split-mixed-shapes", "split-leaf-ids-length", "split-0d-point", "split-leaf-ids-none",
+        "split-leaf-ids-unhashable", "split-k-bool", "split-k-0", "split-k-above-m",
+        "angles-1d-basis", "angles-1d-stack", "angles-nan-basis", "angles-inf-basis",
     ],
 )
 def test_documented_argument_errors(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan)
+
+
+@given(data=st.data())
+@settings(derandomize=True, max_examples=150, deadline=None)
+def test_split_and_angles_end_in_a_documented_error(data):
+    # well-formed samples on one basis with at most one edge: each call
+    # returns or raises NullityError or ValueError, and warns of nothing
+    m = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, m))
+    n = data.draw(st.integers(1, 5))
+    entries = st.floats(-10.0, 10.0)
+    basis = np.reshape(data.draw(st.lists(entries, min_size=m * k, max_size=m * k)), (m, k))
+    pts = [(np.array(data.draw(st.lists(entries, min_size=m, max_size=m))), basis.copy())
+           for _ in range(n)]
+    ids = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    i = data.draw(st.integers(0, n - 1))
+    edge = data.draw(st.sampled_from(
+        ["none", "0-d point", "2-d point", "k", "value", "zero basis", "unhashable id", "no ids"]))
+    if edge == "0-d point":
+        pts[i] = (np.array(1.0), pts[i][1])
+    elif edge == "2-d point":
+        pts[i] = (pts[i][0][:, None], pts[i][1])
+    elif edge == "k":
+        k = data.draw(st.sampled_from([0, True, m + 1]))
+    elif edge == "value":
+        a = pts[i][data.draw(st.integers(0, 1))]
+        a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(st.sampled_from(_EDGE_VALUES))
+    elif edge == "zero basis":
+        pts[i][1][...] = 0.0
+    elif edge == "unhashable id":
+        ids[i] = [ids[i]]
+    elif edge == "no ids":
+        ids = None
+    calls = (lambda: cylinder_split(pts, k, ids),
+             lambda: principal_angles(pts[0][1], np.array([b for _, b in pts])),
+             lambda: principal_angles(pts[i][0], pts[i][1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for call in calls:
+            try:
+                call()
+            except (NullityError, ValueError):
+                pass
 
 
 def test_documented_empty_results():
