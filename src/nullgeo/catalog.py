@@ -15,6 +15,7 @@ from .core import GeodesicDomain, NullityProfile, _curv, is_codazzi_compatible
 from .theorems import SplittingFamily
 
 __all__ = [
+    "MODELS",
     "ModelSubmanifold",
     "totally_geodesic",
     "hyperbolic_cylinder",
@@ -49,12 +50,18 @@ _KERNEL_REL = 1e-10
 # where lam_h / lam_s = rho^2 / (1 + rho^2) is 1e-8, 100 times _KERNEL_REL,
 # to the largest rho whose rho^2 is finite
 _RHO_RANGE = (1e-4, math.sqrt(sys.float_info.max))
+# the largest dimension n of a model; totally_geodesic also holds at most
+# _DIM_MAX**2 = 65536 shape entries n*n*p, one operator of the largest n
+_DIM_MAX = 256
 
 
-def _dim(name: str, x) -> int:
-    """``x`` as an int; ValueError unless it is an integer (a bool is not)."""
+def _dim(name: str, x, top: float = math.inf) -> int:
+    """``x`` as an int; ValueError unless it is an integer (a bool is not)
+    of at most ``top``."""
     if not isinstance(x, numbers.Integral) or isinstance(x, bool):
         raise ValueError(f"{name} must be an integer, got {x!r}")
+    if x > top:
+        raise ValueError(f"{name} must be at most {top}, got {x}")
     return int(x)
 
 
@@ -72,9 +79,11 @@ def _finite_real(name: str, x) -> float:
 def totally_geodesic(n: int, p: int, c: float) -> ModelSubmanifold:
     """Zero second fundamental form; the nullity is everything.  ValueError
     for n < 2, where the scalar curvature it is checked for is undefined."""
-    n, p = _dim("n", n), _dim("p", p)
+    n, p = _dim("n", n, _DIM_MAX), _dim("p", p)
     if n < 2:
         raise ValueError("n must be >= 2")
+    if n * n * p > _DIM_MAX**2:
+        raise ValueError(f"n*n*p must be at most {_DIM_MAX**2} shape entries, got n = {n}, p = {p}")
     zero = np.zeros((n, n))
     return ModelSubmanifold(
         name="totally_geodesic",
@@ -96,7 +105,7 @@ def hyperbolic_cylinder(k: int, n: int, rho: float) -> ModelSubmanifold:
     extrinsic curvature, and no relative nullity at all (nu = 0).  ValueError
     for rho outside [1e-4, sqrt(DBL_MAX)], where ``verify_model`` would fail.
     """
-    k, n = _dim("k", k), _dim("n", n)
+    k, n = _dim("k", k), _dim("n", n, _DIM_MAX)
     if not 1 <= k <= n - 1:
         raise ValueError("need 1 <= k <= n-1")
     rho = _finite_real("rho", rho)
@@ -161,7 +170,7 @@ def euclidean_cylinder(n: int, kappa: float) -> ModelSubmanifold:
     """Cylinder over a plane curve of curvature kappa in Euclidean space:
     one nonzero principal curvature, nullity index n - 1, vanishing
     splitting family."""
-    n = _dim("n", n)
+    n = _dim("n", n, _DIM_MAX)
     kappa = _finite_real("kappa", kappa)
     if kappa == 0.0:
         raise ValueError("kappa must be nonzero")
@@ -182,6 +191,11 @@ def euclidean_cylinder(n: int, kappa: float) -> ModelSubmanifold:
             "cylinder_split_ok",
         ),
     )
+
+
+# the constructors by entry name, in name order
+MODELS = {f.__name__: f for f in (cartan_veronese_polar, euclidean_cylinder,
+                                  hyperbolic_cylinder, totally_geodesic)}
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,8 @@ MODES = ("evolve", "classify", "search", "catalog", "check")
 # entries per stack, 512 KiB, so that the stacks of one block stay in a
 # core's cache from one call to the next
 _EVOLVE_BLOCK_ENTRIES = 2**16
-# sizes a scenario may request: evolve grid samples, and the catalog
-# dimensions n, k
+# the evolve grid samples a scenario may request
 SAMPLES_RANGE = (2, 100_000)
-CATALOG_DIM_MAX = 256
-# the n*n*p shape entries a catalog model may hold: 256 x 256, one operator
-CATALOG_ENTRIES_MAX = CATALOG_DIM_MAX**2
 # rows of a scenario matrix (C0, A0, family): q, the conullity index
 MATRIX_DIM_MAX = 128
 
@@ -174,19 +170,6 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ScenarioParseError("catalog params must be an object")
         scn.catalog_entry = cat["entry"]
         scn.catalog_params = dict(cat.get("params", {}))
-        params = scn.catalog_params
-        for key in ("n", "k"):
-            size = params.get(key)
-            if isinstance(size, int) and size > CATALOG_DIM_MAX:
-                raise ScenarioParseError(
-                    f"catalog param {key} must be at most {CATALOG_DIM_MAX}"
-                )
-        n, p = params.get("n"), params.get("p", 1)
-        if isinstance(n, int) and isinstance(p, int) and n * n * p > CATALOG_ENTRIES_MAX:
-            # totally_geodesic builds and writes p zero matrices of n x n
-            raise ScenarioParseError(
-                f"catalog params n*n*p = {n * n * p} exceed {CATALOG_ENTRIES_MAX} shape entries"
-            )
 
     # cross-field dimension consistency
     if scn.C0 is not None and scn.A0 is not None:
@@ -492,21 +475,17 @@ def run_search(scn: Scenario, out_dir: Path, stem: str) -> int:
     return EXIT_OK
 
 
-# the constructors of nullgeo.catalog that ``catalog`` runs
-_CATALOG_ENTRIES = ("cartan_veronese_polar", "euclidean_cylinder", "hyperbolic_cylinder",
-                    "totally_geodesic")
-
-
 def run_catalog(scn: Scenario, out_dir: Path, stem: str) -> int:
     if scn.catalog_entry is None:
         raise ScenarioParseError("mode 'catalog' requires a catalog entry")
-    if scn.catalog_entry not in _CATALOG_ENTRIES:
-        raise ScenarioParseError(
-            f"unknown catalog entry {scn.catalog_entry!r}; known: {list(_CATALOG_ENTRIES)}"
-        )
     from . import catalog
+    build = catalog.MODELS.get(scn.catalog_entry)
+    if build is None:
+        raise ScenarioParseError(
+            f"unknown catalog entry {scn.catalog_entry!r}; known: {list(catalog.MODELS)}"
+        )
     try:
-        model = getattr(catalog, scn.catalog_entry)(**(scn.catalog_params or {}))
+        model = build(**(scn.catalog_params or {}))
     except (TypeError, ValueError) as e:
         raise ScenarioParseError(f"bad catalog params: {e}")
     checks = catalog.verify_model(model)

@@ -1,6 +1,8 @@
 import dataclasses
+import inspect
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +141,49 @@ def test_documented_argument_errors(call, match):
         call()
 
 
+SIZES_PAST_THE_LIMITS = {
+    "tg-n-257": (lambda: totally_geodesic(257, 1, 0.0), r"^n must be at most 256, got 257$"),
+    "tg-n-1e6": (lambda: totally_geodesic(10**6, 1, 0.0), r"^n must be at most 256, got 1000000$"),
+    "tg-npp-65792": (lambda: totally_geodesic(16, 257, 0.0),
+                     r"^n\*n\*p must be at most 65536 shape entries, got n = 16, p = 257$"),
+    "hc-n-257": (lambda: hyperbolic_cylinder(1, 257, 1.0), r"^n must be at most 256, got 257$"),
+    "hc-n-1e6": (lambda: hyperbolic_cylinder(1, 10**6, 1.0),
+                 r"^n must be at most 256, got 1000000$"),
+    "ec-n-257": (lambda: euclidean_cylinder(257, 1.0), r"^n must be at most 256, got 257$"),
+    "ec-n-1e6": (lambda: euclidean_cylinder(10**6, 1.0), r"^n must be at most 256, got 1000000$"),
+}
+
+
+@pytest.mark.parametrize("call,match", SIZES_PAST_THE_LIMITS.values(), ids=SIZES_PAST_THE_LIMITS)
+def test_sizes_past_the_limits_are_refused_before_any_array(call, match):
+    # n = 10**6 once asked numpy for 7.28 TiB, and the cylinders built a
+    # list of n floats first; the limits are checked before either
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda: totally_geodesic(256, 1, 0.0),
+        lambda: totally_geodesic(16, 256, 0.0),
+        lambda: hyperbolic_cylinder(255, 256, 1.0),
+        lambda: euclidean_cylinder(256, 1.0),
+    ],
+    ids=["tg-n-256", "tg-npp-65536", "hc-n-256", "ec-n-256"],
+)
+def test_sizes_at_the_limits_build_and_verify(model):
+    model = model()
+    assert model.shape.size <= 256**2
+    assert all(verify_model(model).values())
+
+
 @pytest.mark.parametrize("rho", [1e-4, 1e-3, 0.01, 1e50, math.sqrt(sys.float_info.max)])
 def test_hyperbolic_cylinder_verifies_across_its_range(rho):
     # the Gauss identities hold relative to their terms, of size 1/rho^2
@@ -159,7 +204,7 @@ def _magnitudes(lo: int, hi: int):
         lambda m_e: min(m_e[0] * 10.0**m_e[1], sys.float_info.max))
 
 
-# dimensions stay small: a model holds n x n arrays, and the CLI caps n at 256
+# dimensions stay small: a model holds n x n arrays, and the catalog caps n at 256
 dims = _mostly(st.integers(1, 8), st.integers(-2, 0) | st.sampled_from((1.5, 3.0, True, False)))
 reals = _mostly(_magnitudes(-324, 308) | _magnitudes(-324, 308).map(lambda x: -x),
                 st.floats() | st.booleans() | st.integers(-(10**400), 10**400))
@@ -170,6 +215,12 @@ PARAMS = {
     "hyperbolic_cylinder": (dims, dims, radii),
     "euclidean_cylinder": (dims, reals),
 }
+
+
+def test_params_cover_every_entry_that_takes_parameters():
+    # a new catalog entry with parameters is drawn here, or this fails
+    arity = {name: len(inspect.signature(f).parameters) for name, f in catalog.MODELS.items()}
+    assert {name: len(s) for name, s in PARAMS.items()} == {n: a for n, a in arity.items() if a}
 
 
 @given(name=st.sampled_from(sorted(PARAMS)), data=st.data())

@@ -240,12 +240,6 @@ class TestParsing:
         for samples in (lo, hi):
             scn = parse_scenario({**_EVOLVE, "t_grid": {"t_end": 1.0, "samples": samples}})
             assert scn.samples == samples
-        top = cli.CATALOG_DIM_MAX
-        scn = parse_scenario(_catalog("totally_geodesic", n=top, p=1, c=0.0))
-        assert scn.catalog_params == {"n": top, "p": 1, "c": 0.0}
-        most = cli.CATALOG_ENTRIES_MAX
-        scn = parse_scenario(_catalog("totally_geodesic", n=1, p=most, c=0.0))
-        assert scn.catalog_params == {"n": 1, "p": most, "c": 0.0}
 
     def test_catalog_of_many_entries_within_the_limit_runs(self, tmp_path):
         payload = _catalog("totally_geodesic", n=32, p=32, c=1.0)

@@ -18,6 +18,7 @@ scenario, so the parser rejects every such command line, with one ``error:``
 line and exit 2, unless the value asks for help.
 """
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -28,18 +29,15 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from nullgeo import catalog
 from nullgeo.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = ROOT / "scenarios"
 GOLDEN_REPORT = ROOT / "tests" / "golden" / "check_default.report.txt"
 MODES = ("evolve", "classify", "search", "catalog")
-CATALOG = {
-    "totally_geodesic": ("n", "p", "c"),
-    "hyperbolic_cylinder": ("k", "n", "rho"),
-    "cartan_veronese_polar": (),
-    "euclidean_cylinder": ("n", "kappa"),
-}
+# each catalog entry and the names of its parameters
+CATALOG = {name: tuple(inspect.signature(f).parameters) for name, f in catalog.MODELS.items()}
 # the fields each mode reads; a dotted name is a member of an object field
 FIELDS = {
     "evolve": ("seed", "c", "C0", "A0", "t_grid", "t_grid.t_end", "t_grid.samples"),
