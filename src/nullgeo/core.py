@@ -155,6 +155,8 @@ def _curv(c) -> float:
     except OverflowError:  # an int beyond the float range
         raise ValueError(
             "curvature must be finite, got an integer beyond the float range") from None
+    except TypeError:  # None, a complex number, a list
+        raise ValueError(f"curvature must be a real number, got {c!r}") from None
     if not math.isfinite(c):
         raise ValueError(f"curvature must be finite, got {c}")
     return c

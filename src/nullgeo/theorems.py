@@ -56,6 +56,7 @@ __all__ = [
 
 KERNEL_SV_TOL = 1e-10     # singular-value threshold for the kernel search
 ANGLE_TOL = 1e-8          # principal-angle tolerance for coinciding subspaces
+RANK_TOL = 1e-6           # sine below which a basis column lies in the span before it
 
 
 class NoDirection(NullityError):
@@ -354,25 +355,47 @@ class CylinderSplit:
     residual: float
 
 
-def _orthonormal(B: np.ndarray) -> np.ndarray:
+def _orthonormal(B: np.ndarray):
     """The Q of B's QR, or of each basis of a stack, taken on each basis's
-    :func:`_unit_scale`: the same span, and no norm past the float range."""
+    :func:`_unit_scale`: the same span, and no norm past the float range.
+    Also whether each basis has full column rank: every column j lies at a
+    sine above ``RANK_TOL`` from the span of the columns before it,
+    |R_jj| > RANK_TOL ||R e_j||, whatever the scale of each column (a basis
+    of more columns than rows has not)."""
     e = np.frexp(np.abs(B).max(axis=(-2, -1), initial=0.0))[1]
-    return np.linalg.qr(np.ldexp(B, -e[..., None, None]))[0]
+    Q, R = np.linalg.qr(np.ldexp(B, -e[..., None, None]))
+    m, k = B.shape[-2:]
+    d = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    return Q, k <= m and (d > RANK_TOL * np.linalg.norm(R, axis=-2)).all(axis=-1)
+
+
+def _angles(Q1: np.ndarray, Q2: np.ndarray) -> np.ndarray:
+    """Principal angles between the spans of orthonormal Q1 and Q2, or of
+    each Q2 of a stack, ascending: atan2(sin, cos) of each pair of principal
+    vectors (Bjorck and Golub, Math. Comp. 27, 1973).  With
+    U, cos, V^T = svd(Q1^T Q2), sin is the norm of Q2 v - cos Q1 u, the part
+    of a principal vector off the span of Q1, so a small angle keeps its
+    digits, where arccos of a cosine that rounds to 1 reads 1.5e-8."""
+    U, cos, Vt = np.linalg.svd(Q1.T @ Q2, full_matrices=False)
+    off = Q2 @ np.swapaxes(Vt, -1, -2) - (Q1 @ U) * cos[..., None, :]
+    return np.arctan2(np.linalg.norm(off, axis=-2), cos)
 
 
 def principal_angles(B1: np.ndarray, B2: np.ndarray) -> np.ndarray:
     """Principal angles between the column spans of two basis matrices, or
-    one row of them per basis of a stack ``B2`` (one stacked QR and SVD).
-    ``ValueError`` for a basis that is not 2-d (a stack of them for ``B2``)
-    or not finite."""
+    one row of them per basis of a stack ``B2`` (one stacked QR and SVD),
+    each to a few units of rounding at every angle.  ``ValueError`` for a
+    basis that is not 2-d (a stack of them for ``B2``), not finite or not
+    of full column rank (see :func:`_orthonormal`)."""
     B1, B2 = np.asarray(B1, dtype=float), np.asarray(B2, dtype=float)
     if B1.ndim != 2 or B2.ndim not in (2, 3):
         raise ValueError("bases must be 2-d arrays, or a stack of them for B2")
     if not (np.isfinite(B1).all() and np.isfinite(B2).all()):
         raise ValueError("bases must have finite entries")
-    sv = np.linalg.svd(_orthonormal(B1).T @ _orthonormal(B2), compute_uv=False)
-    return np.arccos(np.clip(sv, -1.0, 1.0))
+    (Q1, full1), (Q2, full2) = _orthonormal(B1), _orthonormal(B2)
+    if not (np.all(full1) and np.all(full2)):
+        raise ValueError("bases must have full column rank")
+    return _angles(Q1, Q2)
 
 
 def cylinder_split(points, k: int, leaf_ids) -> CylinderSplit:
@@ -404,6 +427,10 @@ def cylinder_split(points, k: int, leaf_ids) -> CylinderSplit:
     bad = np.flatnonzero(~(np.isfinite(X).all(axis=1) & np.isfinite(B).all(axis=(1, 2))))
     if bad.size:
         raise InconsistentInput(f"sample {bad[0]} has a non-finite point or basis entry")
+    Q, full = _orthonormal(B)
+    bad = np.flatnonzero(~full)
+    if bad.size:
+        raise InconsistentInput(f"sample {bad[0]} has a basis of rank below k = {k}")
     try:
         leaf_ids = list(leaf_ids)
         groups: dict = {}
@@ -413,8 +440,8 @@ def cylinder_split(points, k: int, leaf_ids) -> CylinderSplit:
         raise InconsistentInput("leaf_ids must be an iterable of hashable ids") from None
     if len(leaf_ids) != len(pts):
         raise InconsistentInput("leaf_ids length must match the samples")
-    Q0 = _orthonormal(B[0])
-    worst = principal_angles(Q0, B[1:]).max(axis=1, initial=0.0)
+    Q0 = Q[0]
+    worst = _angles(Q0, Q[1:]).max(axis=1, initial=0.0)
     bad = worst[worst > ANGLE_TOL]
     if bad.size:
         raise NotConstant(f"nullity image varies by principal angle {bad[0]:.3g}")

@@ -124,6 +124,7 @@ def test_totally_geodesic_scalar_curvature_is_ambient():
         (lambda: totally_geodesic(3, True, 1.0), r"^p must be an integer, got True$"),
         (lambda: totally_geodesic(3, 1, 10**400),
          r"^curvature must be finite, got an integer beyond the float range$"),
+        (lambda: totally_geodesic(3, 1, [1.0]), r"^curvature must be a real number, got \[1\.0\]$"),
         (lambda: hyperbolic_cylinder(1, 3.5, 1.0), r"^n must be an integer, got 3\.5$"),
         (lambda: hyperbolic_cylinder(1.0, 3, 1.0), r"^k must be an integer, got 1\.0$"),
         (lambda: euclidean_cylinder(2.5, 1.0), r"^n must be an integer, got 2\.5$"),
@@ -133,7 +134,7 @@ def test_totally_geodesic_scalar_curvature_is_ambient():
          r"^unknown expected property 'flat'$"),
     ],
     ids=["rho-int-huge", "rho-below-floor", "rho-square-overflows", "tg-p-float", "tg-n-float",
-         "tg-p-bool", "tg-c-int-huge", "hc-n-float", "hc-k-float", "ec-n-float", "ec-n-bool",
+         "tg-p-bool", "tg-c-int-huge", "tg-c-list", "hc-n-float", "hc-k-float", "ec-n-float", "ec-n-bool",
          "unknown-property"],
 )
 def test_documented_argument_errors(call, match):

@@ -1087,8 +1087,13 @@ class TestSplittingTensorInput:
          "^record times must be sorted and nonnegative$"),
         (lambda: riccati_path(0.0, [[1.0]], [0.5, math.nan]),
          "^record times must be sorted and nonnegative$"),
+        (lambda: max_invertible_time([1.0], np.eye(2)),
+         r"^curvature must be a real number, got \[1\.0\]$"),
+        (lambda: max_invertible_time(None, np.eye(2)), "^curvature must be a real number, got None$"),
+        (lambda: max_invertible_time(1j, np.eye(2)), "^curvature must be a real number, got 1j$"),
     ],
-    ids=["ray-endpoint", "line-endpoint", "unsorted-times", "nan-time"],
+    ids=["ray-endpoint", "line-endpoint", "unsorted-times", "nan-time", "c-list", "c-none",
+         "c-complex"],
 )
 def test_documented_argument_errors(call, match):
     with pytest.raises(ValueError, match=match):
