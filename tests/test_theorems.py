@@ -450,8 +450,12 @@ class TestCylinderSplit:
         e1 = np.eye(3)[:, :1]
         assert principal_angles(e1, 1e308 * np.ones((3, 1))) == pytest.approx([math.acos(3 ** -0.5)])
         huge = np.array([[1.5e308], [1e308], [0.0]])
-        # one span: zero to the rounding of the angles, a few units of eps
-        assert principal_angles(huge, 2.0**-1000 * huge)[0] <= 4 * np.finfo(float).eps
+        # both bases have the same unit scale, so the angle is that of the
+        # unit-scale basis with itself, a few units of eps
+        unit = np.ldexp(huge, -1024)
+        assert np.array_equal(bits(principal_angles(huge, 2.0**-1000 * huge)),
+                              bits(principal_angles(unit, unit)))
+        assert principal_angles(unit, unit)[0] <= 4 * np.finfo(float).eps
         split = cylinder_split([(np.array([1.0, 2.0, 3.0]), huge)] * 2, k=1, leaf_ids=[0, 0])
         assert split.V[:, 0] == pytest.approx(-np.array([3.0, 2.0, 0.0]) / math.sqrt(13.0))
         assert split.residual == 0.0
